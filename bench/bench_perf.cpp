@@ -5,7 +5,7 @@
 // fault simulator, the matrix reduction and the exact solver.
 //
 // The BM_*Reference variants run the retained seed implementations
-// (sim/reference_sim.h: per-gate Netlist walk + ConeIndex) on the same
+// (tests/sim/reference_sim.h: per-gate Netlist walk + ConeIndex) on the same
 // inputs, so the compiled-core speedup can be read off one run as
 // items_per_second(BM_FaultSim) / items_per_second(BM_FaultSimReference)
 // — within-run ratios are robust against background load.

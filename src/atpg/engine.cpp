@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "atpg/compaction.h"
 #include "obs/diag.h"
 #include "obs/metrics.h"
 
@@ -70,49 +69,6 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
 
   // ---- Phase 2: PODEM on remaining faults -----------------------------
   Podem podem(nl, compiled, opts.podem);
-  if (opts.static_cube_compaction) {
-    // COMPACTEST-style strategy: generate cubes for every remaining
-    // fault first, merge compatible cubes, then X-fill and simulate the
-    // compacted set.  Verdicts for redundant/aborted faults are final;
-    // any target fault a merged pattern happens to miss (merging can
-    // only respect care bits, not dynamic detection) falls through to
-    // the per-fault loop below.
-    std::vector<TestCube> cubes;
-    for (std::size_t fid = 0; fid < faults.size(); ++fid) {
-      if (!remaining[fid]) continue;
-      const PodemResult pr = podem.generate(faults[fid]);
-      if (pr.status == PodemStatus::kUntestable) {
-        remaining[fid] = false;
-        result.verdict[fid] = FaultVerdict::kRedundant;
-        ++result.redundant_faults;
-        --num_remaining;
-      } else if (pr.status == PodemStatus::kTestFound) {
-        cubes.push_back(TestCube{pr.pattern, pr.care});
-      }
-      // Aborted faults stay `remaining` for the fallback loop, which
-      // will re-run PODEM and record the abort verdict uniformly.
-    }
-    for (const TestCube& c : compact_cubes(std::move(cubes))) {
-      util::WideWord pat = c.pattern;
-      for (std::size_t i = 0; i < pat.bits(); ++i) {
-        if (!c.care.get_bit(i) && rng.next_bool()) pat.set_bit(i, true);
-      }
-      sim::PatternSet one(nl.num_inputs(), 0);
-      one.append(pat);
-      const sim::FaultSimResult r = fsim.run_subset(one, remaining);
-      std::size_t caught = 0;
-      r.detected.for_each_set([&](std::size_t hit) {
-        remaining[hit] = false;
-        result.verdict[hit] = FaultVerdict::kDetected;
-        --num_remaining;
-        ++caught;
-      });
-      if (caught > 0) {
-        pool.append(pat);
-        ++result.deterministic_patterns;
-      }
-    }
-  }
   // SAT escalation target (lazy: built on the first PODEM abort only —
   // clean runs never pay the good-circuit CNF emission).
   std::unique_ptr<SatEngine> sat;

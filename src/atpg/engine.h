@@ -32,12 +32,6 @@ struct AtpgOptions {
   std::size_t unproductive_block_limit = 3;  // stop random phase after N dry blocks
   PodemOptions podem;
   bool compact = true;  // reverse-order compaction pass
-  /// Static cube compaction (COMPACTEST-style): PODEM cubes for the
-  /// remaining faults are merged on compatibility *before* X-fill, so
-  /// one filled pattern serves several target faults.  Off by default —
-  /// the dynamic flow (fault dropping per generated pattern) usually
-  /// compacts as well; see AtpgEngine.StaticCompactionKeepsCoverage.
-  bool static_cube_compaction = false;
   /// SAT escalation: when PODEM aborts on a fault, hand it to
   /// atpg::SatEngine, which either produces a validated test pattern or
   /// a redundancy certificate (see sat_engine.h).  On by default —

@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "campaign/json.h"
+#include "util/json.h"
 #include "util/table.h"
 
 namespace fbist::campaign {
@@ -16,7 +16,7 @@ std::size_t Report::num_ok() const {
 }
 
 std::string Report::to_json(bool include_timing) const {
-  JsonWriter w;
+  util::JsonWriter w;
   w.begin_object();
   w.key("format");
   w.value("fbist-campaign-report");

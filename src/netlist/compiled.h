@@ -21,9 +21,9 @@
 // reseed::Pipeline compiles once per circuit and shares the result
 // across ATPG, fault simulation, and every TPG/T evaluation.
 //
-// The legacy walkers (levelize.h, cone.h) remain as the reference
-// implementations; equivalence tests in tests/netlist/compiled_test.cpp
-// pin this compiler to them.
+// The legacy walkers (levelize.h, and the test-only tests/netlist/cone.h)
+// remain as the reference implementations; equivalence tests in
+// tests/netlist/compiled_test.cpp pin this compiler to them.
 #pragma once
 
 #include <cstddef>

@@ -139,8 +139,10 @@ std::string metrics_to_json(const MetricsSnapshot& s) {
   return w.str() + "\n";
 }
 
+// Never destroyed, for the same reason as Tracer::global(): worker
+// threads bump counters until the scheduler joins them at exit.
 Registry& Registry::global() {
-  static Registry instance;
+  static Registry& instance = *new Registry;
   return instance;
 }
 

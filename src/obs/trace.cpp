@@ -20,8 +20,12 @@ thread_local LocalBuffers tls_buffers;
 
 }  // namespace
 
+// Never destroyed: scheduler workers may still record spans while
+// Scheduler::global() joins them during static destruction, so the
+// tracer must outlive every other static (as the failpoint registry
+// does).
 Tracer& Tracer::global() {
-  static Tracer instance;
+  static Tracer& instance = *new Tracer;
   return instance;
 }
 

@@ -240,10 +240,16 @@ void walk8_wide(netlist::Span<std::uint32_t> prog, WordV<8>* local,
 /// site forced to g[site_net] ^ act, returning the cone's PO difference
 /// word (unmasked — the caller applies its lane mask and demuxes).
 /// Pre-fills the cone's good values so loads select on the slot (see
-/// walk_cone_program kPrecopy).  Shared by the per-row lead block and
-/// single-block packed batches, which must stay bit-identical.
-Word narrow_site_walk(const CompiledCircuit& cc, NetId site_net, const Word* g,
-                      Word act, Word* local, std::uint8_t* diff_flag) {
+/// walk_cone_program kPrecopy).
+///
+/// This walk and chunk_site_walk stay out of line: inlined into their
+/// one caller, the per-site loop, they ran 8-12% slower on the
+/// BM_PackedWalkNarrow and BM_InitialMatrixBuild/4 rows (x86-64,
+/// AVX-512 host).
+[[gnu::noinline]] Word narrow_site_walk(const CompiledCircuit& cc,
+                                        NetId site_net, const Word* g,
+                                        Word act, Word* local,
+                                        std::uint8_t* diff_flag) {
   const netlist::Span<std::uint32_t> prog = cc.cone_program(site_net);
   const netlist::Span<NetId> cone = cc.cone_gates(site_net);
   std::fill(diff_flag, diff_flag + cone.size() + 2, 0);
@@ -288,9 +294,10 @@ Word narrow_site_walk(const CompiledCircuit& cc, NetId site_net, const Word* g,
 /// good values `gT` (N words per net); returns the unmasked per-block
 /// PO difference words.
 template <int N>
-WordV<N> chunk_site_walk(const CompiledCircuit& cc, NetId site_net,
-                         const Word* gT, const WordV<N>& act, WordV<N>* local,
-                         std::uint8_t* diff_flag) {
+[[gnu::noinline]] WordV<N> chunk_site_walk(const CompiledCircuit& cc,
+                                           NetId site_net, const Word* gT,
+                                           const WordV<N>& act, WordV<N>* local,
+                                           std::uint8_t* diff_flag) {
   const netlist::Span<std::uint32_t> prog = cc.cone_program(site_net);
   const GoodV<N> good_of{gT};
   std::fill(diff_flag, diff_flag + cc.cone_gates(site_net).size() + 2, 0);
@@ -323,28 +330,28 @@ WordV<N> chunk_site_walk(const CompiledCircuit& cc, NetId site_net,
 }
 
 /// Builds the block-interleaved (N words per net) good-value layout and
-/// per-chunk lane masks for `nchunks` chunks whose j-th block is
-/// first_block + chunk*N + j.  `lanes_of(b)` is the valid-lane mask of
-/// real block b; absent blocks get zero lanes and replicate the last
-/// real block's good values, so the site is never flipped there and the
-/// padding cannot trip the per-gate differs() check that drives the
-/// touched-scan skip.  Shared by the per-row and packed paths, which
-/// must stay bit-identical.
-template <int N, typename LanesFn>
+/// per-chunk lane masks of the chunks covering every block, the j-th
+/// block of chunk c being block c*N + j.  `lanes[b]` is the valid-lane
+/// mask of real block b; absent blocks get zero lanes and replicate the
+/// last real block's good values, so the site is never flipped there
+/// and the padding cannot trip the per-gate differs() check that drives
+/// the touched-scan skip.
+template <int N>
 void build_chunk_goods(const CompiledCircuit& cc,
                        const std::vector<std::vector<Word>>& good,
-                       std::size_t first_block, std::size_t nchunks,
-                       LanesFn lanes_of, std::vector<std::vector<Word>>& goodT,
+                       const std::vector<Word>& lanes,
+                       std::vector<std::vector<Word>>& goodT,
                        std::vector<WordV<N>>& chunk_lanes) {
   const std::size_t blocks = good.size();
+  const std::size_t nchunks = (blocks + N - 1) / N;
   goodT.resize(nchunks);
   chunk_lanes.resize(nchunks);
   for (std::size_t chunk = 0; chunk < nchunks; ++chunk) {
     auto& t = goodT[chunk];
     t.resize(cc.num_nets() * N);
     for (std::size_t j = 0; j < static_cast<std::size_t>(N); ++j) {
-      const std::size_t b = first_block + chunk * N + j;
-      chunk_lanes[chunk].w[j] = b < blocks ? lanes_of(b) : Word{0};
+      const std::size_t b = chunk * N + j;
+      chunk_lanes[chunk].w[j] = b < blocks ? lanes[b] : Word{0};
       const Word* const gb = good[b >= blocks ? blocks - 1 : b].data();
       for (std::size_t n = 0; n < cc.num_nets(); ++n) t[n * N + j] = gb[n];
     }
@@ -359,7 +366,7 @@ void build_chunk_goods(const CompiledCircuit& cc,
 /// the early-exit granularity (one chunk) differs between widths.
 template <int N, typename WantFn, typename DemuxFn>
 void walk_site_chunks(const CompiledCircuit& cc, NetId site_net,
-                      std::size_t first_block, std::size_t blocks,
+                      std::size_t blocks,
                       const std::vector<std::vector<Word>>& goodT,
                       const std::vector<WordV<N>>& chunk_lanes, WordV<N>* local,
                       std::uint8_t* diff_flag, WantFn want, DemuxFn demux) {
@@ -378,7 +385,7 @@ void walk_site_chunks(const CompiledCircuit& cc, NetId site_net,
     const WordV<N> diff =
         chunk_site_walk<N>(cc, site_net, gT, act, local, diff_flag) & lanes;
     for (std::size_t j = 0; j < static_cast<std::size_t>(N); ++j) {
-      const std::size_t b = first_block + chunk * N + j;
+      const std::size_t b = chunk * N + j;
       if (b >= blocks || diff.w[j] == 0) continue;
       demux(b, diff.w[j], gs.w[j]);
     }
@@ -410,6 +417,11 @@ std::vector<WalkScratch> make_scratches(std::size_t workers,
   return scratches;
 }
 
+/// The packing of one row spanning the whole pattern set.
+LanePacking whole_set(const PatternSet& patterns) {
+  return LanePacking{{{0, 0, patterns.size()}}, patterns.size()};
+}
+
 }  // namespace
 
 FaultSim::FaultSim(const netlist::Netlist& nl, const fault::FaultList& faults)
@@ -436,220 +448,37 @@ FaultSim::FaultSim(const netlist::Netlist& nl, const fault::FaultList& faults,
   }
 }
 
-FaultSimResult FaultSim::run(const PatternSet& patterns,
-                             bool stop_after_first_detection,
-                             bool parallel) const {
-  std::vector<bool> all(faults_.size(), true);
-  return run_subset(patterns, all, stop_after_first_detection, parallel);
+FaultSimResult FaultSim::run(const PatternSet& patterns, bool parallel) const {
+  return std::move(
+      simulate(patterns, whole_set(patterns), nullptr, parallel)[0]);
 }
 
 FaultSimResult FaultSim::run_subset(const PatternSet& patterns,
                                     const std::vector<bool>& active,
-                                    bool stop_after_first_detection,
                                     bool parallel) const {
   assert(active.size() == faults_.size());
-  const CompiledCircuit& cc = *cc_;
-  const std::size_t nf = faults_.size();
-  const std::size_t blocks = (patterns.size() + 63) / 64;
-
-  FaultSimResult result;
-  result.detected = util::BitVector(nf);
-  result.earliest.assign(nf, kNotDetected);
-  if (patterns.empty() || nf == 0) return result;
-
-  // Workers write per-fault byte flags (distinct slots, no sharing);
-  // the packed BitVector is assembled after the parallel section to
-  // avoid read-modify-write races on shared words.
-  std::vector<std::uint8_t> detected_flag(nf, 0);
-
-  // Good values for every block, computed once.
-  std::vector<std::vector<Word>> good(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    good_sim_.simulate_word(patterns, b * 64, good[b]);
-  }
-  // Mask of valid pattern lanes in the last block.
-  const std::size_t tail = patterns.size() % 64;
-  const Word tail_mask = tail == 0 ? ~Word{0} : ((Word{1} << tail) - 1);
-  const auto block_lanes = [&](std::size_t b) {
-    return b >= blocks ? Word{0} : (b + 1 == blocks ? tail_mask : ~Word{0});
-  };
-
-  // Campaign layout: block 0 is walked alone — most faults are detected
-  // there and then cost exactly one narrow cone walk.  The remaining
-  // blocks are walked in 4- or 8-wide chunks (runtime dispatch,
-  // util::chunk_width_for) over block-interleaved good values, so
-  // faults that survive block 0 amortize one structure walk over up to
-  // 256 or 512 patterns.  A forced-narrow tier walks every block alone.
-  const std::size_t cw =
-      blocks > 1 ? util::chunk_width_for(blocks - 1) : 0;
-  // Campaign-grain counters only (one shard add per campaign, never per
-  // site or block): the cone walk itself stays instrumentation-free.
-  OBS_COUNTER(c_campaigns, "sim.campaigns");
-  OBS_COUNTER(c_blocks, "sim.blocks");
-  OBS_COUNTER(c_narrow, "sim.tier_narrow");
-  OBS_COUNTER(c_wide4, "sim.tier_wide4");
-  OBS_COUNTER(c_wide8, "sim.tier_wide8");
-  OBS_COUNT(c_campaigns, 1);
-  OBS_COUNT(c_blocks, blocks);
-  OBS_COUNT(cw == 4 ? c_wide4 : cw == 8 ? c_wide8 : c_narrow, 1);
-  const std::size_t lead_blocks = cw == 0 ? blocks : 1;
-  const std::size_t nchunks = cw == 0 ? 0 : (blocks - 1 + cw - 1) / cw;
-  std::vector<std::vector<Word>> goodT;
-  std::vector<WordV<4>> chunk_lanes4;
-  std::vector<WordV<8>> chunk_lanes8;
-  if (cw == 4) {
-    build_chunk_goods<4>(cc, good, /*first_block=*/1, nchunks, block_lanes,
-                         goodT, chunk_lanes4);
-  } else if (cw == 8) {
-    build_chunk_goods<8>(cc, good, /*first_block=*/1, nchunks, block_lanes,
-                         goodT, chunk_lanes8);
-  }
-
-  const std::size_t max_slots = cc.max_cone_gates() + 2;
-  const std::size_t workers = parallel ? util::parallel_workers() : 1;
-  std::vector<WalkScratch> scratches =
-      make_scratches(workers, max_slots, /*need_narrow=*/true, cw);
-
-  constexpr std::size_t kNoFault = static_cast<std::size_t>(-1);
-  auto simulate_site = [&](std::size_t sid, std::size_t worker) {
-    const Site& site = sites_[sid];
-    // live[s]: the stuck-at-s fault on this net still needs simulation.
-    bool live[2];
-    for (int s = 0; s < 2; ++s) {
-      live[s] = site.fid[s] != kNoFault && active[site.fid[s]];
-    }
-    if (!live[0] && !live[1]) return;
-
-    WalkScratch& sc = scratches[worker];
-    std::uint8_t* const diff_flag = sc.diff_flag.data();
-
-    // Lanes where the live faults are activated: sa0 flips the site
-    // where the good value is 1, sa1 where it is 0 — disjoint, so one
-    // walk with the site complemented on exactly those lanes simulates
-    // both faults (bitwise ops are lane-independent).
-    const auto record = [&](std::size_t fid, Word d, std::size_t block) {
-      detected_flag[fid] = 1;
-      result.earliest[fid] =
-          static_cast<std::uint32_t>(block * 64 + __builtin_ctzll(d));
-    };
-
-    // Lead blocks, one narrow walk each.
-    for (std::size_t b = 0; b < lead_blocks && (live[0] || live[1]); ++b) {
-      const Word* const g = good[b].data();
-      const Word lanes = block_lanes(b);
-      const Word gs = g[site.net];
-      const Word act = ((live[0] ? gs : Word{0}) | (live[1] ? ~gs : Word{0})) & lanes;
-      if (act == 0) continue;  // neither live fault activated
-      const Word diff =
-          narrow_site_walk(cc, site.net, g, act, sc.local1.data(), diff_flag) &
-          lanes;
-      if (diff == 0) continue;
-      if (live[0]) {
-        const Word d0 = diff & gs;
-        if (d0 != 0) {
-          record(site.fid[0], d0, b);
-          live[0] = false;
-        }
-      }
-      if (live[1]) {
-        const Word d1 = diff & ~gs;
-        if (d1 != 0) {
-          record(site.fid[1], d1, b);
-          live[1] = false;
-        }
-      }
-    }
-
-    const auto want = [&]() { return std::make_pair(live[0], live[1]); };
-    const auto demux = [&](std::size_t b, Word diff, Word gs) {
-      for (int s = 0; s < 2; ++s) {
-        if (!live[s]) continue;
-        const Word d = diff & (s == 0 ? gs : ~gs);
-        if (d == 0) continue;
-        record(site.fid[s], d, b);  // blocks ascend, so the first hit wins
-        live[s] = false;
-      }
-    };
-    if (cw == 4) {
-      walk_site_chunks<4>(cc, site.net, /*first_block=*/1, blocks, goodT,
-                          chunk_lanes4,
-                          reinterpret_cast<WordV<4>*>(sc.localv.data()),
-                          diff_flag, want, demux);
-    } else if (cw == 8) {
-      walk_site_chunks<8>(cc, site.net, /*first_block=*/1, blocks, goodT,
-                          chunk_lanes8,
-                          reinterpret_cast<WordV<8>*>(sc.localv.data()),
-                          diff_flag, want, demux);
-    }
-    (void)stop_after_first_detection;  // first detection always terminates
-  };
-
-  if (parallel && workers > 1) {
-    util::parallel_for_workers(sites_.size(), simulate_site);
-  } else {
-    for (std::size_t sid = 0; sid < sites_.size(); ++sid) simulate_site(sid, 0);
-  }
-  std::uint64_t dropped = 0;
-  for (std::size_t fid = 0; fid < nf; ++fid) {
-    if (detected_flag[fid]) {
-      result.detected.set(fid);
-      ++dropped;  // detected faults leave all later blocks' walks
-    }
-  }
-  OBS_COUNTER(c_dropped, "sim.faults_dropped");
-  OBS_COUNT(c_dropped, dropped);
-  (void)dropped;  // read only in observability builds
-  return result;
-}
-
-std::vector<FaultSimResult> FaultSim::run_batched(
-    const PatternSet* rows, std::size_t num_rows,
-    bool stop_after_first_detection, bool parallel) const {
-  (void)stop_after_first_detection;  // never changes results; see header
-  const std::size_t nf = faults_.size();
-  std::vector<FaultSimResult> results(num_rows);
-  if (num_rows == 0 || nf == 0) {
-    for (auto& r : results) {
-      r.detected = util::BitVector(nf);
-      r.earliest.assign(nf, kNotDetected);
-    }
-    return results;
-  }
-  // Every row lands in exactly one packing, so run_packed's output
-  // fills every slot below — no need to pre-initialize them here.
-
-  std::vector<std::size_t> lengths(num_rows);
-  for (std::size_t i = 0; i < num_rows; ++i) lengths[i] = rows[i].size();
-  // Packings span one simulation chunk of the active dispatch tier.
-  const std::vector<LanePacking> packings =
-      pack_rows(lengths, util::preferred_pack_blocks());
-
-  // Packings are independent campaigns writing disjoint result slots,
-  // so they parallelize on the shared pool like per-row campaigns do;
-  // the per-site loop inside run_packed nests on the same pool.
-  const std::size_t width = nl_.num_inputs();
-  const auto run_one = [&](std::size_t p) {
-    const LanePacking& pk = packings[p];
-    PatternSet packed(width, pk.num_patterns);
-    for (const LanePacking::Row& pr : pk.rows) {
-      if (pr.length > 0) packed.write_patterns(pr.base, rows[pr.row]);
-    }
-    std::vector<FaultSimResult> rs = run_packed(packed, pk, parallel);
-    for (std::size_t i = 0; i < pk.rows.size(); ++i) {
-      results[pk.rows[i].row] = std::move(rs[i]);
-    }
-  };
-  if (parallel && packings.size() > 1) {
-    util::parallel_for(packings.size(), run_one);
-  } else {
-    for (std::size_t p = 0; p < packings.size(); ++p) run_one(p);
-  }
-  return results;
+  return std::move(
+      simulate(patterns, whole_set(patterns), &active, parallel)[0]);
 }
 
 std::vector<FaultSimResult> FaultSim::run_packed(const PatternSet& packed,
                                                  const LanePacking& packing,
                                                  bool parallel) const {
+  return simulate(packed, packing, nullptr, parallel);
+}
+
+bool FaultSim::detects(const util::WideWord& pattern, std::size_t fault_id) const {
+  PatternSet ps(nl_.num_inputs(), 0);
+  ps.append(pattern);
+  std::vector<bool> one(faults_.size(), false);
+  one[fault_id] = true;
+  return run_subset(ps, one, /*parallel=*/false).detected.get(fault_id);
+}
+
+std::vector<FaultSimResult> FaultSim::simulate(const PatternSet& packed,
+                                               const LanePacking& packing,
+                                               const std::vector<bool>* active,
+                                               bool parallel) const {
   const CompiledCircuit& cc = *cc_;
   const std::size_t nf = faults_.size();
   const std::size_t nrows = packing.rows.size();
@@ -698,11 +527,13 @@ std::vector<FaultSimResult> FaultSim::run_packed(const PatternSet& packed,
     }
   }
 
-  // All blocks of a multi-block packing are walked in 4- or 8-wide
-  // chunks (one structure walk per 256 or 512 packed patterns; runtime
-  // dispatch, util::chunk_width_for); a single-block packing — or a
-  // forced-narrow tier — takes the cheaper narrow walk per block.
+  // Block layout: a one-block campaign — or a forced-narrow tier —
+  // takes the cheaper narrow walk per block; a longer one walks 4- or
+  // 8-wide chunks from block 0 on (one structure walk per 256 or 512
+  // patterns; runtime dispatch, util::chunk_width_for).
   const std::size_t cw = blocks > 1 ? util::chunk_width_for(blocks) : 0;
+  // Campaign-grain counters only (one shard add per campaign, never per
+  // site or block): the cone walk itself stays instrumentation-free.
   OBS_COUNTER(c_campaigns, "sim.campaigns");
   OBS_COUNTER(c_blocks, "sim.blocks");
   OBS_COUNTER(c_narrow, "sim.tier_narrow");
@@ -711,19 +542,13 @@ std::vector<FaultSimResult> FaultSim::run_packed(const PatternSet& packed,
   OBS_COUNT(c_campaigns, 1);
   OBS_COUNT(c_blocks, blocks);
   OBS_COUNT(cw == 4 ? c_wide4 : cw == 8 ? c_wide8 : c_narrow, 1);
-  const std::size_t nchunks = cw == 0 ? 0 : (blocks + cw - 1) / cw;
   std::vector<std::vector<Word>> goodT;
   std::vector<WordV<4>> chunk_lanes4;
   std::vector<WordV<8>> chunk_lanes8;
-  const auto union_lanes_of = [&union_lanes](std::size_t b) {
-    return union_lanes[b];
-  };
   if (cw == 4) {
-    build_chunk_goods<4>(cc, good, /*first_block=*/0, nchunks, union_lanes_of,
-                         goodT, chunk_lanes4);
+    build_chunk_goods<4>(cc, good, union_lanes, goodT, chunk_lanes4);
   } else if (cw == 8) {
-    build_chunk_goods<8>(cc, good, /*first_block=*/0, nchunks, union_lanes_of,
-                         goodT, chunk_lanes8);
+    build_chunk_goods<8>(cc, good, union_lanes, goodT, chunk_lanes8);
   }
 
   const std::size_t max_slots = cc.max_cone_gates() + 2;
@@ -734,47 +559,56 @@ std::vector<FaultSimResult> FaultSim::run_packed(const PatternSet& packed,
   constexpr std::size_t kNoFault = static_cast<std::size_t>(-1);
   auto simulate_site = [&](std::size_t sid, std::size_t worker) {
     const Site& site = sites_[sid];
-    const bool has[2] = {site.fid[0] != kNoFault, site.fid[1] != kNoFault};
-    if (!has[0] && !has[1]) return;
+    // left[s]: rows that have not yet detected the stuck-at-s fault on
+    // this net (zero for an absent or masked-out fault).  Rows are
+    // independent campaigns: a detection in one row's lanes never drops
+    // the fault from another, so a polarity is flipped while any row
+    // still needs it and the site stops once no row needs either.
+    std::size_t left[2];
+    for (int s = 0; s < 2; ++s) {
+      const std::size_t fid = site.fid[s];
+      left[s] = fid != kNoFault && (active == nullptr || (*active)[fid])
+                    ? active_rows
+                    : 0;
+    }
+    if (left[0] == 0 && left[1] == 0) return;
 
     WalkScratch& sc = scratches[worker];
     std::uint8_t* const diff_flag = sc.diff_flag.data();
 
-    // Rows are independent campaigns: a detection in one row's lanes
-    // never drops the fault from another row, so dropping is tracked as
-    // "rows still missing this fault" and the site stops only once every
-    // row has both its faults.
-    std::size_t remaining = (has[0] ? active_rows : 0) + (has[1] ? active_rows : 0);
-
     // Demuxes one block's faulty-vs-good output difference word back to
     // the per-row results (row-local earliest indices).
     const auto demux = [&](std::size_t b, Word diff, Word gs) {
-      for (const RowLanes& rl : rows_in_block[b]) {
-        FaultSimResult& res = results[rl.pos];
-        for (int s = 0; s < 2; ++s) {
-          if (!has[s]) continue;
-          const std::size_t fid = site.fid[s];
-          if (res.earliest[fid] != kNotDetected) continue;  // earlier block won
-          const Word d = diff & (s == 0 ? gs : ~gs) & rl.mask;
+      for (int s = 0; s < 2; ++s) {
+        if (left[s] == 0) continue;
+        const Word ds = diff & (s == 0 ? gs : ~gs);
+        if (ds == 0) continue;
+        const std::size_t fid = site.fid[s];
+        for (const RowLanes& rl : rows_in_block[b]) {
+          std::uint32_t& earliest = results[rl.pos].earliest[fid];
+          if (earliest != kNotDetected) continue;  // an earlier block won
+          const Word d = ds & rl.mask;
           if (d == 0) continue;
-          res.earliest[fid] = static_cast<std::uint32_t>(
+          earliest = static_cast<std::uint32_t>(
               b * 64 + static_cast<std::size_t>(__builtin_ctzll(d)) - rl.base);
-          --remaining;
+          --left[s];
         }
       }
     };
 
-    if (nchunks == 0) {
-      // Narrow walks, one per block, as in the lead block of the
-      // per-row path (a single packed block is the common case; a
-      // forced-narrow tier visits every block this way).
-      for (std::size_t b = 0; b < blocks && remaining > 0; ++b) {
+    if (cw == 0) {
+      for (std::size_t b = 0; b < blocks && (left[0] > 0 || left[1] > 0); ++b) {
         const Word* const g = good[b].data();
         const Word lanes = union_lanes[b];
         const Word gs = g[site.net];
+        // sa0 flips the site where the good value is 1, sa1 where it is
+        // 0 — disjoint lanes, so one walk with the site complemented on
+        // exactly those lanes simulates both faults (bitwise ops are
+        // lane-independent).
         const Word act =
-            ((has[0] ? gs : Word{0}) | (has[1] ? ~gs : Word{0})) & lanes;
-        if (act == 0) continue;
+            ((left[0] > 0 ? gs : Word{0}) | (left[1] > 0 ? ~gs : Word{0})) &
+            lanes;
+        if (act == 0) continue;  // no sought fault activated
         const Word diff =
             narrow_site_walk(cc, site.net, g, act, sc.local1.data(),
                              diff_flag) &
@@ -785,17 +619,14 @@ std::vector<FaultSimResult> FaultSim::run_packed(const PatternSet& packed,
     }
 
     const auto want = [&]() {
-      return remaining > 0 ? std::make_pair(has[0], has[1])
-                           : std::make_pair(false, false);
+      return std::make_pair(left[0] > 0, left[1] > 0);
     };
     if (cw == 4) {
-      walk_site_chunks<4>(cc, site.net, /*first_block=*/0, blocks, goodT,
-                          chunk_lanes4,
+      walk_site_chunks<4>(cc, site.net, blocks, goodT, chunk_lanes4,
                           reinterpret_cast<WordV<4>*>(sc.localv.data()),
                           diff_flag, want, demux);
     } else {
-      walk_site_chunks<8>(cc, site.net, /*first_block=*/0, blocks, goodT,
-                          chunk_lanes8,
+      walk_site_chunks<8>(cc, site.net, blocks, goodT, chunk_lanes8,
                           reinterpret_cast<WordV<8>*>(sc.localv.data()),
                           diff_flag, want, demux);
     }
@@ -809,12 +640,11 @@ std::vector<FaultSimResult> FaultSim::run_packed(const PatternSet& packed,
   // Assemble packed detection bits outside the parallel section (sites
   // write distinct earliest slots; BitVector words would be shared).
   std::uint64_t dropped = 0;
-  for (std::size_t i = 0; i < nrows; ++i) {
-    FaultSimResult& res = results[i];
+  for (FaultSimResult& res : results) {
     for (std::size_t fid = 0; fid < nf; ++fid) {
       if (res.earliest[fid] != kNotDetected) {
         res.detected.set(fid);
-        ++dropped;  // per-row detections stop that row's later blocks
+        ++dropped;  // a detection stops that row's later blocks
       }
     }
   }
@@ -822,15 +652,6 @@ std::vector<FaultSimResult> FaultSim::run_packed(const PatternSet& packed,
   OBS_COUNT(c_dropped, dropped);
   (void)dropped;  // read only in observability builds
   return results;
-}
-
-bool FaultSim::detects(const util::WideWord& pattern, std::size_t fault_id) const {
-  PatternSet ps(nl_.num_inputs(), 0);
-  ps.append(pattern);
-  std::vector<bool> one(faults_.size(), false);
-  one[fault_id] = true;
-  const FaultSimResult r = run_subset(ps, one, true, false);
-  return r.detected.get(fault_id);
 }
 
 }  // namespace fbist::sim

@@ -16,9 +16,14 @@
 //  * site pairing: sa0 and sa1 on the same net activate on disjoint
 //    pattern lanes, so one walk with the site complemented per lane
 //    simulates both faults exactly — dual-polarity nets cost one walk;
-//  * 4-wide chunks: block 0 is walked alone (most faults are detected
-//    there at single-block cost); faults that survive it evaluate four
-//    64-pattern blocks per walk over block-interleaved good values.
+//  * block chunks: a one-block campaign takes one narrow walk per site;
+//    a longer one walks 4 or 8 64-pattern blocks per structure walk
+//    (util::chunk_width_for) over block-interleaved good values, from
+//    block 0 on, until no row still seeks the site's faults.
+//
+// Every entry point is one campaign over a lane-packed pattern set
+// (sim::LanePacking): run, run_subset and detects pack a single row,
+// run_packed many.
 #pragma once
 
 #include <cstddef>
@@ -72,57 +77,35 @@ class FaultSim {
   FaultSim(const netlist::Netlist& nl, const fault::FaultList& faults,
            std::shared_ptr<const netlist::CompiledCircuit> compiled);
 
-  /// Simulates all patterns against all faults.
+  /// Simulates all patterns against all faults.  A detected fault is
+  /// dropped from the campaign's later blocks; its earliest index is
+  /// exact, because blocks are processed in pattern order and within a
+  /// block the lowest set lane is taken.
   ///
-  /// `stop_after_first_detection` enables within-campaign fault dropping:
-  /// once a fault is detected its remaining blocks are skipped (the
-  /// earliest index is exact either way, because blocks are processed in
-  /// pattern order and within a block the lowest set lane is taken).
-  ///
-  /// `parallel` distributes faults across hardware threads.
-  FaultSimResult run(const PatternSet& patterns,
-                     bool stop_after_first_detection = true,
-                     bool parallel = true) const;
+  /// `parallel` distributes fault sites across hardware threads.
+  FaultSimResult run(const PatternSet& patterns, bool parallel = true) const;
 
   /// Simulates patterns against the subset of faults flagged `active`
   /// (size = fault count).  Used by the ATPG's fault-dropping loop.
   FaultSimResult run_subset(const PatternSet& patterns,
                             const std::vector<bool>& active,
-                            bool stop_after_first_detection = true,
                             bool parallel = true) const;
 
-  /// Simulates many *independent* pattern sets ("rows", e.g. one per
-  /// reseeding candidate triplet) in one call, packing ⌊64/T⌋ rows into
-  /// the lanes of shared 64-pattern blocks (sim::pack_rows): good values
-  /// are computed once per packed block and each fault's cone is walked
-  /// once per block instead of once per row, which is the dominant cost
-  /// of the detection-matrix build at the paper's small T values.
+  /// Simulates many *independent* pattern sequences ("rows", e.g. one
+  /// per reseeding candidate triplet) laid out side by side in the lanes
+  /// of one pre-packed set as `packing` describes (sim::pack_rows):
+  /// good values are computed once per packed block and each fault's
+  /// cone is walked once per block instead of once per row, which is the
+  /// dominant cost of the detection-matrix build at the paper's small T
+  /// values.  Callers expand rows straight into the packed set
+  /// (tpg::expand_triplet_into).  Lane ranges must be disjoint, a row of
+  /// length <= 64 must not straddle a block boundary, and packed lanes
+  /// outside every row are ignored.
   ///
-  /// Returns one FaultSimResult per row, bit-identical to calling
-  /// run(rows[i], ...) per row — detection bits *and* earliest indices.
-  /// `stop_after_first_detection` is accepted for symmetry with run();
-  /// as there, it never changes results (blocks are processed in
-  /// pattern order, so the first detection of a packed row is final),
-  /// and within a packed block dropping is tracked per row: a fault
-  /// detected by one row keeps simulating in every other row's lanes.
-  std::vector<FaultSimResult> run_batched(const PatternSet* rows,
-                                          std::size_t num_rows,
-                                          bool stop_after_first_detection = true,
-                                          bool parallel = true) const;
-  std::vector<FaultSimResult> run_batched(const std::vector<PatternSet>& rows,
-                                          bool stop_after_first_detection = true,
-                                          bool parallel = true) const {
-    return run_batched(rows.data(), rows.size(), stop_after_first_detection,
-                       parallel);
-  }
-
-  /// Lower-level batched entry point: simulates one pre-packed pattern
-  /// set whose lane layout is described by `packing` (callers that
-  /// expand rows straight into the packed set — tpg::expand_triplet_into
-  /// — skip the intermediate per-row PatternSet entirely).  Lane ranges
-  /// must be disjoint, a row of length <= 64 must not straddle a block
-  /// boundary, and packed lanes outside every row are ignored.  Returns
-  /// one result per packing.rows entry, in that order.
+  /// Returns one result per packing.rows entry, in that order, equal to
+  /// run() on that row alone — detection bits *and* row-local earliest
+  /// indices.  Dropping is tracked per row: a fault detected by one row
+  /// keeps simulating in every other row's lanes.
   std::vector<FaultSimResult> run_packed(const PatternSet& packed,
                                          const LanePacking& packing,
                                          bool parallel = true) const;
@@ -138,6 +121,14 @@ class FaultSim {
   }
 
  private:
+  /// The one campaign loop behind every entry point: simulates `packed`
+  /// (lane layout `packing`) against the faults flagged in `active`
+  /// (nullptr = all) and returns one result per packing row.
+  std::vector<FaultSimResult> simulate(const PatternSet& packed,
+                                       const LanePacking& packing,
+                                       const std::vector<bool>* active,
+                                       bool parallel) const;
+
   /// Faults sharing one injection site: fid[s] is the id of the
   /// stuck-at-s fault on `net`, or SIZE_MAX.
   struct Site {

@@ -83,33 +83,6 @@ TEST(AtpgEngine, HighCoverageOnRegistryCircuit) {
   EXPECT_LT(r.patterns.size(), fl.size());
 }
 
-TEST(AtpgEngine, StaticCompactionKeepsCoverage) {
-  circuits::GeneratorSpec spec;
-  spec.num_inputs = 14;
-  spec.num_outputs = 7;
-  spec.num_gates = 150;
-  spec.xor_share = 0.3;
-  spec.seed = 23;
-  const auto nl = circuits::generate(spec);
-  const auto fl = fault::FaultList::collapsed(nl);
-
-  AtpgOptions plain, cubes;
-  cubes.static_cube_compaction = true;
-  const AtpgResult a = run_atpg(nl, fl, plain);
-  const AtpgResult b = run_atpg(nl, fl, cubes);
-
-  // Same coverage of testable faults, both verified by simulation.
-  EXPECT_DOUBLE_EQ(a.testable_coverage_percent(),
-                   b.testable_coverage_percent());
-  sim::FaultSim fsim(nl, fl);
-  const auto check = fsim.run(b.patterns);
-  for (std::size_t f = 0; f < fl.size(); ++f) {
-    if (b.verdict[f] == FaultVerdict::kDetected) {
-      EXPECT_TRUE(check.detected.get(f)) << fault_name(nl, fl[f]);
-    }
-  }
-}
-
 TEST(AtpgEngine, ReportsPhaseStatistics) {
   const auto nl = circuits::make_circuit("c432");
   const auto fl = fault::FaultList::collapsed(nl);

@@ -6,7 +6,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "campaign/json.h"
+#include "util/json.h"
 
 namespace fbist::campaign {
 namespace {
@@ -203,7 +203,7 @@ TEST(Campaign, DegenerateSpecThrows) {
 }
 
 TEST(JsonWriterTest, EscapesAndNests) {
-  JsonWriter w;
+  util::JsonWriter w;
   w.begin_object();
   w.key("s");
   w.value("a\"b\\c\nd");

@@ -6,9 +6,9 @@
 //
 // The hot paths (sim::FaultSim, atpg::Podem) no longer call these: they
 // walk the precompiled CSR cone slices of netlist::CompiledCircuit.
-// This module remains the independent reference that the compiler is
-// pinned to (tests/netlist/compiled_test.cpp) and that the seed-path
-// simulators in sim/reference_sim.h still use.
+// This module is a test oracle: the independent reference that the
+// compiler is pinned to (tests/netlist/compiled_test.cpp) and that the
+// seed-path simulators in sim/reference_sim.h use.
 #pragma once
 
 #include <cstddef>

@@ -60,18 +60,6 @@ TEST(Pipeline, GreedySolverOptionRespected) {
   EXPECT_EQ(sol.faults_covered, sol.faults_targeted);
 }
 
-TEST(Pipeline, StaticCubeCompactionOptionWorks) {
-  reseed::PipelineOptions opts;
-  opts.atpg.static_cube_compaction = true;
-  const Pipeline p("c432");
-  const Pipeline q(circuits::make_circuit("c432"), "c432", opts);
-  // Both pipelines reach complete coverage of their target lists.
-  const auto a = p.fault_sim().run(p.atpg_patterns());
-  const auto b = q.fault_sim().run(q.atpg_patterns());
-  EXPECT_EQ(a.num_detected(), p.faults().size());
-  EXPECT_EQ(b.num_detected(), q.faults().size());
-}
-
 TEST(Pipeline, CustomNetlistNamePropagates) {
   reseed::Pipeline p(circuits::make_c17(), "my-block");
   EXPECT_EQ(p.name(), "my-block");

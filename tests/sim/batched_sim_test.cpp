@@ -1,8 +1,8 @@
-// Lane-packed batched fault simulation (FaultSim::run_batched /
-// run_packed): the packed path must be bit-identical to the per-row
-// path — detection bits *and* earliest indices — for every T regime the
-// paper sweeps, odd batch remainders, paired sa0/sa1 sites, and any
-// worker count.
+// Lane-packed fault simulation (sim::pack_rows + FaultSim::run_packed):
+// every packed row must match the seed reference simulator run on that
+// row alone — detection bits *and* earliest indices — for every T regime
+// the paper sweeps, odd batch remainders, paired sa0/sa1 sites, every
+// SIMD tier, and any worker count.
 #include <cstddef>
 #include <vector>
 
@@ -13,8 +13,10 @@
 #include "fault/fault.h"
 #include "sim/fault_sim.h"
 #include "sim/pattern.h"
+#include "sim/reference_sim.h"
 #include "tpg/lfsr.h"
 #include "tpg/triplet.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -32,6 +34,38 @@ std::vector<PatternSet> random_rows(std::size_t num_rows, std::size_t cycles,
   return rows;
 }
 
+/// Simulates independent rows the way reseed::build_initial_reseeding
+/// does: packs them into shared blocks (one simulation chunk of the
+/// active tier per packing), copies each row into its lane range and
+/// runs every packing — on the shared pool when `parallel`.  Returns one
+/// result per row.
+std::vector<FaultSimResult> run_rows(const FaultSim& fsim,
+                                     const std::vector<PatternSet>& rows,
+                                     bool parallel = true) {
+  std::vector<std::size_t> lengths;
+  for (const PatternSet& r : rows) lengths.push_back(r.size());
+  const std::vector<LanePacking> packings =
+      pack_rows(lengths, util::preferred_pack_blocks());
+  std::vector<FaultSimResult> results(rows.size());
+  const auto run_one = [&](std::size_t p) {
+    const LanePacking& pk = packings[p];
+    PatternSet packed(fsim.netlist().num_inputs(), pk.num_patterns);
+    for (const LanePacking::Row& pr : pk.rows) {
+      if (pr.length > 0) packed.write_patterns(pr.base, rows[pr.row]);
+    }
+    std::vector<FaultSimResult> rs = fsim.run_packed(packed, pk, parallel);
+    for (std::size_t i = 0; i < pk.rows.size(); ++i) {
+      results[pk.rows[i].row] = std::move(rs[i]);
+    }
+  };
+  if (parallel) {
+    util::parallel_for(packings.size(), run_one);
+  } else {
+    for (std::size_t p = 0; p < packings.size(); ++p) run_one(p);
+  }
+  return results;
+}
+
 void expect_identical(const FaultSimResult& a, const FaultSimResult& b,
                       const char* what, std::size_t row) {
   EXPECT_EQ(a.detected, b.detected) << what << " row " << row;
@@ -42,29 +76,33 @@ void expect_identical(const FaultSimResult& a, const FaultSimResult& b,
   }
 }
 
+/// Checks every packed row against the reference simulator.
+void expect_rows_match_reference(const ReferenceFaultSim& ref,
+                                 const std::vector<PatternSet>& rows,
+                                 const std::vector<FaultSimResult>& got,
+                                 const char* what) {
+  ASSERT_EQ(got.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    expect_identical(got[i], ref.run(rows[i], /*parallel=*/false), what, i);
+  }
+}
+
 void check_batched_equivalence(const std::string& circuit, bool collapsed,
                                std::size_t num_rows, std::size_t cycles) {
   const auto nl = circuits::make_circuit(circuit);
   const auto fl = collapsed ? fault::FaultList::collapsed(nl)
                             : fault::FaultList::full(nl);
   FaultSim fsim(nl, fl);
+  ReferenceFaultSim ref(nl, fl);
   const auto rows = random_rows(num_rows, cycles, nl.num_inputs(),
                                 /*seed=*/cycles * 977 + num_rows);
-
-  std::vector<FaultSimResult> per_row;
-  for (const auto& r : rows) per_row.push_back(fsim.run(r));
-
   for (const bool parallel : {false, true}) {
-    const auto batched = fsim.run_batched(rows, true, parallel);
-    ASSERT_EQ(batched.size(), rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      expect_identical(batched[i], per_row[i],
-                       parallel ? "parallel" : "serial", i);
-    }
+    expect_rows_match_reference(ref, rows, run_rows(fsim, rows, parallel),
+                                parallel ? "parallel" : "serial");
   }
 }
 
-// The full T sweep of the issue: T=1 (64 rows per block), T=7 (9 rows
+// The full T sweep of the paper: T=1 (64 rows per block), T=7 (9 rows
 // per block, odd remainder lanes), T=63/64 (one row per block, full and
 // near-full lanes), T=100 (multi-block row, dedicated packing).
 TEST(BatchedSim, BitIdenticalAcrossCycleRegimes) {
@@ -90,28 +128,25 @@ TEST(BatchedSim, OddRemaindersAndMixedLengths) {
   const auto nl = circuits::make_circuit("c880");
   const auto fl = fault::FaultList::collapsed(nl);
   FaultSim fsim(nl, fl);
+  ReferenceFaultSim ref(nl, fl);
 
   util::Rng rng(42);
   std::vector<PatternSet> rows;
   for (const std::size_t len : {5, 1, 40, 40, 0, 64, 7, 100, 3}) {
     rows.push_back(PatternSet::random(nl.num_inputs(), len, rng));
   }
-  const auto batched = fsim.run_batched(rows);
-  ASSERT_EQ(batched.size(), rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto direct = fsim.run(rows[i]);
-    expect_identical(batched[i], direct, "mixed", i);
-  }
+  expect_rows_match_reference(ref, rows, run_rows(fsim, rows), "mixed");
 }
 
 TEST(BatchedSim, EmptyInputs) {
   const auto nl = circuits::make_circuit("c432");
   const auto fl = fault::FaultList::collapsed(nl);
   FaultSim fsim(nl, fl);
-  EXPECT_TRUE(fsim.run_batched(std::vector<PatternSet>{}).empty());
+  EXPECT_TRUE(
+      fsim.run_packed(PatternSet(nl.num_inputs(), 0), LanePacking{}).empty());
 
-  std::vector<PatternSet> rows(3, PatternSet(nl.num_inputs(), 0));
-  const auto batched = fsim.run_batched(rows);
+  const std::vector<PatternSet> rows(3, PatternSet(nl.num_inputs(), 0));
+  const auto batched = run_rows(fsim, rows);
   ASSERT_EQ(batched.size(), 3u);
   for (const auto& r : batched) {
     EXPECT_EQ(r.num_detected(), 0u);
@@ -119,45 +154,32 @@ TEST(BatchedSim, EmptyInputs) {
   }
 }
 
-// stop_after_first_detection never changes results (blocks are walked
-// in pattern order), matching the per-row contract.
-TEST(BatchedSim, StopAfterFirstDetectionIsResultNeutral) {
-  const auto nl = circuits::make_circuit("c432");
-  const auto fl = fault::FaultList::collapsed(nl);
-  FaultSim fsim(nl, fl);
-  const auto rows = random_rows(7, 9, nl.num_inputs(), 3);
-  const auto a = fsim.run_batched(rows, /*stop_after_first_detection=*/true);
-  const auto b = fsim.run_batched(rows, /*stop_after_first_detection=*/false);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    expect_identical(a[i], b[i], "stop-flag", i);
-  }
-}
-
-// Bit-identical at any worker count: batches and sites distribute over
+// Bit-identical at any worker count: packings and sites distribute over
 // the shared pool but write disjoint result slots.
 TEST(BatchedSim, BitIdenticalAcrossWorkerCounts) {
   const auto nl = circuits::make_circuit("c880");
   const auto fl = fault::FaultList::collapsed(nl);
   FaultSim fsim(nl, fl);
+  ReferenceFaultSim ref(nl, fl);
   const auto rows = random_rows(17, 7, nl.num_inputs(), 11);
 
   campaign::Scheduler::global().set_workers(1);
-  const auto one = fsim.run_batched(rows);
+  const auto one = run_rows(fsim, rows);
   campaign::Scheduler::global().set_workers(4);
-  const auto four = fsim.run_batched(rows);
+  const auto four = run_rows(fsim, rows);
   campaign::Scheduler::global().set_workers(0);  // restore default
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    expect_identical(one[i], four[i], "workers", i);
-  }
+  expect_rows_match_reference(ref, rows, one, "1 worker");
+  expect_rows_match_reference(ref, rows, four, "4 workers");
 }
 
 // run_packed consumes pre-packed sets (tpg::expand_triplet_into writes
 // triplets straight into their lane ranges — no intermediate per-row
-// PatternSet) and must match expand_triplet + run per row.
+// PatternSet) and must match expand_triplet + a per-row campaign.
 TEST(BatchedSim, PackedTripletExpansionMatchesPerRow) {
   const auto nl = circuits::make_circuit("c432");
   const auto fl = fault::FaultList::collapsed(nl);
   FaultSim fsim(nl, fl);
+  ReferenceFaultSim ref(nl, fl);
   tpg::LfsrTpg tpg(nl.num_inputs());
 
   util::Rng rng(5);
@@ -180,8 +202,7 @@ TEST(BatchedSim, PackedTripletExpansionMatchesPerRow) {
     ASSERT_EQ(rs.size(), pk.rows.size());
     for (std::size_t i = 0; i < pk.rows.size(); ++i) {
       const auto ts = tpg::expand_triplet(tpg, triplets[pk.rows[i].row]);
-      const auto direct = fsim.run(ts);
-      expect_identical(rs[i], direct, "packed-triplet", pk.rows[i].row);
+      expect_identical(rs[i], ref.run(ts), "packed-triplet", pk.rows[i].row);
     }
   }
 }
@@ -194,52 +215,47 @@ struct TierGuard {
   ~TierGuard() { util::set_simd_tier(saved); }
 };
 
-// The narrow, 4-wide and 8-wide walkers must be bit-identical — the
-// wider tiers only change how many blocks one structure walk covers.
+// The narrow, 4-wide and 8-wide walkers must all match the reference —
+// the wider tiers only change how many blocks one structure walk covers.
 // Forcing kWide8 is safe on any machine: target_clones falls back to
 // the best available ISA clone, the block math is the same.
 TEST(SimdDispatch, ForcedTiersBitIdenticalBatched) {
   const auto nl = circuits::make_circuit("c880");
   const auto fl = fault::FaultList::collapsed(nl);
   FaultSim fsim(nl, fl);
+  ReferenceFaultSim ref(nl, fl);
   TierGuard guard;
   for (const std::size_t cycles : {1, 7, 64}) {
     SCOPED_TRACE("T=" + std::to_string(cycles));
     const auto rows = random_rows(11, cycles, nl.num_inputs(),
                                   /*seed=*/cycles * 31 + 5);
-    util::set_simd_tier(util::SimdTier::kNarrow);
-    const auto narrow = fsim.run_batched(rows);
     for (const util::SimdTier tier :
-         {util::SimdTier::kWide4, util::SimdTier::kWide8,
-          util::SimdTier::kAuto}) {
+         {util::SimdTier::kNarrow, util::SimdTier::kWide4,
+          util::SimdTier::kWide8, util::SimdTier::kAuto}) {
       util::set_simd_tier(tier);
-      const auto other = fsim.run_batched(rows);
-      ASSERT_EQ(other.size(), narrow.size());
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        expect_identical(other[i], narrow[i], "tier", i);
-      }
+      expect_rows_match_reference(ref, rows, run_rows(fsim, rows), "tier");
     }
   }
 }
 
-// Long campaigns through run(): block 0 leads narrow, the remaining
-// blocks chunk at the forced width (10 blocks = two full 4-wide chunks
-// + remainder, or one full 8-wide chunk + remainder — both with padded
-// tail lanes).
+// Long campaigns through run(): 600 patterns are 10 blocks, walked from
+// block 0 in chunks of the forced width (two full 4-wide chunks plus a
+// padded remainder, or one full 8-wide chunk plus a padded remainder —
+// both with a partial tail block), or one narrow walk per block.
 TEST(SimdDispatch, ForcedTiersBitIdenticalLongRun) {
   const auto nl = circuits::make_circuit("c432");
   const auto fl = fault::FaultList::collapsed(nl);
   FaultSim fsim(nl, fl);
+  ReferenceFaultSim ref(nl, fl);
   util::Rng rng(19);
   const PatternSet patterns = PatternSet::random(nl.num_inputs(), 600, rng);
+  const FaultSimResult want = ref.run(patterns);
   TierGuard guard;
-  util::set_simd_tier(util::SimdTier::kNarrow);
-  const auto narrow = fsim.run(patterns);
   for (const util::SimdTier tier :
-       {util::SimdTier::kWide4, util::SimdTier::kWide8, util::SimdTier::kAuto}) {
+       {util::SimdTier::kNarrow, util::SimdTier::kWide4, util::SimdTier::kWide8,
+        util::SimdTier::kAuto}) {
     util::set_simd_tier(tier);
-    const auto other = fsim.run(patterns);
-    expect_identical(other, narrow, "long-run-tier", 0);
+    expect_identical(fsim.run(patterns), want, "long-run-tier", 0);
   }
 }
 
@@ -249,18 +265,18 @@ TEST(SimdDispatch, Wide8BitIdenticalAcrossWorkerCounts) {
   const auto nl = circuits::make_circuit("c880");
   const auto fl = fault::FaultList::collapsed(nl);
   FaultSim fsim(nl, fl);
+  ReferenceFaultSim ref(nl, fl);
   const auto rows = random_rows(17, 7, nl.num_inputs(), 23);
 
   TierGuard guard;
   util::set_simd_tier(util::SimdTier::kWide8);
   campaign::Scheduler::global().set_workers(1);
-  const auto one = fsim.run_batched(rows);
+  const auto one = run_rows(fsim, rows);
   campaign::Scheduler::global().set_workers(4);
-  const auto four = fsim.run_batched(rows);
+  const auto four = run_rows(fsim, rows);
   campaign::Scheduler::global().set_workers(0);  // restore default
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    expect_identical(one[i], four[i], "wide8-workers", i);
-  }
+  expect_rows_match_reference(ref, rows, one, "wide8 1 worker");
+  expect_rows_match_reference(ref, rows, four, "wide8 4 workers");
 }
 
 // ---- pack_rows unit behavior --------------------------------------------

@@ -12,6 +12,7 @@
 #include "sim/logic_sim.h"
 #include "sim/reference_sim.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace fbist::sim {
 namespace {
@@ -76,11 +77,11 @@ TEST(CompiledEquiv, FaultSimMatchesReferenceFullAndCollapsed) {
       FaultSim fsim(nl, fl);
       ReferenceFaultSim ref(nl, fl);
       util::Rng rng(8);
-      // 300 patterns exercises the narrow lead block, the 4-wide chunk
-      // path, and a partial tail block at once.
+      // 300 patterns are 5 blocks: the chunk path with padded chunk
+      // lanes and a partial tail block at once.
       const PatternSet ps = PatternSet::random(nl.num_inputs(), 300, rng);
-      const FaultSimResult got = fsim.run(ps, true, /*parallel=*/false);
-      const FaultSimResult want = ref.run(ps, true, /*parallel=*/false);
+      const FaultSimResult got = fsim.run(ps, /*parallel=*/false);
+      const FaultSimResult want = ref.run(ps, /*parallel=*/false);
       EXPECT_EQ(got.detected, want.detected) << nl.summary();
       EXPECT_EQ(got.earliest, want.earliest) << nl.summary();
     }
@@ -89,19 +90,35 @@ TEST(CompiledEquiv, FaultSimMatchesReferenceFullAndCollapsed) {
 
 TEST(CompiledEquiv, FaultSimSubsetMatchesReference) {
   const Netlist nl = test_circuits()[1];
-  const auto fl = fault::FaultList::collapsed(nl);
+  const auto fl = fault::FaultList::full(nl);
   FaultSim fsim(nl, fl);
   ReferenceFaultSim ref(nl, fl);
   util::Rng rng(12);
-  const PatternSet ps = PatternSet::random(nl.num_inputs(), 128, rng);
+  // 600 patterns are 10 blocks: the masked campaign runs every walk
+  // shape — ten narrow walks, 4-wide and 8-wide chunks with padded
+  // lanes — and a partial tail block.
+  const PatternSet ps = PatternSet::random(nl.num_inputs(), 600, rng);
   // Activate a pseudo-random half of the faults, including lone
   // polarities of paired sites.
   std::vector<bool> active(fl.size());
   for (std::size_t i = 0; i < active.size(); ++i) active[i] = rng.next_bool();
-  const FaultSimResult got = fsim.run_subset(ps, active, true, false);
-  const FaultSimResult want = ref.run_subset(ps, active, true, false);
-  EXPECT_EQ(got.detected, want.detected);
-  EXPECT_EQ(got.earliest, want.earliest);
+  const FaultSimResult want = ref.run_subset(ps, active, /*parallel=*/false);
+  std::size_t late = 0;  // detections after the first block
+  for (const std::uint32_t e : want.earliest) {
+    if (e != kNotDetected && e >= 64) ++late;
+  }
+  ASSERT_GT(late, 0u) << "no detection past block 0; the chunk walk is idle";
+
+  const util::SimdTier saved = util::simd_tier();
+  for (const util::SimdTier tier :
+       {util::SimdTier::kNarrow, util::SimdTier::kWide4, util::SimdTier::kWide8,
+        util::SimdTier::kAuto}) {
+    util::set_simd_tier(tier);
+    const FaultSimResult got = fsim.run_subset(ps, active, /*parallel=*/false);
+    EXPECT_EQ(got.detected, want.detected) << static_cast<int>(tier);
+    EXPECT_EQ(got.earliest, want.earliest) << static_cast<int>(tier);
+  }
+  util::set_simd_tier(saved);
 }
 
 TEST(CompiledEquiv, ScanWalkVariantMatchesReferenceOnDeepCones) {
@@ -128,8 +145,8 @@ TEST(CompiledEquiv, ScanWalkVariantMatchesReferenceOnDeepCones) {
   ReferenceFaultSim ref(nl, fl);
   util::Rng rng(9);
   const PatternSet ps = PatternSet::random(nl.num_inputs(), 192, rng);
-  const FaultSimResult got = fsim.run(ps, true, /*parallel=*/false);
-  const FaultSimResult want = ref.run(ps, true, /*parallel=*/false);
+  const FaultSimResult got = fsim.run(ps, /*parallel=*/false);
+  const FaultSimResult want = ref.run(ps, /*parallel=*/false);
   EXPECT_EQ(got.detected, want.detected);
   EXPECT_EQ(got.earliest, want.earliest);
 }
@@ -140,8 +157,8 @@ TEST(CompiledEquiv, FaultSimParallelMatchesSerial) {
   FaultSim fsim(nl, fl);
   util::Rng rng(21);
   const PatternSet ps = PatternSet::random(nl.num_inputs(), 320, rng);
-  const FaultSimResult par = fsim.run(ps, true, true);
-  const FaultSimResult ser = fsim.run(ps, true, false);
+  const FaultSimResult par = fsim.run(ps, /*parallel=*/true);
+  const FaultSimResult ser = fsim.run(ps, /*parallel=*/false);
   EXPECT_EQ(par.detected, ser.detected);
   EXPECT_EQ(par.earliest, ser.earliest);
 }

@@ -78,8 +78,7 @@ TEST(FaultSim, EarliestIndexIsFirstDetectingPattern) {
 
   util::Rng rng(9);
   const PatternSet ps = PatternSet::random(5, 100, rng);
-  const FaultSimResult r = fsim.run(ps, /*stop_after_first_detection=*/true,
-                                    /*parallel=*/false);
+  const FaultSimResult r = fsim.run(ps, /*parallel=*/false);
   for (std::size_t fid = 0; fid < fl.size(); ++fid) {
     if (!r.detected.get(fid)) {
       EXPECT_EQ(r.earliest[fid], kNotDetected);
@@ -108,8 +107,8 @@ TEST(FaultSim, ParallelAndSerialAgree) {
 
   util::Rng rng(77);
   const PatternSet ps = PatternSet::random(16, 192, rng);
-  const FaultSimResult par = fsim.run(ps, true, true);
-  const FaultSimResult ser = fsim.run(ps, true, false);
+  const FaultSimResult par = fsim.run(ps, /*parallel=*/true);
+  const FaultSimResult ser = fsim.run(ps, /*parallel=*/false);
   EXPECT_EQ(par.detected, ser.detected);
   EXPECT_EQ(par.earliest, ser.earliest);
 }
@@ -124,7 +123,7 @@ TEST(FaultSim, SubsetRunIgnoresInactive) {
   std::vector<bool> active(fl.size(), false);
   active[2] = true;
   active[7] = true;
-  const FaultSimResult r = fsim.run_subset(ps, active, true, false);
+  const FaultSimResult r = fsim.run_subset(ps, active, /*parallel=*/false);
   r.detected.for_each_set([&](std::size_t fid) {
     EXPECT_TRUE(fid == 2 || fid == 7);
   });

@@ -1,5 +1,6 @@
-// Reference (seed) simulators retained for equivalence testing and as
-// the perf baseline of the compiled-core rewrite.
+// Reference (seed) simulators: test oracles and the perf baseline of the
+// compiled-core rewrite.  They are compiled into the test binary and
+// bench_perf only, never into the library.
 //
 // These are the original gate-by-gate implementations that walk the
 // mutable `netlist::Netlist` (heap-allocated fanin vector per gate) and
@@ -9,8 +10,7 @@
 // the old-vs-new throughput comparison in bench/bench_perf.cpp
 // (BM_FaultSimReference vs BM_FaultSim).
 //
-// Do not use these in production paths — they are deliberately kept at
-// the seed's layout and speed.
+// They are deliberately kept at the seed's layout and speed.
 #pragma once
 
 #include <cstddef>
@@ -44,12 +44,9 @@ class ReferenceFaultSim {
  public:
   ReferenceFaultSim(const netlist::Netlist& nl, const fault::FaultList& faults);
 
-  FaultSimResult run(const PatternSet& patterns,
-                     bool stop_after_first_detection = true,
-                     bool parallel = true) const;
+  FaultSimResult run(const PatternSet& patterns, bool parallel = true) const;
   FaultSimResult run_subset(const PatternSet& patterns,
                             const std::vector<bool>& active,
-                            bool stop_after_first_detection = true,
                             bool parallel = true) const;
 
  private:

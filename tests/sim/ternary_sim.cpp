@@ -76,7 +76,7 @@ TernarySim::TernarySim(std::shared_ptr<const CompiledCircuit> compiled)
     : cc_(std::move(compiled)) {}
 
 std::vector<TernaryValue> TernarySim::simulate_impl(
-    const atpg::TestCube& cube, const fault::Fault* fault) const {
+    const TestCube& cube, const fault::Fault* fault) const {
   const CompiledCircuit& cc = *cc_;
   if (cube.pattern.bits() != cc.num_inputs()) {
     throw std::invalid_argument("ternary_simulate: cube width mismatch");
@@ -103,16 +103,16 @@ std::vector<TernaryValue> TernarySim::simulate_impl(
   return v;
 }
 
-std::vector<TernaryValue> TernarySim::simulate(const atpg::TestCube& cube) const {
+std::vector<TernaryValue> TernarySim::simulate(const TestCube& cube) const {
   return simulate_impl(cube, nullptr);
 }
 
 std::vector<TernaryValue> TernarySim::simulate_faulty(
-    const atpg::TestCube& cube, const fault::Fault& fault) const {
+    const TestCube& cube, const fault::Fault& fault) const {
   return simulate_impl(cube, &fault);
 }
 
-bool TernarySim::robustly_detects(const atpg::TestCube& cube,
+bool TernarySim::robustly_detects(const TestCube& cube,
                                   const fault::Fault& fault) const {
   const auto good = simulate_impl(cube, nullptr);
   const auto bad = simulate_impl(cube, &fault);
@@ -126,17 +126,17 @@ bool TernarySim::robustly_detects(const atpg::TestCube& cube,
 }
 
 std::vector<TernaryValue> ternary_simulate(const Netlist& nl,
-                                           const atpg::TestCube& cube) {
+                                           const TestCube& cube) {
   return TernarySim(nl).simulate(cube);
 }
 
 std::vector<TernaryValue> ternary_simulate_faulty(const Netlist& nl,
-                                                  const atpg::TestCube& cube,
+                                                  const TestCube& cube,
                                                   const fault::Fault& fault) {
   return TernarySim(nl).simulate_faulty(cube, fault);
 }
 
-bool cube_robustly_detects(const Netlist& nl, const atpg::TestCube& cube,
+bool cube_robustly_detects(const Netlist& nl, const TestCube& cube,
                            const fault::Fault& fault) {
   return TernarySim(nl).robustly_detects(cube, fault);
 }

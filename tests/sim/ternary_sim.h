@@ -1,12 +1,11 @@
-// Ternary (0/1/X) logic simulation.
+// Ternary (0/1/X) logic simulation — a test oracle.
 //
 // Validates *partially specified* patterns — PODEM cubes before X-fill.
 // A cube detects a fault robustly iff the ternary simulation of the
 // cube (unassigned inputs = X) yields a definite, differing value on
 // some output of the good vs faulty circuit; such a cube detects the
-// fault under **every** X-fill.  Used by the compaction tests and by
-// downstream users who keep cubes unfilled for ATE don't-care
-// exploitation.
+// fault under **every** X-fill (tests/sim/ternary_sim_test.cpp checks
+// exactly that for PODEM's cubes).
 //
 // The evaluator walks the flat topological schedule of a
 // netlist::CompiledCircuit — the same compiled form LogicSim streams —
@@ -23,7 +22,6 @@
 #include <memory>
 #include <vector>
 
-#include "atpg/compaction.h"
 #include "fault/fault.h"
 #include "netlist/compiled.h"
 #include "netlist/netlist.h"
@@ -33,6 +31,12 @@ namespace fbist::sim {
 
 /// Per-net ternary value.
 enum class TernaryValue : std::uint8_t { k0, k1, kX };
+
+/// A partially specified test pattern (a PODEM cube before X-fill).
+struct TestCube {
+  util::WideWord pattern;  // values on care bits; 0 elsewhere
+  util::WideWord care;     // 1 = specified
+};
 
 /// Ternary evaluator bound to one circuit's compiled schedule.
 class TernarySim {
@@ -46,23 +50,23 @@ class TernarySim {
 
   /// Simulates the good circuit under a cube (unspecified inputs = X).
   /// Returns one TernaryValue per net.
-  std::vector<TernaryValue> simulate(const atpg::TestCube& cube) const;
+  std::vector<TernaryValue> simulate(const TestCube& cube) const;
 
   /// Like simulate but with `fault` injected (the fault net is forced
   /// to its stuck value — a *known* value in the faulty machine).
-  std::vector<TernaryValue> simulate_faulty(const atpg::TestCube& cube,
+  std::vector<TernaryValue> simulate_faulty(const TestCube& cube,
                                             const fault::Fault& fault) const;
 
   /// True iff the cube detects the fault under every completion of its
   /// X bits: some primary output is definite in both machines and
   /// differs.
-  bool robustly_detects(const atpg::TestCube& cube,
+  bool robustly_detects(const TestCube& cube,
                         const fault::Fault& fault) const;
 
   const netlist::CompiledCircuit& compiled() const { return *cc_; }
 
  private:
-  std::vector<TernaryValue> simulate_impl(const atpg::TestCube& cube,
+  std::vector<TernaryValue> simulate_impl(const TestCube& cube,
                                           const fault::Fault* fault) const;
 
   std::shared_ptr<const netlist::CompiledCircuit> cc_;
@@ -71,14 +75,14 @@ class TernarySim {
 /// One-shot wrappers (compile per call; prefer TernarySim for repeated
 /// queries on one circuit).
 std::vector<TernaryValue> ternary_simulate(const netlist::Netlist& nl,
-                                           const atpg::TestCube& cube);
+                                           const TestCube& cube);
 
 std::vector<TernaryValue> ternary_simulate_faulty(const netlist::Netlist& nl,
-                                                  const atpg::TestCube& cube,
+                                                  const TestCube& cube,
                                                   const fault::Fault& fault);
 
 bool cube_robustly_detects(const netlist::Netlist& nl,
-                           const atpg::TestCube& cube,
+                           const TestCube& cube,
                            const fault::Fault& fault);
 
 }  // namespace fbist::sim

@@ -14,9 +14,9 @@ namespace {
 using netlist::GateType;
 using netlist::Netlist;
 
-atpg::TestCube cube_of(std::size_t width, std::uint64_t pattern,
+TestCube cube_of(std::size_t width, std::uint64_t pattern,
                        std::uint64_t care) {
-  atpg::TestCube c;
+  TestCube c;
   c.pattern = util::WideWord(width, pattern & care);
   c.care = util::WideWord(width, care);
   return c;
@@ -64,7 +64,7 @@ TEST(TernarySim, FullySpecifiedMatchesBinarySim) {
   util::Rng rng(3);
   for (int t = 0; t < 20; ++t) {
     const auto pat = util::WideWord::random(nl.num_inputs(), rng);
-    atpg::TestCube full;
+    TestCube full;
     full.pattern = pat;
     full.care = util::WideWord(nl.num_inputs());
     for (std::size_t i = 0; i < nl.num_inputs(); ++i) full.care.set_bit(i, true);
@@ -87,7 +87,7 @@ TEST(TernarySim, PodemCubesRobustlyDetectTheirFaults) {
   for (std::size_t fid = 0; fid < fl.size(); ++fid) {
     const auto r = podem.generate(fl[fid]);
     ASSERT_EQ(r.status, atpg::PodemStatus::kTestFound);
-    atpg::TestCube cube{r.pattern, r.care};
+    TestCube cube{r.pattern, r.care};
     EXPECT_TRUE(cube_robustly_detects(nl, cube, fl[fid]))
         << fault_name(nl, fl[fid]);
   }
@@ -110,7 +110,7 @@ TEST(TernarySim, RobustDetectionImpliesEveryFillDetects) {
   for (std::size_t fid = 0; fid < fl.size() && fid < 30; ++fid) {
     const auto r = podem.generate(fl[fid]);
     if (r.status != atpg::PodemStatus::kTestFound) continue;
-    atpg::TestCube cube{r.pattern, r.care};
+    TestCube cube{r.pattern, r.care};
     if (!cube_robustly_detects(nl, cube, fl[fid])) continue;
 
     // Enumerate all fills of the X bits (cap at 2^6 fills).
@@ -157,7 +157,7 @@ TEST(TernarySim, ClassSharesCompiledFormWithLogicSim) {
   util::Rng rng(17);
   for (int trial = 0; trial < 20; ++trial) {
     // c432 has 36 inputs, so one 64-bit draw covers the cube.
-    const atpg::TestCube cube =
+    const TestCube cube =
         cube_of(nl.num_inputs(), rng.next_u64(), rng.next_u64());
     EXPECT_EQ(tsim.simulate(cube), ternary_simulate(nl, cube));
     const auto& f = fl[rng.next_below(fl.size())];
