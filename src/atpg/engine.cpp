@@ -68,6 +68,25 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
   result.random_patterns_used = pool.size();
 
   // ---- Phase 2: PODEM on remaining faults -----------------------------
+  // Fault-simulates one deterministic pattern against the remaining
+  // faults.  If it detects `target`, every fault it detects is dropped
+  // and the pattern joins the pool; otherwise nothing changes.  Returns
+  // whether it detected `target`.
+  auto add_pattern = [&](const util::WideWord& pat, std::size_t target) {
+    sim::PatternSet one(nl.num_inputs(), 0);
+    one.append(pat);
+    const sim::FaultSimResult r = fsim.run_subset(one, remaining);
+    if (!r.detected.get(target)) return false;
+    r.detected.for_each_set([&](std::size_t hit) {
+      remaining[hit] = false;
+      result.verdict[hit] = FaultVerdict::kDetected;
+      --num_remaining;
+    });
+    pool.append(pat);
+    ++result.deterministic_patterns;
+    return true;
+  };
+
   Podem podem(nl, compiled, opts.podem);
   // SAT escalation target (lazy: built on the first PODEM abort only —
   // clean runs never pay the good-circuit CNF emission).
@@ -84,72 +103,47 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
       --num_remaining;
       continue;
     }
-    if (pr.status == PodemStatus::kAborted) {
-      if (opts.sat_escalate) {
-        if (!sat) sat = std::make_unique<SatEngine>(*compiled, opts.sat);
-        const SatResult sr = sat->generate(faults[fid]);
-        if (sr.status == SatStatus::kRedundant) {
-          remaining[fid] = false;
-          result.verdict[fid] = FaultVerdict::kRedundant;
-          ++result.redundant_faults;
-          ++result.sat_redundant_faults;
-          OBS_COUNT(c_sat_redundant, 1);
-          --num_remaining;
+    if (pr.status == PodemStatus::kTestFound) {
+      // Random X-fill, then drop every remaining fault the pattern catches.
+      util::WideWord pat = pr.pattern;
+      for (std::size_t i = 0; i < pat.bits(); ++i) {
+        if (!pr.care.get_bit(i) && rng.next_bool()) pat.set_bit(i, true);
+      }
+      if (add_pattern(pat, fid)) continue;
+      // A PODEM test the fault simulator rejects means implication and
+      // the simulator disagree about the circuit — never silent.
+      obs::diag(obs::Severity::kError, "atpg",
+                "PODEM pattern failed fault-simulation validation; "
+                "counting an abort");
+    } else if (opts.sat_escalate) {
+      if (!sat) sat = std::make_unique<SatEngine>(*compiled, opts.sat);
+      const SatResult sr = sat->generate(faults[fid]);
+      if (sr.status == SatStatus::kRedundant) {
+        remaining[fid] = false;
+        result.verdict[fid] = FaultVerdict::kRedundant;
+        ++result.redundant_faults;
+        ++result.sat_redundant_faults;
+        OBS_COUNT(c_sat_redundant, 1);
+        --num_remaining;
+        continue;
+      }
+      if (sr.status == SatStatus::kDetected) {
+        // The model is fully specified — no X-fill.
+        if (add_pattern(sr.pattern, fid)) {
+          ++result.sat_detected_faults;
+          OBS_COUNT(c_sat_detected, 1);
           continue;
         }
-        if (sr.status == SatStatus::kDetected) {
-          if (fsim.detects(sr.pattern, fid)) {
-            // Validated pattern: same fault-dropping treatment as a
-            // PODEM pattern (it is already fully specified — no X-fill).
-            sim::PatternSet one(nl.num_inputs(), 0);
-            one.append(sr.pattern);
-            const sim::FaultSimResult r = fsim.run_subset(one, remaining);
-            r.detected.for_each_set([&](std::size_t hit) {
-              remaining[hit] = false;
-              result.verdict[hit] = FaultVerdict::kDetected;
-              --num_remaining;
-            });
-            pool.append(sr.pattern);
-            ++result.deterministic_patterns;
-            ++result.sat_detected_faults;
-            OBS_COUNT(c_sat_detected, 1);
-            continue;
-          }
-          // A SAT model the fault simulator rejects means the CNF and
-          // the simulator disagree about the circuit — never silent.
-          obs::diag(obs::Severity::kError, "atpg",
-                    "SAT model failed fault-simulation validation; "
-                    "keeping abort verdict");
-        }
+        // A SAT model the fault simulator rejects means the CNF and
+        // the simulator disagree about the circuit — never silent.
+        obs::diag(obs::Severity::kError, "atpg",
+                  "SAT model failed fault-simulation validation; "
+                  "keeping abort verdict");
       }
-      remaining[fid] = false;  // stop retrying; verdict stays kAborted
-      ++result.aborted_faults;
-      --num_remaining;
-      continue;
     }
-    // Random X-fill, then drop every remaining fault the pattern catches.
-    util::WideWord pat = pr.pattern;
-    for (std::size_t i = 0; i < pat.bits(); ++i) {
-      if (!pr.care.get_bit(i) && rng.next_bool()) pat.set_bit(i, true);
-    }
-    sim::PatternSet one(nl.num_inputs(), 0);
-    one.append(pat);
-    const sim::FaultSimResult r = fsim.run_subset(one, remaining);
-    bool caught_target = false;
-    std::size_t caught = 0;
-    r.detected.for_each_set([&](std::size_t hit) {
-      remaining[hit] = false;
-      result.verdict[hit] = FaultVerdict::kDetected;
-      --num_remaining;
-      ++caught;
-      if (hit == fid) caught_target = true;
-    });
-    (void)caught_target;  // the PODEM pattern must catch its target;
-                          // verified by tests, tolerated here
-    if (caught > 0) {
-      pool.append(pat);
-      ++result.deterministic_patterns;
-    }
+    remaining[fid] = false;  // stop retrying; verdict stays kAborted
+    ++result.aborted_faults;
+    --num_remaining;
   }
 
   // ---- Phase 3: reverse-order compaction ------------------------------

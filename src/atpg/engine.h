@@ -46,7 +46,8 @@ enum class FaultVerdict : std::uint8_t {
   kDetected,
   kRedundant,   // proven untestable (PODEM or SAT certificate)
   kAborted,     // PODEM hit the backtrack limit (and SAT, if enabled,
-                // hit its conflict limit or produced an invalid model)
+                // hit its conflict limit), or the engine's pattern failed
+                // fault-simulation validation
 };
 
 struct AtpgResult {

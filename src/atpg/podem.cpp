@@ -1,7 +1,8 @@
 #include "atpg/podem.h"
 
 #include <algorithm>
-#include <cassert>
+
+#include "obs/metrics.h"
 
 namespace fbist::atpg {
 
@@ -31,8 +32,12 @@ Podem::Podem(const netlist::Netlist& nl,
   const std::size_t n = cc.num_nets();
   cc0_.assign(n, 0);
   cc1_.assign(n, 0);
+  buckets_.resize(cc.depth() + 1);
+  queued_.assign(n, 0);
+  std::size_t max_fanin = 0;
   for (NetId id = 0; id < n; ++id) {
     const auto fin = cc.fanin(id);
+    max_fanin = std::max(max_fanin, fin.size());
     switch (cc.type(id)) {
       case GateType::kInput:
         cc0_[id] = cc1_[id] = 1;
@@ -91,24 +96,51 @@ Podem::Podem(const netlist::Netlist& nl,
       }
     }
   }
+  fanin_buf_.resize(max_fanin);
 }
 
-void Podem::imply_all(const fault::Fault& f) {
-  // Full forward pass over the compiled schedule; fault site override.
-  // Pinning before the walk is correct for a PI site, and pinning right
-  // after evaluating the site gate is correct otherwise — either way
-  // every reader sees the pinned faulty value (topological order).
+void Podem::set(NetId net, Val5 v) {
+  if (net == site_) v.faulty = pinned_;  // the stuck side never moves
+  Val5& cur = value_[net];
+  if (cur == v) return;
+  trail_.push_back(TrailEntry{net, cur});
+  cur = v;
   const CompiledCircuit& cc = *cc_;
-  const Tern pinned = f.stuck_value ? Tern::k1 : Tern::k0;
-  if (cc.type(f.net) == GateType::kInput) value_[f.net].faulty = pinned;
+  for (const NetId reader : cc.fanout(net)) {
+    if (queued_[reader]) continue;
+    queued_[reader] = 1;
+    const std::uint32_t lv = cc.level(reader);
+    buckets_[lv].push_back(reader);
+    queue_hi_ = std::max(queue_hi_, lv);
+  }
+}
 
-  std::vector<Val5> fanin_buf;
-  for (const NetId id : cc.schedule()) {
-    const auto fin = cc.fanin(id);
-    fanin_buf.resize(fin.size());
-    for (std::size_t i = 0; i < fin.size(); ++i) fanin_buf[i] = value_[fin[i]];
-    value_[id] = eval_gate5(cc.type(id), fanin_buf.data(), fanin_buf.size());
-    if (id == f.net) value_[id].faulty = pinned;
+void Podem::imply(NetId net, Val5 v) {
+  // Readers sit at strictly higher levels than the nets they read, so
+  // draining the buckets in ascending level evaluates each gate once,
+  // after all of its changed fanins, and never appends to the bucket
+  // being drained.  set() pins the fault site's faulty side right after
+  // its gate is evaluated, so every reader sees the pinned value.
+  const CompiledCircuit& cc = *cc_;
+  set(net, v);
+  for (std::uint32_t lv = cc.level(net) + 1; lv <= queue_hi_; ++lv) {
+    std::vector<NetId>& bucket = buckets_[lv];
+    for (const NetId id : bucket) {
+      queued_[id] = 0;
+      const auto fin = cc.fanin(id);
+      for (std::size_t i = 0; i < fin.size(); ++i) fanin_buf_[i] = value_[fin[i]];
+      ++implications_;
+      set(id, eval_gate5(cc.type(id), fanin_buf_.data(), fin.size()));
+    }
+    bucket.clear();
+  }
+  queue_hi_ = 0;
+}
+
+void Podem::undo_to(std::size_t mark) {
+  while (trail_.size() > mark) {
+    value_[trail_.back().net] = trail_.back().previous;
+    trail_.pop_back();
   }
 }
 
@@ -270,9 +302,26 @@ struct Podem::Frame {
   NetId pi;
   Tern value;
   bool tried_both;
+  std::size_t mark;  // trail length before this decision's assignment
 };
 
 PodemResult Podem::generate(const fault::Fault& f) {
+  OBS_COUNTER(c_calls, "atpg.podem_calls");
+  OBS_COUNTER(c_decisions, "atpg.podem_decisions");
+  OBS_COUNTER(c_backtracks, "atpg.podem_backtracks");
+  OBS_COUNTER(c_aborts, "atpg.podem_aborts");
+  OBS_COUNTER(c_implications, "atpg.podem_implications");
+  implications_ = 0;
+  const PodemResult result = search(f);
+  OBS_COUNT(c_calls, 1);
+  OBS_COUNT(c_decisions, result.decisions);
+  OBS_COUNT(c_backtracks, result.backtracks);
+  OBS_COUNT(c_aborts, result.status == PodemStatus::kAborted ? 1 : 0);
+  OBS_COUNT(c_implications, implications_);
+  return result;
+}
+
+PodemResult Podem::search(const fault::Fault& f) {
   const CompiledCircuit& cc = *cc_;
   PodemResult result;
   result.pattern = util::WideWord(cc.num_inputs());
@@ -285,15 +334,17 @@ PodemResult Podem::generate(const fault::Fault& f) {
   cone_nets_.push_back(f.net);
   cone_nets_.insert(cone_nets_.end(), cone.begin(), cone.end());
 
+  // Start state: every net X except the site's faulty side (set() pins
+  // it), implied through its cone.  A gate whose fanins are all X
+  // evaluates to X, so this equals a full forward pass over an all-X
+  // circuit.
+  site_ = f.net;
+  pinned_ = f.stuck_value ? Tern::k1 : Tern::k0;
   value_.assign(cc.num_nets(), kVX);
-  imply_all(f);
+  trail_.clear();
+  imply(f.net, kVX);
 
   std::vector<Frame> stack;
-  auto assign_pi = [&](NetId pi, Tern v) {
-    value_[pi] = v == Tern::k1 ? kV1 : kV0;
-    imply_all(f);
-  };
-
   while (true) {
     if (fault_activated(f) && d_at_output()) {
       result.status = PodemStatus::kTestFound;
@@ -312,21 +363,23 @@ PodemResult Podem::generate(const fault::Fault& f) {
     if (!dead && obj.has_value()) {
       const auto [pi, v] = backtrace(obj->first, obj->second);
       // A PI is free iff its good value is unassigned.  (Checking is_x()
-      // would wrongly treat a fault site PI as assigned: imply_all pins
-      // its faulty side to the stuck value.)
+      // would wrongly treat a fault site PI as assigned: its faulty side
+      // is pinned to the stuck value.)
       if (value_[pi].good == Tern::kX) {
-        stack.push_back(Frame{pi, v, false});
+        stack.push_back(Frame{pi, v, false, trail_.size()});
         ++result.decisions;
-        assign_pi(pi, v);
+        imply(pi, v == Tern::k1 ? kV1 : kV0);
         continue;
       }
       // Backtrace landed on an assigned PI — treat as a conflict.
     }
 
-    // Backtrack.
+    // Backtrack: undo the top decision; flip it if its other value is
+    // still untried, otherwise pop it and continue with the one below.
     bool recovered = false;
     while (!stack.empty()) {
       Frame& top = stack.back();
+      undo_to(top.mark);
       if (!top.tried_both) {
         top.tried_both = true;
         top.value = tern_not(top.value);
@@ -335,23 +388,13 @@ PodemResult Podem::generate(const fault::Fault& f) {
           result.status = PodemStatus::kAborted;
           return result;
         }
-        // Re-imply from scratch with the flipped decision.
-        value_.assign(cc.num_nets(), kVX);
-        for (const auto& fr : stack) {
-          value_[fr.pi] = fr.value == Tern::k1 ? kV1 : kV0;
-        }
-        imply_all(f);
+        imply(top.pi, top.value == Tern::k1 ? kV1 : kV0);
         recovered = true;
         break;
       }
       stack.pop_back();
-      value_.assign(cc.num_nets(), kVX);
-      for (const auto& fr : stack) {
-        value_[fr.pi] = fr.value == Tern::k1 ? kV1 : kV0;
-      }
-      imply_all(f);
     }
-    if (!recovered && stack.empty()) {
+    if (!recovered) {
       result.status = PodemStatus::kUntestable;
       return result;
     }

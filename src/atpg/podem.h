@@ -8,10 +8,21 @@
 // search; exhausting the search space proves the fault untestable
 // (combinationally redundant).
 //
-// Structure access (implication schedule, fanout scans, per-fault cone
-// slices, levels) goes through a netlist::CompiledCircuit, which the
-// engine shares with the fault simulator instead of re-deriving
-// levels/cones per Podem instance.
+// Implication is event-driven: a changed net queues its readers in
+// per-level buckets, which drain in ascending level, so a gate is
+// evaluated at most once per assignment and only after all of its
+// changed fanins; a gate whose value does not change stops the wave.
+// Every value change is logged on a trail of (net, previous value)
+// entries, and each decision frame records the trail length before its
+// assignment, so a flip or a pop costs only the changes made since that
+// decision.  Five-valued implication is a pure function of the PI
+// assignment, so the search sees the same values as a full forward pass
+// over the circuit would give.
+//
+// Structure access (fanin/fanout adjacency, levels, per-fault cone
+// slices) goes through a netlist::CompiledCircuit, which the engine
+// shares with the fault simulator instead of re-deriving levels/cones
+// per Podem instance.
 #pragma once
 
 #include <cstddef>
@@ -46,8 +57,9 @@ struct PodemResult {
 };
 
 struct PodemOptions {
-  /// Backtrack budget per fault.  Each backtrack costs a full re-imply
-  /// (O(circuit)), so this bounds worst-case per-fault time; faults that
+  /// Backtrack budget per fault.  Each backtrack undoes the trail to its
+  /// decision and implies the flipped value through the affected cone,
+  /// so this bounds worst-case per-fault search effort; faults that
   /// exhaust it are reported kAborted and leave the target list.
   std::size_t backtrack_limit = 600;
 };
@@ -62,13 +74,23 @@ class Podem {
         std::shared_ptr<const netlist::CompiledCircuit> compiled,
         PodemOptions opts = {});
 
-  /// Attempts to generate a test for `f`.
+  /// Attempts to generate a test for `f`.  Bumps the `atpg.podem_*`
+  /// effort counters once per call.
   PodemResult generate(const fault::Fault& f);
 
  private:
   struct Frame;  // decision-stack frame
 
-  void imply_all(const fault::Fault& f);
+  PodemResult search(const fault::Fault& f);
+  /// Sets `net` to `v` (trailing the old value) and implies the change
+  /// forward through every gate it reaches.
+  void imply(netlist::NetId net, Val5 v);
+  /// Writes one value (the fault site's faulty side stays pinned); on a
+  /// change, trails the old value and queues the net's readers in their
+  /// level buckets.
+  void set(netlist::NetId net, Val5 v);
+  /// Restores every value changed since the trail had length `mark`.
+  void undo_to(std::size_t mark);
   bool fault_activated(const fault::Fault& f) const;
   bool d_at_output() const;
   bool d_frontier_nonempty(const fault::Fault& f) const;
@@ -77,9 +99,22 @@ class Podem {
   /// Maps an objective to a PI and value via controllability backtrace.
   std::pair<netlist::NetId, Tern> backtrace(netlist::NetId net, Tern value) const;
 
+  struct TrailEntry {
+    netlist::NetId net;
+    Val5 previous;
+  };
+
   std::shared_ptr<const netlist::CompiledCircuit> cc_;
   PodemOptions opts_;
   std::vector<Val5> value_;              // per net
+  std::vector<TrailEntry> trail_;        // every value change, this fault
+  std::vector<std::vector<netlist::NetId>> buckets_;  // queued gates, per level
+  std::vector<std::uint8_t> queued_;     // per net: sits in a bucket
+  std::uint32_t queue_hi_ = 0;           // highest level with a queued gate
+  std::vector<Val5> fanin_buf_;          // sized to the largest fanin
+  netlist::NetId site_ = netlist::kNullNet;  // current fault's net ...
+  Tern pinned_ = Tern::kX;                   // ... and its stuck value
+  std::size_t implications_ = 0;         // gate evaluations, this generate()
   std::vector<std::uint8_t> cc0_, cc1_;  // SCOAP-ish controllability (saturated)
   /// D/D' values only ever exist inside the fault's fanout cone, so the
   /// frontier scans walk this list ({fault net} ∪ cone gates) instead of

@@ -18,6 +18,7 @@ SatEngine::SatEngine(const netlist::CompiledCircuit& cc, SatEngineOptions opts)
 SatResult SatEngine::generate(const fault::Fault& f) const {
   OBS_COUNTER(c_calls, "atpg.sat_calls");
   OBS_COUNTER(c_conflicts, "atpg.sat_conflicts");
+  OBS_COUNTER(c_propagations, "atpg.sat_propagations");
   OBS_COUNT(c_calls, 1);
 
   SatResult result;
@@ -78,6 +79,7 @@ SatResult SatEngine::generate(const fault::Fault& f) const {
   result.conflicts = solver.stats().conflicts;
   result.decisions = solver.stats().decisions;
   OBS_COUNT(c_conflicts, result.conflicts);
+  OBS_COUNT(c_propagations, solver.stats().propagations);
 
   switch (status) {
     case SolveStatus::kUnsat:

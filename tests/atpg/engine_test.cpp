@@ -1,5 +1,7 @@
 #include "atpg/engine.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "circuits/generator.h"
@@ -83,11 +85,30 @@ TEST(AtpgEngine, HighCoverageOnRegistryCircuit) {
   EXPECT_LT(r.patterns.size(), fl.size());
 }
 
+// The verdict tallies must agree with the per-fault verdicts.
+void expect_tallies_match_verdicts(const AtpgResult& r) {
+  const auto count = [&](FaultVerdict v) {
+    return static_cast<std::size_t>(
+        std::count(r.verdict.begin(), r.verdict.end(), v));
+  };
+  EXPECT_EQ(count(FaultVerdict::kAborted), r.aborted_faults);
+  EXPECT_EQ(count(FaultVerdict::kRedundant), r.redundant_faults);
+}
+
 TEST(AtpgEngine, ReportsPhaseStatistics) {
   const auto nl = circuits::make_circuit("c432");
   const auto fl = fault::FaultList::collapsed(nl);
   const AtpgResult r = run_atpg(nl, fl);
   EXPECT_GT(r.random_patterns_used + r.deterministic_patterns, 0u);
+  expect_tallies_match_verdicts(r);
+
+  // PODEM alone on a tiny budget leaves aborts for the tallies to count.
+  AtpgOptions podem_only;
+  podem_only.sat_escalate = false;
+  podem_only.podem.backtrack_limit = 5;
+  const AtpgResult p = run_atpg(nl, fl, podem_only);
+  EXPECT_GT(p.aborted_faults, 0u);
+  expect_tallies_match_verdicts(p);
 }
 
 }  // namespace
