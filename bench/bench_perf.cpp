@@ -259,10 +259,13 @@ BENCHMARK(BM_CampaignSharedPipeline)
 // small T values a lone candidate fills only T of the 64 lanes of every
 // PPSFP block, so the builder lane-packs ⌊64/T⌋ candidates into shared
 // blocks (sim::pack_rows + FaultSim::run_packed).  BM_InitialMatrixBuild
-// times the packed build; BM_InitialMatrixBuildPerRow is the seed shape
+// times the packed build; its T=256 and T=1024 rows take the staged
+// path, where candidates simulate their first 64 patterns packed and
+// then doubling windows seeking only the faults they have not yet
+// detected.  BM_InitialMatrixBuildPerRow is the seed shape
 // (expand_triplet + one FaultSim::run per candidate) on identical
-// inputs, so the per-row/batched real_time ratio at each T is the
-// measured matrix-build speedup.
+// inputs, so the per-row/batched real_time ratio at each shared T is
+// the measured matrix-build speedup.
 void run_matrix_build_bench(benchmark::State& state, bool batched) {
   const auto cycles = static_cast<std::size_t>(state.range(0));
   const auto nl = circuits::make_circuit("s9234");
@@ -307,6 +310,8 @@ BENCHMARK(BM_InitialMatrixBuild)
     ->Arg(4)
     ->Arg(8)
     ->Arg(32)
+    ->Arg(256)
+    ->Arg(1024)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -1,5 +1,6 @@
 #include "reseed/initial_builder.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <exception>
@@ -80,53 +81,99 @@ InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
   out.matrix = cover::DetectionMatrix(M, F);
   std::vector<std::vector<std::uint32_t>> earliest(M);
 
-  // Rows are independent fault-sim campaigns, but at the paper's small
-  // T values a lone row wastes most lanes of every 64-pattern PPSFP
-  // block — so ⌊64/T⌋ rows are lane-packed into shared blocks
-  // (sim::pack_rows) and each triplet expands straight into its lane
-  // range of the packed set.  A packing spans one simulation chunk of
-  // the active SIMD dispatch tier (8 blocks on an engaged AVX-512 tier,
-  // else 4).  Batches parallelise on the shared work-stealing pool
-  // exactly like rows did (the nested per-fault loops inside run_packed
-  // compose with this one instead of oversubscribing), and the matrix
-  // is bit-identical to the per-row path at any worker count.
-  std::vector<std::size_t> lengths(M);
-  for (std::size_t i = 0; i < M; ++i) lengths[i] = out.triplets[i].cycles;
-  const std::vector<sim::LanePacking> packings =
-      sim::pack_rows(lengths, util::preferred_pack_blocks());
+  // Rows are independent fault-sim campaigns, run in stages over
+  // doubling pattern windows: stage 0 simulates each row's patterns
+  // [0, 64), later stages [64, 128), [128, 256), ... capped at the row's
+  // T.  A stage segment is itself a triplet (the row's TPG state at the
+  // segment start, sigma, length) expanded straight into its lane range,
+  // and a stage's segments share blocks (sim::pack_rows): ⌊64/T⌋ rows
+  // per block at small T, several segments per chunk beyond 64.  After
+  // stage 0 a row seeks only the faults it has not detected, and a row
+  // with nothing left to seek drops out.  Stages run in pattern order
+  // and a row stops seeking a fault only after its first detection, so
+  // earliest = stage start + index within the stage, exactly as one
+  // walk over the whole row finds it.  A packing spans one simulation
+  // chunk of the active SIMD tier (8 blocks on an engaged AVX-512 tier,
+  // else 4); a stage's packings run on the shared work-stealing pool,
+  // and the matrix is bit-identical at any worker count.
+  const std::size_t pack_blocks = util::preferred_pack_blocks();
   OBS_COUNTER(c_packings, "builder.packings");
   // parallel_for does not catch loop-body exceptions, so trap them
   // here: first throw wins, later packings bail out early, and the
-  // exception resurfaces on the calling thread after the join.  This
-  // is how a deadline expiry (or an injected builder failure) unwinds
-  // a multi-packing build cleanly.
+  // exception resurfaces on the calling thread after the stage's join.
+  // This is how a deadline expiry (or an injected builder failure)
+  // unwinds a multi-packing build cleanly.
   std::exception_ptr first_error;
   std::mutex error_mu;
   std::atomic<bool> abort{false};
-  util::parallel_for(packings.size(), [&](std::size_t p) {
-    if (abort.load(std::memory_order_relaxed)) return;
-    try {
-      FBIST_FAILPOINT("builder.pack");
-      if (deadline != nullptr) deadline->check("matrix build");
-      OBS_SPAN("packing");
-      OBS_COUNT(c_packings, 1);
-      const sim::LanePacking& pk = packings[p];
-      sim::PatternSet packed(tpg.width(), pk.num_patterns);
-      for (const sim::LanePacking::Row& pr : pk.rows) {
-        tpg::expand_triplet_into(tpg, out.triplets[pr.row], packed, pr.base);
-      }
-      std::vector<sim::FaultSimResult> rs = fsim.run_packed(packed, pk);
-      for (std::size_t i = 0; i < pk.rows.size(); ++i) {
-        out.matrix.set_row(pk.rows[i].row, std::move(rs[i].detected));
-        earliest[pk.rows[i].row] = std::move(rs[i].earliest);
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!first_error) first_error = std::current_exception();
-      abort.store(true, std::memory_order_relaxed);
+  std::vector<util::WideWord> state(M);  // start of each row's next segment
+  std::vector<std::size_t> stage_rows;   // matrix row of each stage row
+  std::vector<std::size_t> lengths;
+  for (std::size_t lo = 0, hi = 64;; lo = hi, hi *= 2) {
+    stage_rows.clear();
+    lengths.clear();
+    for (std::size_t r = 0; r < M; ++r) {
+      const std::size_t cycles = out.triplets[r].cycles;
+      if (cycles <= lo) continue;
+      if (lo > 0 && out.matrix.row(r).count() == F) continue;  // all found
+      stage_rows.push_back(r);
+      lengths.push_back(std::min(cycles, hi) - lo);
     }
-  });
-  if (first_error) std::rethrow_exception(first_error);
+    if (stage_rows.empty()) break;
+    const std::vector<sim::LanePacking> packings =
+        sim::pack_rows(lengths, pack_blocks);
+    util::parallel_for(packings.size(), [&](std::size_t p) {
+      if (abort.load(std::memory_order_relaxed)) return;
+      try {
+        FBIST_FAILPOINT("builder.pack");
+        if (deadline != nullptr) deadline->check("matrix build");
+        OBS_SPAN("packing");
+        OBS_COUNT(c_packings, 1);
+        const sim::LanePacking& pk = packings[p];
+        sim::PatternSet packed(tpg.width(), pk.num_patterns);
+        for (const sim::LanePacking::Row& pr : pk.rows) {
+          const std::size_t r = stage_rows[pr.row];
+          const tpg::Triplet& t = out.triplets[r];
+          tpg::expand_triplet_into(
+              tpg, tpg::Triplet{lo == 0 ? t.delta : state[r], t.sigma, pr.length},
+              packed, pr.base);
+          if (lo + pr.length < t.cycles) {
+            state[r] = tpg.step(packed.pattern(pr.base + pr.length - 1),
+                                tpg.legalize_sigma(t.sigma));
+          }
+        }
+        if (lo == 0) {
+          std::vector<sim::FaultSimResult> rs = fsim.run_packed(packed, pk);
+          for (std::size_t i = 0; i < pk.rows.size(); ++i) {
+            const std::size_t r = stage_rows[pk.rows[i].row];
+            out.matrix.set_row(r, std::move(rs[i].detected));
+            earliest[r] = std::move(rs[i].earliest);
+          }
+          return;
+        }
+        std::vector<util::BitVector> seek;
+        seek.reserve(pk.rows.size());
+        for (const sim::LanePacking::Row& pr : pk.rows) {
+          seek.emplace_back(F, true);
+          seek.back().and_not(out.matrix.row(stage_rows[pr.row]));
+        }
+        const std::vector<sim::FaultSimResult> rs =
+            fsim.run_packed(packed, pk, &seek);
+        for (std::size_t i = 0; i < pk.rows.size(); ++i) {
+          const std::size_t r = stage_rows[pk.rows[i].row];
+          rs[i].detected.for_each_set([&](std::size_t f) {
+            out.matrix.set(r, f);
+            earliest[r][f] = static_cast<std::uint32_t>(lo + rs[i].earliest[f]);
+          });
+        }
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (!first_error) first_error = std::current_exception();
+        abort.store(true, std::memory_order_relaxed);
+      }
+    });
+    if (first_error) std::rethrow_exception(first_error);
+  }
   // Final poll before the matrix becomes durable state: an expired
   // deadline must never let a (complete but over-budget) matrix be
   // cached after the run is already doomed to a timeout failure.

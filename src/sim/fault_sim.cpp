@@ -359,21 +359,24 @@ void build_chunk_goods(const CompiledCircuit& cc,
 }
 
 /// Walks every chunk of one site's cone, demuxing nonzero per-block
-/// difference words through `demux(block, diff, gs)`.  `want()` returns
-/// the polarities still sought; both false stops the site.  Blocks are
-/// visited in ascending pattern order, so earliest-detection semantics
-/// match the narrow walk and the 4- and 8-wide tiers bit-for-bit — only
-/// the early-exit granularity (one chunk) differs between widths.
+/// difference words through `demux(block, diff, gs)`, and returns the
+/// number of chunk walks taken.  `want()` returns the polarities still
+/// sought; both false stops the site.  Blocks are visited in ascending
+/// pattern order, so earliest-detection semantics match the narrow walk
+/// and the 4- and 8-wide tiers bit-for-bit — only the early-exit
+/// granularity (one chunk) differs between widths.
 template <int N, typename WantFn, typename DemuxFn>
-void walk_site_chunks(const CompiledCircuit& cc, NetId site_net,
-                      std::size_t blocks,
-                      const std::vector<std::vector<Word>>& goodT,
-                      const std::vector<WordV<N>>& chunk_lanes, WordV<N>* local,
-                      std::uint8_t* diff_flag, WantFn want, DemuxFn demux) {
+std::size_t walk_site_chunks(const CompiledCircuit& cc, NetId site_net,
+                             std::size_t blocks,
+                             const std::vector<std::vector<Word>>& goodT,
+                             const std::vector<WordV<N>>& chunk_lanes,
+                             WordV<N>* local, std::uint8_t* diff_flag,
+                             WantFn want, DemuxFn demux) {
   const std::size_t nchunks = goodT.size();
+  std::size_t walks = 0;
   for (std::size_t chunk = 0; chunk < nchunks; ++chunk) {
     const std::pair<bool, bool> w = want();
-    if (!w.first && !w.second) return;
+    if (!w.first && !w.second) break;
     const Word* const gT = goodT[chunk].data();
     const WordV<N> lanes = chunk_lanes[chunk];
     const WordV<N> gs = GoodV<N>{gT}(site_net);
@@ -384,12 +387,14 @@ void walk_site_chunks(const CompiledCircuit& cc, NetId site_net,
 
     const WordV<N> diff =
         chunk_site_walk<N>(cc, site_net, gT, act, local, diff_flag) & lanes;
+    ++walks;
     for (std::size_t j = 0; j < static_cast<std::size_t>(N); ++j) {
       const std::size_t b = chunk * N + j;
       if (b >= blocks || diff.w[j] == 0) continue;
       demux(b, diff.w[j], gs.w[j]);
     }
   }
+  return walks;
 }
 
 /// Per-worker cone-walk scratch, sized by the largest cone (slot-dense,
@@ -397,11 +402,14 @@ void walk_site_chunks(const CompiledCircuit& cc, NetId site_net,
 /// not fit in cache).  max_slots must cover the root slot and the
 /// outside-sentinel slot (+2), which branchless selects may load
 /// speculatively.  `localv` backs the WordV<N> chunk scratch of the
-/// campaign's dispatch width (N words per slot).
-struct WalkScratch {
+/// campaign's dispatch width (N words per slot).  `walks` tallies the
+/// worker's cone walks for the campaign's sim.site_walks count; the
+/// alignment keeps one worker's tally off every other worker's lines.
+struct alignas(64) WalkScratch {
   std::vector<Word> local1;
   std::vector<Word> localv;
   std::vector<std::uint8_t> diff_flag;
+  std::uint64_t walks = 0;
 };
 
 std::vector<WalkScratch> make_scratches(std::size_t workers,
@@ -457,32 +465,37 @@ FaultSimResult FaultSim::run_subset(const PatternSet& patterns,
                                     const std::vector<bool>& active,
                                     bool parallel) const {
   assert(active.size() == faults_.size());
+  std::vector<util::BitVector> seek(1, util::BitVector(faults_.size()));
+  for (std::size_t fid = 0; fid < active.size(); ++fid) {
+    if (active[fid]) seek[0].set(fid);
+  }
   return std::move(
-      simulate(patterns, whole_set(patterns), &active, parallel)[0]);
+      simulate(patterns, whole_set(patterns), &seek, parallel)[0]);
 }
 
-std::vector<FaultSimResult> FaultSim::run_packed(const PatternSet& packed,
-                                                 const LanePacking& packing,
-                                                 bool parallel) const {
-  return simulate(packed, packing, nullptr, parallel);
+std::vector<FaultSimResult> FaultSim::run_packed(
+    const PatternSet& packed, const LanePacking& packing,
+    const std::vector<util::BitVector>* seek, bool parallel) const {
+  return simulate(packed, packing, seek, parallel);
 }
 
 bool FaultSim::detects(const util::WideWord& pattern, std::size_t fault_id) const {
   PatternSet ps(nl_.num_inputs(), 0);
   ps.append(pattern);
-  std::vector<bool> one(faults_.size(), false);
-  one[fault_id] = true;
-  return run_subset(ps, one, /*parallel=*/false).detected.get(fault_id);
+  std::vector<util::BitVector> seek(1, util::BitVector(faults_.size()));
+  seek[0].set(fault_id);
+  return simulate(ps, whole_set(ps), &seek, /*parallel=*/false)[0]
+      .detected.get(fault_id);
 }
 
-std::vector<FaultSimResult> FaultSim::simulate(const PatternSet& packed,
-                                               const LanePacking& packing,
-                                               const std::vector<bool>* active,
-                                               bool parallel) const {
+std::vector<FaultSimResult> FaultSim::simulate(
+    const PatternSet& packed, const LanePacking& packing,
+    const std::vector<util::BitVector>* seek, bool parallel) const {
   const CompiledCircuit& cc = *cc_;
   const std::size_t nf = faults_.size();
   const std::size_t nrows = packing.rows.size();
   assert(packing.num_patterns <= packed.size());
+  assert(seek == nullptr || seek->size() == nrows);
 
   std::vector<FaultSimResult> results(nrows);
   for (auto& r : results) {
@@ -508,11 +521,11 @@ std::vector<FaultSimResult> FaultSim::simulate(const PatternSet& packed,
   };
   std::vector<std::vector<RowLanes>> rows_in_block(blocks);
   std::vector<Word> union_lanes(blocks, 0);
-  std::size_t active_rows = 0;  // rows that can detect at all
+  std::vector<std::uint32_t> live_rows;  // rows that can detect at all
   for (std::size_t i = 0; i < nrows; ++i) {
     const LanePacking::Row& pr = packing.rows[i];
     if (pr.length == 0) continue;
-    ++active_rows;
+    live_rows.push_back(static_cast<std::uint32_t>(i));
     const std::size_t end = pr.base + pr.length;
     assert(end <= blocks * 64);
     assert(pr.length > 64 || pr.base / 64 == (end - 1) / 64);
@@ -556,20 +569,26 @@ std::vector<FaultSimResult> FaultSim::simulate(const PatternSet& packed,
   std::vector<WalkScratch> scratches =
       make_scratches(workers, max_slots, /*need_narrow=*/cw == 0, cw);
 
+  const auto seeks = [seek](std::size_t pos, std::size_t fid) {
+    return seek == nullptr || (*seek)[pos].get(fid);
+  };
+  const auto seekers = [&](std::size_t fid) -> std::size_t {
+    if (seek == nullptr) return live_rows.size();
+    std::size_t n = 0;
+    for (const std::uint32_t pos : live_rows) n += seeks(pos, fid) ? 1 : 0;
+    return n;
+  };
   constexpr std::size_t kNoFault = static_cast<std::size_t>(-1);
   auto simulate_site = [&](std::size_t sid, std::size_t worker) {
     const Site& site = sites_[sid];
-    // left[s]: rows that have not yet detected the stuck-at-s fault on
-    // this net (zero for an absent or masked-out fault).  Rows are
+    // left[s]: live rows that seek the stuck-at-s fault on this net and
+    // have not yet detected it (zero for an absent fault).  Rows are
     // independent campaigns: a detection in one row's lanes never drops
     // the fault from another, so a polarity is flipped while any row
     // still needs it and the site stops once no row needs either.
     std::size_t left[2];
     for (int s = 0; s < 2; ++s) {
-      const std::size_t fid = site.fid[s];
-      left[s] = fid != kNoFault && (active == nullptr || (*active)[fid])
-                    ? active_rows
-                    : 0;
+      left[s] = site.fid[s] != kNoFault ? seekers(site.fid[s]) : 0;
     }
     if (left[0] == 0 && left[1] == 0) return;
 
@@ -585,6 +604,7 @@ std::vector<FaultSimResult> FaultSim::simulate(const PatternSet& packed,
         if (ds == 0) continue;
         const std::size_t fid = site.fid[s];
         for (const RowLanes& rl : rows_in_block[b]) {
+          if (!seeks(rl.pos, fid)) continue;
           std::uint32_t& earliest = results[rl.pos].earliest[fid];
           if (earliest != kNotDetected) continue;  // an earlier block won
           const Word d = ds & rl.mask;
@@ -613,6 +633,7 @@ std::vector<FaultSimResult> FaultSim::simulate(const PatternSet& packed,
             narrow_site_walk(cc, site.net, g, act, sc.local1.data(),
                              diff_flag) &
             lanes;
+        ++sc.walks;
         if (diff != 0) demux(b, diff, gs);
       }
       return;
@@ -622,13 +643,15 @@ std::vector<FaultSimResult> FaultSim::simulate(const PatternSet& packed,
       return std::make_pair(left[0] > 0, left[1] > 0);
     };
     if (cw == 4) {
-      walk_site_chunks<4>(cc, site.net, blocks, goodT, chunk_lanes4,
-                          reinterpret_cast<WordV<4>*>(sc.localv.data()),
-                          diff_flag, want, demux);
+      sc.walks += walk_site_chunks<4>(
+          cc, site.net, blocks, goodT, chunk_lanes4,
+          reinterpret_cast<WordV<4>*>(sc.localv.data()), diff_flag, want,
+          demux);
     } else {
-      walk_site_chunks<8>(cc, site.net, blocks, goodT, chunk_lanes8,
-                          reinterpret_cast<WordV<8>*>(sc.localv.data()),
-                          diff_flag, want, demux);
+      sc.walks += walk_site_chunks<8>(
+          cc, site.net, blocks, goodT, chunk_lanes8,
+          reinterpret_cast<WordV<8>*>(sc.localv.data()), diff_flag, want,
+          demux);
     }
   };
 
@@ -648,9 +671,14 @@ std::vector<FaultSimResult> FaultSim::simulate(const PatternSet& packed,
       }
     }
   }
+  std::uint64_t walks = 0;
+  for (const WalkScratch& sc : scratches) walks += sc.walks;
   OBS_COUNTER(c_dropped, "sim.faults_dropped");
+  OBS_COUNTER(c_walks, "sim.site_walks");
   OBS_COUNT(c_dropped, dropped);
-  (void)dropped;  // read only in observability builds
+  OBS_COUNT(c_walks, walks);
+  (void)dropped;  // both read only in observability builds
+  (void)walks;
   return results;
 }
 

@@ -22,8 +22,8 @@
 //    block 0 on, until no row still seeks the site's faults.
 //
 // Every entry point is one campaign over a lane-packed pattern set
-// (sim::LanePacking): run, run_subset and detects pack a single row,
-// run_packed many.
+// (sim::LanePacking) with an optional seek mask per row: run,
+// run_subset and detects pack a single row, run_packed many.
 #pragma once
 
 #include <cstddef>
@@ -92,23 +92,30 @@ class FaultSim {
                             bool parallel = true) const;
 
   /// Simulates many *independent* pattern sequences ("rows", e.g. one
-  /// per reseeding candidate triplet) laid out side by side in the lanes
-  /// of one pre-packed set as `packing` describes (sim::pack_rows):
-  /// good values are computed once per packed block and each fault's
-  /// cone is walked once per block instead of once per row, which is the
-  /// dominant cost of the detection-matrix build at the paper's small T
-  /// values.  Callers expand rows straight into the packed set
+  /// per reseeding candidate triplet, or one stage segment of each)
+  /// laid out side by side in the lanes of one pre-packed set as
+  /// `packing` describes (sim::pack_rows): good values are computed once
+  /// per packed block and each fault's cone is walked once per block (or
+  /// chunk of blocks) for every row in it, not once per row.  Callers
+  /// expand rows straight into the packed set
   /// (tpg::expand_triplet_into).  Lane ranges must be disjoint, a row of
   /// length <= 64 must not straddle a block boundary, and packed lanes
   /// outside every row are ignored.
   ///
+  /// `seek` restricts the faults each row looks for: nullptr means every
+  /// row seeks every fault, otherwise (*seek)[i] (size = fault count)
+  /// flags the faults of packing.rows[i].  A site is walked while some
+  /// row still seeks one of its faults and has not yet detected it.
+  ///
   /// Returns one result per packing.rows entry, in that order, equal to
-  /// run() on that row alone — detection bits *and* row-local earliest
-  /// indices.  Dropping is tracked per row: a fault detected by one row
-  /// keeps simulating in every other row's lanes.
-  std::vector<FaultSimResult> run_packed(const PatternSet& packed,
-                                         const LanePacking& packing,
-                                         bool parallel = true) const;
+  /// run_subset() on that row alone with its seek mask — detection bits
+  /// *and* row-local earliest indices.  Dropping is tracked per row: a
+  /// fault detected by one row keeps simulating in every other row's
+  /// lanes that seek it.
+  std::vector<FaultSimResult> run_packed(
+      const PatternSet& packed, const LanePacking& packing,
+      const std::vector<util::BitVector>* seek = nullptr,
+      bool parallel = true) const;
 
   /// True iff `pattern` detects fault `f` (single-pattern probe).
   bool detects(const util::WideWord& pattern, std::size_t fault_id) const;
@@ -122,11 +129,11 @@ class FaultSim {
 
  private:
   /// The one campaign loop behind every entry point: simulates `packed`
-  /// (lane layout `packing`) against the faults flagged in `active`
-  /// (nullptr = all) and returns one result per packing row.
+  /// (lane layout `packing`), each row against the faults its seek mask
+  /// flags (see run_packed), and returns one result per packing row.
   std::vector<FaultSimResult> simulate(const PatternSet& packed,
                                        const LanePacking& packing,
-                                       const std::vector<bool>* active,
+                                       const std::vector<util::BitVector>* seek,
                                        bool parallel) const;
 
   /// Faults sharing one injection site: fid[s] is the id of the

@@ -132,10 +132,8 @@ std::vector<LanePacking> pack_rows(const std::vector<std::size_t>& lengths,
   };
   for (std::size_t r = 0; r < lengths.size(); ++r) {
     const std::size_t len = lengths[r];
-    if (len > 64) {
-      // Long rows keep their dedicated blocks: within one packing the
-      // per-row campaigns restart at every base, and a multi-block row
-      // is exactly the existing per-row simulation shape.
+    if (max_blocks != 0 && len > max_blocks * 64) {
+      // Too long for any packing: the row gets blocks of its own.
       flush();
       cur.rows.push_back({r, 0, len});
       cur.num_patterns = len;
@@ -143,7 +141,9 @@ std::vector<LanePacking> pack_rows(const std::vector<std::size_t>& lengths,
       continue;
     }
     std::size_t base = cur.num_patterns;
-    if (len > 0 && base % 64 + len > 64) base = (base / 64 + 1) * 64;  // next block
+    if (base % 64 != 0 && base % 64 + len > 64) {
+      base = (base / 64 + 1) * 64;  // next block
+    }
     if (max_blocks != 0 && (base + len + 63) / 64 > max_blocks) {
       flush();
       base = 0;

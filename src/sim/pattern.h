@@ -84,13 +84,13 @@ struct LanePacking {
 };
 
 /// Greedily packs rows of the given lengths, in order, into shared
-/// 64-pattern blocks.  A row of length <= 64 never straddles a block
-/// boundary (when the current block cannot hold it the row starts at
-/// the next block, leaving the skipped lanes as holes); a row longer
-/// than 64 patterns gets a packing of its own, spanning as many blocks
-/// as the row needs.  Every other packing spans at most `max_blocks`
-/// blocks (0 = unlimited), so packings stay sized for one 4-wide
-/// simulation chunk by default.
+/// 64-pattern blocks.  A row that does not fit in what is left of the
+/// current block starts at the next block boundary, leaving the skipped
+/// lanes as holes: a row of length <= 64 never straddles a block, and a
+/// longer row starts block-aligned and spans as many blocks as it needs.
+/// A packing spans at most `max_blocks` blocks (0 = unlimited), so it
+/// stays sized for one 4-wide simulation chunk by default; only a row
+/// longer than `max_blocks` * 64 patterns gets a packing of its own.
 std::vector<LanePacking> pack_rows(const std::vector<std::size_t>& lengths,
                                    std::size_t max_blocks = 4);
 

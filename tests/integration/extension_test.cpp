@@ -1,39 +1,12 @@
-// Integration tests for the extension features: multi-polynomial LFSR
-// reseeding and the scan-flattening .bench front end driving the full
-// set-covering flow.
+// Integration test for the scan-flattening .bench front end driving the
+// full set-covering flow.
 #include <gtest/gtest.h>
 
 #include "netlist/bench_io.h"
 #include "reseed/pipeline.h"
-#include "tpg/multipoly_lfsr.h"
-#include "tpg/triplet.h"
 
 namespace fbist {
 namespace {
-
-TEST(Extension, MultiPolyLfsrRunsFullFlow) {
-  const reseed::Pipeline p("s420");
-  const tpg::MultiPolyLfsrTpg mp(p.circuit().num_inputs());
-
-  reseed::BuilderOptions bopts;
-  bopts.cycles_per_triplet = 32;
-  const auto init = reseed::build_initial_reseeding(
-      p.fault_sim(), mp, p.atpg_patterns(), bopts);
-  const auto sol = reseed::optimize(init);
-
-  EXPECT_EQ(sol.faults_covered, sol.faults_targeted);
-  EXPECT_GT(sol.num_triplets(), 0u);
-  EXPECT_LE(sol.num_triplets(), init.triplets.size());
-
-  // Verify on the "hardware": expand the trimmed triplets on the same
-  // TPG and fault-simulate.
-  sim::PatternSet all(p.circuit().num_inputs(), 0);
-  for (const auto& st : sol.selected) {
-    all.append_all(tpg::expand_triplet(mp, st.triplet));
-  }
-  const auto check = p.fault_sim().run(all);
-  EXPECT_EQ(check.num_detected(), sol.faults_targeted);
-}
 
 TEST(Extension, SequentialBenchFileThroughPipeline) {
   const char* text = R"(
@@ -54,19 +27,6 @@ y = AND(g2, g3)
   reseed::Pipeline p(std::move(nl), "seq-demo");
   const auto sol = p.run(tpg::TpgKind::kAdder, 16);
   EXPECT_EQ(sol.faults_covered, sol.faults_targeted);
-}
-
-TEST(Extension, MultiPolySolutionCanBeatSinglePoly) {
-  // Not a strict inequality in general — but both must complete with
-  // full coverage, and the mp-lfsr must produce a valid minimal cover.
-  const reseed::Pipeline p("c432");
-  const tpg::MultiPolyLfsrTpg mp(p.circuit().num_inputs());
-  reseed::BuilderOptions bopts;
-  bopts.cycles_per_triplet = 32;
-  const auto init = reseed::build_initial_reseeding(
-      p.fault_sim(), mp, p.atpg_patterns(), bopts);
-  const auto sol = reseed::optimize(init);
-  EXPECT_TRUE(reseed::solution_is_minimal(init, sol));
 }
 
 }  // namespace

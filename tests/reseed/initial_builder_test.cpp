@@ -5,6 +5,7 @@
 #include "atpg/engine.h"
 #include "campaign/scheduler.h"
 #include "circuits/registry.h"
+#include "sim/reference_sim.h"
 #include "tpg/accumulator.h"
 #include "tpg/triplet.h"
 
@@ -121,26 +122,39 @@ TEST(InitialBuilder, DeterministicGivenSeed) {
   }
 }
 
-// The lane-packed detection-matrix build must stay bit-identical to the
-// seed per-row path (expand_triplet + run per candidate) — detection
-// bits *and* earliest indices — across the T regimes and worker counts.
+// The staged, lane-packed detection-matrix build must stay
+// bit-identical to an independent oracle — the seed reference simulator
+// run on each candidate's whole test set (expand_triplet) — in detection
+// bits *and* earliest indices.  The T values cover one-stage builds
+// (T <= 64), a one-pattern second stage (65), doubling stages that end
+// on and off a power of two (128, 200) and five stages (1024), on every
+// TPG kind.
 TEST(InitialBuilder, BatchedMatrixMatchesPerRowSeedPath) {
-  Fixture f;
-  tpg::AdderTpg tpg(f.nl.num_inputs());
-  for (const std::size_t cycles : {1, 7, 16}) {
-    BuilderOptions opts;
-    opts.cycles_per_triplet = cycles;
-    const InitialReseeding init =
-        build_initial_reseeding(f.fsim, tpg, f.atpg.patterns, opts);
-    ASSERT_TRUE(init.matrix.has_earliest());
-    for (std::size_t i = 0; i < init.triplets.size(); ++i) {
-      const auto ts = tpg::expand_triplet(tpg, init.triplets[i]);
-      const auto direct = f.fsim.run(ts);
-      EXPECT_EQ(init.matrix.row(i), direct.detected)
-          << "T=" << cycles << " row " << i;
-      for (std::size_t c = 0; c < init.matrix.num_cols(); ++c) {
-        ASSERT_EQ(init.matrix.earliest(i, c), direct.earliest[c])
-            << "T=" << cycles << " row " << i << " fault " << c;
+  const netlist::Netlist nl = circuits::make_circuit("c432");
+  const fault::FaultList fl = fault::FaultList::collapsed(nl);
+  const sim::FaultSim fsim(nl, fl);
+  const sim::ReferenceFaultSim ref(nl, fl);
+  const atpg::AtpgResult atpg = atpg::run_atpg(nl, fl);
+  for (const tpg::TpgKind kind :
+       {tpg::TpgKind::kAdder, tpg::TpgKind::kSubtracter,
+        tpg::TpgKind::kMultiplier, tpg::TpgKind::kLfsr}) {
+    const auto tpg = tpg::make_tpg(kind, nl.num_inputs());
+    for (const std::size_t cycles : {1, 7, 64, 65, 128, 200, 1024}) {
+      SCOPED_TRACE(std::string(tpg::tpg_kind_name(kind)) +
+                   " T=" + std::to_string(cycles));
+      BuilderOptions opts;
+      opts.cycles_per_triplet = cycles;
+      const InitialReseeding init =
+          build_initial_reseeding(fsim, *tpg, atpg.patterns, opts);
+      ASSERT_TRUE(init.matrix.has_earliest());
+      for (std::size_t i = 0; i < init.triplets.size(); ++i) {
+        const auto want = ref.run(tpg::expand_triplet(*tpg, init.triplets[i]),
+                                  /*parallel=*/false);
+        EXPECT_EQ(init.matrix.row(i), want.detected) << "row " << i;
+        for (std::size_t c = 0; c < init.matrix.num_cols(); ++c) {
+          ASSERT_EQ(init.matrix.earliest(i, c), want.earliest[c])
+              << "row " << i << " fault " << c;
+        }
       }
     }
   }
@@ -149,17 +163,20 @@ TEST(InitialBuilder, BatchedMatrixMatchesPerRowSeedPath) {
 TEST(InitialBuilder, BatchedMatrixBitIdenticalAcrossWorkerCounts) {
   Fixture f;
   tpg::AdderTpg tpg(f.nl.num_inputs());
-  BuilderOptions opts;
-  opts.cycles_per_triplet = 7;
-  campaign::Scheduler::global().set_workers(1);
-  const auto one = build_initial_reseeding(f.fsim, tpg, f.atpg.patterns, opts);
-  campaign::Scheduler::global().set_workers(4);
-  const auto four = build_initial_reseeding(f.fsim, tpg, f.atpg.patterns, opts);
-  campaign::Scheduler::global().set_workers(0);  // restore default
-  for (std::size_t i = 0; i < one.triplets.size(); ++i) {
-    EXPECT_EQ(one.matrix.row(i), four.matrix.row(i)) << i;
-    for (std::size_t c = 0; c < one.matrix.num_cols(); ++c) {
-      ASSERT_EQ(one.matrix.earliest(i, c), four.matrix.earliest(i, c));
+  for (const std::size_t cycles : {7, 200}) {
+    BuilderOptions opts;
+    opts.cycles_per_triplet = cycles;
+    campaign::Scheduler::global().set_workers(1);
+    const auto one = build_initial_reseeding(f.fsim, tpg, f.atpg.patterns, opts);
+    campaign::Scheduler::global().set_workers(4);
+    const auto four = build_initial_reseeding(f.fsim, tpg, f.atpg.patterns, opts);
+    campaign::Scheduler::global().set_workers(0);  // restore default
+    for (std::size_t i = 0; i < one.triplets.size(); ++i) {
+      EXPECT_EQ(one.matrix.row(i), four.matrix.row(i)) << "T=" << cycles << " " << i;
+      for (std::size_t c = 0; c < one.matrix.num_cols(); ++c) {
+        ASSERT_EQ(one.matrix.earliest(i, c), four.matrix.earliest(i, c))
+            << "T=" << cycles;
+      }
     }
   }
 }

@@ -37,11 +37,12 @@ std::vector<PatternSet> random_rows(std::size_t num_rows, std::size_t cycles,
 /// Simulates independent rows the way reseed::build_initial_reseeding
 /// does: packs them into shared blocks (one simulation chunk of the
 /// active tier per packing), copies each row into its lane range and
-/// runs every packing — on the shared pool when `parallel`.  Returns one
-/// result per row.
-std::vector<FaultSimResult> run_rows(const FaultSim& fsim,
-                                     const std::vector<PatternSet>& rows,
-                                     bool parallel = true) {
+/// runs every packing — on the shared pool when `parallel`.  With
+/// `seek`, row i looks only for the faults flagged in (*seek)[i].
+/// Returns one result per row.
+std::vector<FaultSimResult> run_rows(
+    const FaultSim& fsim, const std::vector<PatternSet>& rows,
+    bool parallel = true, const std::vector<util::BitVector>* seek = nullptr) {
   std::vector<std::size_t> lengths;
   for (const PatternSet& r : rows) lengths.push_back(r.size());
   const std::vector<LanePacking> packings =
@@ -50,10 +51,13 @@ std::vector<FaultSimResult> run_rows(const FaultSim& fsim,
   const auto run_one = [&](std::size_t p) {
     const LanePacking& pk = packings[p];
     PatternSet packed(fsim.netlist().num_inputs(), pk.num_patterns);
+    std::vector<util::BitVector> pk_seek;
     for (const LanePacking::Row& pr : pk.rows) {
       if (pr.length > 0) packed.write_patterns(pr.base, rows[pr.row]);
+      if (seek != nullptr) pk_seek.push_back((*seek)[pr.row]);
     }
-    std::vector<FaultSimResult> rs = fsim.run_packed(packed, pk, parallel);
+    std::vector<FaultSimResult> rs = fsim.run_packed(
+        packed, pk, seek != nullptr ? &pk_seek : nullptr, parallel);
     for (std::size_t i = 0; i < pk.rows.size(); ++i) {
       results[pk.rows[i].row] = std::move(rs[i]);
     }
@@ -65,6 +69,12 @@ std::vector<FaultSimResult> run_rows(const FaultSim& fsim,
   }
   return results;
 }
+
+/// Restores the ambient tier even when an assertion aborts the test.
+struct TierGuard {
+  util::SimdTier saved = util::simd_tier();
+  ~TierGuard() { util::set_simd_tier(saved); }
+};
 
 void expect_identical(const FaultSimResult& a, const FaultSimResult& b,
                       const char* what, std::size_t row) {
@@ -104,7 +114,8 @@ void check_batched_equivalence(const std::string& circuit, bool collapsed,
 
 // The full T sweep of the paper: T=1 (64 rows per block), T=7 (9 rows
 // per block, odd remainder lanes), T=63/64 (one row per block, full and
-// near-full lanes), T=100 (multi-block row, dedicated packing).
+// near-full lanes), T=100 (multi-block rows sharing packings at
+// block-aligned bases).
 TEST(BatchedSim, BitIdenticalAcrossCycleRegimes) {
   for (const std::size_t cycles : {1, 7, 63, 64, 100}) {
     SCOPED_TRACE("T=" + std::to_string(cycles));
@@ -136,6 +147,54 @@ TEST(BatchedSim, OddRemaindersAndMixedLengths) {
     rows.push_back(PatternSet::random(nl.num_inputs(), len, rng));
   }
   expect_rows_match_reference(ref, rows, run_rows(fsim, rows), "mixed");
+}
+
+// Per-row seek masks: each row looks only for its own faults, so it must
+// match the reference run_subset on that row and mask.  The lengths mix
+// one-block rows with rows of 100 to 256 patterns that share packings at
+// block-aligned bases, and every forced tier walks them.
+TEST(BatchedSim, PerRowSeekMasksMatchReferenceSubset) {
+  const auto nl = circuits::make_circuit("c880");
+  const auto fl = fault::FaultList::collapsed(nl);
+  FaultSim fsim(nl, fl);
+  ReferenceFaultSim ref(nl, fl);
+
+  util::Rng rng(61);
+  std::vector<PatternSet> rows;
+  std::vector<util::BitVector> seek;
+  std::vector<std::vector<bool>> active;
+  for (const std::size_t len : {7, 100, 64, 128, 7, 256, 100, 7, 128, 64}) {
+    rows.push_back(PatternSet::random(nl.num_inputs(), len, rng));
+    util::BitVector mask(fl.size());
+    std::vector<bool> flags(fl.size());
+    for (std::size_t f = 0; f < fl.size(); ++f) {
+      flags[f] = rng.next_bool();
+      mask.set(f, flags[f]);
+    }
+    seek.push_back(std::move(mask));
+    active.push_back(std::move(flags));
+  }
+  std::vector<std::size_t> lengths;
+  for (const PatternSet& r : rows) lengths.push_back(r.size());
+  // The 100-pattern row shares the first packing at every pack width.
+  ASSERT_EQ(pack_rows(lengths, 4)[0].rows[1].length, 100u);
+
+  std::vector<FaultSimResult> want;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    want.push_back(ref.run_subset(rows[i], active[i], /*parallel=*/false));
+  }
+
+  TierGuard guard;
+  for (const util::SimdTier tier :
+       {util::SimdTier::kNarrow, util::SimdTier::kWide4,
+        util::SimdTier::kWide8, util::SimdTier::kAuto}) {
+    util::set_simd_tier(tier);
+    const auto got = run_rows(fsim, rows, /*parallel=*/true, &seek);
+    ASSERT_EQ(got.size(), rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      expect_identical(got[i], want[i], "seek", i);
+    }
+  }
 }
 
 TEST(BatchedSim, EmptyInputs) {
@@ -208,12 +267,6 @@ TEST(BatchedSim, PackedTripletExpansionMatchesPerRow) {
 }
 
 // ---- SIMD dispatch tiers ------------------------------------------------
-
-/// Restores the ambient tier even when an assertion aborts the test.
-struct TierGuard {
-  util::SimdTier saved = util::simd_tier();
-  ~TierGuard() { util::set_simd_tier(saved); }
-};
 
 // The narrow, 4-wide and 8-wide walkers must all match the reference —
 // the wider tiers only change how many blocks one structure walk covers.
@@ -303,12 +356,32 @@ TEST(PackRows, RowsNeverStraddleBlocks) {
   EXPECT_EQ(packings[0].rows[2].base, 128u);
 }
 
-TEST(PackRows, LongRowsGetDedicatedPackings) {
-  const auto packings = pack_rows({7, 100, 7});
-  ASSERT_EQ(packings.size(), 3u);
-  EXPECT_EQ(packings[1].rows.size(), 1u);
-  EXPECT_EQ(packings[1].rows[0].length, 100u);
-  EXPECT_EQ(packings[1].num_blocks(), 2u);
+// A row of 65 to max_blocks * 64 patterns shares its packing and starts
+// at the next block boundary; only a longer row gets blocks of its own.
+TEST(PackRows, LongRowsShareBlockAlignedPackings) {
+  const auto packings = pack_rows({7, 100, 7, 256, 300, 7}, /*max_blocks=*/4);
+  ASSERT_EQ(packings.size(), 4u);
+  ASSERT_EQ(packings[0].rows.size(), 3u);
+  EXPECT_EQ(packings[0].rows[1].base, 64u);  // after row 0's block
+  EXPECT_EQ(packings[0].rows[2].base, 164u);  // fills row 1's tail block
+  EXPECT_EQ(packings[0].num_blocks(), 3u);
+  // 256 patterns fill a whole 4-block packing, so it starts a new one.
+  ASSERT_EQ(packings[1].rows.size(), 1u);
+  EXPECT_EQ(packings[1].rows[0].base, 0u);
+  EXPECT_EQ(packings[1].num_blocks(), 4u);
+  // 300 > 4 * 64: dedicated, spanning every block it needs.
+  ASSERT_EQ(packings[2].rows.size(), 1u);
+  EXPECT_EQ(packings[2].rows[0].row, 4u);
+  EXPECT_EQ(packings[2].num_blocks(), 5u);
+  EXPECT_EQ(packings[3].rows[0].row, 5u);
+
+  // Stage segments of 128 patterns: 4 per 8-block packing, block-aligned.
+  const auto segs = pack_rows(std::vector<std::size_t>(5, 128), /*max_blocks=*/8);
+  ASSERT_EQ(segs.size(), 2u);
+  ASSERT_EQ(segs[0].rows.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(segs[0].rows[i].base, 128 * i);
+  // max_blocks = 0: nothing is too long to share.
+  EXPECT_EQ(pack_rows({7, 1000}, /*max_blocks=*/0).size(), 1u);
 }
 
 TEST(PackRows, MaxBlocksBoundsEachPacking) {
