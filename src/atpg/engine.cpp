@@ -1,12 +1,20 @@
 #include "atpg/engine.h"
 
-#include <algorithm>
 #include <memory>
 
 #include "obs/diag.h"
 #include "obs/metrics.h"
 
 namespace fbist::atpg {
+
+namespace {
+
+/// Random phase: at most this many 64-pattern blocks ...
+constexpr std::size_t kMaxRandomBlocks = 64;
+/// ... and it stops after this many consecutive blocks detect nothing.
+constexpr std::size_t kUnproductiveBlockLimit = 3;
+
+}  // namespace
 
 double AtpgResult::testable_coverage_percent() const {
   std::size_t detected = 0, total = verdict.size(), redundant = 0;
@@ -35,35 +43,34 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
   sim::FaultSim fsim(nl, faults, compiled);
   util::Rng rng(opts.seed);
 
-  std::vector<bool> remaining(faults.size(), true);
-  std::size_t num_remaining = faults.size();
+  // The faults still without a verdict; settle() is the one place a
+  // fault leaves it.
+  util::BitVector remaining(faults.size(), true);
+  auto settle = [&](std::size_t fid, FaultVerdict verdict) {
+    remaining.reset(fid);
+    result.verdict[fid] = verdict;
+  };
 
   // Working pattern list (uncompacted); compaction re-simulates at the end.
   sim::PatternSet pool(nl.num_inputs(), 0);
 
   // ---- Phase 1: random patterns with fault dropping -------------------
   std::size_t dry_blocks = 0;
-  for (std::size_t b = 0; b < opts.max_random_blocks && num_remaining > 0; ++b) {
+  for (std::size_t b = 0; b < kMaxRandomBlocks && remaining.any(); ++b) {
     sim::PatternSet block = sim::PatternSet::random(nl.num_inputs(), 64, rng);
     const sim::FaultSimResult r = fsim.run_subset(block, remaining);
-    std::vector<std::size_t> hits;
-    r.detected.for_each_set([&](std::size_t fid) { hits.push_back(fid); });
-    if (hits.empty()) {
-      if (++dry_blocks >= opts.unproductive_block_limit) break;
+    if (r.detected.none()) {
+      if (++dry_blocks >= kUnproductiveBlockLimit) break;
       continue;
     }
     dry_blocks = 0;
     // Keep only patterns that first-detected something (cheap pre-compaction).
-    std::vector<bool> keep(block.size(), false);
-    for (const std::size_t fid : hits) {
-      keep[r.earliest[fid]] = true;
-      remaining[fid] = false;
-      result.verdict[fid] = FaultVerdict::kDetected;
-      --num_remaining;
-    }
-    for (std::size_t p = 0; p < block.size(); ++p) {
-      if (keep[p]) pool.append(block.pattern(p));
-    }
+    util::BitVector keep(block.size());
+    r.detected.for_each_set([&](std::size_t fid) {
+      keep.set(r.earliest[fid]);
+      settle(fid, FaultVerdict::kDetected);
+    });
+    keep.for_each_set([&](std::size_t p) { pool.append(block.pattern(p)); });
   }
   result.random_patterns_used = pool.size();
 
@@ -77,30 +84,27 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
     one.append(pat);
     const sim::FaultSimResult r = fsim.run_subset(one, remaining);
     if (!r.detected.get(target)) return false;
-    r.detected.for_each_set([&](std::size_t hit) {
-      remaining[hit] = false;
-      result.verdict[hit] = FaultVerdict::kDetected;
-      --num_remaining;
-    });
+    r.detected.for_each_set(
+        [&](std::size_t hit) { settle(hit, FaultVerdict::kDetected); });
     pool.append(pat);
     ++result.deterministic_patterns;
     return true;
   };
 
-  Podem podem(nl, compiled, opts.podem);
+  Podem podem(compiled, opts.podem);
   // SAT escalation target (lazy: built on the first PODEM abort only —
   // clean runs never pay the good-circuit CNF emission).
   std::unique_ptr<SatEngine> sat;
   OBS_COUNTER(c_sat_detected, "atpg.sat_detected");
   OBS_COUNTER(c_sat_redundant, "atpg.sat_redundant");
-  for (std::size_t fid = 0; fid < faults.size() && num_remaining > 0; ++fid) {
-    if (!remaining[fid]) continue;
+  // Ascending fault id; `remaining` is re-read before each fault, so a
+  // fault an earlier pattern dropped is skipped.
+  for (std::size_t fid = remaining.find_first(); fid < faults.size();
+       fid = remaining.find_next(fid + 1)) {
     const PodemResult pr = podem.generate(faults[fid]);
     if (pr.status == PodemStatus::kUntestable) {
-      remaining[fid] = false;
-      result.verdict[fid] = FaultVerdict::kRedundant;
+      settle(fid, FaultVerdict::kRedundant);
       ++result.redundant_faults;
-      --num_remaining;
       continue;
     }
     if (pr.status == PodemStatus::kTestFound) {
@@ -119,12 +123,10 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
       if (!sat) sat = std::make_unique<SatEngine>(*compiled, opts.sat);
       const SatResult sr = sat->generate(faults[fid]);
       if (sr.status == SatStatus::kRedundant) {
-        remaining[fid] = false;
-        result.verdict[fid] = FaultVerdict::kRedundant;
+        settle(fid, FaultVerdict::kRedundant);
         ++result.redundant_faults;
         ++result.sat_redundant_faults;
         OBS_COUNT(c_sat_redundant, 1);
-        --num_remaining;
         continue;
       }
       if (sr.status == SatStatus::kDetected) {
@@ -141,40 +143,32 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
                   "keeping abort verdict");
       }
     }
-    remaining[fid] = false;  // stop retrying; verdict stays kAborted
+    settle(fid, FaultVerdict::kAborted);  // stop retrying
     ++result.aborted_faults;
-    --num_remaining;
   }
 
   // ---- Phase 3: reverse-order compaction ------------------------------
-  if (opts.compact && pool.size() > 1) {
-    // Re-simulate patterns one at a time in reverse order against the
-    // detected fault set; keep a pattern only if it detects a fault not
-    // yet covered by the patterns kept so far.
-    std::vector<bool> need(faults.size(), false);
+  // Scanning the pool backwards and keeping a pattern iff it detects a
+  // detected fault that no kept pattern detects keeps exactly each
+  // detected fault's first detector in reverse order.  One campaign over
+  // the reversed pool finds all of them: reversed index e is pool
+  // pattern size - 1 - e.
+  if (pool.size() > 1) {
+    util::BitVector detected(faults.size());
     for (std::size_t fid = 0; fid < faults.size(); ++fid) {
-      need[fid] = result.verdict[fid] == FaultVerdict::kDetected;
+      if (result.verdict[fid] == FaultVerdict::kDetected) detected.set(fid);
     }
-    std::vector<std::size_t> kept_order;
-    for (std::size_t p = pool.size(); p-- > 0;) {
-      sim::PatternSet one(nl.num_inputs(), 0);
-      one.append(pool.pattern(p));
-      const sim::FaultSimResult r = fsim.run_subset(one, need);
-      std::size_t fresh = 0;
-      r.detected.for_each_set([&](std::size_t fid) {
-        need[fid] = false;
-        ++fresh;
-      });
-      if (fresh > 0) kept_order.push_back(p);
-    }
-    std::sort(kept_order.begin(), kept_order.end());
+    sim::PatternSet reversed(nl.num_inputs(), 0);
+    for (std::size_t p = pool.size(); p-- > 0;) reversed.append(pool.pattern(p));
+    const sim::FaultSimResult r = fsim.run_subset(reversed, detected);
+    util::BitVector keep(pool.size());
+    r.detected.for_each_set(
+        [&](std::size_t fid) { keep.set(pool.size() - 1 - r.earliest[fid]); });
     sim::PatternSet compacted(nl.num_inputs(), 0);
-    for (const std::size_t p : kept_order) compacted.append(pool.pattern(p));
-    result.patterns = std::move(compacted);
-  } else {
-    result.patterns = std::move(pool);
+    keep.for_each_set([&](std::size_t p) { compacted.append(pool.pattern(p)); });
+    pool = std::move(compacted);
   }
-
+  result.patterns = std::move(pool);
   return result;
 }
 

@@ -1,13 +1,22 @@
 // Deterministic ATPG driver — the TestGen substitute.
 //
 // Pipeline (standard industrial shape):
-//   1. random-pattern phase: 64-pattern blocks, fault simulation with
-//      dropping, stops after a run of unproductive blocks;
-//   2. deterministic phase: PODEM per remaining fault, X-fill, then the
-//      new pattern is fault-simulated against all remaining faults
-//      (fault dropping);
-//   3. reverse-order compaction: patterns are fault-simulated in reverse
-//      order; patterns that detect no yet-undetected fault are dropped.
+//   1. random-pattern phase: at most 64 blocks of 64 patterns, each
+//      fault-simulated against the remaining faults with dropping; a
+//      block keeps only the patterns that first detect some fault, and
+//      the phase stops after 3 consecutive blocks that detect nothing
+//      (both limits are fixed constants);
+//   2. deterministic phase: PODEM per remaining fault in ascending id,
+//      X-fill, then the new pattern is fault-simulated against all
+//      remaining faults (fault dropping); with sat_escalate, PODEM
+//      aborts go to the SAT engine;
+//   3. reverse-order compaction: a pattern is kept iff it is the first
+//      detector, scanning the pool from its end, of some detected fault.
+//      One fault-simulation campaign over the reversed pool against the
+//      detected faults yields every fault's first reverse detector.
+//
+// The driver keeps one fault state, a util::BitVector of the faults
+// still without a verdict; a verdict is settled in one place.
 //
 // Output: a compacted complete test set plus the per-fault verdicts
 // (detected / proven redundant / aborted).
@@ -28,10 +37,7 @@
 namespace fbist::atpg {
 
 struct AtpgOptions {
-  std::size_t max_random_blocks = 64;      // cap on 64-pattern random blocks
-  std::size_t unproductive_block_limit = 3;  // stop random phase after N dry blocks
   PodemOptions podem;
-  bool compact = true;  // reverse-order compaction pass
   /// SAT escalation: when PODEM aborts on a fault, hand it to
   /// atpg::SatEngine, which either produces a validated test pattern or
   /// a redundancy certificate (see sat_engine.h).  On by default —

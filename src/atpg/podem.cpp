@@ -20,12 +20,10 @@ std::uint8_t sat_add(std::uint8_t a, std::uint8_t b) {
 }  // namespace
 
 Podem::Podem(const netlist::Netlist& nl, PodemOptions opts)
-    : Podem(nl, std::make_shared<CompiledCircuit>(nl), std::move(opts)) {}
+    : Podem(std::make_shared<CompiledCircuit>(nl), std::move(opts)) {}
 
-Podem::Podem(const netlist::Netlist& nl,
-             std::shared_ptr<const CompiledCircuit> compiled, PodemOptions opts)
+Podem::Podem(std::shared_ptr<const CompiledCircuit> compiled, PodemOptions opts)
     : cc_(std::move(compiled)), opts_(opts) {
-  (void)nl;
   // SCOAP-flavoured controllability: cost of setting each net to 0/1.
   // Saturated small integers are plenty for backtrace tie-breaking.
   const CompiledCircuit& cc = *cc_;

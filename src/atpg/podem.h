@@ -69,10 +69,9 @@ class Podem {
  public:
   /// Compiles the netlist privately.
   explicit Podem(const netlist::Netlist& nl, PodemOptions opts = {});
-  /// Shares an existing compiled form (must describe `nl`).
-  Podem(const netlist::Netlist& nl,
-        std::shared_ptr<const netlist::CompiledCircuit> compiled,
-        PodemOptions opts = {});
+  /// Shares an existing compiled form.
+  explicit Podem(std::shared_ptr<const netlist::CompiledCircuit> compiled,
+                 PodemOptions opts = {});
 
   /// Attempts to generate a test for `f`.  Bumps the `atpg.podem_*`
   /// effort counters once per call.

@@ -42,17 +42,15 @@ WeightedRandomResult run_weighted_random(const sim::FaultSim& fsim,
   result.faults_total = nf;
   result.weights = derive_weights(guide, num_inputs, opts.weight_floor);
 
-  std::vector<bool> remaining(nf, true);
-  std::size_t num_remaining = nf;
+  util::BitVector remaining(nf, true);
 
-  while (result.patterns_applied < opts.max_patterns && num_remaining > 0) {
+  while (result.patterns_applied < opts.max_patterns && remaining.any()) {
     const std::size_t count =
         std::min(opts.block, opts.max_patterns - result.patterns_applied);
     const sim::PatternSet block = weighted_patterns(result.weights, count, rng);
     const sim::FaultSimResult r = fsim.run_subset(block, remaining);
     r.detected.for_each_set([&](std::size_t fid) {
-      remaining[fid] = false;
-      --num_remaining;
+      remaining.reset(fid);
       ++result.faults_detected;
       result.last_useful_pattern = std::max(
           result.last_useful_pattern,

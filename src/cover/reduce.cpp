@@ -4,18 +4,6 @@
 
 namespace fbist::cover {
 
-namespace {
-
-/// Live view over the matrix during reduction.
-struct Live {
-  std::vector<bool> row_alive;
-  std::vector<bool> col_alive;
-  std::size_t rows_alive;
-  std::size_t cols_alive;
-};
-
-}  // namespace
-
 ReductionResult reduce(const DetectionMatrix& m, const ReduceOptions& opts) {
   const std::size_t R = m.num_rows();
   const std::size_t C = m.num_cols();

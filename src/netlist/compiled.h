@@ -57,9 +57,6 @@ class CompiledCircuit {
   /// false; the fault simulator and PODEM need the full form.
   explicit CompiledCircuit(const Netlist& nl, bool build_cone_slices = true);
 
-  /// True when the cone slices/programs were built (see constructor).
-  bool has_cone_slices() const { return !cone_offset_.empty(); }
-
   std::size_t num_nets() const { return type_.size(); }
   std::size_t num_inputs() const { return inputs_.size(); }
   std::size_t num_outputs() const { return outputs_.size(); }

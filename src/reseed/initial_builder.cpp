@@ -28,8 +28,8 @@ void fill_uncovered(InitialReseeding& out) {
   }
 }
 
-}  // namespace
-
+/// The candidate triplets a build simulates — one per ATPG pattern,
+/// deterministic in (tpg, atpg_patterns, opts).
 std::vector<tpg::Triplet> make_candidate_triplets(
     const tpg::Tpg& tpg, const sim::PatternSet& atpg_patterns,
     const BuilderOptions& opts) {
@@ -50,6 +50,8 @@ std::vector<tpg::Triplet> make_candidate_triplets(
   }
   return triplets;
 }
+
+}  // namespace
 
 InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
                                          const tpg::Tpg& tpg,

@@ -47,13 +47,6 @@ struct InitialReseeding {
   std::vector<std::size_t> uncovered_faults;
 };
 
-/// The candidate triplets a build would simulate — deterministic in
-/// (tpg, atpg_patterns, opts).  Exposed so cache keys can be computed
-/// without running the simulator.
-std::vector<tpg::Triplet> make_candidate_triplets(
-    const tpg::Tpg& tpg, const sim::PatternSet& atpg_patterns,
-    const BuilderOptions& opts);
-
 /// Builds the initial reseeding for `atpg_patterns` on `tpg` against the
 /// fault list inside `fsim`.  With a `cache`, the detection matrix is
 /// looked up under its content key first and stored after a build —

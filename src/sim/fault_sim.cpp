@@ -458,37 +458,27 @@ FaultSim::FaultSim(const netlist::Netlist& nl, const fault::FaultList& faults,
 
 FaultSimResult FaultSim::run(const PatternSet& patterns, bool parallel) const {
   return std::move(
-      simulate(patterns, whole_set(patterns), nullptr, parallel)[0]);
+      run_packed(patterns, whole_set(patterns), nullptr, parallel)[0]);
 }
 
 FaultSimResult FaultSim::run_subset(const PatternSet& patterns,
-                                    const std::vector<bool>& active,
+                                    const util::BitVector& seek,
                                     bool parallel) const {
-  assert(active.size() == faults_.size());
-  std::vector<util::BitVector> seek(1, util::BitVector(faults_.size()));
-  for (std::size_t fid = 0; fid < active.size(); ++fid) {
-    if (active[fid]) seek[0].set(fid);
-  }
+  assert(seek.size() == faults_.size());
+  const std::vector<util::BitVector> rows(1, seek);
   return std::move(
-      simulate(patterns, whole_set(patterns), &seek, parallel)[0]);
-}
-
-std::vector<FaultSimResult> FaultSim::run_packed(
-    const PatternSet& packed, const LanePacking& packing,
-    const std::vector<util::BitVector>* seek, bool parallel) const {
-  return simulate(packed, packing, seek, parallel);
+      run_packed(patterns, whole_set(patterns), &rows, parallel)[0]);
 }
 
 bool FaultSim::detects(const util::WideWord& pattern, std::size_t fault_id) const {
   PatternSet ps(nl_.num_inputs(), 0);
   ps.append(pattern);
-  std::vector<util::BitVector> seek(1, util::BitVector(faults_.size()));
-  seek[0].set(fault_id);
-  return simulate(ps, whole_set(ps), &seek, /*parallel=*/false)[0]
-      .detected.get(fault_id);
+  util::BitVector seek(faults_.size());
+  seek.set(fault_id);
+  return run_subset(ps, seek, /*parallel=*/false).detected.get(fault_id);
 }
 
-std::vector<FaultSimResult> FaultSim::simulate(
+std::vector<FaultSimResult> FaultSim::run_packed(
     const PatternSet& packed, const LanePacking& packing,
     const std::vector<util::BitVector>* seek, bool parallel) const {
   const CompiledCircuit& cc = *cc_;

@@ -21,9 +21,10 @@
 //    (util::chunk_width_for) over block-interleaved good values, from
 //    block 0 on, until no row still seeks the site's faults.
 //
-// Every entry point is one campaign over a lane-packed pattern set
-// (sim::LanePacking) with an optional seek mask per row: run,
-// run_subset and detects pack a single row, run_packed many.
+// Every entry point is one campaign of run_packed, the one driver, over
+// a lane-packed pattern set (sim::LanePacking) with an optional
+// util::BitVector seek mask per row: run, run_subset and detects pass
+// it a single row.
 #pragma once
 
 #include <cstddef>
@@ -85,15 +86,17 @@ class FaultSim {
   /// `parallel` distributes fault sites across hardware threads.
   FaultSimResult run(const PatternSet& patterns, bool parallel = true) const;
 
-  /// Simulates patterns against the subset of faults flagged `active`
-  /// (size = fault count).  Used by the ATPG's fault-dropping loop.
+  /// Simulates patterns against the faults set in `seek` (size = fault
+  /// count); no other fault is reported detected.  Used by the ATPG's
+  /// fault-dropping loop and compaction.
   FaultSimResult run_subset(const PatternSet& patterns,
-                            const std::vector<bool>& active,
+                            const util::BitVector& seek,
                             bool parallel = true) const;
 
-  /// Simulates many *independent* pattern sequences ("rows", e.g. one
-  /// per reseeding candidate triplet, or one stage segment of each)
-  /// laid out side by side in the lanes of one pre-packed set as
+  /// The one campaign driver behind every entry point.  Simulates many
+  /// *independent* pattern sequences ("rows", e.g. one per reseeding
+  /// candidate triplet, or one stage segment of each) laid out side by
+  /// side in the lanes of one pre-packed set as
   /// `packing` describes (sim::pack_rows): good values are computed once
   /// per packed block and each fault's cone is walked once per block (or
   /// chunk of blocks) for every row in it, not once per row.  Callers
@@ -128,14 +131,6 @@ class FaultSim {
   }
 
  private:
-  /// The one campaign loop behind every entry point: simulates `packed`
-  /// (lane layout `packing`), each row against the faults its seek mask
-  /// flags (see run_packed), and returns one result per packing row.
-  std::vector<FaultSimResult> simulate(const PatternSet& packed,
-                                       const LanePacking& packing,
-                                       const std::vector<util::BitVector>* seek,
-                                       bool parallel) const;
-
   /// Faults sharing one injection site: fid[s] is the id of the
   /// stuck-at-s fault on `net`, or SIZE_MAX.
   struct Site {

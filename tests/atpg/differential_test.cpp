@@ -48,7 +48,7 @@ std::vector<bool> exhaustive_detectability(const netlist::Netlist& nl,
 void cross_check(const netlist::Netlist& nl, bool exhaustive) {
   const auto cc = std::make_shared<netlist::CompiledCircuit>(nl);
   const auto fl = fault::FaultList::collapsed(*cc);
-  Podem podem(nl, cc);
+  Podem podem(cc);
   const SatEngine sat(*cc);
   sim::FaultSim fsim(nl, fl, cc);
   const std::vector<bool> truth =

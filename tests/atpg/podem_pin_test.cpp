@@ -94,10 +94,10 @@ TEST(PodemPin, ResultIndependentOfFaultOrder) {
   const auto nl = circuits::make_circuit("c1908");
   const auto fl = fault::FaultList::collapsed(nl);
   const auto cc = std::make_shared<const netlist::CompiledCircuit>(nl);
-  Podem reused(nl, cc);
+  Podem reused(cc);
   for (std::size_t fid = fl.size(); fid-- > 0;) {
     const PodemResult a = reused.generate(fl[fid]);
-    const PodemResult b = Podem(nl, cc).generate(fl[fid]);
+    const PodemResult b = Podem(cc).generate(fl[fid]);
     SCOPED_TRACE(fault_name(nl, fl[fid]));
     ASSERT_EQ(a.status, b.status);
     ASSERT_EQ(a.decisions, b.decisions);

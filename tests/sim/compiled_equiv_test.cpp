@@ -101,7 +101,11 @@ TEST(CompiledEquiv, FaultSimSubsetMatchesReference) {
   // Activate a pseudo-random half of the faults, including lone
   // polarities of paired sites.
   std::vector<bool> active(fl.size());
-  for (std::size_t i = 0; i < active.size(); ++i) active[i] = rng.next_bool();
+  util::BitVector seek(fl.size());
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    active[i] = rng.next_bool();
+    seek.set(i, active[i]);
+  }
   const FaultSimResult want = ref.run_subset(ps, active, /*parallel=*/false);
   std::size_t late = 0;  // detections after the first block
   for (const std::uint32_t e : want.earliest) {
@@ -114,7 +118,7 @@ TEST(CompiledEquiv, FaultSimSubsetMatchesReference) {
        {util::SimdTier::kNarrow, util::SimdTier::kWide4, util::SimdTier::kWide8,
         util::SimdTier::kAuto}) {
     util::set_simd_tier(tier);
-    const FaultSimResult got = fsim.run_subset(ps, active, /*parallel=*/false);
+    const FaultSimResult got = fsim.run_subset(ps, seek, /*parallel=*/false);
     EXPECT_EQ(got.detected, want.detected) << static_cast<int>(tier);
     EXPECT_EQ(got.earliest, want.earliest) << static_cast<int>(tier);
   }

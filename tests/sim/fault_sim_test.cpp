@@ -120,10 +120,10 @@ TEST(FaultSim, SubsetRunIgnoresInactive) {
   util::Rng rng(3);
   const PatternSet ps = PatternSet::random(5, 64, rng);
 
-  std::vector<bool> active(fl.size(), false);
-  active[2] = true;
-  active[7] = true;
-  const FaultSimResult r = fsim.run_subset(ps, active, /*parallel=*/false);
+  util::BitVector seek(fl.size());
+  seek.set(2);
+  seek.set(7);
+  const FaultSimResult r = fsim.run_subset(ps, seek, /*parallel=*/false);
   r.detected.for_each_set([&](std::size_t fid) {
     EXPECT_TRUE(fid == 2 || fid == 7);
   });

@@ -76,6 +76,7 @@
 //
 // Circuit arguments name either a registry benchmark (c432, s1238, ...)
 // or a path to an ISCAS .bench file (sequential files are scan-flattened).
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <sstream>
@@ -141,26 +142,44 @@ tpg::TpgKind parse_tpg(const std::string& name) {
   return campaign::parse_tpg_kind(name);
 }
 
-/// Strict positive-count parser: rejects signs, trailing junk and 0
-/// (std::stoul alone accepts "16junk" and wraps "-1" to 2^64-1).
-std::size_t parse_count(const std::string& tok, const char* what) {
+/// Strict unsigned parser: digits only, so it rejects signs, spaces,
+/// trailing junk and 64-bit overflow (std::stoull alone accepts
+/// "16junk" and wraps "-1" to 2^64-1).
+std::uint64_t parse_unsigned(const std::string& tok, const char* what) {
   std::size_t pos = 0;
-  unsigned long v = 0;
+  unsigned long long v = 0;
   try {
-    v = std::stoul(tok, &pos);
+    v = std::stoull(tok, &pos);
   } catch (const std::exception&) {
     pos = 0;
   }
-  if (tok.empty() || tok[0] == '-' || pos != tok.size() || v == 0) {
+  if (tok.empty() || tok[0] < '0' || tok[0] > '9' || pos != tok.size()) {
     throw std::runtime_error(std::string(what) + ": bad value '" + tok + "'");
   }
   return v;
 }
 
+/// Strict positive count: parse_unsigned, and 0 is rejected too.
+std::size_t parse_count(const std::string& tok, const char* what) {
+  const std::uint64_t v = parse_unsigned(tok, what);
+  if (v == 0) {
+    throw std::runtime_error(std::string(what) + ": bad value '" + tok + "'");
+  }
+  return v;
+}
+
+/// Value of an on|off flag.
+bool parse_on_off(const std::string& v, const char* flag) {
+  if (v != "on" && v != "off") {
+    throw std::runtime_error(std::string(flag) + ": expected on|off");
+  }
+  return v == "on";
+}
+
 struct Flags {
   std::string tpg = "adder";
   std::size_t cycles = 64;
-  std::string solver = "exact";
+  reseed::SolverChoice solver = reseed::SolverChoice::kExact;
   std::string out;
 };
 
@@ -175,7 +194,7 @@ Flags parse_flags(const std::vector<std::string>& args, std::size_t from) {
     };
     if (args[i] == "--tpg") f.tpg = need_value("--tpg");
     else if (args[i] == "--cycles") f.cycles = parse_count(need_value("--cycles"), "--cycles");
-    else if (args[i] == "--solver") f.solver = need_value("--solver");
+    else if (args[i] == "--solver") f.solver = campaign::parse_solver(need_value("--solver"));
     else if (args[i] == "--out") f.out = need_value("--out");
     else throw std::runtime_error("unknown flag: " + args[i]);
   }
@@ -213,14 +232,13 @@ int cmd_info(const std::string& arg) {
 int cmd_atpg(const std::string& arg, const std::vector<std::string>& args) {
   reseed::PipelineOptions opts;
   for (std::size_t i = 3; i < args.size(); ++i) {
-    if (args[i] == "--sat-escalate" && i + 1 < args.size()) {
-      const std::string& v = args[++i];
-      if (v != "on" && v != "off")
-        throw std::runtime_error("--sat-escalate: expected on|off");
-      opts.atpg.sat_escalate = v == "on";
-    } else {
+    if (args[i] != "--sat-escalate") {
       throw std::runtime_error("unknown flag: " + args[i]);
     }
+    if (i + 1 >= args.size()) {
+      throw std::runtime_error("--sat-escalate needs a value");
+    }
+    opts.atpg.sat_escalate = parse_on_off(args[++i], "--sat-escalate");
   }
   reseed::Pipeline p(load_circuit(arg), arg, opts);
   const auto& r = p.atpg_result();
@@ -239,8 +257,7 @@ int cmd_atpg(const std::string& arg, const std::vector<std::string>& args) {
 
 int cmd_reseed(const std::string& arg, const Flags& f) {
   reseed::PipelineOptions opts;
-  opts.optimizer.solver = f.solver == "greedy" ? reseed::SolverChoice::kGreedy
-                                               : reseed::SolverChoice::kExact;
+  opts.optimizer.solver = f.solver;
   reseed::Pipeline p(load_circuit(arg), arg, opts);
   const auto sol = p.run(parse_tpg(f.tpg), f.cycles);
   std::cout << reseed::solution_to_string(
@@ -319,7 +336,7 @@ int cmd_solve(const std::string& path, const Flags& f) {
               "instance has uncoverable columns");
     return 1;
   }
-  if (f.solver == "greedy") {
+  if (f.solver == reseed::SolverChoice::kGreedy) {
     const auto s = cover::solve_greedy(m);
     std::cout << "greedy cover: " << s.rows.size() << " rows\n";
   } else {
@@ -417,10 +434,8 @@ CampaignArgs parse_campaign_args(const std::vector<std::string>& args) {
       std::tie(out.copts.shard_index, out.copts.shard_count) =
           campaign::parse_shard_arg(need_value("--shard"));
     } else if (args[i] == "--sat-escalate") {
-      const std::string v = need_value("--sat-escalate");
-      if (v != "on" && v != "off")
-        throw std::runtime_error("--sat-escalate: expected on|off");
-      out.spec.pipeline.atpg.sat_escalate = v == "on";
+      out.spec.pipeline.atpg.sat_escalate =
+          parse_on_off(need_value("--sat-escalate"), "--sat-escalate");
     } else if (args[i] == "--run-timeout") {
       out.copts.run_timeout_ms =
           campaign::parse_run_timeout_arg(need_value("--run-timeout"));
@@ -555,10 +570,10 @@ int cmd_failpoints() {
 int cmd_gen(const std::vector<std::string>& args) {
   if (args.size() < 6) return usage();
   circuits::GeneratorSpec spec;
-  spec.num_inputs = std::stoul(args[2]);
-  spec.num_outputs = std::stoul(args[3]);
-  spec.num_gates = std::stoul(args[4]);
-  spec.seed = std::stoull(args[5]);
+  spec.num_inputs = parse_count(args[2], "<pi>");
+  spec.num_outputs = parse_count(args[3], "<po>");
+  spec.num_gates = parse_count(args[4], "<gates>");
+  spec.seed = parse_unsigned(args[5], "<seed>");
   spec.layers = 8 + spec.num_gates / 150;
   netlist::write_bench(circuits::generate(spec), std::cout);
   return 0;
