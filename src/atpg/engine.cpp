@@ -1,5 +1,6 @@
 #include "atpg/engine.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "obs/diag.h"
@@ -13,6 +14,9 @@ namespace {
 constexpr std::size_t kMaxRandomBlocks = 64;
 /// ... and it stops after this many consecutive blocks detect nothing.
 constexpr std::size_t kUnproductiveBlockLimit = 3;
+/// With SAT escalation, PODEM's first try at a fault gets this many
+/// backtracks; a fault it does not settle goes to the structural miter.
+constexpr std::size_t kPodemFirstTry = 20;
 
 }  // namespace
 
@@ -51,26 +55,37 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
     result.verdict[fid] = verdict;
   };
 
+  // Phase times (exact sums; counters, not spans, so the `atpg` span
+  // keeps its self time).
+  OBS_COUNTER(c_random_ns, "atpg.random_ns");
+  OBS_COUNTER(c_podem_ns, "atpg.podem_ns");
+  OBS_COUNTER(c_drop_sim_ns, "atpg.drop_sim_ns");
+  OBS_COUNTER(c_compact_ns, "atpg.compact_ns");
+
   // Working pattern list (uncompacted); compaction re-simulates at the end.
   sim::PatternSet pool(nl.num_inputs(), 0);
 
   // ---- Phase 1: random patterns with fault dropping -------------------
-  std::size_t dry_blocks = 0;
-  for (std::size_t b = 0; b < kMaxRandomBlocks && remaining.any(); ++b) {
-    sim::PatternSet block = sim::PatternSet::random(nl.num_inputs(), 64, rng);
-    const sim::FaultSimResult r = fsim.run_subset(block, remaining);
-    if (r.detected.none()) {
-      if (++dry_blocks >= kUnproductiveBlockLimit) break;
-      continue;
+  {
+    OBS_SCOPED_NS(random_timer, c_random_ns);
+    std::size_t dry_blocks = 0;
+    for (std::size_t b = 0; b < kMaxRandomBlocks && remaining.any(); ++b) {
+      sim::PatternSet block = sim::PatternSet::random(nl.num_inputs(), 64, rng);
+      const sim::FaultSimResult r = fsim.run_subset(block, remaining);
+      if (r.detected.none()) {
+        if (++dry_blocks >= kUnproductiveBlockLimit) break;
+        continue;
+      }
+      dry_blocks = 0;
+      // Keep only patterns that first-detected something (cheap
+      // pre-compaction).
+      util::BitVector keep(block.size());
+      r.detected.for_each_set([&](std::size_t fid) {
+        keep.set(r.earliest[fid]);
+        settle(fid, FaultVerdict::kDetected);
+      });
+      keep.for_each_set([&](std::size_t p) { pool.append(block.pattern(p)); });
     }
-    dry_blocks = 0;
-    // Keep only patterns that first-detected something (cheap pre-compaction).
-    util::BitVector keep(block.size());
-    r.detected.for_each_set([&](std::size_t fid) {
-      keep.set(r.earliest[fid]);
-      settle(fid, FaultVerdict::kDetected);
-    });
-    keep.for_each_set([&](std::size_t p) { pool.append(block.pattern(p)); });
   }
   result.random_patterns_used = pool.size();
 
@@ -80,6 +95,7 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
   // and the pattern joins the pool; otherwise nothing changes.  Returns
   // whether it detected `target`.
   auto add_pattern = [&](const util::WideWord& pat, std::size_t target) {
+    OBS_SCOPED_NS(drop_sim_timer, c_drop_sim_ns);
     sim::PatternSet one(nl.num_inputs(), 0);
     one.append(pat);
     const sim::FaultSimResult r = fsim.run_subset(one, remaining);
@@ -92,16 +108,46 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
   };
 
   Podem podem(compiled, opts.podem);
+  auto run_podem = [&](const fault::Fault& f, std::size_t budget) {
+    OBS_SCOPED_NS(podem_timer, c_podem_ns);
+    return podem.generate(f, budget);
+  };
+  const std::size_t budget = opts.podem.backtrack_limit;
   // SAT escalation target (lazy: built on the first PODEM abort only —
   // clean runs never pay the good-circuit CNF emission).
   std::unique_ptr<SatEngine> sat;
   OBS_COUNTER(c_sat_detected, "atpg.sat_detected");
   OBS_COUNTER(c_sat_redundant, "atpg.sat_redundant");
+  OBS_COUNTER(c_podem_reruns, "atpg.podem_reruns");
+  auto settle_sat_redundant = [&](std::size_t fid) {
+    settle(fid, FaultVerdict::kRedundant);
+    ++result.redundant_faults;
+    ++result.sat_redundant_faults;
+    OBS_COUNT(c_sat_redundant, 1);
+  };
   // Ascending fault id; `remaining` is re-read before each fault, so a
   // fault an earlier pattern dropped is skipped.
   for (std::size_t fid = remaining.find_first(); fid < faults.size();
        fid = remaining.find_next(fid + 1)) {
-    const PodemResult pr = podem.generate(faults[fid]);
+    const fault::Fault& f = faults[fid];
+    // With escalation, a short first try; a fault it leaves open is
+    // either proved redundant by the structural miter or searched again
+    // at the full budget (engine.h says why the result is unchanged).
+    PodemResult pr = run_podem(
+        f, opts.sat_escalate ? std::min(budget, kPodemFirstTry) : budget);
+    if (pr.status == PodemStatus::kAborted && opts.sat_escalate) {
+      if (!sat) sat = std::make_unique<SatEngine>(*compiled, opts.sat);
+      if (sat->proves_redundant(f)) {
+        settle_sat_redundant(fid);
+        continue;
+      }
+      if (budget > kPodemFirstTry) {
+        // Not proved redundant: PODEM's full search keeps precedence
+        // over a SAT model.
+        OBS_COUNT(c_podem_reruns, 1);
+        pr = run_podem(f, budget);
+      }
+    }
     if (pr.status == PodemStatus::kUntestable) {
       settle(fid, FaultVerdict::kRedundant);
       ++result.redundant_faults;
@@ -120,13 +166,12 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
                 "PODEM pattern failed fault-simulation validation; "
                 "counting an abort");
     } else if (opts.sat_escalate) {
-      if (!sat) sat = std::make_unique<SatEngine>(*compiled, opts.sat);
-      const SatResult sr = sat->generate(faults[fid]);
+      // PODEM aborted at the full budget: the plain miter's model is the
+      // pattern.  (It is redundant here only if the structural miter ran
+      // out of conflicts.)
+      const SatResult sr = sat->generate(f);
       if (sr.status == SatStatus::kRedundant) {
-        settle(fid, FaultVerdict::kRedundant);
-        ++result.redundant_faults;
-        ++result.sat_redundant_faults;
-        OBS_COUNT(c_sat_redundant, 1);
+        settle_sat_redundant(fid);
         continue;
       }
       if (sr.status == SatStatus::kDetected) {
@@ -154,6 +199,7 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
   // the reversed pool finds all of them: reversed index e is pool
   // pattern size - 1 - e.
   if (pool.size() > 1) {
+    OBS_SCOPED_NS(compact_timer, c_compact_ns);
     util::BitVector detected(faults.size());
     for (std::size_t fid = 0; fid < faults.size(); ++fid) {
       if (result.verdict[fid] == FaultVerdict::kDetected) detected.set(fid);

@@ -304,13 +304,18 @@ struct Podem::Frame {
 };
 
 PodemResult Podem::generate(const fault::Fault& f) {
+  return generate(f, opts_.backtrack_limit);
+}
+
+PodemResult Podem::generate(const fault::Fault& f,
+                            std::size_t backtrack_limit) {
   OBS_COUNTER(c_calls, "atpg.podem_calls");
   OBS_COUNTER(c_decisions, "atpg.podem_decisions");
   OBS_COUNTER(c_backtracks, "atpg.podem_backtracks");
   OBS_COUNTER(c_aborts, "atpg.podem_aborts");
   OBS_COUNTER(c_implications, "atpg.podem_implications");
   implications_ = 0;
-  const PodemResult result = search(f);
+  const PodemResult result = search(f, backtrack_limit);
   OBS_COUNT(c_calls, 1);
   OBS_COUNT(c_decisions, result.decisions);
   OBS_COUNT(c_backtracks, result.backtracks);
@@ -319,7 +324,8 @@ PodemResult Podem::generate(const fault::Fault& f) {
   return result;
 }
 
-PodemResult Podem::search(const fault::Fault& f) {
+PodemResult Podem::search(const fault::Fault& f,
+                          std::size_t backtrack_limit) {
   const CompiledCircuit& cc = *cc_;
   PodemResult result;
   result.pattern = util::WideWord(cc.num_inputs());
@@ -382,7 +388,7 @@ PodemResult Podem::search(const fault::Fault& f) {
         top.tried_both = true;
         top.value = tern_not(top.value);
         ++result.backtracks;
-        if (result.backtracks > opts_.backtrack_limit) {
+        if (result.backtracks > backtrack_limit) {
           result.status = PodemStatus::kAborted;
           return result;
         }

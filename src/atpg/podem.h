@@ -6,7 +6,10 @@
 // closest D-frontier gate), and objectives are mapped to PI assignments
 // by a controllability-guided backtrace.  A backtrack limit bounds the
 // search; exhausting the search space proves the fault untestable
-// (combinationally redundant).
+// (combinationally redundant).  The limit can be given per call: the
+// search itself never depends on it, so a smaller budget only stops the
+// same search earlier, and a call that does not abort at budget b
+// returns exactly what it returns at any larger budget.
 //
 // Implication is event-driven: a changed net queues its readers in
 // per-level buckets, which drain in ascending level, so a gate is
@@ -57,10 +60,11 @@ struct PodemResult {
 };
 
 struct PodemOptions {
-  /// Backtrack budget per fault.  Each backtrack undoes the trail to its
-  /// decision and implies the flipped value through the affected cone,
-  /// so this bounds worst-case per-fault search effort; faults that
-  /// exhaust it are reported kAborted and leave the target list.
+  /// Backtrack budget of generate(f); generate(f, b) overrides it for
+  /// one call.  Each backtrack undoes the trail to its decision and
+  /// implies the flipped value through the affected cone, so this bounds
+  /// worst-case per-fault search effort; faults that exhaust it are
+  /// reported kAborted and leave the target list.
   std::size_t backtrack_limit = 600;
 };
 
@@ -73,14 +77,17 @@ class Podem {
   explicit Podem(std::shared_ptr<const netlist::CompiledCircuit> compiled,
                  PodemOptions opts = {});
 
-  /// Attempts to generate a test for `f`.  Bumps the `atpg.podem_*`
-  /// effort counters once per call.
+  /// Attempts to generate a test for `f` within the options' backtrack
+  /// budget.  Bumps the `atpg.podem_*` effort counters once per call.
   PodemResult generate(const fault::Fault& f);
+  /// The same search under the budget `backtrack_limit`: it aborts on
+  /// backtrack `backtrack_limit + 1`, so 0 aborts on the first backtrack.
+  PodemResult generate(const fault::Fault& f, std::size_t backtrack_limit);
 
  private:
   struct Frame;  // decision-stack frame
 
-  PodemResult search(const fault::Fault& f);
+  PodemResult search(const fault::Fault& f, std::size_t backtrack_limit);
   /// Sets `net` to `v` (trailing the old value) and implies the change
   /// forward through every gate it reaches.
   void imply(netlist::NetId net, Val5 v);

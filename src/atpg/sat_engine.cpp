@@ -8,6 +8,8 @@ namespace fbist::atpg {
 
 SatEngine::SatEngine(const netlist::CompiledCircuit& cc, SatEngineOptions opts)
     : cc_(cc), opts_(opts) {
+  OBS_COUNTER(c_build_ns, "atpg.sat_build_ns");
+  OBS_SCOPED_NS(build_timer, c_build_ns);
   // One combinational timeframe into a fresh sink: net n's variable is
   // exactly n (see CircuitCnf), so the engine needs no variable map for
   // the good circuit.
@@ -16,71 +18,12 @@ SatEngine::SatEngine(const netlist::CompiledCircuit& cc, SatEngineOptions opts)
 }
 
 SatResult SatEngine::generate(const fault::Fault& f) const {
-  OBS_COUNTER(c_calls, "atpg.sat_calls");
-  OBS_COUNTER(c_conflicts, "atpg.sat_conflicts");
-  OBS_COUNTER(c_propagations, "atpg.sat_propagations");
-  OBS_COUNT(c_calls, 1);
+  Solver solver(SolverOptions{opts_.conflict_limit});
+  const SolveStatus status = solve_miter(f, /*structural=*/false, solver);
 
   SatResult result;
-  if (!cc_.reaches_output(f.net)) {
-    // Dead logic: no path to observe the effect.  Certified without a
-    // solver call (the UNSAT proof would be immediate anyway).
-    result.status = SatStatus::kRedundant;
-    return result;
-  }
-
-  SolverOptions sopts;
-  sopts.conflict_limit = opts_.conflict_limit;
-  Solver solver(sopts);
-  solver.load(good_cnf_);
-
-  // Faulty copy: variables only for the fault site and its fanout cone.
-  // Everything outside the cone is shared with the good circuit.
-  const std::size_t num_nets = cc_.num_nets();
-  constexpr SatVar kShared = static_cast<SatVar>(-1);
-  std::vector<SatVar> faulty(num_nets, kShared);
-
-  // The stuck site: a fresh variable pinned to the stuck value.
-  faulty[f.net] = solver.new_var();
-  solver.add_unit(mk_lit(faulty[f.net], /*neg=*/!f.stuck_value));
-  // Activation: the good circuit must drive the site to the opposite
-  // value.  (For an uncontrollable site this makes the formula UNSAT —
-  // exactly the redundancy answer.)
-  solver.add_unit(mk_lit(static_cast<SatVar>(f.net), /*neg=*/f.stuck_value));
-
-  // cone_gates() is ascending NetId == evaluation order, so fanins are
-  // always defined (either earlier in the cone, the site, or shared).
-  std::vector<SatLit> fanin_lits;
-  for (const netlist::NetId g : cc_.cone_gates(f.net)) {
-    faulty[g] = solver.new_var();
-    fanin_lits.clear();
-    for (const netlist::NetId in : cc_.fanin(g)) {
-      const SatVar v =
-          faulty[in] == kShared ? static_cast<SatVar>(in) : faulty[in];
-      fanin_lits.push_back(mk_lit(v));
-    }
-    emit_gate_cnf(solver, cc_.type(g), mk_lit(faulty[g]), fanin_lits.data(),
-                  fanin_lits.size());
-  }
-
-  // Miter: one XOR difference per cone-reachable PO, then "some output
-  // differs" as a single disjunction.
-  std::vector<SatLit> diffs;
-  for (const std::uint32_t pos : cc_.cone_outputs(f.net)) {
-    const netlist::NetId po = cc_.outputs()[pos];
-    const SatVar d = solver.new_var();
-    emit_xor_cnf(solver, mk_lit(d), mk_lit(static_cast<SatVar>(po)),
-                 mk_lit(faulty[po]));
-    diffs.push_back(mk_lit(d));
-  }
-  solver.add_clause(diffs.data(), diffs.size());
-
-  const SolveStatus status = solver.solve();
   result.conflicts = solver.stats().conflicts;
   result.decisions = solver.stats().decisions;
-  OBS_COUNT(c_conflicts, result.conflicts);
-  OBS_COUNT(c_propagations, solver.stats().propagations);
-
   switch (status) {
     case SolveStatus::kUnsat:
       result.status = SatStatus::kRedundant;
@@ -104,6 +47,107 @@ SatResult SatEngine::generate(const fault::Fault& f) const {
   }
   result.status = SatStatus::kDetected;
   return result;
+}
+
+bool SatEngine::proves_redundant(const fault::Fault& f) const {
+  Solver solver(SolverOptions{opts_.conflict_limit});
+  return solve_miter(f, /*structural=*/true, solver) == SolveStatus::kUnsat;
+}
+
+SolveStatus SatEngine::solve_miter(const fault::Fault& f, bool structural,
+                                   Solver& solver) const {
+  OBS_COUNTER(c_calls, "atpg.sat_calls");
+  OBS_COUNTER(c_conflicts, "atpg.sat_conflicts");
+  OBS_COUNTER(c_propagations, "atpg.sat_propagations");
+  OBS_COUNTER(c_build_ns, "atpg.sat_build_ns");
+  OBS_COUNTER(c_solve_ns, "atpg.sat_solve_ns");
+  OBS_COUNT(c_calls, 1);
+
+  if (!cc_.reaches_output(f.net)) {
+    // Dead logic: no path to observe the effect.  Certified without a
+    // solver call (the UNSAT proof would be immediate anyway).
+    return SolveStatus::kUnsat;
+  }
+
+  {
+    OBS_SCOPED_NS(build_timer, c_build_ns);
+    solver.load(good_cnf_);
+
+    // Faulty copy: variables only for the fault site and its fanout
+    // cone.  Everything outside the cone is shared with the good circuit.
+    const std::size_t num_nets = cc_.num_nets();
+    constexpr SatVar kShared = static_cast<SatVar>(-1);
+    std::vector<SatVar> faulty(num_nets, kShared);
+
+    // The stuck site: a fresh variable pinned to the stuck value.
+    faulty[f.net] = solver.new_var();
+    solver.add_unit(mk_lit(faulty[f.net], /*neg=*/!f.stuck_value));
+    // Activation: the good circuit must drive the site to the opposite
+    // value.  (For an uncontrollable site this makes the formula UNSAT —
+    // exactly the redundancy answer.)
+    solver.add_unit(mk_lit(static_cast<SatVar>(f.net), /*neg=*/f.stuck_value));
+
+    // cone_gates() is ascending NetId == evaluation order, so fanins are
+    // always defined (either earlier in the cone, the site, or shared).
+    const auto cone = cc_.cone_gates(f.net);
+    std::vector<SatLit> fanin_lits;
+    for (const netlist::NetId g : cone) {
+      faulty[g] = solver.new_var();
+      fanin_lits.clear();
+      for (const netlist::NetId in : cc_.fanin(g)) {
+        const SatVar v =
+            faulty[in] == kShared ? static_cast<SatVar>(in) : faulty[in];
+        fanin_lits.push_back(mk_lit(v));
+      }
+      emit_gate_cnf(solver, cc_.type(g), mk_lit(faulty[g]), fanin_lits.data(),
+                    fanin_lits.size());
+    }
+
+    // Miter: one XOR difference per cone-reachable PO, then "some output
+    // differs" as a single disjunction.
+    std::vector<SatLit> diffs;
+    for (const std::uint32_t pos : cc_.cone_outputs(f.net)) {
+      const netlist::NetId po = cc_.outputs()[pos];
+      const SatVar d = solver.new_var();
+      emit_xor_cnf(solver, mk_lit(d), mk_lit(static_cast<SatVar>(po)),
+                   mk_lit(faulty[po]));
+      diffs.push_back(mk_lit(d));
+    }
+    solver.add_clause(diffs.data(), diffs.size());
+
+    if (structural) {
+      // D-chain: d_n means "net n carries the fault effect".  It needs
+      // good and faulty values to differ, and off a primary output it
+      // needs some reader to carry the effect on (every reader of a cone
+      // net is in the cone).  The site carries the effect.
+      std::vector<SatVar> d_var(num_nets, kShared);
+      d_var[f.net] = solver.new_var();
+      for (const netlist::NetId g : cone) d_var[g] = solver.new_var();
+      std::vector<SatLit> readers;
+      auto chain = [&](netlist::NetId n) {
+        const SatLit d = mk_lit(d_var[n]);
+        const SatLit good = mk_lit(static_cast<SatVar>(n));
+        const SatLit bad = mk_lit(faulty[n]);
+        solver.add_clause({~d, good, bad});
+        solver.add_clause({~d, ~good, ~bad});
+        if (cc_.output_index(n) != static_cast<std::size_t>(-1)) return;
+        readers.assign(1, ~d);
+        for (const netlist::NetId r : cc_.fanout(n)) {
+          readers.push_back(mk_lit(d_var[r]));
+        }
+        solver.add_clause(readers.data(), readers.size());
+      };
+      chain(f.net);
+      for (const netlist::NetId g : cone) chain(g);
+      solver.add_unit(mk_lit(d_var[f.net]));
+    }
+  }
+
+  OBS_SCOPED_NS(solve_timer, c_solve_ns);
+  const SolveStatus status = solver.solve();
+  OBS_COUNT(c_conflicts, solver.stats().conflicts);
+  OBS_COUNT(c_propagations, solver.stats().propagations);
+  return status;
 }
 
 }  // namespace fbist::atpg

@@ -29,6 +29,21 @@
 // (run_atpg) re-validate every produced pattern against sim::FaultSim
 // before using it.  Sequential extension rides on CircuitCnf's
 // timeframe hook — see cnf.h.
+//
+// Two miters, one builder.  The *structural* miter adds D-chain clauses
+// (the "active clauses" of Larrabee, IEEE TCAD 1992, and Stephan et al.,
+// IEEE TCAD 1996): a variable d_n for the site and every cone gate,
+// meaning "n carries the fault effect", with d_n -> good_n != faulty_n,
+// d_n -> OR(d over n's readers) off the primary outputs, and d_site.
+// Setting d true along one sensitized path turns any test of the plain
+// miter into a model of the structural one, so the two agree on UNSAT;
+// the structural one gives the solver the propagation path that the
+// plain one hides, and its redundancy proofs are much cheaper.
+//   * proves_redundant() decides with the structural miter and never
+//     reads its model;
+//   * generate() solves the plain miter, whose models are the SAT
+//     patterns of the test set.  They differ from the structural
+//     miter's models, so the plain miter stays.
 #pragma once
 
 #include <cstdint>
@@ -73,9 +88,19 @@ class SatEngine {
   /// fault always yields the identical result (including the pattern).
   SatResult generate(const fault::Fault& f) const;
 
+  /// True iff the structural miter of `f` is UNSAT, i.e. `f` is
+  /// redundant.  False for a testable fault and when the conflict limit
+  /// runs out.
+  bool proves_redundant(const fault::Fault& f) const;
+
   const SatEngineOptions& options() const { return opts_; }
 
  private:
+  /// Loads the good circuit into `solver`, adds the miter of `f` (with
+  /// D-chain clauses when `structural`) and solves it.
+  SolveStatus solve_miter(const fault::Fault& f, bool structural,
+                          Solver& solver) const;
+
   const netlist::CompiledCircuit& cc_;
   SatEngineOptions opts_;
   Cnf good_cnf_;  // whole-circuit Tseitin clauses; net n <-> variable n

@@ -32,6 +32,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/clock.h"
+
 #ifndef FBIST_OBSERVABILITY
 #define FBIST_OBSERVABILITY 1
 #endif
@@ -76,6 +78,22 @@ class Counter {
 
  private:
   detail::Shard shards_[kMetricShards];
+};
+
+/// Stopwatch over a counter: adds the nanoseconds from construction to
+/// destruction.  Sums exact per-phase times where a child span would
+/// take the time out of its parent span's self time.
+class ScopedNs {
+ public:
+  explicit ScopedNs(Counter& c) : c_(c), start_(Clock::now_ns()) {}
+  ~ScopedNs() { c_.add(Clock::now_ns() - start_); }
+
+  ScopedNs(const ScopedNs&) = delete;
+  ScopedNs& operator=(const ScopedNs&) = delete;
+
+ private:
+  Counter& c_;
+  std::uint64_t start_;
 };
 
 /// Last-written value (queue depth, worker count, active tier).  Gauges
@@ -208,9 +226,13 @@ class Registry {
       ::fbist::obs::Registry::global().histogram(name)
 #define OBS_COUNT(metric, n) (metric).add(n)
 #define OBS_OBSERVE(metric, v) (metric).observe(v)
+/// Declares stopwatch `var`, which adds the nanoseconds until the end of
+/// the enclosing block to counter `metric`.
+#define OBS_SCOPED_NS(var, metric) ::fbist::obs::ScopedNs var(metric)
 #else
 #define OBS_COUNTER(var, name)
 #define OBS_HISTOGRAM(var, name)
 #define OBS_COUNT(metric, n) ((void)0)
 #define OBS_OBSERVE(metric, v) ((void)0)
+#define OBS_SCOPED_NS(var, metric)
 #endif

@@ -7,7 +7,10 @@
 //   * PODEM proved untestable => SAT must certify redundancy;
 //   * SAT produced a pattern  => FaultSim must confirm the detection;
 //   * SAT certified redundant => exhaustive simulation (<= 16 PIs)
-//                                finds no detecting pattern at all.
+//                                finds no detecting pattern at all;
+//   * the structural miter (proves_redundant) and the plain miter
+//     (generate) agree on redundancy, and on <= 16 PIs both equal
+//     ground truth — run_atpg's byte identity rests on this.
 //
 // Run over every collapsed fault of small circuits, the two engines
 // check each other gate encoding by gate encoding; a disagreement
@@ -72,12 +75,16 @@ void cross_check(const netlist::Netlist& nl, bool exhaustive) {
     if (sr.status == SatStatus::kDetected) {
       EXPECT_TRUE(fsim.detects(sr.pattern, fid)) << fault_name(nl, f);
     }
+    const bool structural_redundant = sat.proves_redundant(f);
+    EXPECT_EQ(structural_redundant, sr.status == SatStatus::kRedundant)
+        << fault_name(nl, f);
     if (exhaustive) {
       // The SAT verdict must equal ground truth exactly — detected
       // faults are detectable, redundant faults have no detecting
       // vector among all 2^inputs.
       EXPECT_EQ(sr.status == SatStatus::kDetected, truth[fid])
           << fault_name(nl, f);
+      EXPECT_EQ(structural_redundant, !truth[fid]) << fault_name(nl, f);
     }
   }
 }

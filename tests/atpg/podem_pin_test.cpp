@@ -107,5 +107,46 @@ TEST(PodemPin, ResultIndependentOfFaultOrder) {
   }
 }
 
+// A smaller budget only stops the same search earlier: whenever a call
+// at budget b does not abort, it returns exactly what the default
+// budget returns.  run_atpg's short first try relies on this.
+TEST(PodemPin, SmallerBudgetIsPrefix) {
+  for (const char* name : {"c432", "c1908", "s1238"}) {
+    SCOPED_TRACE(name);
+    const auto nl = circuits::make_circuit(name);
+    const auto fl = fault::FaultList::collapsed(nl);
+    const auto cc = std::make_shared<const netlist::CompiledCircuit>(nl);
+    const PodemOptions opts;
+    ASSERT_EQ(opts.backtrack_limit, 600u);
+    Podem podem(cc, opts);
+    std::size_t settled_early = 0;
+    for (std::size_t fid = 0; fid < fl.size(); ++fid) {
+      SCOPED_TRACE(fault_name(nl, fl[fid]));
+      const PodemResult full = podem.generate(fl[fid], 600);
+      const PodemResult dflt = podem.generate(fl[fid]);
+      ASSERT_EQ(dflt.status, full.status);
+      ASSERT_EQ(dflt.decisions, full.decisions);
+      ASSERT_EQ(dflt.backtracks, full.backtracks);
+      ASSERT_EQ(dflt.pattern, full.pattern);
+      ASSERT_EQ(dflt.care, full.care);
+      for (const std::size_t b : {0u, 5u, 20u}) {
+        SCOPED_TRACE(b);
+        const PodemResult r = podem.generate(fl[fid], b);
+        if (r.status == PodemStatus::kAborted) {
+          ASSERT_EQ(r.backtracks, b + 1);
+          continue;
+        }
+        ++settled_early;
+        ASSERT_EQ(r.status, full.status);
+        ASSERT_EQ(r.decisions, full.decisions);
+        ASSERT_EQ(r.backtracks, full.backtracks);
+        ASSERT_EQ(r.pattern, full.pattern);
+        ASSERT_EQ(r.care, full.care);
+      }
+    }
+    EXPECT_GT(settled_early, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace fbist::atpg

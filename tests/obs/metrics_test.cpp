@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -24,6 +25,17 @@ TEST(Metrics, CounterSumsAcrossThreads) {
   EXPECT_EQ(c.value(), kThreads * kPerThread);
   c.reset();
   EXPECT_EQ(c.value(), 0u);
+}
+
+TEST(Metrics, ScopedNsAddsElapsedTimeToCounter) {
+  Counter c;
+  c.add(7);
+  {
+    ScopedNs timer(c);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  // Added on top of the existing value, at least the slept time.
+  EXPECT_GE(c.value(), 7u + 2'000'000u);
 }
 
 TEST(Metrics, GaugeKeepsLastValue) {

@@ -244,14 +244,14 @@ int cmd_atpg(const std::string& arg, const std::vector<std::string>& args) {
   const auto& r = p.atpg_result();
   std::cout << arg << ": " << p.atpg_patterns().size() << " patterns ("
             << r.random_patterns_used << " random-phase, "
-            << r.deterministic_patterns << " PODEM)\n"
+            << r.deterministic_patterns << " PODEM or SAT)\n"
             << "  testable coverage: "
             << util::Table::fmt(r.testable_coverage_percent(), 2) << "%\n"
             << "  redundant faults: " << r.redundant_faults
             << ", aborted: " << r.aborted_faults << "\n"
             << "  SAT escalation: " << r.sat_detected_faults
             << " detected, " << r.sat_redundant_faults
-            << " certified redundant\n";
+            << " of the redundant certified by SAT\n";
   return 0;
 }
 
