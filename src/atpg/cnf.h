@@ -76,7 +76,7 @@ class ClauseSink {
 
 /// Plain clause database (CSR layout), reusable across solver
 /// instances: the SAT engine emits the good-circuit formula once and
-/// bulk-loads it into a fresh solver per fault.
+/// loads it into the one solver image that every fault's solve copies.
 class Cnf : public ClauseSink {
  public:
   SatVar new_var() override { return num_vars_++; }

@@ -7,18 +7,20 @@
 namespace fbist::atpg {
 
 SatEngine::SatEngine(const netlist::CompiledCircuit& cc, SatEngineOptions opts)
-    : cc_(cc), opts_(opts) {
+    : cc_(cc), opts_(opts), image_(SolverOptions{opts.conflict_limit}) {
   OBS_COUNTER(c_build_ns, "atpg.sat_build_ns");
   OBS_SCOPED_NS(build_timer, c_build_ns);
   // One combinational timeframe into a fresh sink: net n's variable is
   // exactly n (see CircuitCnf), so the engine needs no variable map for
   // the good circuit.
-  CircuitCnf frames(cc_, good_cnf_);
+  Cnf good_cnf;
+  CircuitCnf frames(cc_, good_cnf);
   frames.add_timeframe();
+  image_.load(good_cnf);
 }
 
 SatResult SatEngine::generate(const fault::Fault& f) const {
-  Solver solver(SolverOptions{opts_.conflict_limit});
+  Solver solver;
   const SolveStatus status = solve_miter(f, /*structural=*/false, solver);
 
   SatResult result;
@@ -50,7 +52,7 @@ SatResult SatEngine::generate(const fault::Fault& f) const {
 }
 
 bool SatEngine::proves_redundant(const fault::Fault& f) const {
-  Solver solver(SolverOptions{opts_.conflict_limit});
+  Solver solver;
   return solve_miter(f, /*structural=*/true, solver) == SolveStatus::kUnsat;
 }
 
@@ -71,7 +73,9 @@ SolveStatus SatEngine::solve_miter(const fault::Fault& f, bool structural,
 
   {
     OBS_SCOPED_NS(build_timer, c_build_ns);
-    solver.load(good_cnf_);
+    // The image holds only values and clause indices, so the copy is the
+    // state a fresh solver reaches after loading the good circuit.
+    solver = image_;
 
     // Faulty copy: variables only for the fault site and its fanout
     // cone.  Everything outside the cone is shared with the good circuit.

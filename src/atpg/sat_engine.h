@@ -10,9 +10,10 @@
 // (solver.h):
 //
 //   * the good circuit is encoded once per SatEngine (Tseitin clauses
-//     over the whole schedule, via cnf.h) and bulk-loaded into a fresh
-//     solver per fault — fresh solvers keep results order-independent
-//     and deterministic;
+//     over the whole schedule, via cnf.h) and loaded once into a solver
+//     image; each fault's solve starts from a copy of that image, which
+//     is exactly the state a fresh solver reaches after loading it —
+//     so results stay order-independent and deterministic;
 //   * the faulty circuit is only re-encoded over the fault's fanout
 //     cone (cone_gates), with the fault site forced to its stuck value
 //     and the good site forced to the opposite value (activation);
@@ -77,8 +78,10 @@ struct SatResult {
   std::uint64_t decisions = 0;
 };
 
-/// Per-circuit SAT ATPG engine.  Construction encodes the good circuit
-/// once; generate() builds and solves one miter per fault.
+/// Per-circuit SAT ATPG engine.  Construction encodes and loads the
+/// good circuit once; generate() and proves_redundant() copy that
+/// solver image and build and solve one miter per fault.  Const and
+/// shareable across threads.
 class SatEngine {
  public:
   explicit SatEngine(const netlist::CompiledCircuit& cc,
@@ -96,14 +99,15 @@ class SatEngine {
   const SatEngineOptions& options() const { return opts_; }
 
  private:
-  /// Loads the good circuit into `solver`, adds the miter of `f` (with
-  /// D-chain clauses when `structural`) and solves it.
+  /// Copies the good-circuit image into `solver`, adds the miter of `f`
+  /// (with D-chain clauses when `structural`) and solves it.  Dead-logic
+  /// faults return kUnsat and leave `solver` untouched.
   SolveStatus solve_miter(const fault::Fault& f, bool structural,
                           Solver& solver) const;
 
   const netlist::CompiledCircuit& cc_;
   SatEngineOptions opts_;
-  Cnf good_cnf_;  // whole-circuit Tseitin clauses; net n <-> variable n
+  Solver image_;  // good circuit loaded, nothing solved; net n <-> variable n
 };
 
 }  // namespace fbist::atpg

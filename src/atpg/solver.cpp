@@ -52,11 +52,12 @@ void Solver::add_clause(const SatLit* lits, std::size_t n) {
 
   // Level-0 simplification: sort + dedup, drop false literals, skip
   // satisfied or tautological clauses.
-  std::vector<SatLit> c(lits, lits + n);
+  std::vector<SatLit>& c = sorted_;
+  c.assign(lits, lits + n);
   std::sort(c.begin(), c.end());
   c.erase(std::unique(c.begin(), c.end()), c.end());
-  std::vector<SatLit> kept;
-  kept.reserve(c.size());
+  std::vector<SatLit>& kept = kept_;
+  kept.clear();
   for (std::size_t i = 0; i < c.size(); ++i) {
     if (i + 1 < c.size() && c[i].var() == c[i + 1].var()) return;  // tautology
     const int v = lit_value(assign_, c[i]);

@@ -15,8 +15,10 @@
 //  * bounded: a conflict limit turns "too hard" into an explicit
 //    kAborted instead of an unbounded search (PODEM's backtrack-limit
 //    discipline, transplanted);
-//  * incremental-ish: a preassembled Cnf bulk-loads cheaply, then
-//    per-fault clauses are added on top (the engine's miter layer).
+//  * incremental-ish: a preassembled Cnf bulk-loads once, the loaded
+//    solver is copied per fault (it holds only values and clause
+//    indices, so the default copy is exact), then per-fault clauses are
+//    added on top (the engine's miter layer).
 //
 // Assumptions are supported as forced first decisions — the CNF
 // property suite unit-assumes the primary-input literals and checks
@@ -127,6 +129,8 @@ class Solver : public ClauseSink {
   static constexpr std::uint32_t kNoPos = static_cast<std::uint32_t>(-1);
 
   std::vector<std::uint8_t> seen_;  // analyze() scratch
+  std::vector<SatLit> sorted_;      // add_clause() scratch: sorted input
+  std::vector<SatLit> kept_;        // add_clause() scratch: simplified
   bool unsat_ = false;              // empty clause added
 };
 

@@ -87,19 +87,21 @@ InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
   // doubling pattern windows: stage 0 simulates each row's patterns
   // [0, 64), later stages [64, 128), [128, 256), ... capped at the row's
   // T.  A stage segment is itself a triplet (the row's TPG state at the
-  // segment start, sigma, length) expanded straight into its lane range,
-  // and a stage's segments share blocks (sim::pack_rows): ⌊64/T⌋ rows
-  // per block at small T, several segments per chunk beyond 64.  After
+  // segment start, sigma, length) expanded straight into its lane range
+  // (the expansion returns the state the row's next segment starts
+  // from), and a stage's segments share blocks (sim::pack_rows): ⌊64/T⌋
+  // rows per block at small T, several segments per chunk beyond 64.  After
   // stage 0 a row seeks only the faults it has not detected, and a row
   // with nothing left to seek drops out.  Stages run in pattern order
   // and a row stops seeking a fault only after its first detection, so
   // earliest = stage start + index within the stage, exactly as one
   // walk over the whole row finds it.  A packing spans one simulation
-  // chunk of the active SIMD tier (8 blocks on an engaged AVX-512 tier,
-  // else 4); a stage's packings run on the shared work-stealing pool,
+  // chunk of the active tier (8 blocks on an engaged 8-wide tier, else
+  // 4); a stage's packings run on the shared work-stealing pool,
   // and the matrix is bit-identical at any worker count.
   const std::size_t pack_blocks = util::preferred_pack_blocks();
   OBS_COUNTER(c_packings, "builder.packings");
+  OBS_COUNTER(c_expand_ns, "builder.expand_ns");
   // parallel_for does not catch loop-body exceptions, so trap them
   // here: first throw wins, later packings bail out early, and the
   // exception resurfaces on the calling thread after the stage's join.
@@ -133,15 +135,16 @@ InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
         OBS_COUNT(c_packings, 1);
         const sim::LanePacking& pk = packings[p];
         sim::PatternSet packed(tpg.width(), pk.num_patterns);
-        for (const sim::LanePacking::Row& pr : pk.rows) {
-          const std::size_t r = stage_rows[pr.row];
-          const tpg::Triplet& t = out.triplets[r];
-          tpg::expand_triplet_into(
-              tpg, tpg::Triplet{lo == 0 ? t.delta : state[r], t.sigma, pr.length},
-              packed, pr.base);
-          if (lo + pr.length < t.cycles) {
-            state[r] = tpg.step(packed.pattern(pr.base + pr.length - 1),
-                                tpg.legalize_sigma(t.sigma));
+        {
+          OBS_SCOPED_NS(expand_timer, c_expand_ns);
+          for (const sim::LanePacking::Row& pr : pk.rows) {
+            const std::size_t r = stage_rows[pr.row];
+            const tpg::Triplet& t = out.triplets[r];
+            util::WideWord next = tpg::expand_triplet_into(
+                tpg,
+                tpg::Triplet{lo == 0 ? t.delta : state[r], t.sigma, pr.length},
+                packed, pr.base);
+            if (lo + pr.length < t.cycles) state[r] = std::move(next);
           }
         }
         if (lo == 0) {

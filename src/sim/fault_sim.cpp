@@ -15,11 +15,11 @@ using netlist::NetId;
 
 namespace {
 
-/// N 64-pattern blocks evaluated per cone walk.  The bitwise ops
-/// vectorize — one 256-bit AVX2 op per gate input at N = 4, one 512-bit
-/// AVX-512 op at N = 8 — and multi-block campaigns amortize one
-/// structure walk over N * 64 patterns instead of N walks over 64.
-/// Which N runs is a runtime dispatch decision (util/simd.h).
+/// N 64-pattern blocks evaluated per cone walk: multi-block campaigns
+/// amortize one structure walk over N * 64 patterns instead of N walks
+/// over 64.  The walk is compiled for the baseline ISA, so the bitwise
+/// ops are 64-bit or 128-bit SSE2 instructions, never AVX; which N runs
+/// is a runtime choice (util/simd.h).
 template <int N>
 struct WordV {
   Word w[N];
@@ -187,53 +187,15 @@ struct GoodV {
   }
 };
 
-// The chunk walkers are compiled once per ISA level with runtime
-// dispatch: on AVX2 hardware the WordV<4> ops become single 256-bit
-// instructions, on AVX-512F hardware the WordV<8> ops become single
-// 512-bit instructions — which is where the N-blocks-per-walk layout
-// pays off.  The default clone keeps the binary portable; which width
-// actually runs is decided per campaign by util::chunk_width_for.
-// ThreadSanitizer cannot run the ifunc resolvers target_clones emits
-// (they execute before the TSan runtime initializes and crash at
-// startup), so TSan builds keep only the portable clone — the tiers
-// are bit-identical (SimdDispatch tests), so races are equally
-// observable there.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__)
-#define FBIST_TARGET_CLONES __attribute__((target_clones("avx2", "default")))
-#define FBIST_TARGET_CLONES_512 \
-  __attribute__((target_clones("avx512f", "avx2", "default")))
-#else
-#define FBIST_TARGET_CLONES
-#define FBIST_TARGET_CLONES_512
-#endif
-
-FBIST_TARGET_CLONES
-void walk4_narrow(netlist::Span<std::uint32_t> prog, WordV<4>* local,
-                  std::uint8_t* diff_flag, const Word* gT) {
-  walk_cone_program<WordV<4>, true, true, false>(prog, local, diff_flag,
-                                                 GoodV<4>{gT});
-}
-
-FBIST_TARGET_CLONES
-void walk4_wide(netlist::Span<std::uint32_t> prog, WordV<4>* local,
-                std::uint8_t* diff_flag, const Word* gT) {
-  walk_cone_program<WordV<4>, true, false, false>(prog, local, diff_flag,
-                                                  GoodV<4>{gT});
-}
-
-FBIST_TARGET_CLONES_512
-void walk8_narrow(netlist::Span<std::uint32_t> prog, WordV<8>* local,
-                  std::uint8_t* diff_flag, const Word* gT) {
-  walk_cone_program<WordV<8>, true, true, false>(prog, local, diff_flag,
-                                                 GoodV<8>{gT});
-}
-
-FBIST_TARGET_CLONES_512
-void walk8_wide(netlist::Span<std::uint32_t> prog, WordV<8>* local,
-                std::uint8_t* diff_flag, const Word* gT) {
-  walk_cone_program<WordV<8>, true, false, false>(prog, local, diff_flag,
-                                                  GoodV<8>{gT});
+/// The N-wide walk of one cone program, kept out of line: inlined into
+/// chunk_site_walk it ran about 5% slower on a matrix build over
+/// tradeoff-mid's seven circuits (x86-64, AVX-512 host, one pinned CPU).
+template <int N, bool kNarrow>
+[[gnu::noinline]] void walk_chunk(netlist::Span<std::uint32_t> prog,
+                                  WordV<N>* local, std::uint8_t* diff_flag,
+                                  const Word* gT) {
+  walk_cone_program<WordV<N>, true, kNarrow, false>(prog, local, diff_flag,
+                                                    GoodV<N>{gT});
 }
 
 /// One narrow (single-block) faulty walk of `site_net`'s cone with the
@@ -303,19 +265,10 @@ template <int N>
   std::fill(diff_flag, diff_flag + cc.cone_gates(site_net).size() + 2, 0);
   local[0] = good_of(site_net) ^ act;
   diff_flag[0] = 1;
-  if constexpr (N == 4) {
-    if (cc.narrow_programs()) {
-      walk4_narrow(prog, local, diff_flag, gT);
-    } else {
-      walk4_wide(prog, local, diff_flag, gT);
-    }
+  if (cc.narrow_programs()) {
+    walk_chunk<N, true>(prog, local, diff_flag, gT);
   } else {
-    static_assert(N == 8, "only 4- and 8-wide chunk walkers are compiled");
-    if (cc.narrow_programs()) {
-      walk8_narrow(prog, local, diff_flag, gT);
-    } else {
-      walk8_wide(prog, local, diff_flag, gT);
-    }
+    walk_chunk<N, false>(prog, local, diff_flag, gT);
   }
   const netlist::Span<std::uint32_t> cone_outs = cc.cone_outputs(site_net);
   const netlist::Span<std::uint32_t> cone_slots = cc.cone_output_slots(site_net);
@@ -533,7 +486,7 @@ std::vector<FaultSimResult> FaultSim::run_packed(
   // Block layout: a one-block campaign — or a forced-narrow tier —
   // takes the cheaper narrow walk per block; a longer one walks 4- or
   // 8-wide chunks from block 0 on (one structure walk per 256 or 512
-  // patterns; runtime dispatch, util::chunk_width_for).
+  // patterns; runtime choice, util::chunk_width_for).
   const std::size_t cw = blocks > 1 ? util::chunk_width_for(blocks) : 0;
   // Campaign-grain counters only (one shard add per campaign, never per
   // site or block): the cone walk itself stays instrumentation-free.

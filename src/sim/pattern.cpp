@@ -1,9 +1,29 @@
 #include "sim/pattern.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
 namespace fbist::sim {
+
+namespace {
+
+/// In-place transpose of a 64x64 bit matrix, bit c of a[r] being entry
+/// (r, c): swaps the off-diagonal 32x32 blocks, then the 16x16 blocks
+/// inside each, and so on down to single bits (H. S. Warren, Hacker's
+/// Delight, 2nd ed., section 7-3).
+void transpose64(std::uint64_t a[64]) {
+  std::uint64_t m = 0x00000000FFFFFFFFull;
+  for (std::size_t j = 32; j != 0; j >>= 1, m ^= m << j) {
+    for (std::size_t k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
+      a[k] ^= t << j;
+      a[k | j] ^= t;
+    }
+  }
+}
+
+}  // namespace
 
 PatternSet::PatternSet(std::size_t num_inputs, std::size_t num_patterns)
     : num_inputs_(num_inputs), num_patterns_(num_patterns), capacity_(num_patterns) {
@@ -81,16 +101,6 @@ util::WideWord PatternSet::pattern(std::size_t p) const {
   return w;
 }
 
-void PatternSet::set_pattern(std::size_t p, const util::WideWord& pattern) {
-  assert(p < num_patterns_);
-  if (pattern.bits() != num_inputs_) {
-    throw std::invalid_argument("PatternSet::set_pattern: width mismatch");
-  }
-  for (std::size_t i = 0; i < num_inputs_; ++i) {
-    slices_[i].set(p, pattern.get_bit(i));
-  }
-}
-
 void PatternSet::write_patterns(std::size_t base, const PatternSet& src) {
   if (src.num_inputs_ != num_inputs_) {
     throw std::invalid_argument("PatternSet::write_patterns: width mismatch");
@@ -99,6 +109,29 @@ void PatternSet::write_patterns(std::size_t base, const PatternSet& src) {
   for (std::size_t i = 0; i < num_inputs_; ++i) {
     for (std::size_t p = 0; p < src.num_patterns_; ++p) {
       slices_[i].set(base + p, src.slices_[i].get(p));
+    }
+  }
+}
+
+void PatternSet::write_tile(std::size_t base, std::size_t count,
+                            const std::uint64_t* rows) {
+  assert(base % 64 + count <= 64 && base + count <= num_patterns_);
+  if (count == 0) return;
+  const std::size_t words = (num_inputs_ + 63) / 64;
+  const std::size_t lane0 = base % 64;
+  const std::uint64_t lanes =
+      (count == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1)
+      << lane0;
+  std::uint64_t block[64];
+  for (std::size_t w = 0; w < words; ++w) {
+    // block[lane] = inputs [64w, 64w + 64) of the lane's pattern; after
+    // the transpose block[b] holds input 64w + b across the 64 lanes.
+    std::fill(block, block + 64, std::uint64_t{0});
+    for (std::size_t j = 0; j < count; ++j) block[lane0 + j] = rows[j * words + w];
+    transpose64(block);
+    const std::size_t inputs = std::min<std::size_t>(64, num_inputs_ - 64 * w);
+    for (std::size_t b = 0; b < inputs; ++b) {
+      slices_[64 * w + b].write_word(base / 64, lanes, block[b]);
     }
   }
 }

@@ -4,9 +4,12 @@
 // patterns in *bit-sliced* (pattern-parallel) layout: for each PI, a
 // BitVector over pattern indices — exactly the layout the 64-way
 // parallel simulator consumes, so simulation needs no transposition.
+// Bulk writers transpose on the way in instead: write_tile turns up to
+// 64 whole patterns into slice words with one bit-matrix transpose.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -42,13 +45,21 @@ class PatternSet {
   /// The bit-slice for one input: bit j == value of input in pattern j.
   const util::BitVector& slice(std::size_t input) const { return slices_[input]; }
 
-  /// Overwrites pattern `p` (which must exist) with `pattern`.
-  void set_pattern(std::size_t p, const util::WideWord& pattern);
-
   /// Copies all patterns of `src` (same num_inputs) over patterns
   /// [base, base + src.size()) of *this.  The destination range must
   /// already exist.
   void write_patterns(std::size_t base, const PatternSet& src);
+
+  /// Overwrites patterns [base, base + count) with a tile of rows in
+  /// util::WideWord word order: pattern base + j is
+  /// rows[j*W .. j*W + W), W = ceil(num_inputs() / 64), bit i of the row
+  /// being input i.  The range must lie in one 64-pattern slice word
+  /// (base % 64 + count <= 64) and already exist (base + count <=
+  /// size()).  Lanes of that word outside the range keep their bits;
+  /// row bits at or past num_inputs() are ignored.  One 64x64 bit
+  /// transpose per 64 inputs turns the rows into slice words.
+  void write_tile(std::size_t base, std::size_t count,
+                  const std::uint64_t* rows);
 
   /// Uniformly random pattern set.
   static PatternSet random(std::size_t num_inputs, std::size_t num_patterns,

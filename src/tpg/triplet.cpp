@@ -1,7 +1,9 @@
 #include "tpg/triplet.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
 
 namespace fbist::tpg {
 
@@ -25,16 +27,29 @@ sim::PatternSet expand_triplet(const Tpg& tpg, const Triplet& t) {
   return expand_triplet_prefix(tpg, t, t.cycles);
 }
 
-void expand_triplet_into(const Tpg& tpg, const Triplet& t, sim::PatternSet& ps,
-                         std::size_t base) {
+util::WideWord expand_triplet_into(const Tpg& tpg, const Triplet& t,
+                                   sim::PatternSet& ps, std::size_t base) {
   const std::size_t n = t.cycles;
-  if (n == 0) return;
+  if (n > 0 && t.delta.bits() != ps.num_inputs()) {
+    throw std::invalid_argument("expand_triplet_into: width mismatch");
+  }
   const util::WideWord sigma = tpg.legalize_sigma(t.sigma);
   util::WideWord state = t.delta;
-  for (std::size_t i = 0; i < n; ++i) {
-    ps.set_pattern(base + i, state);
-    if (i + 1 < n) state = tpg.step(state, sigma);
+  // One tile holds the states of the patterns that share a 64-pattern
+  // slice word; it is handed over at each word boundary and at the end.
+  const std::size_t words = state.words().size();
+  std::vector<std::uint64_t> tile(std::min<std::size_t>(n, 64) * words);
+  std::size_t first = base;  // first pattern of the tile
+  for (std::size_t p = base; p < base + n; ++p) {
+    std::copy(state.words().begin(), state.words().end(),
+              tile.begin() + (p - first) * words);
+    state = tpg.step(state, sigma);
+    if (p % 64 == 63 || p + 1 == base + n) {
+      ps.write_tile(first, p + 1 - first, tile.data());
+      first = p + 1;
+    }
   }
+  return state;
 }
 
 sim::PatternSet expand_all(const Tpg& tpg, const std::vector<Triplet>& ts) {

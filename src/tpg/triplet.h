@@ -37,9 +37,14 @@ sim::PatternSet expand_triplet_prefix(const Tpg& tpg, const Triplet& t,
 
 /// Expands `t` directly into patterns [base, base + t.cycles) of `ps`
 /// (already sized; width = tpg.width()) — the lane-packed form used by
-/// sim::FaultSim::run_packed, with no intermediate PatternSet.
-void expand_triplet_into(const Tpg& tpg, const Triplet& t, sim::PatternSet& ps,
-                         std::size_t base);
+/// sim::FaultSim::run_packed, with no intermediate PatternSet.  The run
+/// may start and end at any lane; it is written one 64-pattern tile at a
+/// time (sim::PatternSet::write_tile), and patterns outside the range
+/// keep their bits.  Returns the TPG state that follows the run (delta
+/// stepped t.cycles times under the legalized sigma): where a run that
+/// continues this one starts.
+util::WideWord expand_triplet_into(const Tpg& tpg, const Triplet& t,
+                                   sim::PatternSet& ps, std::size_t base);
 
 /// Concatenation of the test sets of all triplets, in order.
 sim::PatternSet expand_all(const Tpg& tpg, const std::vector<Triplet>& ts);

@@ -49,6 +49,12 @@ void BitVector::fill(bool value) {
   clear_tail();
 }
 
+void BitVector::write_word(std::size_t w, Word mask, Word bits) {
+  assert(w < words_.size());
+  words_[w] = (words_[w] & ~mask) | (bits & mask);
+  if (w + 1 == words_.size()) clear_tail();
+}
+
 std::size_t BitVector::count() const {
   std::size_t n = 0;
   for (const Word w : words_) n += static_cast<std::size_t>(__builtin_popcountll(w));

@@ -35,6 +35,9 @@ class BitVector {
 
   /// Sets every bit to `value`.
   void fill(bool value);
+  /// Word-level store: the bits of word `w` under `mask` take the values
+  /// of `bits`, the others keep theirs.  Bits past size() stay clear.
+  void write_word(std::size_t w, Word mask, Word bits);
 
   /// Number of set bits.
   std::size_t count() const;

@@ -1,12 +1,13 @@
-// Runtime SIMD dispatch tier for the word-parallel simulators.
+// Runtime chunk-width tier for the word-parallel simulators.
 //
 // The PPSFP fault simulator walks cone programs over 1, 4 or 8
-// 64-pattern blocks per structure walk (sim/fault_sim.cpp); the 4-wide
-// chunk vectorizes to one 256-bit AVX2 op per gate input, the 8-wide
-// chunk to one 512-bit AVX-512 op.  Which tier runs is a *runtime*
-// decision: the kernels are compiled once per ISA level with
-// target_clones, and this module answers "which chunk width should a
-// campaign of B blocks use on this machine?".
+// 64-pattern blocks per structure walk (sim/fault_sim.cpp).  The tiers
+// are chunk widths, not instruction sets: the walk is compiled once, for
+// the baseline ISA (no AVX code), and a wider chunk amortizes one
+// structure walk over more patterns.  Which width runs is a *runtime*
+// decision: this module answers "which chunk width should a campaign of
+// B blocks use on this machine?".  The tier names keep the register
+// widths they are sized after (4 words = 256 bits, 8 words = 512 bits).
 //
 // The tier can be forced — FBIST_SIMD=narrow|avx2|avx512|auto in the
 // environment, or set_simd_tier() from code — which the dispatch
@@ -21,8 +22,8 @@ namespace fbist::util {
 enum class SimdTier {
   kAuto,    ///< Widest tier the CPU supports that fits the campaign.
   kNarrow,  ///< Single-block walks only (no chunking).
-  kWide4,   ///< 4-wide (AVX2-sized) block chunks.
-  kWide8,   ///< 8-wide (AVX-512-sized) block chunks.
+  kWide4,   ///< 4-block chunks (256 patterns per structure walk).
+  kWide8,   ///< 8-block chunks (512 patterns per structure walk).
 };
 
 /// True when the CPU supports AVX-512F (always false off x86-64).
@@ -37,8 +38,10 @@ void set_simd_tier(SimdTier tier);
 
 /// Chunk width (in 64-pattern blocks) a campaign of `chunk_blocks`
 /// chunkable blocks should use: 0 = narrow walks only, else 4 or 8.
-/// Under kAuto the 8-wide tier engages only when AVX-512F is present
-/// and the campaign is long enough (> 4 blocks) to fill it.
+/// Under kAuto the 8-wide tier engages only when the CPU reports
+/// AVX-512F (the wide-core hosts it was tuned on; the walk itself runs
+/// no AVX-512 code) and the campaign is long enough (> 4 blocks) to
+/// fill it.
 std::size_t chunk_width_for(std::size_t chunk_blocks);
 
 /// Lane-packing span (in blocks) matching the active tier: one packed

@@ -1,5 +1,8 @@
 #include "reseed/initial_builder.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "atpg/engine.h"
@@ -7,6 +10,7 @@
 #include "circuits/registry.h"
 #include "sim/reference_sim.h"
 #include "tpg/accumulator.h"
+#include "tpg/expand_oracle.h"
 #include "tpg/triplet.h"
 
 namespace fbist::reseed {
@@ -124,36 +128,47 @@ TEST(InitialBuilder, DeterministicGivenSeed) {
 
 // The staged, lane-packed detection-matrix build must stay
 // bit-identical to an independent oracle — the seed reference simulator
-// run on each candidate's whole test set (expand_triplet) — in detection
-// bits *and* earliest indices.  The T values cover one-stage builds
-// (T <= 64), a one-pattern second stage (65), doubling stages that end
-// on and off a power of two (128, 200) and five stages (1024), on every
-// TPG kind.
+// run on each candidate's whole test set, expanded pattern by pattern
+// (tpg/expand_oracle.h) — in detection bits *and* earliest indices.
+// The T values cover one-stage builds (T <= 64), a one-pattern second
+// stage (65), doubling stages that end on and off a power of two (128,
+// 200) and five stages (1024), on every TPG kind.  s838's 67 inputs
+// span two words per pattern, so every tile row does too.
 TEST(InitialBuilder, BatchedMatrixMatchesPerRowSeedPath) {
-  const netlist::Netlist nl = circuits::make_circuit("c432");
-  const fault::FaultList fl = fault::FaultList::collapsed(nl);
-  const sim::FaultSim fsim(nl, fl);
-  const sim::ReferenceFaultSim ref(nl, fl);
-  const atpg::AtpgResult atpg = atpg::run_atpg(nl, fl);
-  for (const tpg::TpgKind kind :
-       {tpg::TpgKind::kAdder, tpg::TpgKind::kSubtracter,
-        tpg::TpgKind::kMultiplier, tpg::TpgKind::kLfsr}) {
-    const auto tpg = tpg::make_tpg(kind, nl.num_inputs());
-    for (const std::size_t cycles : {1, 7, 64, 65, 128, 200, 1024}) {
-      SCOPED_TRACE(std::string(tpg::tpg_kind_name(kind)) +
-                   " T=" + std::to_string(cycles));
-      BuilderOptions opts;
-      opts.cycles_per_triplet = cycles;
-      const InitialReseeding init =
-          build_initial_reseeding(fsim, *tpg, atpg.patterns, opts);
-      ASSERT_TRUE(init.matrix.has_earliest());
-      for (std::size_t i = 0; i < init.triplets.size(); ++i) {
-        const auto want = ref.run(tpg::expand_triplet(*tpg, init.triplets[i]),
-                                  /*parallel=*/false);
-        EXPECT_EQ(init.matrix.row(i), want.detected) << "row " << i;
-        for (std::size_t c = 0; c < init.matrix.num_cols(); ++c) {
-          ASSERT_EQ(init.matrix.earliest(i, c), want.earliest[c])
-              << "row " << i << " fault " << c;
+  const struct {
+    const char* circuit;
+    std::vector<std::size_t> cycles;
+  } cases[] = {
+      {"c432", {1, 7, 64, 65, 128, 200, 1024}},
+      {"s838", {7, 65, 200}},
+  };
+  for (const auto& c : cases) {
+    const netlist::Netlist nl = circuits::make_circuit(c.circuit);
+    const fault::FaultList fl = fault::FaultList::collapsed(nl);
+    const sim::FaultSim fsim(nl, fl);
+    const sim::ReferenceFaultSim ref(nl, fl);
+    const atpg::AtpgResult atpg = atpg::run_atpg(nl, fl);
+    for (const tpg::TpgKind kind :
+         {tpg::TpgKind::kAdder, tpg::TpgKind::kSubtracter,
+          tpg::TpgKind::kMultiplier, tpg::TpgKind::kLfsr}) {
+      const auto tpg = tpg::make_tpg(kind, nl.num_inputs());
+      for (const std::size_t cycles : c.cycles) {
+        SCOPED_TRACE(std::string(c.circuit) + " " + tpg::tpg_kind_name(kind) +
+                     " T=" + std::to_string(cycles));
+        BuilderOptions opts;
+        opts.cycles_per_triplet = cycles;
+        const InitialReseeding init =
+            build_initial_reseeding(fsim, *tpg, atpg.patterns, opts);
+        ASSERT_TRUE(init.matrix.has_earliest());
+        for (std::size_t i = 0; i < init.triplets.size(); ++i) {
+          const auto want =
+              ref.run(tpg::oracle_expand(*tpg, init.triplets[i]),
+                      /*parallel=*/false);
+          EXPECT_EQ(init.matrix.row(i), want.detected) << "row " << i;
+          for (std::size_t f = 0; f < init.matrix.num_cols(); ++f) {
+            ASSERT_EQ(init.matrix.earliest(i, f), want.earliest[f])
+                << "row " << i << " fault " << f;
+          }
         }
       }
     }

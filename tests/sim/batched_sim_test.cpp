@@ -270,8 +270,8 @@ TEST(BatchedSim, PackedTripletExpansionMatchesPerRow) {
 
 // The narrow, 4-wide and 8-wide walkers must all match the reference —
 // the wider tiers only change how many blocks one structure walk covers.
-// Forcing kWide8 is safe on any machine: target_clones falls back to
-// the best available ISA clone, the block math is the same.
+// Forcing kWide8 is safe on any machine: the tiers are chunk widths
+// over one baseline-ISA walk, so no tier needs a CPU feature.
 TEST(SimdDispatch, ForcedTiersBitIdenticalBatched) {
   const auto nl = circuits::make_circuit("c880");
   const auto fl = fault::FaultList::collapsed(nl);

@@ -1,5 +1,9 @@
 #include "sim/pattern.h"
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace fbist::sim {
@@ -105,6 +109,77 @@ TEST(PatternSet, PatternString) {
   ps.set(0, 1, true);
   ps.set(0, 3, true);
   EXPECT_EQ(ps.pattern_string(0), "0101");
+}
+
+// Random tile of `count` rows in WideWord word order: W words per row,
+// bits at or past `width` set too, which write_tile must ignore.
+std::vector<std::uint64_t> random_tile(std::size_t width, std::size_t count,
+                                       util::Rng& rng) {
+  std::vector<std::uint64_t> rows(count * ((width + 63) / 64));
+  for (auto& w : rows) w = rng.next_u64();
+  return rows;
+}
+
+bool row_bit(const std::vector<std::uint64_t>& rows, std::size_t width,
+             std::size_t j, std::size_t input) {
+  const std::size_t words = (width + 63) / 64;
+  return (rows[j * words + input / 64] >> (input % 64)) & 1u;
+}
+
+// Every lane offset of a slice word, with one-pattern tiles and tiles
+// that run to the end of the word (64 patterns at offset 0), on widths
+// on and off a multiple of 64.  Bits outside the tile keep the random
+// values the set was filled with.
+TEST(PatternSet, WriteTileEveryLaneOffset) {
+  util::Rng rng(21);
+  for (const std::size_t width : {1, 63, 64, 65, 130, 233}) {
+    for (std::size_t lane = 0; lane < 64; ++lane) {
+      for (const std::size_t count : {std::size_t{1}, 64 - lane}) {
+        SCOPED_TRACE("width " + std::to_string(width) + " lane " +
+                     std::to_string(lane) + " count " + std::to_string(count));
+        const std::size_t base = 64 + lane;  // middle word of three
+        const PatternSet before = PatternSet::random(width, 192, rng);
+        const std::vector<std::uint64_t> rows = random_tile(width, count, rng);
+        PatternSet ps = before;
+        ps.write_tile(base, count, rows.data());
+        for (std::size_t p = 0; p < ps.size(); ++p) {
+          for (std::size_t i = 0; i < width; ++i) {
+            const bool want = p >= base && p < base + count
+                                  ? row_bit(rows, width, p - base, i)
+                                  : before.get(p, i);
+            ASSERT_EQ(ps.get(p, i), want) << "pattern " << p << " input " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A tile that ends at size() on a set whose size is not a multiple of
+// 64 leaves every slice bit at or past size() clear — on a fixed-size
+// set (slices end at size()) and on an appended one (slices run on to
+// the capacity).
+TEST(PatternSet, WriteTileKeepsTailPastSizeClear) {
+  util::Rng rng(22);
+  const std::size_t width = 70;
+  PatternSet fixed(width, 100);
+  PatternSet appended(width, 0);
+  for (std::size_t p = 0; p < 100; ++p) appended.append(util::WideWord(width));
+  for (PatternSet* ps : {&fixed, &appended}) {
+    const std::vector<std::uint64_t> ones(36 * 2, ~std::uint64_t{0});
+    ps->write_tile(64, 36, ones.data());
+    for (std::size_t i = 0; i < width; ++i) {
+      const util::BitVector& slice = ps->slice(i);
+      EXPECT_EQ(slice.count(), 36u) << "input " << i;
+      EXPECT_EQ(slice.find_next(ps->size()), slice.size()) << "input " << i;
+    }
+    const std::vector<std::uint64_t> rows = random_tile(width, 1, rng);
+    ps->write_tile(99, 1, rows.data());
+    for (std::size_t i = 0; i < width; ++i) {
+      EXPECT_EQ(ps->get(99, i), row_bit(rows, width, 0, i));
+      EXPECT_EQ(ps->slice(i).find_next(ps->size()), ps->slice(i).size());
+    }
+  }
 }
 
 }  // namespace

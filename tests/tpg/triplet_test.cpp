@@ -1,8 +1,11 @@
 #include "tpg/triplet.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "tpg/accumulator.h"
+#include "tpg/expand_oracle.h"
 #include "util/rng.h"
 
 namespace fbist::tpg {
@@ -76,6 +79,43 @@ TEST(ExpandTripletPrefix, TakesPrefixOnly) {
   }
   // Prefix longer than cycles clamps.
   EXPECT_EQ(expand_triplet_prefix(tpg, t, 99).size(), 10u);
+}
+
+// expand_triplet_into against the per-pattern oracle on every TPG kind:
+// widths on and off the 64-bit word boundary, runs that start and end at
+// any lane and cross slice words, into a destination pre-filled with
+// random bits that must survive outside the run (all of them when the
+// run is empty).  The returned state is where a continuing run starts:
+// delta stepped once per pattern.
+TEST(ExpandTripletInto, MatchesPerPatternOracle) {
+  util::Rng rng(19);
+  for (const TpgKind kind : {TpgKind::kAdder, TpgKind::kSubtracter,
+                             TpgKind::kMultiplier, TpgKind::kLfsr}) {
+    for (const std::size_t width : {1, 63, 64, 65, 130, 233}) {
+      const auto tpg = make_tpg(kind, width);
+      for (const std::size_t base : {0, 1, 37, 63, 64, 100}) {
+        for (const std::size_t n : {0, 1, 63, 64, 65, 200}) {
+          SCOPED_TRACE(std::string(tpg_kind_name(kind)) + " width " +
+                       std::to_string(width) + " base " +
+                       std::to_string(base) + " n " + std::to_string(n));
+          const Triplet t{util::WideWord::random(width, rng),
+                          util::WideWord::random(width, rng), n};
+          util::WideWord want_next;
+          const sim::PatternSet want = oracle_expand(*tpg, t, &want_next);
+          const sim::PatternSet before =
+              sim::PatternSet::random(width, base + n + 70, rng);
+          sim::PatternSet got = before;
+          EXPECT_EQ(expand_triplet_into(*tpg, t, got, base), want_next);
+          for (std::size_t p = 0; p < got.size(); ++p) {
+            const bool in_run = p >= base && p < base + n;
+            ASSERT_EQ(got.pattern(p),
+                      in_run ? want.pattern(p - base) : before.pattern(p))
+                << "pattern " << p;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ExpandAll, ConcatenatesInOrder) {
