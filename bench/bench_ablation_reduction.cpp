@@ -9,9 +9,9 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "obs/clock.h"
 #include "reseed/pipeline.h"
 #include "util/table.h"
-#include "util/timer.h"
 
 int main() {
   using namespace fbist;
@@ -34,13 +34,13 @@ int main() {
     reseed::OptimizerOptions with, without;
     without.skip_reduction = true;
 
-    util::Timer t1;
+    std::uint64_t start = obs::Clock::now_ns();
     const auto a = reseed::optimize(init, with);
-    const double ms_with = t1.millis();
+    const double ms_with = obs::Clock::to_ms(obs::Clock::now_ns() - start);
 
-    util::Timer t2;
+    start = obs::Clock::now_ns();
     const auto b = reseed::optimize(init, without);
-    const double ms_without = t2.millis();
+    const double ms_without = obs::Clock::to_ms(obs::Clock::now_ns() - start);
 
     table.add_row({name,
                    std::to_string(a.num_triplets()),

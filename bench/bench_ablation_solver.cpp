@@ -7,9 +7,9 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "obs/clock.h"
 #include "reseed/pipeline.h"
 #include "util/table.h"
-#include "util/timer.h"
 
 int main() {
   using namespace fbist;
@@ -30,12 +30,12 @@ int main() {
     ex.solver = reseed::SolverChoice::kExact;
     gr.solver = reseed::SolverChoice::kGreedy;
 
-    util::Timer t1;
+    std::uint64_t start = obs::Clock::now_ns();
     const auto a = reseed::optimize(init, ex);
-    const double ms_ex = t1.millis();
-    util::Timer t2;
+    const double ms_ex = obs::Clock::to_ms(obs::Clock::now_ns() - start);
+    start = obs::Clock::now_ns();
     const auto b = reseed::optimize(init, gr);
-    const double ms_gr = t2.millis();
+    const double ms_gr = obs::Clock::to_ms(obs::Clock::now_ns() - start);
 
     table.add_row({name,
                    std::to_string(a.num_triplets()),

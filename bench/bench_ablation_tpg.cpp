@@ -11,7 +11,6 @@
 #include "bench_common.h"
 #include "reseed/pipeline.h"
 #include "util/table.h"
-#include "util/timer.h"
 
 int main() {
   using namespace fbist;

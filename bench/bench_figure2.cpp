@@ -10,10 +10,10 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "obs/clock.h"
 #include "reseed/pipeline.h"
 #include "reseed/tradeoff.h"
 #include "util/table.h"
-#include "util/timer.h"
 
 int main() {
   using namespace fbist;
@@ -22,7 +22,7 @@ int main() {
   if (const char* c = std::getenv("FBIST_FIG2_CIRCUIT")) circuit = c;
 
   std::cout << "[figure2] sweeping T on " << circuit << " + adder TPG\n";
-  util::Timer total;
+  const std::uint64_t start = obs::Clock::now_ns();
   reseed::Pipeline pipe(circuit);
   const auto tpg = tpg::make_tpg(tpg::TpgKind::kAdder,
                                  pipe.circuit().num_inputs());
@@ -53,6 +53,7 @@ int main() {
   for (const auto& p : points) {
     std::cout << " (" << p.num_triplets << "T," << p.test_length << "pat)";
   }
-  std::cout << "\n(total " << util::Table::fmt(total.seconds(), 1) << "s)\n";
+  const double total = obs::Clock::to_s(obs::Clock::now_ns() - start);
+  std::cout << "\n(total " << util::Table::fmt(total, 1) << "s)\n";
   return 0;
 }

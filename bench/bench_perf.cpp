@@ -29,7 +29,6 @@
 #include "sim/reference_sim.h"
 #include "util/parallel.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace {
 
@@ -363,44 +362,6 @@ void BM_ObsSpanIdle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObsSpanIdle);
-
-// ---- SIMD dispatch tiers -------------------------------------------------
-//
-// One long fault-sim campaign (s9234, 1024 patterns = 16 blocks) under
-// each forced chunk width.  The narrow/4-wide/8-wide real_time ratios
-// are the measured walk-width speedups on this machine; results are
-// bit-identical across the three rows (the dispatch tests pin that).
-void run_packed_walk_bench(benchmark::State& state, util::SimdTier tier) {
-  const auto nl = circuits::make_circuit("s9234");
-  const auto fl = fault::FaultList::collapsed(nl);
-  sim::FaultSim fsim(nl, fl);
-  util::Rng rng(2);
-  const auto ps = sim::PatternSet::random(nl.num_inputs(), 1024, rng);
-  const util::SimdTier saved = util::simd_tier();
-  util::set_simd_tier(tier);
-  for (auto _ : state) {
-    auto r = fsim.run(ps);
-    benchmark::DoNotOptimize(r);
-  }
-  util::set_simd_tier(saved);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1024 *
-                          static_cast<std::int64_t>(fl.size()));
-}
-
-void BM_PackedWalkNarrow(benchmark::State& state) {
-  run_packed_walk_bench(state, util::SimdTier::kNarrow);
-}
-BENCHMARK(BM_PackedWalkNarrow)->Unit(benchmark::kMillisecond);
-
-void BM_PackedWalk4(benchmark::State& state) {
-  run_packed_walk_bench(state, util::SimdTier::kWide4);
-}
-BENCHMARK(BM_PackedWalk4)->Unit(benchmark::kMillisecond);
-
-void BM_PackedWalk8(benchmark::State& state) {
-  run_packed_walk_bench(state, util::SimdTier::kWide8);
-}
-BENCHMARK(BM_PackedWalk8)->Unit(benchmark::kMillisecond);
 
 // ---- Cross-run matrix cache ----------------------------------------------
 //

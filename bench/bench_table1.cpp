@@ -11,10 +11,10 @@
 
 #include "baseline/gatsby.h"
 #include "bench_common.h"
+#include "obs/clock.h"
 #include "reseed/pipeline.h"
 #include "reseed/report.h"
 #include "util/table.h"
-#include "util/timer.h"
 
 int main() {
   using namespace fbist;
@@ -31,11 +31,11 @@ int main() {
                     "sub:#T", "sub:len",
                     "GA:#T", "GA:len", "GA:FC%"});
 
-  util::Timer total;
+  const std::uint64_t total_start = obs::Clock::now_ns();
   for (const auto& name : circuits) {
     const auto& prof = circuits::profile(name);
     std::cout << "[table1] " << name << " ..." << std::flush;
-    util::Timer t;
+    const std::uint64_t start = obs::Clock::now_ns();
     reseed::Pipeline pipe(name);
 
     std::vector<std::string> row = {name};
@@ -63,12 +63,14 @@ int main() {
           1));
     }
     table.add_row(std::move(row));
-    std::cout << " done (" << util::Table::fmt(t.seconds(), 1) << "s)\n";
+    const double secs = obs::Clock::to_s(obs::Clock::now_ns() - start);
+    std::cout << " done (" << util::Table::fmt(secs, 1) << "s)\n";
   }
 
   std::cout << '\n';
   table.print(std::cout);
-  std::cout << "\n(total " << util::Table::fmt(total.seconds(), 1)
-            << "s; T=" << cycles << " cycles per candidate triplet)\n";
+  const double total = obs::Clock::to_s(obs::Clock::now_ns() - total_start);
+  std::cout << "\n(total " << util::Table::fmt(total, 1) << "s; T=" << cycles
+            << " cycles per candidate triplet)\n";
   return 0;
 }

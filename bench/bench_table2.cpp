@@ -9,9 +9,9 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "obs/clock.h"
 #include "reseed/pipeline.h"
 #include "util/table.h"
-#include "util/timer.h"
 
 int main() {
   using namespace fbist;
@@ -32,7 +32,7 @@ int main() {
 
   for (const auto& name : circuits) {
     std::cout << "[table2] " << name << " ..." << std::flush;
-    util::Timer t;
+    const std::uint64_t start = obs::Clock::now_ns();
     reseed::Pipeline pipe(name);
 
     std::vector<std::string> row = {name};
@@ -52,7 +52,8 @@ int main() {
                     std::to_string(sol.residual_cols));
     }
     table.add_row(std::move(row));
-    std::cout << " done (" << util::Table::fmt(t.seconds(), 1) << "s)\n";
+    const double secs = obs::Clock::to_s(obs::Clock::now_ns() - start);
+    std::cout << " done (" << util::Table::fmt(secs, 1) << "s)\n";
   }
 
   std::cout << '\n';

@@ -11,13 +11,13 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/clock.h"
 #include "obs/diag.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "reseed/serialize.h"
 #include "util/failpoint.h"
 #include "util/guarded_io.h"
-#include "util/timer.h"
 
 namespace fbist::campaign {
 
@@ -298,7 +298,7 @@ std::string CheckpointStore::blob_path(std::size_t pos) const {
 void CheckpointStore::write(std::size_t pos, const RunResult& result) {
   OBS_HISTOGRAM(h_write, "checkpoint.write_ns");
   OBS_COUNTER(c_bytes, "checkpoint.bytes");
-  util::Timer timer;
+  [[maybe_unused]] const std::uint64_t start = obs::Clock::now_ns();
   if (pos >= runs_.size()) {
     throw std::runtime_error("checkpoint: position " + std::to_string(pos) +
                              " out of range (spec has " +
@@ -333,7 +333,7 @@ void CheckpointStore::write(std::size_t pos, const RunResult& result) {
   }
   breaker_.record_success();
   OBS_COUNT(c_bytes, static_cast<std::uint64_t>(text.size()));
-  OBS_OBSERVE(h_write, timer.nanos());
+  OBS_OBSERVE(h_write, obs::Clock::now_ns() - start);
   OBS_INSTANT("checkpoint_write");
   std::lock_guard<std::mutex> lock(mu_);
   ++written_;

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "campaign/checkpoint.h"
+#include "obs/clock.h"
 #include "obs/diag.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -12,7 +13,6 @@
 #include "reseed/serialize.h"
 #include "util/deadline.h"
 #include "util/guarded_io.h"
-#include "util/timer.h"
 
 namespace fbist::campaign {
 
@@ -30,7 +30,7 @@ struct CircuitCtx {
 void execute_run(const CircuitCtx& ctx, RunResult& out,
                  std::uint64_t timeout_ms) {
   OBS_SPAN("run", run_label(out.spec));
-  util::Timer timer;
+  const std::uint64_t start = obs::Clock::now_ns();
   if (ctx.prepared == nullptr) {
     out.ok = false;
     out.error = "circuit preparation failed: " + ctx.error;
@@ -81,7 +81,7 @@ void execute_run(const CircuitCtx& ctx, RunResult& out,
     out.ok = false;
     out.error = "unknown error";
   }
-  out.wall_ms = timer.millis();
+  out.wall_ms = obs::Clock::to_ms(obs::Clock::now_ns() - start);
 }
 
 /// Persists a completed run's blob.  Checkpointing is durability, not
@@ -145,7 +145,7 @@ Report run_campaign(const CampaignSpec& spec, const CampaignOptions& opts,
   }
   const obs::MetricsSnapshot metrics_start = obs::Registry::global().snapshot();
 
-  util::Timer timer;
+  const std::uint64_t start = obs::Clock::now_ns();
   Report report;
   report.jobs = s->num_workers();
   report.shard_index = opts.shard_index;
@@ -243,7 +243,7 @@ Report run_campaign(const CampaignSpec& spec, const CampaignOptions& opts,
     report.cache.evictions = cs.evictions;
   }
 
-  report.wall_ms = timer.millis();
+  report.wall_ms = obs::Clock::to_ms(obs::Clock::now_ns() - start);
 
   report.metrics =
       obs::Registry::global().snapshot().delta_from(metrics_start);

@@ -116,17 +116,11 @@ CampaignSpec parse_spec(std::istream& in) {
       if (!saw_cycles) spec.cycle_values.clear();
       saw_cycles = true;
       while (ls >> tok) {
-        std::size_t pos = 0;
-        unsigned long v = 0;
         try {
-          v = std::stoul(tok, &pos);
-        } catch (const std::exception&) {
-          throw fail("bad cycle count '" + tok + "'");
+          spec.cycle_values.push_back(parse_count(tok, "cycle count"));
+        } catch (const std::runtime_error& e) {
+          throw fail(e.what());
         }
-        if (pos != tok.size() || v == 0) {
-          throw fail("bad cycle count '" + tok + "'");
-        }
-        spec.cycle_values.push_back(v);
       }
     } else if (key == "solvers" || key == "solver") {
       if (!saw_solvers) spec.solvers.clear();
@@ -154,6 +148,28 @@ CampaignSpec parse_spec_file(const std::string& path) {
                              e.what());
   }
   return parse_spec_string(text);
+}
+
+std::uint64_t parse_unsigned(const std::string& tok, const char* what) {
+  std::size_t pos = 0;
+  unsigned long long v = 0;
+  try {
+    v = std::stoull(tok, &pos);
+  } catch (const std::exception&) {
+    pos = 0;
+  }
+  if (tok.empty() || tok[0] < '0' || tok[0] > '9' || pos != tok.size()) {
+    throw std::runtime_error(std::string(what) + ": bad value '" + tok + "'");
+  }
+  return v;
+}
+
+std::size_t parse_count(const std::string& tok, const char* what) {
+  const std::uint64_t v = parse_unsigned(tok, what);
+  if (v == 0) {
+    throw std::runtime_error(std::string(what) + ": bad value '" + tok + "'");
+  }
+  return v;
 }
 
 std::pair<std::size_t, std::size_t> parse_shard_arg(const std::string& arg) {
@@ -189,22 +205,13 @@ std::pair<std::size_t, std::size_t> parse_shard_arg(const std::string& arg) {
 }
 
 std::uint64_t parse_run_timeout_arg(const std::string& arg) {
-  const auto fail = [&]() -> std::runtime_error {
-    return std::runtime_error(
+  try {
+    return parse_count(arg, "--run-timeout");
+  } catch (const std::runtime_error&) {
+    throw std::runtime_error(
         "--run-timeout: expected a positive integer millisecond count, got '" +
         arg + "'");
-  };
-  if (arg.empty() || arg.find_first_not_of("0123456789") != std::string::npos) {
-    throw fail();  // rejects negatives, junk, and embedded signs
   }
-  unsigned long long v = 0;
-  try {
-    v = std::stoull(arg);
-  } catch (const std::exception&) {
-    throw fail();
-  }
-  if (v == 0) throw fail();
-  return static_cast<std::uint64_t>(v);
 }
 
 bool is_bench_path(const std::string& arg) {

@@ -4,9 +4,8 @@
 // samples, report wall_ms, checkpoint write timings — reads this clock,
 // so durations from different subsystems compose on one timeline (the
 // Chrome trace depends on that: span nesting across layers only lines
-// up when everyone shares an epoch).  util::Timer is a thin stopwatch
-// over it; the ad-hoc per-file std::chrono idioms it replaced measured
-// the same steady_clock but each re-derived the conversion arithmetic.
+// up when everyone shares an epoch).  A timing site keeps the now_ns()
+// it started at and converts the difference with to_s/to_ms/to_us.
 //
 // Timestamps are nanoseconds since the first use in the process (a
 // process-local epoch keeps trace numbers small and readable; absolute
@@ -33,6 +32,9 @@ class Clock {
         std::chrono::duration_cast<std::chrono::nanoseconds>(t - t0).count());
   }
 
+  static double to_s(std::uint64_t ns) {
+    return static_cast<double>(ns) * 1e-9;
+  }
   static double to_ms(std::uint64_t ns) {
     return static_cast<double>(ns) * 1e-6;
   }

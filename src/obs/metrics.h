@@ -96,7 +96,7 @@ class ScopedNs {
   std::uint64_t start_;
 };
 
-/// Last-written value (queue depth, worker count, active tier).  Gauges
+/// Last-written value (queue depth, worker count).  Gauges
 /// sit off the hot path, so a single relaxed cell suffices.
 class Gauge {
  public:

@@ -13,7 +13,6 @@
 #include "reseed/matrix_cache.h"
 #include "util/failpoint.h"
 #include "util/parallel.h"
-#include "util/simd.h"
 
 namespace fbist::reseed {
 
@@ -96,10 +95,9 @@ InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
   // and a row stops seeking a fault only after its first detection, so
   // earliest = stage start + index within the stage, exactly as one
   // walk over the whole row finds it.  A packing spans one simulation
-  // chunk of the active tier (8 blocks on an engaged 8-wide tier, else
-  // 4); a stage's packings run on the shared work-stealing pool,
-  // and the matrix is bit-identical at any worker count.
-  const std::size_t pack_blocks = util::preferred_pack_blocks();
+  // chunk (sim::kChunkBlocks blocks); a stage's packings run on the
+  // shared work-stealing pool, and the matrix is bit-identical at any
+  // worker count.
   OBS_COUNTER(c_packings, "builder.packings");
   OBS_COUNTER(c_expand_ns, "builder.expand_ns");
   // parallel_for does not catch loop-body exceptions, so trap them
@@ -124,8 +122,7 @@ InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
       lengths.push_back(std::min(cycles, hi) - lo);
     }
     if (stage_rows.empty()) break;
-    const std::vector<sim::LanePacking> packings =
-        sim::pack_rows(lengths, pack_blocks);
+    const std::vector<sim::LanePacking> packings = sim::pack_rows(lengths);
     util::parallel_for(packings.size(), [&](std::size_t p) {
       if (abort.load(std::memory_order_relaxed)) return;
       try {

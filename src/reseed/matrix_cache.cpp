@@ -8,12 +8,12 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/clock.h"
 #include "obs/diag.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "reseed/serialize.h"
 #include "util/guarded_io.h"
-#include "util/timer.h"
 
 namespace fbist::reseed {
 
@@ -130,14 +130,14 @@ std::shared_ptr<const cover::DetectionMatrix> MatrixCache::lookup(Key k) {
   OBS_HISTOGRAM(h_hit, "matrix_cache.hit_ns");
   OBS_HISTOGRAM(h_disk_hit, "matrix_cache.disk_hit_ns");
   OBS_HISTOGRAM(h_miss, "matrix_cache.miss_ns");
-  util::Timer timer;
+  [[maybe_unused]] const std::uint64_t start = obs::Clock::now_ns();
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(k);
     if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);  // touch
       ++stats_.hits;
-      OBS_OBSERVE(h_hit, timer.nanos());
+      OBS_OBSERVE(h_hit, obs::Clock::now_ns() - start);
       return it->second->matrix;
     }
   }
@@ -172,7 +172,7 @@ std::shared_ptr<const cover::DetectionMatrix> MatrixCache::lookup(Key k) {
           ++stats_.hits;
           ++stats_.disk_hits;
           OBS_INSTANT("disk_hit");
-          OBS_OBSERVE(h_disk_hit, timer.nanos());
+          OBS_OBSERVE(h_disk_hit, obs::Clock::now_ns() - start);
           const auto it = index_.find(k);  // raced promotion: reuse theirs
           if (it != index_.end()) {
             lru_.splice(lru_.begin(), lru_, it->second);
@@ -200,14 +200,14 @@ std::shared_ptr<const cover::DetectionMatrix> MatrixCache::lookup(Key k) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.misses;
-  OBS_OBSERVE(h_miss, timer.nanos());
+  OBS_OBSERVE(h_miss, obs::Clock::now_ns() - start);
   return nullptr;
 }
 
 void MatrixCache::store(Key k, std::shared_ptr<const cover::DetectionMatrix> m) {
   if (m == nullptr) return;
   OBS_HISTOGRAM(h_store, "matrix_cache.store_ns");
-  util::Timer timer;
+  [[maybe_unused]] const std::uint64_t start = obs::Clock::now_ns();
   bool write_disk = !opts_.dir.empty();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -229,7 +229,7 @@ void MatrixCache::store(Key k, std::shared_ptr<const cover::DetectionMatrix> m) 
     }
   }
   if (!write_disk || !disk_breaker_.allowed()) {
-    OBS_OBSERVE(h_store, timer.nanos());
+    OBS_OBSERVE(h_store, obs::Clock::now_ns() - start);
     return;
   }
   // Guarded atomic write ("cache.disk_write"): temp-then-rename keeps
@@ -252,7 +252,7 @@ void MatrixCache::store(Key k, std::shared_ptr<const cover::DetectionMatrix> m) 
               "cannot persist blob " + final_path + " (" + e.what() +
                   "), memory tier only");
   }
-  OBS_OBSERVE(h_store, timer.nanos());
+  OBS_OBSERVE(h_store, obs::Clock::now_ns() - start);
 }
 
 MatrixCacheStats MatrixCache::stats() const {

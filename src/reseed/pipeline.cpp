@@ -2,9 +2,9 @@
 
 #include <stdexcept>
 
+#include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/timer.h"
 
 namespace fbist::reseed {
 
@@ -39,9 +39,9 @@ void Pipeline::init() {
   // values) share it — the structure is derived exactly once.
   {
     OBS_SPAN("compile", name_);
-    util::Timer t;
+    [[maybe_unused]] const std::uint64_t t0 = obs::Clock::now_ns();
     compiled_ = std::make_shared<const netlist::CompiledCircuit>(nl_);
-    OBS_OBSERVE(h_compile, t.nanos());
+    OBS_OBSERVE(h_compile, obs::Clock::now_ns() - t0);
   }
 
   // TestGen substitute: deterministic ATPG provides the complete test
@@ -53,17 +53,17 @@ void Pipeline::init() {
     fault::FaultList all;
     {
       OBS_SPAN("collapse", name_);
-      util::Timer t;
+      [[maybe_unused]] const std::uint64_t t0 = obs::Clock::now_ns();
       all = fault::FaultList::collapsed(*compiled_);
-      OBS_OBSERVE(h_collapse, t.nanos());
+      OBS_OBSERVE(h_collapse, obs::Clock::now_ns() - t0);
     }
     atpg::AtpgOptions aopts = opts_.atpg;
     aopts.seed ^= util::hash_string(name_);
     {
       OBS_SPAN("atpg", name_);
-      util::Timer t;
+      [[maybe_unused]] const std::uint64_t t0 = obs::Clock::now_ns();
       atpg_ = atpg::run_atpg(nl_, all, aopts, compiled_);
-      OBS_OBSERVE(h_atpg, t.nanos());
+      OBS_OBSERVE(h_atpg, obs::Clock::now_ns() - t0);
     }
 
     std::vector<bool> drop(all.size(), false);
@@ -92,17 +92,17 @@ std::pair<InitialReseeding, ReseedingSolution> Pipeline::run_detailed(
   InitialReseeding initial;
   {
     OBS_SPAN("matrix_build", name_);
-    util::Timer t;
+    [[maybe_unused]] const std::uint64_t t0 = obs::Clock::now_ns();
     initial = build_initial_reseeding(*fsim_, *tpg, atpg_.patterns, b,
                                       opts_.matrix_cache.get(), deadline);
-    OBS_OBSERVE(h_build, t.nanos());
+    OBS_OBSERVE(h_build, obs::Clock::now_ns() - t0);
   }
   ReseedingSolution sol;
   {
     OBS_SPAN("cover_solve", name_);
-    util::Timer t;
+    [[maybe_unused]] const std::uint64_t t0 = obs::Clock::now_ns();
     sol = optimize(initial, optimizer, deadline);
-    OBS_OBSERVE(h_solve, t.nanos());
+    OBS_OBSERVE(h_solve, obs::Clock::now_ns() - t0);
   }
   return {std::move(initial), std::move(sol)};
 }

@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "util/parallel.h"
-#include "util/simd.h"
 
 namespace fbist::sim {
 
@@ -18,8 +17,8 @@ namespace {
 /// N 64-pattern blocks evaluated per cone walk: multi-block campaigns
 /// amortize one structure walk over N * 64 patterns instead of N walks
 /// over 64.  The walk is compiled for the baseline ISA, so the bitwise
-/// ops are 64-bit or 128-bit SSE2 instructions, never AVX; which N runs
-/// is a runtime choice (util/simd.h).
+/// ops are 64-bit or 128-bit SSE2 instructions, never AVX.  Campaigns
+/// instantiate N = kChunkBlocks only (sim/pattern.h).
 template <int N>
 struct WordV {
   Word w[N];
@@ -205,9 +204,9 @@ template <int N, bool kNarrow>
 /// walk_cone_program kPrecopy).
 ///
 /// This walk and chunk_site_walk stay out of line: inlined into their
-/// one caller, the per-site loop, they ran 8-12% slower on the
-/// BM_PackedWalkNarrow and BM_InitialMatrixBuild/4 rows (x86-64,
-/// AVX-512 host).
+/// one caller, the per-site loop, they ran 8-12% slower on a narrow
+/// 1024-pattern s9234 campaign and the BM_InitialMatrixBuild/4 row
+/// (x86-64, AVX-512 host).
 [[gnu::noinline]] Word narrow_site_walk(const CompiledCircuit& cc,
                                         NetId site_net, const Word* g,
                                         Word act, Word* local,
@@ -315,9 +314,9 @@ void build_chunk_goods(const CompiledCircuit& cc,
 /// difference words through `demux(block, diff, gs)`, and returns the
 /// number of chunk walks taken.  `want()` returns the polarities still
 /// sought; both false stops the site.  Blocks are visited in ascending
-/// pattern order, so earliest-detection semantics match the narrow walk
-/// and the 4- and 8-wide tiers bit-for-bit — only the early-exit
-/// granularity (one chunk) differs between widths.
+/// pattern order, so a row's earliest index is the lowest set lane of
+/// its first detecting block, exactly as one narrow walk per block
+/// finds it — only the early-exit granularity (one chunk) differs.
 template <int N, typename WantFn, typename DemuxFn>
 std::size_t walk_site_chunks(const CompiledCircuit& cc, NetId site_net,
                              std::size_t blocks,
@@ -354,8 +353,9 @@ std::size_t walk_site_chunks(const CompiledCircuit& cc, NetId site_net,
 /// so it stays small and hot even on circuits whose per-net arrays do
 /// not fit in cache).  max_slots must cover the root slot and the
 /// outside-sentinel slot (+2), which branchless selects may load
-/// speculatively.  `localv` backs the WordV<N> chunk scratch of the
-/// campaign's dispatch width (N words per slot).  `walks` tallies the
+/// speculatively.  `local1` backs a one-block campaign's narrow walk,
+/// `localv` a longer campaign's WordV<kChunkBlocks> chunk walk
+/// (kChunkBlocks words per slot).  `walks` tallies the
 /// worker's cone walks for the campaign's sim.site_walks count; the
 /// alignment keeps one worker's tally off every other worker's lines.
 struct alignas(64) WalkScratch {
@@ -366,13 +366,11 @@ struct alignas(64) WalkScratch {
 };
 
 std::vector<WalkScratch> make_scratches(std::size_t workers,
-                                        std::size_t max_slots,
-                                        bool need_narrow,
-                                        std::size_t chunk_width) {
+                                        std::size_t max_slots, bool chunked) {
   std::vector<WalkScratch> scratches(workers);
   for (auto& s : scratches) {
-    s.local1.assign(need_narrow ? max_slots : 0, 0);
-    s.localv.assign(chunk_width * max_slots, 0);
+    s.local1.assign(chunked ? 0 : max_slots, 0);
+    s.localv.assign(chunked ? kChunkBlocks * max_slots : 0, 0);
     s.diff_flag.assign(max_slots, 0);
   }
   return scratches;
@@ -483,34 +481,30 @@ std::vector<FaultSimResult> FaultSim::run_packed(
     }
   }
 
-  // Block layout: a one-block campaign — or a forced-narrow tier —
-  // takes the cheaper narrow walk per block; a longer one walks 4- or
-  // 8-wide chunks from block 0 on (one structure walk per 256 or 512
-  // patterns; runtime choice, util::chunk_width_for).
-  const std::size_t cw = blocks > 1 ? util::chunk_width_for(blocks) : 0;
+  // Block layout: a one-block campaign takes the cheaper narrow walk; a
+  // longer one walks kChunkBlocks-block chunks from block 0 on (one
+  // structure walk per kChunkBlocks * 64 patterns).
+  const bool chunked = blocks > 1;
   // Campaign-grain counters only (one shard add per campaign, never per
   // site or block): the cone walk itself stays instrumentation-free.
   OBS_COUNTER(c_campaigns, "sim.campaigns");
   OBS_COUNTER(c_blocks, "sim.blocks");
   OBS_COUNTER(c_narrow, "sim.tier_narrow");
-  OBS_COUNTER(c_wide4, "sim.tier_wide4");
   OBS_COUNTER(c_wide8, "sim.tier_wide8");
   OBS_COUNT(c_campaigns, 1);
   OBS_COUNT(c_blocks, blocks);
-  OBS_COUNT(cw == 4 ? c_wide4 : cw == 8 ? c_wide8 : c_narrow, 1);
+  OBS_COUNT(chunked ? c_wide8 : c_narrow, 1);
+  using Chunk = WordV<kChunkBlocks>;
   std::vector<std::vector<Word>> goodT;
-  std::vector<WordV<4>> chunk_lanes4;
-  std::vector<WordV<8>> chunk_lanes8;
-  if (cw == 4) {
-    build_chunk_goods<4>(cc, good, union_lanes, goodT, chunk_lanes4);
-  } else if (cw == 8) {
-    build_chunk_goods<8>(cc, good, union_lanes, goodT, chunk_lanes8);
+  std::vector<Chunk> chunk_lanes;
+  if (chunked) {
+    build_chunk_goods<kChunkBlocks>(cc, good, union_lanes, goodT, chunk_lanes);
   }
 
   const std::size_t max_slots = cc.max_cone_gates() + 2;
   const std::size_t workers = parallel ? util::parallel_workers() : 1;
   std::vector<WalkScratch> scratches =
-      make_scratches(workers, max_slots, /*need_narrow=*/cw == 0, cw);
+      make_scratches(workers, max_slots, chunked);
 
   const auto seeks = [seek](std::size_t pos, std::size_t fid) {
     return seek == nullptr || (*seek)[pos].get(fid);
@@ -559,43 +553,33 @@ std::vector<FaultSimResult> FaultSim::run_packed(
       }
     };
 
-    if (cw == 0) {
-      for (std::size_t b = 0; b < blocks && (left[0] > 0 || left[1] > 0); ++b) {
-        const Word* const g = good[b].data();
-        const Word lanes = union_lanes[b];
-        const Word gs = g[site.net];
-        // sa0 flips the site where the good value is 1, sa1 where it is
-        // 0 — disjoint lanes, so one walk with the site complemented on
-        // exactly those lanes simulates both faults (bitwise ops are
-        // lane-independent).
-        const Word act =
-            ((left[0] > 0 ? gs : Word{0}) | (left[1] > 0 ? ~gs : Word{0})) &
-            lanes;
-        if (act == 0) continue;  // no sought fault activated
-        const Word diff =
-            narrow_site_walk(cc, site.net, g, act, sc.local1.data(),
-                             diff_flag) &
-            lanes;
-        ++sc.walks;
-        if (diff != 0) demux(b, diff, gs);
-      }
+    if (!chunked) {
+      const Word* const g = good[0].data();
+      const Word lanes = union_lanes[0];
+      const Word gs = g[site.net];
+      // sa0 flips the site where the good value is 1, sa1 where it is 0
+      // — disjoint lanes, so one walk with the site complemented on
+      // exactly those lanes simulates both faults (bitwise ops are
+      // lane-independent).
+      const Word act =
+          ((left[0] > 0 ? gs : Word{0}) | (left[1] > 0 ? ~gs : Word{0})) &
+          lanes;
+      if (act == 0) return;  // no sought fault activated
+      const Word diff =
+          narrow_site_walk(cc, site.net, g, act, sc.local1.data(),
+                           diff_flag) &
+          lanes;
+      ++sc.walks;
+      if (diff != 0) demux(0, diff, gs);
       return;
     }
 
     const auto want = [&]() {
       return std::make_pair(left[0] > 0, left[1] > 0);
     };
-    if (cw == 4) {
-      sc.walks += walk_site_chunks<4>(
-          cc, site.net, blocks, goodT, chunk_lanes4,
-          reinterpret_cast<WordV<4>*>(sc.localv.data()), diff_flag, want,
-          demux);
-    } else {
-      sc.walks += walk_site_chunks<8>(
-          cc, site.net, blocks, goodT, chunk_lanes8,
-          reinterpret_cast<WordV<8>*>(sc.localv.data()), diff_flag, want,
-          demux);
-    }
+    sc.walks += walk_site_chunks<kChunkBlocks>(
+        cc, site.net, blocks, goodT, chunk_lanes,
+        reinterpret_cast<Chunk*>(sc.localv.data()), diff_flag, want, demux);
   };
 
   if (parallel && workers > 1) {

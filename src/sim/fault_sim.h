@@ -17,10 +17,9 @@
 //    pattern lanes, so one walk with the site complemented per lane
 //    simulates both faults exactly — dual-polarity nets cost one walk;
 //  * block chunks: a one-block campaign takes one narrow walk per site;
-//    a longer one walks 4 or 8 64-pattern blocks per structure walk
-//    (util::chunk_width_for) over block-interleaved good values, from
-//    block 0 on, until no row still seeks the site's faults.  The SIMD
-//    tiers of util/simd.h are exactly these chunk widths: the walk is
+//    a longer one walks kChunkBlocks (sim/pattern.h) 64-pattern blocks
+//    per structure walk over block-interleaved good values, from block
+//    0 on, until no row still seeks the site's faults.  The walk is
 //    compiled once for the baseline ISA and runs no AVX code.
 //
 // Every entry point is one campaign of run_packed, the one driver, over

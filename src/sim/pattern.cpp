@@ -155,8 +155,7 @@ std::string PatternSet::pattern_string(std::size_t p) const {
   return s;
 }
 
-std::vector<LanePacking> pack_rows(const std::vector<std::size_t>& lengths,
-                                   std::size_t max_blocks) {
+std::vector<LanePacking> pack_rows(const std::vector<std::size_t>& lengths) {
   std::vector<LanePacking> packings;
   LanePacking cur;
   const auto flush = [&] {
@@ -165,7 +164,7 @@ std::vector<LanePacking> pack_rows(const std::vector<std::size_t>& lengths,
   };
   for (std::size_t r = 0; r < lengths.size(); ++r) {
     const std::size_t len = lengths[r];
-    if (max_blocks != 0 && len > max_blocks * 64) {
+    if (len > kChunkBlocks * 64) {
       // Too long for any packing: the row gets blocks of its own.
       flush();
       cur.rows.push_back({r, 0, len});
@@ -177,7 +176,7 @@ std::vector<LanePacking> pack_rows(const std::vector<std::size_t>& lengths,
     if (base % 64 != 0 && base % 64 + len > 64) {
       base = (base / 64 + 1) * 64;  // next block
     }
-    if (max_blocks != 0 && (base + len + 63) / 64 > max_blocks) {
+    if ((base + len + 63) / 64 > kChunkBlocks) {
       flush();
       base = 0;
     }

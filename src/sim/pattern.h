@@ -77,6 +77,10 @@ class PatternSet {
   std::vector<util::BitVector> slices_;  // one per input, length capacity_
 };
 
+/// 64-pattern blocks per multi-block cone walk of sim::FaultSim, and the
+/// span of one lane packing (pack_rows), so one packing fills one walk.
+constexpr std::size_t kChunkBlocks = 8;
+
 /// Lane-packing plan for one shared pattern block group: several
 /// independent rows (pattern sequences) laid out side by side in the
 /// lanes of shared 64-pattern simulation blocks, so one good-value pass
@@ -99,10 +103,9 @@ struct LanePacking {
 /// current block starts at the next block boundary, leaving the skipped
 /// lanes as holes: a row of length <= 64 never straddles a block, and a
 /// longer row starts block-aligned and spans as many blocks as it needs.
-/// A packing spans at most `max_blocks` blocks (0 = unlimited), so it
-/// stays sized for one 4-wide simulation chunk by default; only a row
-/// longer than `max_blocks` * 64 patterns gets a packing of its own.
-std::vector<LanePacking> pack_rows(const std::vector<std::size_t>& lengths,
-                                   std::size_t max_blocks = 4);
+/// A packing spans at most kChunkBlocks blocks, one simulation chunk;
+/// only a row longer than kChunkBlocks * 64 patterns gets a packing of
+/// its own.
+std::vector<LanePacking> pack_rows(const std::vector<std::size_t>& lengths);
 
 }  // namespace fbist::sim

@@ -85,6 +85,15 @@ TEST(CampaignSpec, ParseErrorsCarryLineNumbers) {
                std::runtime_error);
   EXPECT_THROW(parse_spec_string("circuits c17\ncycles 0\n"),
                std::runtime_error);
+  // Signed counts are rejected, not wrapped (-1) or sign-stripped (+8).
+  for (const char* bad : {"-1", "+8"}) {
+    try {
+      parse_spec_string(std::string("circuits c17\ncycles 4 ") + bad + "\n");
+      FAIL() << "accepted cycles " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << bad;
+    }
+  }
   EXPECT_THROW(parse_spec_string(""), std::invalid_argument);  // no circuits
   EXPECT_THROW(parse_spec_file("/nonexistent/spec.txt"), std::runtime_error);
 }

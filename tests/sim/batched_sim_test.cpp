@@ -2,7 +2,7 @@
 // every packed row must match the seed reference simulator run on that
 // row alone — detection bits *and* earliest indices — for every T regime
 // the paper sweeps, odd batch remainders, paired sa0/sa1 sites, every
-// SIMD tier, and any worker count.
+// campaign size, and any worker count.
 #include <cstddef>
 #include <vector>
 
@@ -18,7 +18,6 @@
 #include "tpg/triplet.h"
 #include "util/parallel.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace fbist::sim {
 namespace {
@@ -35,8 +34,8 @@ std::vector<PatternSet> random_rows(std::size_t num_rows, std::size_t cycles,
 }
 
 /// Simulates independent rows the way reseed::build_initial_reseeding
-/// does: packs them into shared blocks (one simulation chunk of the
-/// active tier per packing), copies each row into its lane range and
+/// does: packs them into shared blocks (one simulation chunk per
+/// packing), copies each row into its lane range and
 /// runs every packing — on the shared pool when `parallel`.  With
 /// `seek`, row i looks only for the faults flagged in (*seek)[i].
 /// Returns one result per row.
@@ -45,8 +44,7 @@ std::vector<FaultSimResult> run_rows(
     bool parallel = true, const std::vector<util::BitVector>* seek = nullptr) {
   std::vector<std::size_t> lengths;
   for (const PatternSet& r : rows) lengths.push_back(r.size());
-  const std::vector<LanePacking> packings =
-      pack_rows(lengths, util::preferred_pack_blocks());
+  const std::vector<LanePacking> packings = pack_rows(lengths);
   std::vector<FaultSimResult> results(rows.size());
   const auto run_one = [&](std::size_t p) {
     const LanePacking& pk = packings[p];
@@ -69,12 +67,6 @@ std::vector<FaultSimResult> run_rows(
   }
   return results;
 }
-
-/// Restores the ambient tier even when an assertion aborts the test.
-struct TierGuard {
-  util::SimdTier saved = util::simd_tier();
-  ~TierGuard() { util::set_simd_tier(saved); }
-};
 
 void expect_identical(const FaultSimResult& a, const FaultSimResult& b,
                       const char* what, std::size_t row) {
@@ -152,7 +144,7 @@ TEST(BatchedSim, OddRemaindersAndMixedLengths) {
 // Per-row seek masks: each row looks only for its own faults, so it must
 // match the reference run_subset on that row and mask.  The lengths mix
 // one-block rows with rows of 100 to 256 patterns that share packings at
-// block-aligned bases, and every forced tier walks them.
+// block-aligned bases.
 TEST(BatchedSim, PerRowSeekMasksMatchReferenceSubset) {
   const auto nl = circuits::make_circuit("c880");
   const auto fl = fault::FaultList::collapsed(nl);
@@ -176,24 +168,15 @@ TEST(BatchedSim, PerRowSeekMasksMatchReferenceSubset) {
   }
   std::vector<std::size_t> lengths;
   for (const PatternSet& r : rows) lengths.push_back(r.size());
-  // The 100-pattern row shares the first packing at every pack width.
-  ASSERT_EQ(pack_rows(lengths, 4)[0].rows[1].length, 100u);
+  // The 100-pattern row shares the first packing.
+  ASSERT_EQ(pack_rows(lengths)[0].rows[1].length, 100u);
 
-  std::vector<FaultSimResult> want;
+  const auto got = run_rows(fsim, rows, /*parallel=*/true, &seek);
+  ASSERT_EQ(got.size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    want.push_back(ref.run_subset(rows[i], active[i], /*parallel=*/false));
-  }
-
-  TierGuard guard;
-  for (const util::SimdTier tier :
-       {util::SimdTier::kNarrow, util::SimdTier::kWide4,
-        util::SimdTier::kWide8, util::SimdTier::kAuto}) {
-    util::set_simd_tier(tier);
-    const auto got = run_rows(fsim, rows, /*parallel=*/true, &seek);
-    ASSERT_EQ(got.size(), rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      expect_identical(got[i], want[i], "seek", i);
-    }
+    expect_identical(got[i],
+                     ref.run_subset(rows[i], active[i], /*parallel=*/false),
+                     "seek", i);
   }
 }
 
@@ -266,70 +249,23 @@ TEST(BatchedSim, PackedTripletExpansionMatchesPerRow) {
   }
 }
 
-// ---- SIMD dispatch tiers ------------------------------------------------
+// ---- chunk walks by campaign size -------------------------------------
 
-// The narrow, 4-wide and 8-wide walkers must all match the reference —
-// the wider tiers only change how many blocks one structure walk covers.
-// Forcing kWide8 is safe on any machine: the tiers are chunk widths
-// over one baseline-ISA walk, so no tier needs a CPU feature.
-TEST(SimdDispatch, ForcedTiersBitIdenticalBatched) {
-  const auto nl = circuits::make_circuit("c880");
-  const auto fl = fault::FaultList::collapsed(nl);
-  FaultSim fsim(nl, fl);
-  ReferenceFaultSim ref(nl, fl);
-  TierGuard guard;
-  for (const std::size_t cycles : {1, 7, 64}) {
-    SCOPED_TRACE("T=" + std::to_string(cycles));
-    const auto rows = random_rows(11, cycles, nl.num_inputs(),
-                                  /*seed=*/cycles * 31 + 5);
-    for (const util::SimdTier tier :
-         {util::SimdTier::kNarrow, util::SimdTier::kWide4,
-          util::SimdTier::kWide8, util::SimdTier::kAuto}) {
-      util::set_simd_tier(tier);
-      expect_rows_match_reference(ref, rows, run_rows(fsim, rows), "tier");
-    }
-  }
-}
-
-// Long campaigns through run(): 600 patterns are 10 blocks, walked from
-// block 0 in chunks of the forced width (two full 4-wide chunks plus a
-// padded remainder, or one full 8-wide chunk plus a padded remainder —
-// both with a partial tail block), or one narrow walk per block.
-TEST(SimdDispatch, ForcedTiersBitIdenticalLongRun) {
+// A one-block campaign takes the narrow walk; a longer one walks
+// kChunkBlocks-block chunks from block 0 on.  The sizes cover one block,
+// a padded chunk, full chunks, several chunks and partial tail blocks.
+TEST(ChunkWalk, BitIdenticalAcrossCampaignSizes) {
   const auto nl = circuits::make_circuit("c432");
   const auto fl = fault::FaultList::collapsed(nl);
   FaultSim fsim(nl, fl);
   ReferenceFaultSim ref(nl, fl);
   util::Rng rng(19);
-  const PatternSet patterns = PatternSet::random(nl.num_inputs(), 600, rng);
-  const FaultSimResult want = ref.run(patterns);
-  TierGuard guard;
-  for (const util::SimdTier tier :
-       {util::SimdTier::kNarrow, util::SimdTier::kWide4, util::SimdTier::kWide8,
-        util::SimdTier::kAuto}) {
-    util::set_simd_tier(tier);
-    expect_identical(fsim.run(patterns), want, "long-run-tier", 0);
+  for (const std::size_t n :
+       {1, 64, 65, 128, 200, 511, 512, 513, 600, 1024, 1100}) {
+    SCOPED_TRACE("patterns=" + std::to_string(n));
+    const PatternSet patterns = PatternSet::random(nl.num_inputs(), n, rng);
+    expect_identical(fsim.run(patterns), ref.run(patterns), "run", 0);
   }
-}
-
-// Tier x worker-count cross: results stay bit-identical when the 8-wide
-// chunks distribute over the pool.
-TEST(SimdDispatch, Wide8BitIdenticalAcrossWorkerCounts) {
-  const auto nl = circuits::make_circuit("c880");
-  const auto fl = fault::FaultList::collapsed(nl);
-  FaultSim fsim(nl, fl);
-  ReferenceFaultSim ref(nl, fl);
-  const auto rows = random_rows(17, 7, nl.num_inputs(), 23);
-
-  TierGuard guard;
-  util::set_simd_tier(util::SimdTier::kWide8);
-  campaign::Scheduler::global().set_workers(1);
-  const auto one = run_rows(fsim, rows);
-  campaign::Scheduler::global().set_workers(4);
-  const auto four = run_rows(fsim, rows);
-  campaign::Scheduler::global().set_workers(0);  // restore default
-  expect_rows_match_reference(ref, rows, one, "wide8 1 worker");
-  expect_rows_match_reference(ref, rows, four, "wide8 4 workers");
 }
 
 // ---- pack_rows unit behavior --------------------------------------------
@@ -339,10 +275,11 @@ TEST(PackRows, PacksFloorOf64OverT) {
   const auto packings = pack_rows(lengths);
   ASSERT_FALSE(packings.empty());
   const auto& first = packings.front();
-  // 9 rows in block 0 (lanes 0..62), 9 in block 1, ... 4 blocks/packing.
+  // 9 rows in block 0 (lanes 0..62), 9 in block 1, ... kChunkBlocks
+  // blocks per packing at most.
   EXPECT_EQ(first.rows[8].base, 56u);
   EXPECT_EQ(first.rows[9].base, 64u);  // row 10 starts a fresh block
-  EXPECT_LE(first.num_blocks(), 4u);
+  EXPECT_LE(first.num_blocks(), kChunkBlocks);
   std::size_t total = 0;
   for (const auto& pk : packings) total += pk.rows.size();
   EXPECT_EQ(total, lengths.size());
@@ -356,43 +293,42 @@ TEST(PackRows, RowsNeverStraddleBlocks) {
   EXPECT_EQ(packings[0].rows[2].base, 128u);
 }
 
-// A row of 65 to max_blocks * 64 patterns shares its packing and starts
-// at the next block boundary; only a longer row gets blocks of its own.
+// A row of 65 to kChunkBlocks * 64 patterns shares its packing and
+// starts at the next block boundary; only a longer row gets blocks of its
+// own.
 TEST(PackRows, LongRowsShareBlockAlignedPackings) {
-  const auto packings = pack_rows({7, 100, 7, 256, 300, 7}, /*max_blocks=*/4);
+  static_assert(kChunkBlocks == 8, "the lengths below assume 8 blocks");
+  const auto packings = pack_rows({7, 100, 7, 512, 600, 7});
   ASSERT_EQ(packings.size(), 4u);
   ASSERT_EQ(packings[0].rows.size(), 3u);
   EXPECT_EQ(packings[0].rows[1].base, 64u);  // after row 0's block
   EXPECT_EQ(packings[0].rows[2].base, 164u);  // fills row 1's tail block
   EXPECT_EQ(packings[0].num_blocks(), 3u);
-  // 256 patterns fill a whole 4-block packing, so it starts a new one.
+  // 512 patterns fill a whole 8-block packing, so it starts a new one.
   ASSERT_EQ(packings[1].rows.size(), 1u);
   EXPECT_EQ(packings[1].rows[0].base, 0u);
-  EXPECT_EQ(packings[1].num_blocks(), 4u);
-  // 300 > 4 * 64: dedicated, spanning every block it needs.
+  EXPECT_EQ(packings[1].num_blocks(), 8u);
+  // 600 > 8 * 64: dedicated, spanning every block it needs.
   ASSERT_EQ(packings[2].rows.size(), 1u);
   EXPECT_EQ(packings[2].rows[0].row, 4u);
-  EXPECT_EQ(packings[2].num_blocks(), 5u);
+  EXPECT_EQ(packings[2].num_blocks(), 10u);
   EXPECT_EQ(packings[3].rows[0].row, 5u);
 
   // Stage segments of 128 patterns: 4 per 8-block packing, block-aligned.
-  const auto segs = pack_rows(std::vector<std::size_t>(5, 128), /*max_blocks=*/8);
+  const auto segs = pack_rows(std::vector<std::size_t>(5, 128));
   ASSERT_EQ(segs.size(), 2u);
   ASSERT_EQ(segs[0].rows.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(segs[0].rows[i].base, 128 * i);
-  // max_blocks = 0: nothing is too long to share.
-  EXPECT_EQ(pack_rows({7, 1000}, /*max_blocks=*/0).size(), 1u);
 }
 
 TEST(PackRows, MaxBlocksBoundsEachPacking) {
-  const std::vector<std::size_t> lengths(10, 64);
-  const auto packings = pack_rows(lengths, /*max_blocks=*/4);
-  ASSERT_EQ(packings.size(), 3u);  // 4 + 4 + 2 blocks
-  EXPECT_EQ(packings[0].rows.size(), 4u);
-  EXPECT_EQ(packings[2].rows.size(), 2u);
-  const auto unlimited = pack_rows(lengths, /*max_blocks=*/0);
-  ASSERT_EQ(unlimited.size(), 1u);
-  EXPECT_EQ(unlimited[0].num_blocks(), 10u);
+  const std::vector<std::size_t> lengths(20, 64);
+  const auto packings = pack_rows(lengths);
+  ASSERT_EQ(packings.size(), 3u);  // 8 + 8 + 4 blocks
+  EXPECT_EQ(packings[0].rows.size(), kChunkBlocks);
+  EXPECT_EQ(packings[1].rows.size(), kChunkBlocks);
+  EXPECT_EQ(packings[2].rows.size(), 4u);
+  EXPECT_EQ(packings[2].num_blocks(), 4u);
 }
 
 }  // namespace

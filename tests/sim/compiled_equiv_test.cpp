@@ -12,7 +12,6 @@
 #include "sim/logic_sim.h"
 #include "sim/reference_sim.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace fbist::sim {
 namespace {
@@ -94,9 +93,8 @@ TEST(CompiledEquiv, FaultSimSubsetMatchesReference) {
   FaultSim fsim(nl, fl);
   ReferenceFaultSim ref(nl, fl);
   util::Rng rng(12);
-  // 600 patterns are 10 blocks: the masked campaign runs every walk
-  // shape — ten narrow walks, 4-wide and 8-wide chunks with padded
-  // lanes — and a partial tail block.
+  // 600 patterns are 10 blocks: the masked campaign walks one full
+  // chunk and one with padded lanes that ends in a partial tail block.
   const PatternSet ps = PatternSet::random(nl.num_inputs(), 600, rng);
   // Activate a pseudo-random half of the faults, including lone
   // polarities of paired sites.
@@ -113,16 +111,9 @@ TEST(CompiledEquiv, FaultSimSubsetMatchesReference) {
   }
   ASSERT_GT(late, 0u) << "no detection past block 0; the chunk walk is idle";
 
-  const util::SimdTier saved = util::simd_tier();
-  for (const util::SimdTier tier :
-       {util::SimdTier::kNarrow, util::SimdTier::kWide4, util::SimdTier::kWide8,
-        util::SimdTier::kAuto}) {
-    util::set_simd_tier(tier);
-    const FaultSimResult got = fsim.run_subset(ps, seek, /*parallel=*/false);
-    EXPECT_EQ(got.detected, want.detected) << static_cast<int>(tier);
-    EXPECT_EQ(got.earliest, want.earliest) << static_cast<int>(tier);
-  }
-  util::set_simd_tier(saved);
+  const FaultSimResult got = fsim.run_subset(ps, seek, /*parallel=*/false);
+  EXPECT_EQ(got.detected, want.detected);
+  EXPECT_EQ(got.earliest, want.earliest);
 }
 
 TEST(CompiledEquiv, ScanWalkVariantMatchesReferenceOnDeepCones) {

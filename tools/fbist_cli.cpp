@@ -142,31 +142,8 @@ tpg::TpgKind parse_tpg(const std::string& name) {
   return campaign::parse_tpg_kind(name);
 }
 
-/// Strict unsigned parser: digits only, so it rejects signs, spaces,
-/// trailing junk and 64-bit overflow (std::stoull alone accepts
-/// "16junk" and wraps "-1" to 2^64-1).
-std::uint64_t parse_unsigned(const std::string& tok, const char* what) {
-  std::size_t pos = 0;
-  unsigned long long v = 0;
-  try {
-    v = std::stoull(tok, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (tok.empty() || tok[0] < '0' || tok[0] > '9' || pos != tok.size()) {
-    throw std::runtime_error(std::string(what) + ": bad value '" + tok + "'");
-  }
-  return v;
-}
-
-/// Strict positive count: parse_unsigned, and 0 is rejected too.
-std::size_t parse_count(const std::string& tok, const char* what) {
-  const std::uint64_t v = parse_unsigned(tok, what);
-  if (v == 0) {
-    throw std::runtime_error(std::string(what) + ": bad value '" + tok + "'");
-  }
-  return v;
-}
+using campaign::parse_count;
+using campaign::parse_unsigned;
 
 /// Value of an on|off flag.
 bool parse_on_off(const std::string& v, const char* flag) {
