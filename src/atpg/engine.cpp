@@ -119,6 +119,7 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
   OBS_COUNTER(c_sat_detected, "atpg.sat_detected");
   OBS_COUNTER(c_sat_redundant, "atpg.sat_redundant");
   OBS_COUNTER(c_podem_reruns, "atpg.podem_reruns");
+  OBS_COUNTER(c_podem_rerun_ns, "atpg.podem_rerun_ns");
   auto settle_sat_redundant = [&](std::size_t fid) {
     settle(fid, FaultVerdict::kRedundant);
     ++result.redundant_faults;
@@ -145,6 +146,7 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
         // Not proved redundant: PODEM's full search keeps precedence
         // over a SAT model.
         OBS_COUNT(c_podem_reruns, 1);
+        OBS_SCOPED_NS(rerun_timer, c_podem_rerun_ns);  // part of podem_ns
         pr = run_podem(f, budget);
       }
     }

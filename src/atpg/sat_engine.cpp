@@ -19,13 +19,16 @@ SatEngine::SatEngine(const netlist::CompiledCircuit& cc, SatEngineOptions opts)
   image_.load(good_cnf);
 }
 
-SatResult SatEngine::generate(const fault::Fault& f) const {
-  Solver solver;
-  const SolveStatus status = solve_miter(f, /*structural=*/false, solver);
+SatResult SatEngine::generate(const fault::Fault& f) {
+  OBS_COUNTER(c_plain_ns, "atpg.sat_plain_ns");
+  OBS_SCOPED_NS(plain_timer, c_plain_ns);
+  const SolveStatus status = solve_miter(f, /*structural=*/false);
 
   SatResult result;
-  result.conflicts = solver.stats().conflicts;
-  result.decisions = solver.stats().decisions;
+  if (cc_.reaches_output(f.net)) {  // dead logic is settled unsolved
+    result.conflicts = scratch_.stats().conflicts;
+    result.decisions = scratch_.stats().decisions;
+  }
   switch (status) {
     case SolveStatus::kUnsat:
       result.status = SatStatus::kRedundant;
@@ -44,20 +47,18 @@ SatResult SatEngine::generate(const fault::Fault& f) const {
   result.care = util::WideWord(num_inputs);
   for (std::size_t i = 0; i < num_inputs; ++i) {
     result.pattern.set_bit(
-        i, solver.value(static_cast<SatVar>(cc_.inputs()[i])));
+        i, scratch_.value(static_cast<SatVar>(cc_.inputs()[i])));
     result.care.set_bit(i, true);
   }
   result.status = SatStatus::kDetected;
   return result;
 }
 
-bool SatEngine::proves_redundant(const fault::Fault& f) const {
-  Solver solver;
-  return solve_miter(f, /*structural=*/true, solver) == SolveStatus::kUnsat;
+bool SatEngine::proves_redundant(const fault::Fault& f) {
+  return solve_miter(f, /*structural=*/true) == SolveStatus::kUnsat;
 }
 
-SolveStatus SatEngine::solve_miter(const fault::Fault& f, bool structural,
-                                   Solver& solver) const {
+SolveStatus SatEngine::solve_miter(const fault::Fault& f, bool structural) {
   OBS_COUNTER(c_calls, "atpg.sat_calls");
   OBS_COUNTER(c_conflicts, "atpg.sat_conflicts");
   OBS_COUNTER(c_propagations, "atpg.sat_propagations");
@@ -71,10 +72,12 @@ SolveStatus SatEngine::solve_miter(const fault::Fault& f, bool structural,
     return SolveStatus::kUnsat;
   }
 
+  Solver& solver = scratch_;
   {
     OBS_SCOPED_NS(build_timer, c_build_ns);
     // The image holds only values and clause indices, so the copy is the
-    // state a fresh solver reaches after loading the good circuit.
+    // state a fresh solver reaches after loading the good circuit; copy
+    // assignment reuses the scratch's vectors, watch lists included.
     solver = image_;
 
     // Faulty copy: variables only for the fault site and its fanout

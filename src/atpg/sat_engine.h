@@ -11,9 +11,11 @@
 //
 //   * the good circuit is encoded once per SatEngine (Tseitin clauses
 //     over the whole schedule, via cnf.h) and loaded once into a solver
-//     image; each fault's solve starts from a copy of that image, which
-//     is exactly the state a fresh solver reaches after loading it —
-//     so results stay order-independent and deterministic;
+//     image; each fault's solve copy-assigns that image into the
+//     engine's one scratch solver, which is exactly the state a fresh
+//     solver reaches after loading it — so results stay
+//     order-independent and deterministic, and the scratch's vectors
+//     keep their capacity from call to call;
 //   * the faulty circuit is only re-encoded over the fault's fanout
 //     cone (cone_gates), with the fault site forced to its stuck value
 //     and the good site forced to the opposite value (activation);
@@ -80,34 +82,36 @@ struct SatResult {
 
 /// Per-circuit SAT ATPG engine.  Construction encodes and loads the
 /// good circuit once; generate() and proves_redundant() copy that
-/// solver image and build and solve one miter per fault.  Const and
-/// shareable across threads.
+/// solver image into the engine's scratch solver and build and solve
+/// one miter per fault.  One engine serves one thread, as run_atpg
+/// uses it.
 class SatEngine {
  public:
   explicit SatEngine(const netlist::CompiledCircuit& cc,
                      SatEngineOptions opts = {});
 
-  /// Decides one stuck-at fault.  Deterministic: identical circuit +
-  /// fault always yields the identical result (including the pattern).
-  SatResult generate(const fault::Fault& f) const;
+  /// Decides one stuck-at fault with the plain miter.  Deterministic:
+  /// identical circuit + fault always yields the identical result
+  /// (including the pattern), whatever the engine answered before.
+  SatResult generate(const fault::Fault& f);
 
   /// True iff the structural miter of `f` is UNSAT, i.e. `f` is
   /// redundant.  False for a testable fault and when the conflict limit
   /// runs out.
-  bool proves_redundant(const fault::Fault& f) const;
+  bool proves_redundant(const fault::Fault& f);
 
   const SatEngineOptions& options() const { return opts_; }
 
  private:
-  /// Copies the good-circuit image into `solver`, adds the miter of `f`
+  /// Copies the good-circuit image into scratch_, adds the miter of `f`
   /// (with D-chain clauses when `structural`) and solves it.  Dead-logic
-  /// faults return kUnsat and leave `solver` untouched.
-  SolveStatus solve_miter(const fault::Fault& f, bool structural,
-                          Solver& solver) const;
+  /// faults return kUnsat and leave scratch_ untouched.
+  SolveStatus solve_miter(const fault::Fault& f, bool structural);
 
   const netlist::CompiledCircuit& cc_;
   SatEngineOptions opts_;
-  Solver image_;  // good circuit loaded, nothing solved; net n <-> variable n
+  Solver image_;    // good circuit loaded, nothing solved; net n <-> variable n
+  Solver scratch_;  // the current miter: a copy of image_ plus its clauses
 };
 
 }  // namespace fbist::atpg

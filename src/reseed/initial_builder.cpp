@@ -95,9 +95,9 @@ InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
   // and a row stops seeking a fault only after its first detection, so
   // earliest = stage start + index within the stage, exactly as one
   // walk over the whole row finds it.  A packing spans one simulation
-  // chunk (sim::kChunkBlocks blocks); a stage's packings run on the
-  // shared work-stealing pool, and the matrix is bit-identical at any
-  // worker count.
+  // chunk (sim::kChunkBlocks = 16 blocks, 1024 patterns); a stage's
+  // packings run on the shared work-stealing pool, and the matrix is
+  // bit-identical at any worker count.
   OBS_COUNTER(c_packings, "builder.packings");
   OBS_COUNTER(c_expand_ns, "builder.expand_ns");
   // parallel_for does not catch loop-body exceptions, so trap them

@@ -18,7 +18,7 @@ namespace {
 /// amortize one structure walk over N * 64 patterns instead of N walks
 /// over 64.  The walk is compiled for the baseline ISA, so the bitwise
 /// ops are 64-bit or 128-bit SSE2 instructions, never AVX.  Campaigns
-/// instantiate N = kChunkBlocks only (sim/pattern.h).
+/// instantiate N = kChunkBlocks = 16 only (sim/pattern.h).
 template <int N>
 struct WordV {
   Word w[N];
@@ -281,29 +281,23 @@ template <int N>
   return diff;
 }
 
-/// Builds the block-interleaved (N words per net) good-value layout and
-/// per-chunk lane masks of the chunks covering every block, the j-th
-/// block of chunk c being block c*N + j.  `lanes[b]` is the valid-lane
-/// mask of real block b; absent blocks get zero lanes and replicate the
-/// last real block's good values, so the site is never flipped there
-/// and the padding cannot trip the per-gate differs() check that drives
-/// the touched-scan skip.
+/// Builds the block-interleaved (N words per net) good-value layout of
+/// the chunks covering every block, the j-th block of chunk c being
+/// block c*N + j.  Absent blocks replicate the last real block's good
+/// values; the site is never flipped there (see walk_site_chunks), so
+/// the padding cannot trip the per-gate differs() check that drives the
+/// touched-scan skip.
 template <int N>
 void build_chunk_goods(const CompiledCircuit& cc,
                        const std::vector<std::vector<Word>>& good,
-                       const std::vector<Word>& lanes,
-                       std::vector<std::vector<Word>>& goodT,
-                       std::vector<WordV<N>>& chunk_lanes) {
+                       std::vector<std::vector<Word>>& goodT) {
   const std::size_t blocks = good.size();
-  const std::size_t nchunks = (blocks + N - 1) / N;
-  goodT.resize(nchunks);
-  chunk_lanes.resize(nchunks);
-  for (std::size_t chunk = 0; chunk < nchunks; ++chunk) {
+  goodT.resize((blocks + N - 1) / N);
+  for (std::size_t chunk = 0; chunk < goodT.size(); ++chunk) {
     auto& t = goodT[chunk];
     t.resize(cc.num_nets() * N);
     for (std::size_t j = 0; j < static_cast<std::size_t>(N); ++j) {
       const std::size_t b = chunk * N + j;
-      chunk_lanes[chunk].w[j] = b < blocks ? lanes[b] : Word{0};
       const Word* const gb = good[b >= blocks ? blocks - 1 : b].data();
       for (std::size_t n = 0; n < cc.num_nets(); ++n) t[n * N + j] = gb[n];
     }
@@ -312,33 +306,31 @@ void build_chunk_goods(const CompiledCircuit& cc,
 
 /// Walks every chunk of one site's cone, demuxing nonzero per-block
 /// difference words through `demux(block, diff, gs)`, and returns the
-/// number of chunk walks taken.  `want()` returns the polarities still
-/// sought; both false stops the site.  Blocks are visited in ascending
+/// number of chunk walks taken.  `activation(chunk, gs, act)` fills the
+/// chunk's per-block site-flip lanes (zero past the last real block)
+/// from the site's good values `gs`, or returns false once nothing is
+/// sought, which stops the site.  Blocks are visited in ascending
 /// pattern order, so a row's earliest index is the lowest set lane of
 /// its first detecting block, exactly as one narrow walk per block
-/// finds it — only the early-exit granularity (one chunk) differs.
-template <int N, typename WantFn, typename DemuxFn>
+/// finds it — only the early-exit granularity (one chunk) differs.  A
+/// lane the site is not flipped in carries good values through the
+/// whole cone, so it never shows a difference.
+template <int N, typename ActFn, typename DemuxFn>
 std::size_t walk_site_chunks(const CompiledCircuit& cc, NetId site_net,
                              std::size_t blocks,
                              const std::vector<std::vector<Word>>& goodT,
-                             const std::vector<WordV<N>>& chunk_lanes,
                              WordV<N>* local, std::uint8_t* diff_flag,
-                             WantFn want, DemuxFn demux) {
-  const std::size_t nchunks = goodT.size();
+                             ActFn activation, DemuxFn demux) {
   std::size_t walks = 0;
-  for (std::size_t chunk = 0; chunk < nchunks; ++chunk) {
-    const std::pair<bool, bool> w = want();
-    if (!w.first && !w.second) break;
+  for (std::size_t chunk = 0; chunk < goodT.size(); ++chunk) {
     const Word* const gT = goodT[chunk].data();
-    const WordV<N> lanes = chunk_lanes[chunk];
     const WordV<N> gs = GoodV<N>{gT}(site_net);
-    const WordV<N> zero{};
-    const WordV<N> act =
-        ((w.first ? gs : zero) | (w.second ? ~gs : zero)) & lanes;
-    if (!differs(act, zero)) continue;
+    WordV<N> act;
+    if (!activation(chunk, gs, act)) break;
+    if (!differs(act, WordV<N>{})) continue;
 
     const WordV<N> diff =
-        chunk_site_walk<N>(cc, site_net, gT, act, local, diff_flag) & lanes;
+        chunk_site_walk<N>(cc, site_net, gT, act, local, diff_flag);
     ++walks;
     for (std::size_t j = 0; j < static_cast<std::size_t>(N); ++j) {
       const std::size_t b = chunk * N + j;
@@ -355,7 +347,7 @@ std::size_t walk_site_chunks(const CompiledCircuit& cc, NetId site_net,
 /// outside-sentinel slot (+2), which branchless selects may load
 /// speculatively.  `local1` backs a one-block campaign's narrow walk,
 /// `localv` a longer campaign's WordV<kChunkBlocks> chunk walk
-/// (kChunkBlocks words per slot).  `walks` tallies the
+/// (kChunkBlocks = 16 words per slot).  `walks` tallies the
 /// worker's cone walks for the campaign's sim.site_walks count; the
 /// alignment keeps one worker's tally off every other worker's lines.
 struct alignas(64) WalkScratch {
@@ -483,23 +475,21 @@ std::vector<FaultSimResult> FaultSim::run_packed(
 
   // Block layout: a one-block campaign takes the cheaper narrow walk; a
   // longer one walks kChunkBlocks-block chunks from block 0 on (one
-  // structure walk per kChunkBlocks * 64 patterns).
+  // structure walk per kChunkBlocks * 64 patterns, padded past the last
+  // block).
   const bool chunked = blocks > 1;
   // Campaign-grain counters only (one shard add per campaign, never per
   // site or block): the cone walk itself stays instrumentation-free.
   OBS_COUNTER(c_campaigns, "sim.campaigns");
   OBS_COUNTER(c_blocks, "sim.blocks");
   OBS_COUNTER(c_narrow, "sim.tier_narrow");
-  OBS_COUNTER(c_wide8, "sim.tier_wide8");
+  OBS_COUNTER(c_chunked, "sim.tier_chunked");
   OBS_COUNT(c_campaigns, 1);
   OBS_COUNT(c_blocks, blocks);
-  OBS_COUNT(chunked ? c_wide8 : c_narrow, 1);
+  OBS_COUNT(chunked ? c_chunked : c_narrow, 1);
   using Chunk = WordV<kChunkBlocks>;
   std::vector<std::vector<Word>> goodT;
-  std::vector<Chunk> chunk_lanes;
-  if (chunked) {
-    build_chunk_goods<kChunkBlocks>(cc, good, union_lanes, goodT, chunk_lanes);
-  }
+  if (chunked) build_chunk_goods<kChunkBlocks>(cc, good, goodT);
 
   const std::size_t max_slots = cc.max_cone_gates() + 2;
   const std::size_t workers = parallel ? util::parallel_workers() : 1;
@@ -522,7 +512,8 @@ std::vector<FaultSimResult> FaultSim::run_packed(
     // have not yet detected it (zero for an absent fault).  Rows are
     // independent campaigns: a detection in one row's lanes never drops
     // the fault from another, so a polarity is flipped while any row
-    // still needs it and the site stops once no row needs either.
+    // still needs it (a chunk flips it in those rows' lanes only) and
+    // the site stops once no row needs either.
     std::size_t left[2];
     for (int s = 0; s < 2; ++s) {
       left[s] = site.fid[s] != kNoFault ? seekers(site.fid[s]) : 0;
@@ -574,12 +565,38 @@ std::vector<FaultSimResult> FaultSim::run_packed(
       return;
     }
 
-    const auto want = [&]() {
-      return std::make_pair(left[0] > 0, left[1] > 0);
+    // The lanes of block b that polarity s flips: those of the rows that
+    // seek the stuck-at-s fault and have not detected it yet.  While
+    // every live row still needs it (stage 0's first chunk), that is the
+    // block's union of row lanes, with no per-row scan.
+    const auto seek_lanes = [&](int s, std::size_t b) -> Word {
+      if (left[s] == 0) return 0;
+      if (left[s] == live_rows.size()) return union_lanes[b];
+      const std::size_t fid = site.fid[s];
+      Word m = 0;
+      for (const RowLanes& rl : rows_in_block[b]) {
+        if (seeks(rl.pos, fid) &&
+            results[rl.pos].earliest[fid] == kNotDetected) {
+          m |= rl.mask;
+        }
+      }
+      return m;
+    };
+    const auto activation = [&](std::size_t chunk, const Chunk& gs,
+                                Chunk& act) {
+      if (left[0] == 0 && left[1] == 0) return false;
+      for (std::size_t j = 0; j < kChunkBlocks; ++j) {
+        const std::size_t b = chunk * kChunkBlocks + j;
+        act.w[j] = b < blocks ? (gs.w[j] & seek_lanes(0, b)) |
+                                    (~gs.w[j] & seek_lanes(1, b))
+                              : Word{0};
+      }
+      return true;
     };
     sc.walks += walk_site_chunks<kChunkBlocks>(
-        cc, site.net, blocks, goodT, chunk_lanes,
-        reinterpret_cast<Chunk*>(sc.localv.data()), diff_flag, want, demux);
+        cc, site.net, blocks, goodT,
+        reinterpret_cast<Chunk*>(sc.localv.data()), diff_flag, activation,
+        demux);
   };
 
   if (parallel && workers > 1) {

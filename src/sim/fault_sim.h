@@ -17,10 +17,13 @@
 //    pattern lanes, so one walk with the site complemented per lane
 //    simulates both faults exactly — dual-polarity nets cost one walk;
 //  * block chunks: a one-block campaign takes one narrow walk per site;
-//    a longer one walks kChunkBlocks (sim/pattern.h) 64-pattern blocks
-//    per structure walk over block-interleaved good values, from block
-//    0 on, until no row still seeks the site's faults.  The walk is
-//    compiled once for the baseline ISA and runs no AVX code.
+//    a longer one walks kChunkBlocks (16, sim/pattern.h) 64-pattern
+//    blocks per structure walk over block-interleaved good values, from
+//    block 0 on, until no row still seeks the site's faults.  A chunk
+//    complements the site only on the lanes of rows that still seek
+//    the fault, so a row that has found it stops producing effects
+//    nobody reads.  The walk is compiled once for the baseline ISA and
+//    runs no AVX code.
 //
 // Every entry point is one campaign of run_packed, the one driver, over
 // a lane-packed pattern set (sim::LanePacking) with an optional
@@ -109,7 +112,8 @@ class FaultSim {
   /// `seek` restricts the faults each row looks for: nullptr means every
   /// row seeks every fault, otherwise (*seek)[i] (size = fault count)
   /// flags the faults of packing.rows[i].  A site is walked while some
-  /// row still seeks one of its faults and has not yet detected it.
+  /// row still seeks one of its faults and has not yet detected it, and
+  /// a chunk flips the site only in such rows' lanes.
   ///
   /// Returns one result per packing.rows entry, in that order, equal to
   /// run_subset() on that row alone with its seek mask — detection bits

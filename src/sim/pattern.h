@@ -77,9 +77,11 @@ class PatternSet {
   std::vector<util::BitVector> slices_;  // one per input, length capacity_
 };
 
-/// 64-pattern blocks per multi-block cone walk of sim::FaultSim, and the
-/// span of one lane packing (pack_rows), so one packing fills one walk.
-constexpr std::size_t kChunkBlocks = 8;
+/// 64-pattern blocks per multi-block cone walk of sim::FaultSim (1024
+/// patterns per visit of a cone), and the span of one lane packing
+/// (pack_rows), so one packing fills one walk.  32 ran slower than 16
+/// on the mid-size circuits' matrix builds.
+constexpr std::size_t kChunkBlocks = 16;
 
 /// Lane-packing plan for one shared pattern block group: several
 /// independent rows (pattern sequences) laid out side by side in the

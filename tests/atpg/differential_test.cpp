@@ -52,7 +52,7 @@ void cross_check(const netlist::Netlist& nl, bool exhaustive) {
   const auto cc = std::make_shared<netlist::CompiledCircuit>(nl);
   const auto fl = fault::FaultList::collapsed(*cc);
   Podem podem(cc);
-  const SatEngine sat(*cc);
+  SatEngine sat(*cc);
   sim::FaultSim fsim(nl, fl, cc);
   const std::vector<bool> truth =
       exhaustive ? exhaustive_detectability(nl, fl) : std::vector<bool>();

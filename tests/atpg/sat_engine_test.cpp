@@ -29,7 +29,7 @@ netlist::Netlist make_absorption_circuit() {
 TEST(SatEngine, CertifiesAbsorptionRedundancyAndDetectsItsDual) {
   const auto nl = make_absorption_circuit();
   const netlist::CompiledCircuit cc(nl);
-  const SatEngine sat(cc);
+  SatEngine sat(cc);
   const netlist::NetId c = nl.find("c");
   ASSERT_NE(c, netlist::kNullNet);
 
@@ -58,7 +58,7 @@ TEST(SatEngine, CertifiesConstantZeroNet) {
   const auto z = nl.add_gate(netlist::GateType::kAnd, "z", {a, na});
   nl.mark_output(z);
   const netlist::CompiledCircuit cc(nl);
-  const SatEngine sat(cc);
+  SatEngine sat(cc);
 
   EXPECT_EQ(sat.generate({z, false}).status, SatStatus::kRedundant);
 
@@ -72,7 +72,7 @@ TEST(SatEngine, CertifiesConstantZeroNet) {
 TEST(SatEngine, EveryCollapsedC432FaultIsDecided) {
   const auto nl = circuits::make_circuit("c432");
   const netlist::CompiledCircuit cc(nl);
-  const SatEngine sat(cc);
+  SatEngine sat(cc);
   const auto fl = fault::FaultList::collapsed(cc);
   sim::FaultSim fsim(nl, fl);
   std::size_t detected = 0, redundant = 0;
@@ -94,8 +94,8 @@ TEST(SatEngine, EveryCollapsedC432FaultIsDecided) {
 TEST(SatEngine, DeterministicAcrossCallsAndEngines) {
   const auto nl = circuits::make_circuit("c880");
   const netlist::CompiledCircuit cc(nl);
-  const SatEngine sat_a(cc);
-  const SatEngine sat_b(cc);
+  SatEngine sat_a(cc);
+  SatEngine sat_b(cc);
   const auto fl = fault::FaultList::collapsed(cc);
   for (std::size_t fid = 0; fid < fl.size(); fid += 17) {
     const SatResult x = sat_a.generate(fl[fid]);
@@ -159,7 +159,7 @@ TEST(SatEngine, ConflictLimitAborts) {
   const netlist::CompiledCircuit cc(nl);
   SatEngineOptions opts;
   opts.conflict_limit = 1;
-  const SatEngine sat(cc, opts);
+  SatEngine sat(cc, opts);
   const auto fl = fault::FaultList::collapsed(cc);
   std::size_t aborted = 0;
   for (std::size_t fid = 0; fid < fl.size(); ++fid) {

@@ -24,7 +24,7 @@ namespace {
 std::uint64_t reverse_order_digest(const netlist::Netlist& nl) {
   const auto fl = fault::FaultList::collapsed(nl);
   const netlist::CompiledCircuit cc(nl);
-  const SatEngine sat(cc);
+  SatEngine sat(cc);
   std::string record;
   for (std::size_t fid = fl.size(); fid-- > 0;) {
     const SatResult r = sat.generate(fl[fid]);

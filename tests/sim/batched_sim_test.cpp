@@ -214,6 +214,79 @@ TEST(BatchedSim, BitIdenticalAcrossWorkerCounts) {
   expect_rows_match_reference(ref, rows, four, "4 workers");
 }
 
+// Per-row seek masks over a hand-made packing of three chunks (pack_rows
+// caps a packing at one): a chunk flips the site only in the lanes of
+// rows that seek the fault and have not found it.  Row 2 spans the first
+// two chunks and finds most faults in the first; row 4 repeats one
+// pattern in the second and third, so most faults it seeks it never
+// finds.  Every row must equal the reference run_subset on that row
+// alone, on a 1- and a 4-worker pool.
+TEST(BatchedSim, MultiChunkSeekMasksMatchReferenceSubset) {
+  const auto nl = circuits::make_circuit("c880");
+  const auto fl = fault::FaultList::full(nl);  // paired sa0/sa1 sites
+  FaultSim fsim(nl, fl);
+  ReferenceFaultSim ref(nl, fl);
+  constexpr std::size_t kChunk = kChunkBlocks * 64;
+
+  LanePacking pk;
+  pk.rows = {{0, 0, 7},
+             {1, 7, 50},
+             {2, 64, kChunk + 300},
+             {3, kChunk + 448, 64},
+             {4, kChunk + 512, 600},
+             {5, 2 * kChunk + 128, 30},
+             {6, 2 * kChunk + 192, 36}};
+  pk.num_patterns = 2 * kChunk + 228;
+  ASSERT_EQ((pk.num_blocks() + kChunkBlocks - 1) / kChunkBlocks, 3u);
+
+  util::Rng rng(23);
+  std::vector<PatternSet> rows;
+  std::vector<util::BitVector> seek;
+  std::vector<std::vector<bool>> active;
+  PatternSet packed(nl.num_inputs(), pk.num_patterns);
+  for (const LanePacking::Row& pr : pk.rows) {
+    PatternSet row = PatternSet::random(nl.num_inputs(), pr.length, rng);
+    if (pr.row == 4) {
+      const util::WideWord one = row.pattern(0);
+      row = PatternSet(nl.num_inputs(), 0);
+      for (std::size_t i = 0; i < pr.length; ++i) row.append(one);
+    }
+    packed.write_patterns(pr.base, row);
+    rows.push_back(std::move(row));
+    util::BitVector mask(fl.size());
+    std::vector<bool> flags(fl.size());
+    for (std::size_t f = 0; f < fl.size(); ++f) {
+      flags[f] = rng.next_bool();
+      mask.set(f, flags[f]);
+    }
+    seek.push_back(std::move(mask));
+    active.push_back(std::move(flags));
+  }
+
+  for (const std::size_t workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    campaign::Scheduler::global().set_workers(workers);
+    const auto got = fsim.run_packed(packed, pk, &seek);
+    campaign::Scheduler::global().set_workers(0);  // restore default
+    ASSERT_EQ(got.size(), rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      expect_identical(got[i],
+                       ref.run_subset(rows[i], active[i], /*parallel=*/false),
+                       "multi-chunk seek", i);
+    }
+    // The case the lane masks decide: a fault both long rows seek that
+    // row 2 finds in the first chunk and row 4 never finds.
+    std::size_t split = 0;
+    for (std::size_t f = 0; f < fl.size(); ++f) {
+      if (seek[2].get(f) && seek[4].get(f) &&
+          got[2].earliest[f] < kChunk - 64 && !got[4].detected.get(f)) {
+        ++split;
+      }
+    }
+    EXPECT_GT(split, 0u);
+  }
+}
+
 // run_packed consumes pre-packed sets (tpg::expand_triplet_into writes
 // triplets straight into their lane ranges — no intermediate per-row
 // PatternSet) and must match expand_triplet + a per-row campaign.
@@ -260,8 +333,8 @@ TEST(ChunkWalk, BitIdenticalAcrossCampaignSizes) {
   FaultSim fsim(nl, fl);
   ReferenceFaultSim ref(nl, fl);
   util::Rng rng(19);
-  for (const std::size_t n :
-       {1, 64, 65, 128, 200, 511, 512, 513, 600, 1024, 1100}) {
+  for (const std::size_t n : {1, 64, 65, 128, 200, 511, 512, 513, 600, 1023,
+                              1024, 1025, 1100, 2048, 2049, 2100}) {
     SCOPED_TRACE("patterns=" + std::to_string(n));
     const PatternSet patterns = PatternSet::random(nl.num_inputs(), n, rng);
     expect_identical(fsim.run(patterns), ref.run(patterns), "run", 0);
@@ -297,34 +370,39 @@ TEST(PackRows, RowsNeverStraddleBlocks) {
 // starts at the next block boundary; only a longer row gets blocks of its
 // own.
 TEST(PackRows, LongRowsShareBlockAlignedPackings) {
-  static_assert(kChunkBlocks == 8, "the lengths below assume 8 blocks");
-  const auto packings = pack_rows({7, 100, 7, 512, 600, 7});
+  constexpr std::size_t kChunk = kChunkBlocks * 64;
+  const auto packings = pack_rows({7, 100, 7, kChunk, kChunk + 88, 7});
   ASSERT_EQ(packings.size(), 4u);
   ASSERT_EQ(packings[0].rows.size(), 3u);
   EXPECT_EQ(packings[0].rows[1].base, 64u);  // after row 0's block
   EXPECT_EQ(packings[0].rows[2].base, 164u);  // fills row 1's tail block
   EXPECT_EQ(packings[0].num_blocks(), 3u);
-  // 512 patterns fill a whole 8-block packing, so it starts a new one.
+  // A whole chunk of patterns fills a packing, so it starts a new one.
   ASSERT_EQ(packings[1].rows.size(), 1u);
   EXPECT_EQ(packings[1].rows[0].base, 0u);
-  EXPECT_EQ(packings[1].num_blocks(), 8u);
-  // 600 > 8 * 64: dedicated, spanning every block it needs.
+  EXPECT_EQ(packings[1].num_blocks(), kChunkBlocks);
+  // Longer than a chunk: dedicated, spanning every block it needs.
   ASSERT_EQ(packings[2].rows.size(), 1u);
   EXPECT_EQ(packings[2].rows[0].row, 4u);
-  EXPECT_EQ(packings[2].num_blocks(), 10u);
+  EXPECT_EQ(packings[2].num_blocks(), kChunkBlocks + 2);
   EXPECT_EQ(packings[3].rows[0].row, 5u);
 
-  // Stage segments of 128 patterns: 4 per 8-block packing, block-aligned.
-  const auto segs = pack_rows(std::vector<std::size_t>(5, 128));
+  // Stage segments of 128 patterns: kChunkBlocks / 2 per packing,
+  // block-aligned.
+  const auto segs =
+      pack_rows(std::vector<std::size_t>(kChunkBlocks / 2 + 1, 128));
   ASSERT_EQ(segs.size(), 2u);
-  ASSERT_EQ(segs[0].rows.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(segs[0].rows[i].base, 128 * i);
+  ASSERT_EQ(segs[0].rows.size(), kChunkBlocks / 2);
+  for (std::size_t i = 0; i < kChunkBlocks / 2; ++i) {
+    EXPECT_EQ(segs[0].rows[i].base, 128 * i);
+  }
+  EXPECT_EQ(segs[1].rows.size(), 1u);
 }
 
 TEST(PackRows, MaxBlocksBoundsEachPacking) {
-  const std::vector<std::size_t> lengths(20, 64);
+  const std::vector<std::size_t> lengths(2 * kChunkBlocks + 4, 64);
   const auto packings = pack_rows(lengths);
-  ASSERT_EQ(packings.size(), 3u);  // 8 + 8 + 4 blocks
+  ASSERT_EQ(packings.size(), 3u);  // a chunk, a chunk, 4 blocks
   EXPECT_EQ(packings[0].rows.size(), kChunkBlocks);
   EXPECT_EQ(packings[1].rows.size(), kChunkBlocks);
   EXPECT_EQ(packings[2].rows.size(), 4u);
