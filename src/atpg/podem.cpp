@@ -32,10 +32,17 @@ Podem::Podem(std::shared_ptr<const CompiledCircuit> compiled, PodemOptions opts)
   cc1_.assign(n, 0);
   buckets_.resize(cc.depth() + 1);
   queued_.assign(n, 0);
-  std::size_t max_fanin = 0;
+  node_.resize(n);
   for (NetId id = 0; id < n; ++id) {
     const auto fin = cc.fanin(id);
-    max_fanin = std::max(max_fanin, fin.size());
+    Node& node = node_[id];
+    node.fanin = fin;
+    if (cc.type(id) != GateType::kInput) node.op = rail_op(cc.type(id));
+    node.readers_begin = static_cast<std::uint32_t>(readers_.size());
+    for (const NetId reader : cc.fanout(id)) {
+      readers_.push_back(Reader{reader, cc.level(reader)});
+    }
+    node.readers_end = static_cast<std::uint32_t>(readers_.size());
     switch (cc.type(id)) {
       case GateType::kInput:
         cc0_[id] = cc1_[id] = 1;
@@ -94,22 +101,24 @@ Podem::Podem(std::shared_ptr<const CompiledCircuit> compiled, PodemOptions opts)
       }
     }
   }
-  fanin_buf_.resize(max_fanin);
 }
 
-void Podem::set(NetId net, Val5 v) {
-  if (net == site_) v.faulty = pinned_;  // the stuck side never moves
+inline void Podem::set(NetId net, Val5 v) {
+  if (net == site_) {  // the stuck side never moves
+    v = Val5::from_rails(
+        static_cast<std::uint8_t>((v.rails & kGoodRails) | pinned_));
+  }
   Val5& cur = value_[net];
   if (cur == v) return;
   trail_.push_back(TrailEntry{net, cur});
   cur = v;
-  const CompiledCircuit& cc = *cc_;
-  for (const NetId reader : cc.fanout(net)) {
-    if (queued_[reader]) continue;
-    queued_[reader] = 1;
-    const std::uint32_t lv = cc.level(reader);
-    buckets_[lv].push_back(reader);
-    queue_hi_ = std::max(queue_hi_, lv);
+  const Node& node = node_[net];
+  for (std::uint32_t i = node.readers_begin; i < node.readers_end; ++i) {
+    const Reader r = readers_[i];
+    if (queued_[r.net]) continue;
+    queued_[r.net] = 1;
+    buckets_[r.level].push_back(r.net);
+    queue_hi_ = std::max(queue_hi_, r.level);
   }
 }
 
@@ -119,16 +128,18 @@ void Podem::imply(NetId net, Val5 v) {
   // after all of its changed fanins, and never appends to the bucket
   // being drained.  set() pins the fault site's faulty side right after
   // its gate is evaluated, so every reader sees the pinned value.
-  const CompiledCircuit& cc = *cc_;
   set(net, v);
-  for (std::uint32_t lv = cc.level(net) + 1; lv <= queue_hi_; ++lv) {
+  for (std::uint32_t lv = cc_->level(net) + 1; lv <= queue_hi_; ++lv) {
     std::vector<NetId>& bucket = buckets_[lv];
     for (const NetId id : bucket) {
       queued_[id] = 0;
-      const auto fin = cc.fanin(id);
-      for (std::size_t i = 0; i < fin.size(); ++i) fanin_buf_[i] = value_[fin[i]];
+      const Node& node = node_[id];
+      const std::uint8_t out =
+          eval_rails(node.op, node.fanin.size(), [&](std::size_t i) {
+            return value_[node.fanin[i]].rails;
+          });
       ++implications_;
-      set(id, eval_gate5(cc.type(id), fanin_buf_.data(), fin.size()));
+      set(id, Val5::from_rails(out));
     }
     bucket.clear();
   }
@@ -143,9 +154,8 @@ void Podem::undo_to(std::size_t mark) {
 }
 
 bool Podem::fault_activated(const fault::Fault& f) const {
-  const Val5& v = value_[f.net];
   // Activated when the good value is the complement of the stuck value.
-  return v.good == (f.stuck_value ? Tern::k0 : Tern::k1);
+  return value_[f.net].good() == (f.stuck_value ? Tern::k0 : Tern::k1);
 }
 
 bool Podem::d_at_output() const {
@@ -155,45 +165,28 @@ bool Podem::d_at_output() const {
   return false;
 }
 
-bool Podem::d_frontier_nonempty(const fault::Fault& f) const {
-  // D-frontier: a gate whose output is X while some fanin carries D/D'.
-  // The fault site itself counts while its good side is X (activation
-  // still possible).  D values only exist inside the fanout cone.
-  const Val5& site = value_[f.net];
-  if (site.good == Tern::kX) return true;
-  const CompiledCircuit& cc = *cc_;
-  for (const NetId id : cone_nets_) {
-    if (!value_[id].is_d_or_dbar()) continue;
-    for (const NetId reader : cc.fanout(id)) {
-      if (value_[reader].good == Tern::kX || value_[reader].faulty == Tern::kX) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 std::optional<std::pair<NetId, Tern>> Podem::objective(const fault::Fault& f) const {
   // Objective 1: activate the fault — drive the site's good value to the
   // complement of the stuck value.
-  const Val5& site = value_[f.net];
-  if (site.good == Tern::kX) {
+  if (value_[f.net].good() == Tern::kX) {
     return std::make_pair(f.net, f.stuck_value ? Tern::k0 : Tern::k1);
   }
   if (!fault_activated(f)) return std::nullopt;  // good value fixed wrong
 
-  // Objective 2: advance the D-frontier gate closest to an output.
+  // Objective 2: advance the D-frontier gate (a gate with an X side
+  // reading a D or D') closest to an output.
   const CompiledCircuit& cc = *cc_;
   NetId best_gate = netlist::kNullNet;
   std::uint32_t best_level = 0;
   for (const NetId id : cone_nets_) {
     if (!value_[id].is_d_or_dbar()) continue;
-    for (const NetId reader : cc.fanout(id)) {
-      const Val5& rv = value_[reader];
-      if (rv.good != Tern::kX && rv.faulty != Tern::kX) continue;
-      if (best_gate == netlist::kNullNet || cc.level(reader) > best_level) {
-        best_gate = reader;
-        best_level = cc.level(reader);
+    const Node& node = node_[id];
+    for (std::uint32_t i = node.readers_begin; i < node.readers_end; ++i) {
+      const Reader r = readers_[i];
+      if (!value_[r.net].has_x()) continue;
+      if (best_gate == netlist::kNullNet || r.level > best_level) {
+        best_gate = r.net;
+        best_level = r.level;
       }
     }
   }
@@ -343,7 +336,7 @@ PodemResult Podem::search(const fault::Fault& f,
   // evaluates to X, so this equals a full forward pass over an all-X
   // circuit.
   site_ = f.net;
-  pinned_ = f.stuck_value ? Tern::k1 : Tern::k0;
+  pinned_ = kFaultyRails & (f.stuck_value ? kOneRails : kZeroRails);
   value_.assign(cc.num_nets(), kVX);
   trail_.clear();
   imply(f.net, kVX);
@@ -360,16 +353,14 @@ PodemResult Podem::search(const fault::Fault& f,
       return result;
     }
 
-    const bool dead = !d_frontier_nonempty(f) && !d_at_output();
-    std::optional<std::pair<NetId, Tern>> obj;
-    if (!dead) obj = objective(f);
-
-    if (!dead && obj.has_value()) {
+    // No D reaches an output here, so an empty D-frontier leaves
+    // objective() without an answer, and the search backtracks.
+    if (const auto obj = objective(f)) {
       const auto [pi, v] = backtrace(obj->first, obj->second);
       // A PI is free iff its good value is unassigned.  (Checking is_x()
       // would wrongly treat a fault site PI as assigned: its faulty side
       // is pinned to the stuck value.)
-      if (value_[pi].good == Tern::kX) {
+      if (value_[pi].good() == Tern::kX) {
         stack.push_back(Frame{pi, v, false, trail_.size()});
         ++result.decisions;
         imply(pi, v == Tern::k1 ? kV1 : kV0);

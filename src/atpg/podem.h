@@ -15,6 +15,12 @@
 // per-level buckets, which drain in ascending level, so a gate is
 // evaluated at most once per assignment and only after all of its
 // changed fanins; a gate whose value does not change stops the wave.
+// Values are two-rail Val5 bytes (atpg/values.h), and imply() evaluates
+// each queued gate inline from a per-net record (fanin span and RailOp):
+// an AND/OR-family gate is one AND-reduce and one OR-reduce over its
+// fanin bytes plus a rail select, with no per-gate type switch and no
+// fanin copy.  Each reader is listed with its level, so queueing it
+// touches nothing else.
 // Every value change is logged on a trail of (net, previous value)
 // entries, and each decision frame records the trail length before its
 // assignment, so a flip or a pop costs only the changes made since that
@@ -99,8 +105,9 @@ class Podem {
   void undo_to(std::size_t mark);
   bool fault_activated(const fault::Fault& f) const;
   bool d_at_output() const;
-  bool d_frontier_nonempty(const fault::Fault& f) const;
-  /// Next objective (net, value); nullopt when none (failure).
+  /// Next objective (net, value); nullopt when none (failure): the fault
+  /// can no longer be activated, or the D-frontier is empty, or its
+  /// deepest gate has no X fanin.
   std::optional<std::pair<netlist::NetId, Tern>> objective(const fault::Fault& f) const;
   /// Maps an objective to a PI and value via controllability backtrace.
   std::pair<netlist::NetId, Tern> backtrace(netlist::NetId net, Tern value) const;
@@ -110,20 +117,33 @@ class Podem {
     Val5 previous;
   };
 
+  /// What imply() reads of one net: its fanins and how its gate folds
+  /// them (unused for inputs), and its readers as a range of readers_.
+  struct Node {
+    netlist::Span<netlist::NetId> fanin;
+    RailOp op;
+    std::uint32_t readers_begin = 0, readers_end = 0;
+  };
+  struct Reader {
+    netlist::NetId net;
+    std::uint32_t level;
+  };
+
   std::shared_ptr<const netlist::CompiledCircuit> cc_;
   PodemOptions opts_;
+  std::vector<Node> node_;               // per net
+  std::vector<Reader> readers_;          // every net's readers, net by net
   std::vector<Val5> value_;              // per net
   std::vector<TrailEntry> trail_;        // every value change, this fault
   std::vector<std::vector<netlist::NetId>> buckets_;  // queued gates, per level
   std::vector<std::uint8_t> queued_;     // per net: sits in a bucket
   std::uint32_t queue_hi_ = 0;           // highest level with a queued gate
-  std::vector<Val5> fanin_buf_;          // sized to the largest fanin
   netlist::NetId site_ = netlist::kNullNet;  // current fault's net ...
-  Tern pinned_ = Tern::kX;                   // ... and its stuck value
+  std::uint8_t pinned_ = 0;                  // ... and its stuck faulty rail
   std::size_t implications_ = 0;         // gate evaluations, this generate()
   std::vector<std::uint8_t> cc0_, cc1_;  // SCOAP-ish controllability (saturated)
   /// D/D' values only ever exist inside the fault's fanout cone, so the
-  /// frontier scans walk this list ({fault net} ∪ cone gates) instead of
+  /// frontier scan walks this list ({fault net} ∪ cone gates) instead of
   /// the whole netlist.
   std::vector<netlist::NetId> cone_nets_;
 };

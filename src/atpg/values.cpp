@@ -14,54 +14,31 @@ Tern tern_not(Tern a) {
   }
 }
 
-Tern tern_and(Tern a, Tern b) {
-  if (a == Tern::k0 || b == Tern::k0) return Tern::k0;
-  if (a == Tern::k1 && b == Tern::k1) return Tern::k1;
-  return Tern::kX;
-}
-
-Tern tern_or(Tern a, Tern b) {
-  if (a == Tern::k1 || b == Tern::k1) return Tern::k1;
-  if (a == Tern::k0 && b == Tern::k0) return Tern::k0;
-  return Tern::kX;
-}
-
-Tern tern_xor(Tern a, Tern b) {
-  if (a == Tern::kX || b == Tern::kX) return Tern::kX;
-  return a == b ? Tern::k0 : Tern::k1;
+RailOp rail_op(GateType type) {
+  switch (type) {
+    case GateType::kBuf:
+    case GateType::kAnd:
+      return RailOp{};
+    case GateType::kNot:
+    case GateType::kNand:
+      return RailOp{kOneRails, false, true};
+    case GateType::kOr:
+      return RailOp{kZeroRails, false, false};
+    case GateType::kNor:
+      return RailOp{kZeroRails, false, true};
+    case GateType::kXor:
+      return RailOp{kOneRails, true, false};
+    case GateType::kXnor:
+      return RailOp{kOneRails, true, true};
+    case GateType::kInput:
+      break;
+  }
+  throw std::logic_error("rail_op on primary input");
 }
 
 Val5 eval_gate5(GateType type, const Val5* fanin, std::size_t n) {
-  auto fold = [&](Tern Val5::*side) -> Tern {
-    switch (type) {
-      case GateType::kBuf:
-        return fanin[0].*side;
-      case GateType::kNot:
-        return tern_not(fanin[0].*side);
-      case GateType::kAnd:
-      case GateType::kNand: {
-        Tern v = fanin[0].*side;
-        for (std::size_t i = 1; i < n; ++i) v = tern_and(v, fanin[i].*side);
-        return type == GateType::kNand ? tern_not(v) : v;
-      }
-      case GateType::kOr:
-      case GateType::kNor: {
-        Tern v = fanin[0].*side;
-        for (std::size_t i = 1; i < n; ++i) v = tern_or(v, fanin[i].*side);
-        return type == GateType::kNor ? tern_not(v) : v;
-      }
-      case GateType::kXor:
-      case GateType::kXnor: {
-        Tern v = fanin[0].*side;
-        for (std::size_t i = 1; i < n; ++i) v = tern_xor(v, fanin[i].*side);
-        return type == GateType::kXnor ? tern_not(v) : v;
-      }
-      case GateType::kInput:
-        throw std::logic_error("eval_gate5 on primary input");
-    }
-    return Tern::kX;
-  };
-  return Val5{fold(&Val5::good), fold(&Val5::faulty)};
+  return Val5::from_rails(eval_rails(
+      rail_op(type), n, [fanin](std::size_t i) { return fanin[i].rails; }));
 }
 
 std::string val5_name(const Val5& v) {
@@ -73,7 +50,7 @@ std::string val5_name(const Val5& v) {
   auto t = [](Tern x) {
     return x == Tern::k0 ? "0" : x == Tern::k1 ? "1" : "X";
   };
-  return std::string(t(v.good)) + "/" + t(v.faulty);
+  return std::string(t(v.good())) + "/" + t(v.faulty());
 }
 
 }  // namespace fbist::atpg

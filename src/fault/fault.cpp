@@ -1,7 +1,7 @@
 #include "fault/fault.h"
 
 #include "fault/collapse.h"
-#include "netlist/levelize.h"
+#include "netlist/compiled.h"
 
 namespace fbist::fault {
 
@@ -10,11 +10,11 @@ std::string fault_name(const netlist::Netlist& nl, const Fault& f) {
 }
 
 FaultList FaultList::full(const netlist::Netlist& nl) {
-  const auto reach = netlist::reaches_output(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
   std::vector<Fault> faults;
   faults.reserve(nl.num_nets() * 2);
   for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
-    if (!reach[n]) continue;
+    if (!cc.reaches_output(n)) continue;
     faults.push_back(Fault{n, false});
     faults.push_back(Fault{n, true});
   }

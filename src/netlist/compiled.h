@@ -21,8 +21,8 @@
 // reseed::Pipeline compiles once per circuit and shares the result
 // across ATPG, fault simulation, and every TPG/T evaluation.
 //
-// The legacy walkers (levelize.h, and the test-only tests/netlist/cone.h)
-// remain as the reference implementations; equivalence tests in
+// The reference walkers (the test-only tests/netlist/levelize.h and
+// cone.h) are independent implementations; equivalence tests in
 // tests/netlist/compiled_test.cpp pin this compiler to them.
 #pragma once
 

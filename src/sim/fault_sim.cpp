@@ -439,11 +439,26 @@ std::vector<FaultSimResult> FaultSim::run_packed(
 
   const std::size_t blocks = (packed.size() + 63) / 64;
 
+  // Block layout: a one-block campaign takes the cheaper narrow walk; a
+  // longer one walks kChunkBlocks-block chunks from block 0 on (one
+  // structure walk per kChunkBlocks * 64 patterns, padded past the last
+  // block).
+  const bool chunked = blocks > 1;
+  using Chunk = WordV<kChunkBlocks>;
+
   // Good values for every packed block, computed once — this is the
-  // 64/T-fold saving over per-row campaigns at small T.
+  // 64/T-fold saving over per-row campaigns at small T — and, for a
+  // chunked walk, laid out chunk by chunk.  sim.good_ns times both, once
+  // per campaign.
   std::vector<std::vector<Word>> good(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    good_sim_.simulate_word(packed, b * 64, good[b]);
+  std::vector<std::vector<Word>> goodT;
+  {
+    OBS_COUNTER(c_good_ns, "sim.good_ns");
+    OBS_SCOPED_NS(good_timer, c_good_ns);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      good_sim_.simulate_word(packed, b * 64, good[b]);
+    }
+    if (chunked) build_chunk_goods<kChunkBlocks>(cc, good, goodT);
   }
 
   // Per-block demux plan: which rows overlap the block, at which lanes.
@@ -473,11 +488,6 @@ std::vector<FaultSimResult> FaultSim::run_packed(
     }
   }
 
-  // Block layout: a one-block campaign takes the cheaper narrow walk; a
-  // longer one walks kChunkBlocks-block chunks from block 0 on (one
-  // structure walk per kChunkBlocks * 64 patterns, padded past the last
-  // block).
-  const bool chunked = blocks > 1;
   // Campaign-grain counters only (one shard add per campaign, never per
   // site or block): the cone walk itself stays instrumentation-free.
   OBS_COUNTER(c_campaigns, "sim.campaigns");
@@ -487,9 +497,6 @@ std::vector<FaultSimResult> FaultSim::run_packed(
   OBS_COUNT(c_campaigns, 1);
   OBS_COUNT(c_blocks, blocks);
   OBS_COUNT(chunked ? c_chunked : c_narrow, 1);
-  using Chunk = WordV<kChunkBlocks>;
-  std::vector<std::vector<Word>> goodT;
-  if (chunked) build_chunk_goods<kChunkBlocks>(cc, good, goodT);
 
   const std::size_t max_slots = cc.max_cone_gates() + 2;
   const std::size_t workers = parallel ? util::parallel_workers() : 1;

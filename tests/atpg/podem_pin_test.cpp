@@ -7,7 +7,9 @@
 // waves, re-implication or trail undo) must never move these digests:
 // the search must see the same values and make the same decisions.
 // Budget 600 (the default) lets untestable faults exhaust the decision
-// stack; budget 5 makes many searches abort.
+// stack; budget 5 makes many searches abort; budget 20 is
+// kPodemFirstTry, the budget run_atpg tries first.  c1355 is
+// XOR-heavy, so its digests pin the XOR/XNOR implication rules.
 #include <cstdint>
 #include <memory>
 #include <ostream>
@@ -69,12 +71,18 @@ constexpr PinCase kPinCases[] = {
     {"c17", true, 5, 0x888fe06c94d3bbe6},
     {"c432", false, 600, 0x81512e5de94911c6},
     {"c432", false, 5, 0x6f99a7e760357871},
+    {"c432", false, 20, 0x5ba24ff56a51aa77},
     {"c499", false, 600, 0x977fda32acf478b1},
     {"c499", false, 5, 0x7dde50fb1aa36c98},
     {"c880", false, 600, 0xf6527844e288655d},
     {"c880", false, 5, 0xd8bf22de0c91c955},
     {"c1908", false, 600, 0x0dba832e835734e9},
     {"c1908", false, 5, 0x681aaf6b8b33428a},
+    {"c1908", false, 20, 0xd08a27a0b643bc1c},
+    {"c1355", false, 600, 0xac0e161a6c900c52},
+    {"c1355", false, 20, 0x7d5e1e8f11d771d0},
+    {"s1423", false, 600, 0xb8782d5585bcef32},
+    {"s1423", false, 20, 0xa12753e70b307232},
     {"s1238", false, 600, 0x5dec55c1505804b6},
     {"s1238", false, 5, 0x25ea473f3c978d95},
 };

@@ -3,10 +3,10 @@
 // Netlist construction already enforces a topological net numbering
 // (fanin ids < gate id); levelization assigns each net its logic depth.
 //
-// The ATPG and statistics layers now read levels/depth from
-// netlist::CompiledCircuit (compiled once per circuit); these functions
-// remain the independent reference the compiler is pinned to in
-// tests/netlist/compiled_test.cpp, and serve one-shot callers.
+// The library reads levels, depth and output reachability from
+// netlist::CompiledCircuit (compiled once per circuit).  This module is
+// a test oracle: the independent per-gate walk the compiler is pinned
+// to in tests/netlist/compiled_test.cpp.
 #pragma once
 
 #include <cstddef>
