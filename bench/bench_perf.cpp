@@ -24,7 +24,6 @@
 #include "cover/exact.h"
 #include "cover/greedy.h"
 #include "cover/reduce.h"
-#include "reseed/matrix_cache.h"
 #include "sim/fault_sim.h"
 #include "sim/reference_sim.h"
 #include "util/parallel.h"
@@ -362,38 +361,6 @@ void BM_ObsSpanIdle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObsSpanIdle);
-
-// ---- Cross-run matrix cache ----------------------------------------------
-//
-// A hit must cost a key hash plus one matrix copy — compare against the
-// BM_InitialMatrixBuild row at the same T for the skipped-work factor.
-void BM_MatrixCacheHit(benchmark::State& state) {
-  const auto cycles = static_cast<std::size_t>(state.range(0));
-  const auto nl = circuits::make_circuit("s9234");
-  const auto fl = fault::FaultList::collapsed(nl);
-  sim::FaultSim fsim(nl, fl);
-  tpg::AdderTpg tpg(nl.num_inputs());
-  util::Rng rng(3);
-  const std::size_t M = 64;
-  const auto atpg_patterns = sim::PatternSet::random(nl.num_inputs(), M, rng);
-  reseed::BuilderOptions opts;
-  opts.cycles_per_triplet = cycles;
-
-  reseed::MatrixCache cache;
-  {  // warm the cache: the one real build happens outside the timing
-    auto init =
-        reseed::build_initial_reseeding(fsim, tpg, atpg_patterns, opts, &cache);
-    benchmark::DoNotOptimize(init);
-  }
-  for (auto _ : state) {
-    auto init =
-        reseed::build_initial_reseeding(fsim, tpg, atpg_patterns, opts, &cache);
-    benchmark::DoNotOptimize(init);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(M));
-}
-BENCHMARK(BM_MatrixCacheHit)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void BM_TripletExpansion(benchmark::State& state) {
   const auto t = tpg::make_tpg(tpg::TpgKind::kMultiplier, 256);

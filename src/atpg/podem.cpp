@@ -32,6 +32,7 @@ Podem::Podem(std::shared_ptr<const CompiledCircuit> compiled, PodemOptions opts)
   cc1_.assign(n, 0);
   buckets_.resize(cc.depth() + 1);
   queued_.assign(n, 0);
+  value_.assign(n, kVX);
   node_.resize(n);
   for (NetId id = 0; id < n; ++id) {
     const auto fin = cc.fanin(id);
@@ -309,6 +310,7 @@ PodemResult Podem::generate(const fault::Fault& f,
   OBS_COUNTER(c_implications, "atpg.podem_implications");
   implications_ = 0;
   const PodemResult result = search(f, backtrack_limit);
+  undo_to(0);  // every net back to X for the next fault
   OBS_COUNT(c_calls, 1);
   OBS_COUNT(c_decisions, result.decisions);
   OBS_COUNT(c_backtracks, result.backtracks);
@@ -331,14 +333,12 @@ PodemResult Podem::search(const fault::Fault& f,
   cone_nets_.push_back(f.net);
   cone_nets_.insert(cone_nets_.end(), cone.begin(), cone.end());
 
-  // Start state: every net X except the site's faulty side (set() pins
-  // it), implied through its cone.  A gate whose fanins are all X
-  // evaluates to X, so this equals a full forward pass over an all-X
-  // circuit.
+  // Start state: every net X (the previous call ended by undoing its
+  // whole trail) except the site's faulty side (set() pins it), implied
+  // through its cone.  A gate whose fanins are all X evaluates to X, so
+  // this equals a full forward pass over an all-X circuit.
   site_ = f.net;
   pinned_ = kFaultyRails & (f.stuck_value ? kOneRails : kZeroRails);
-  value_.assign(cc.num_nets(), kVX);
-  trail_.clear();
   imply(f.net, kVX);
 
   std::vector<Frame> stack;

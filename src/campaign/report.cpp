@@ -110,14 +110,10 @@ std::string Report::to_json(bool include_timing) const {
       w.begin_object();
       w.key("hits");
       w.value(cache.hits);
-      w.key("disk_hits");
-      w.value(cache.disk_hits);
       w.key("misses");
       w.value(cache.misses);
       w.key("stores");
       w.value(cache.stores);
-      w.key("evictions");
-      w.value(cache.evictions);
       w.end_object();
     }
     if (checkpoint.enabled) {

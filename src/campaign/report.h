@@ -68,17 +68,16 @@ struct Report {
   double wall_ms = 0.0;
 
   /// Matrix-cache counters for the whole campaign (reseed::MatrixCache
-  /// installed via CampaignOptions).  Like timings, these describe how
-  /// the results were produced, not what they are — so they live in the
-  /// "execution" section only and cached/uncached canonical reports
-  /// stay byte-identical.
+  /// installed via CampaignOptions), one lookup per (circuit, TPG)
+  /// family.  Like timings, these describe how the results were
+  /// produced, not what they are — so they live in the "execution"
+  /// section only and cached/uncached canonical reports stay
+  /// byte-identical.
   struct CacheStats {
     bool enabled = false;
     std::uint64_t hits = 0;
-    std::uint64_t disk_hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t stores = 0;
-    std::uint64_t evictions = 0;
   };
   CacheStats cache;
 

@@ -1,7 +1,9 @@
 #include "campaign/runner.h"
 
+#include <algorithm>
 #include <exception>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "campaign/checkpoint.h"
@@ -19,38 +21,58 @@ namespace fbist::campaign {
 namespace {
 
 /// Shared per-circuit state: the prepared snapshot (or the preparation
-/// error) plus the report positions of the circuit's runs.
+/// error) plus the report positions of the circuit's runs, grouped by
+/// TPG: one family per (circuit, TPG).
 struct CircuitCtx {
   std::string name;
-  std::vector<std::size_t> run_ids;  // indices into Report::runs
+  std::map<tpg::TpgKind, std::vector<std::size_t>> families;  // Report::runs
   reseed::PreparedCircuit prepared;  // null on failure
   std::string error;
 };
 
-void execute_run(const CircuitCtx& ctx, RunResult& out,
-                 std::uint64_t timeout_ms) {
-  OBS_SPAN("run", run_label(out.spec));
-  const std::uint64_t start = obs::Clock::now_ns();
-  if (ctx.prepared == nullptr) {
-    out.ok = false;
-    out.error = "circuit preparation failed: " + ctx.error;
-    return;
-  }
-  // Arm the per-run deadline (0 disables).  On expiry the pipeline
-  // throws util::TimeoutError from whatever stage noticed first; the
-  // catch below rewrites it into a canonical message that names only
-  // the configured budget — never the elapsed time or the stage — so
-  // a timed-out run's report and checkpoint content is deterministic.
+/// Runs `fn` under a fresh budget of `timeout_ms` (0: none), passing it
+/// the deadline to poll or null; on an exception records its report
+/// text in `error` and returns false.  A deadline expiry becomes a
+/// canonical message that names only the configured budget — never the
+/// elapsed time or the stage that noticed — so a timed-out run's report
+/// and checkpoint content is deterministic.
+template <typename Fn>
+bool attempt(std::uint64_t timeout_ms, std::string& error, Fn&& fn) {
   const util::Deadline deadline = timeout_ms == 0
                                       ? util::Deadline()
                                       : util::Deadline::after_ms(timeout_ms);
   try {
-    const reseed::Pipeline& p = *ctx.prepared;
+    fn(deadline.armed() ? &deadline : nullptr);
+    return true;
+  } catch (const util::TimeoutError&) {
+    error = "run timeout: exceeded " + std::to_string(timeout_ms) + " ms";
+  } catch (const std::exception& e) {
+    error = e.what();
+  } catch (...) {
+    error = "unknown error";
+  }
+  return false;
+}
+
+/// Evaluates one run from `family`, its (circuit, TPG)'s initial
+/// reseeding at T = `family_cycles`: thresholds it at the run's T (a run
+/// at the family's own T solves the family itself, with no copy) and
+/// solves it under the run's own deadline.
+void execute_run(const reseed::Pipeline& p,
+                 const reseed::InitialReseeding& family,
+                 std::size_t family_cycles, RunResult& out,
+                 std::uint64_t timeout_ms) {
+  OBS_SPAN("run", run_label(out.spec));
+  const std::uint64_t start = obs::Clock::now_ns();
+  out.ok = attempt(timeout_ms, out.error, [&](const util::Deadline* deadline) {
+    std::optional<reseed::InitialReseeding> thresholded;
+    if (out.spec.cycles != family_cycles) {
+      thresholded = reseed::at_cycles(family, out.spec.cycles);
+    }
     reseed::OptimizerOptions oopt = p.options().optimizer;
     oopt.solver = out.spec.solver;
     const reseed::ReseedingSolution sol =
-        p.run(out.spec.tpg, out.spec.cycles, oopt,
-              deadline.armed() ? &deadline : nullptr);
+        p.solve(thresholded ? *thresholded : family, oopt, deadline);
 
     out.circuit_inputs = p.circuit().num_inputs();
     out.circuit_gates = p.circuit().num_gates();
@@ -69,18 +91,7 @@ void execute_run(const CircuitCtx& ctx, RunResult& out,
                                         tpg::tpg_kind_name(out.spec.tpg),
                                         p.circuit().num_inputs())
                        .rom_bits();
-    out.ok = true;
-  } catch (const util::TimeoutError&) {
-    out.ok = false;
-    out.error =
-        "run timeout: exceeded " + std::to_string(timeout_ms) + " ms";
-  } catch (const std::exception& e) {
-    out.ok = false;
-    out.error = e.what();
-  } catch (...) {
-    out.ok = false;
-    out.error = "unknown error";
-  }
+  });
   out.wall_ms = obs::Clock::to_ms(obs::Clock::now_ns() - start);
 }
 
@@ -110,6 +121,41 @@ void write_artifact(const char* site, const std::string& path,
     obs::diag(obs::Severity::kWarn, "obs",
               std::string("cannot write ") + what + " file " + path + ": " +
                   e.what());
+  }
+}
+
+/// Evaluates one (circuit, TPG) family: builds its matrix once, at the
+/// largest T of `run_ids`, under one run budget (a build that fails or
+/// times out fails every run of the family with the same message), then
+/// thresholds, solves and checkpoints each run at its own report
+/// position.
+void execute_family(const CircuitCtx& ctx, tpg::TpgKind kind,
+                    const std::vector<std::size_t>& run_ids, Report& report,
+                    CheckpointStore* store,
+                    const std::vector<std::size_t>& positions,
+                    std::uint64_t timeout_ms) {
+  std::size_t cycles = 0;
+  for (const std::size_t rid : run_ids) {
+    cycles = std::max(cycles, report.runs[rid].spec.cycles);
+  }
+  std::optional<reseed::InitialReseeding> family;
+  std::string error;
+  if (ctx.prepared == nullptr) {
+    error = "circuit preparation failed: " + ctx.error;
+  } else {
+    attempt(timeout_ms, error, [&](const util::Deadline* deadline) {
+      family = ctx.prepared->build(kind, cycles, deadline);
+    });
+  }
+  for (const std::size_t rid : run_ids) {
+    RunResult& out = report.runs[rid];
+    if (family) {
+      execute_run(*ctx.prepared, *family, cycles, out, timeout_ms);
+    } else {
+      out.ok = false;
+      out.error = error;
+    }
+    if (store != nullptr) checkpoint_run(*store, positions[rid], out);
   }
 }
 
@@ -183,10 +229,10 @@ Report run_campaign(const CampaignSpec& spec, const CampaignOptions& opts,
     std::map<std::string, std::size_t> index;
     for (std::size_t i = 0; i < positions.size(); ++i) {
       if (!pending[i]) continue;
-      const std::string& name = report.runs[i].spec.circuit;
-      auto [it, inserted] = index.emplace(name, circuits.size());
-      if (inserted) circuits.push_back(CircuitCtx{name, {}, {}, {}});
-      circuits[it->second].run_ids.push_back(i);
+      const RunSpec& rs = report.runs[i].spec;
+      auto [it, inserted] = index.emplace(rs.circuit, circuits.size());
+      if (inserted) circuits.push_back(CircuitCtx{rs.circuit, {}, {}, {}});
+      circuits[it->second].families[rs.tpg].push_back(i);
       ++report.checkpoint.executed;
     }
   }
@@ -197,14 +243,14 @@ Report run_campaign(const CampaignSpec& spec, const CampaignOptions& opts,
   reseed::PipelineOptions popts = spec.pipeline;
   popts.matrix_cache = opts.matrix_cache;
 
-  // One task per circuit: prepare, then fan this circuit's runs out as
-  // nested tasks (no barrier — fast circuits evaluate while slow ones
+  // One task per circuit: prepare, then fan this circuit's families out
+  // as nested tasks (no barrier — fast circuits evaluate while slow ones
   // still run ATPG).  `group` outlives every nested submission because
   // wait() returns only when the count of *all* submitted tasks,
   // including nested ones, reaches zero.  Each run's checkpoint blob is
-  // written by its own completing task — results land at disjoint
-  // report positions and disjoint files, so neither step takes a shared
-  // lock.
+  // written by its family's task as soon as the run completes — results
+  // land at disjoint report positions and disjoint files, so neither
+  // step takes a shared lock.
   TaskGroup group(*s);
   const std::uint64_t timeout_ms = opts.run_timeout_ms;
   for (CircuitCtx& ctx : circuits) {
@@ -219,12 +265,11 @@ Report run_campaign(const CampaignSpec& spec, const CampaignOptions& opts,
       } catch (...) {
         ctx.error = "unknown error";
       }
-      for (const std::size_t rid : ctx.run_ids) {
-        group.run([&ctx, &report, &store, &positions, rid, timeout_ms] {
-          execute_run(ctx, report.runs[rid], timeout_ms);
-          if (store != nullptr) {
-            checkpoint_run(*store, positions[rid], report.runs[rid]);
-          }
+      for (const auto& [kind, run_ids] : ctx.families) {
+        group.run([&ctx, &report, &store, &positions, kind = kind,
+                   &run_ids = run_ids, timeout_ms] {
+          execute_family(ctx, kind, run_ids, report, store.get(), positions,
+                         timeout_ms);
         });
       }
     });
@@ -237,10 +282,8 @@ Report run_campaign(const CampaignSpec& spec, const CampaignOptions& opts,
     const reseed::MatrixCacheStats cs = opts.matrix_cache->stats();
     report.cache.enabled = true;
     report.cache.hits = cs.hits;
-    report.cache.disk_hits = cs.disk_hits;
     report.cache.misses = cs.misses;
     report.cache.stores = cs.stores;
-    report.cache.evictions = cs.evictions;
   }
 
   report.wall_ms = obs::Clock::to_ms(obs::Clock::now_ns() - start);

@@ -3,16 +3,19 @@
 // Per distinct circuit one preparation task runs (parse/instantiate,
 // compile to netlist::CompiledCircuit, collapse faults, ATPG); the
 // prepared snapshot (reseed::PreparedCircuit) is immutable, so every
-// run of that circuit — TPG kind x T value x solver — fans out as its
-// own task over the shared handle without re-deriving anything.  Run
+// run of that circuit shares it without re-deriving anything.  The
+// circuit's runs fan out as one task per TPG kind — a family: it builds
+// the detection matrix once, at the largest T among its runs, and
+// derives every (T, solver) run from that build by thresholding
+// (reseed::at_cycles, identical to a fresh build at that T).  Family
 // tasks are submitted by their circuit's preparation task, so fast
 // circuits start evaluating while slow ones still prepare, and the
-// PPSFP inner loops of every run join the same pool (see
+// PPSFP inner loops of every build join the same pool (see
 // campaign/scheduler.h).
 //
-// Failure isolation: an exception inside preparation or a run is
-// caught and recorded on the affected RunResult(s); the rest of the
-// campaign is unaffected.
+// Failure isolation: an exception inside preparation, a family's build
+// or a run is caught and recorded on the affected RunResult(s); the
+// rest of the campaign is unaffected.
 //
 // Determinism: results land at spec-assigned report positions and all
 // randomness is seeded from circuit/TPG identities, so the Report —
@@ -38,12 +41,13 @@ struct CampaignOptions {
   /// resizes the global scheduler (ignored when an explicit scheduler
   /// is passed to run_campaign).
   std::size_t jobs = 0;
-  /// Cross-run detection-matrix cache shared by every run of the
-  /// campaign (reseed/matrix_cache.h).  Runs that agree on (circuit,
-  /// TPG, T, builder seed) — e.g. a solver sweep — then build their
-  /// matrix once; with a disk-backed cache, repeated campaigns skip
-  /// fault simulation entirely.  The campaign's hit/miss/evict counters
-  /// land in Report::cache.  Null disables caching.
+  /// Cross-process detection-matrix cache (reseed/matrix_cache.h)
+  /// consulted by every family build of the campaign: repeated
+  /// campaigns against one directory skip fault simulation entirely.
+  /// Within one campaign each (circuit, TPG) is built once anyway, so
+  /// the counters in Report::cache count families: a fresh sweep
+  /// records one miss and one store per (circuit, TPG).  Null disables
+  /// caching.
   std::shared_ptr<reseed::MatrixCache> matrix_cache;
 
   /// Checkpoint directory (campaign/checkpoint.h).  When non-empty,
@@ -82,11 +86,15 @@ struct CampaignOptions {
   std::string metrics_file;
 
   /// Per-run wall-clock budget in milliseconds (`--run-timeout MS`);
-  /// 0 disables.  Each run arms a util::Deadline polled cooperatively
-  /// through the builder, optimizer and exact solver; an expired run
+  /// 0 disables.  A family's matrix build runs under one such budget
+  /// (a util::Deadline polled between packings), and each of its runs'
+  /// threshold and solve runs under its own (polled through the
+  /// optimizer and exact solver).  An expired build fails every run of
+  /// its family; an expired run fails alone.  Either way the run
   /// records the canonical failure "run timeout: exceeded <MS> ms" —
   /// deterministic content, no elapsed time, no stage — checkpoints
   /// like any other failed run, and the rest of the sweep continues.
+  /// Which runs fail under a tight budget depends on timing.
   std::uint64_t run_timeout_ms = 0;
 };
 

@@ -4,8 +4,9 @@
 #include <atomic>
 #include <cassert>
 #include <exception>
-#include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -17,15 +18,6 @@
 namespace fbist::reseed {
 
 namespace {
-
-/// Uncovered columns are derived state: recompute them from the matrix
-/// so cached and freshly built results agree by construction.
-void fill_uncovered(InitialReseeding& out) {
-  const util::BitVector coverable = out.matrix.coverable();
-  for (std::size_t c = 0; c < out.matrix.num_cols(); ++c) {
-    if (!coverable.get(c)) out.uncovered_faults.push_back(c);
-  }
-}
 
 /// The candidate triplets a build simulates — one per ATPG pattern,
 /// deterministic in (tpg, atpg_patterns, opts).
@@ -71,10 +63,8 @@ InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
   MatrixCache::Key key = 0;
   if (cache != nullptr) {
     key = MatrixCache::key(fsim.compiled(), fsim.faults(), tpg, out.triplets);
-    if (const auto cached = cache->lookup(key)) {
-      OBS_INSTANT("matrix_cache_hit");
-      out.matrix = *cached;  // one copy; the fault simulator never runs
-      fill_uncovered(out);
+    if (auto cached = cache->lookup(key)) {
+      out.matrix = std::move(*cached);  // the fault simulator never runs
       return out;
     }
   }
@@ -182,11 +172,36 @@ InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
   if (deadline != nullptr) deadline->check("matrix build");
   out.matrix.attach_earliest(std::move(earliest));
 
-  if (cache != nullptr) {
-    cache->store(key,
-                 std::make_shared<const cover::DetectionMatrix>(out.matrix));
+  if (cache != nullptr) cache->store(key, out.matrix);
+  return out;
+}
+
+InitialReseeding at_cycles(const InitialReseeding& family, std::size_t cycles) {
+  if (cycles == 0) cycles = 1;
+  const cover::DetectionMatrix& m = family.matrix;
+  if (m.num_rows() != 0 && !m.has_earliest()) {
+    throw std::invalid_argument("at_cycles: matrix has no earliest indices");
   }
-  fill_uncovered(out);
+  InitialReseeding out;
+  out.triplets = family.triplets;
+  out.matrix = cover::DetectionMatrix(m.num_rows(), m.num_cols());
+  std::vector<std::vector<std::uint32_t>> earliest(m.num_rows());
+  for (std::size_t r = 0; r < m.num_rows(); ++r) {
+    if (cycles > out.triplets[r].cycles) {
+      throw std::invalid_argument(
+          "at_cycles: T " + std::to_string(cycles) + " exceeds the family's " +
+          std::to_string(out.triplets[r].cycles));
+    }
+    out.triplets[r].cycles = cycles;
+    earliest[r].assign(m.num_cols(), sim::kNotDetected);
+    m.row(r).for_each_set([&](std::size_t c) {
+      const std::uint32_t e = m.earliest(r, c);
+      if (e >= cycles) return;
+      out.matrix.set(r, c);
+      earliest[r][c] = e;
+    });
+  }
+  out.matrix.attach_earliest(std::move(earliest));
   return out;
 }
 

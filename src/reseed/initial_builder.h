@@ -37,29 +37,40 @@ struct BuilderOptions {
   bool shared_sigma = false;
 };
 
-/// The initial reseeding T plus its Detection Matrix.
+/// The initial reseeding T plus its Detection Matrix.  Columns no
+/// candidate detects stay in the matrix; the optimizer restricts the
+/// covering problem to the coverable columns and reports the others
+/// separately (they need a longer T or more seeds).
 struct InitialReseeding {
   std::vector<tpg::Triplet> triplets;      // M candidates, one per ATPG pattern
   cover::DetectionMatrix matrix;           // M x |F|, earliest indices attached
-  /// Faults (column ids) not detected by any candidate triplet.  The
-  /// optimizer restricts the covering problem to the coverable columns
-  /// and reports these separately (they need a longer T or more seeds).
-  std::vector<std::size_t> uncovered_faults;
 };
 
 /// Builds the initial reseeding for `atpg_patterns` on `tpg` against the
 /// fault list inside `fsim`.  With a `cache`, the detection matrix is
-/// looked up under its content key first and stored after a build —
-/// sweeps varying only solver/optimizer options then skip the fault
-/// simulator entirely.  Cached and freshly built results are identical.
-/// An armed `deadline` is polled between packings (each packing is one
-/// bounded PPSFP walk); expiry throws util::TimeoutError before any
-/// partial matrix can reach the cache.
+/// looked up under its content key first and stored after a build, so a
+/// repeated campaign skips the fault simulator entirely.  Cached and
+/// freshly built results are identical.  An armed `deadline` is polled
+/// between packings (each packing is one bounded PPSFP walk); expiry
+/// throws util::TimeoutError before any partial matrix can reach the
+/// cache.
 InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
                                          const tpg::Tpg& tpg,
                                          const sim::PatternSet& atpg_patterns,
                                          const BuilderOptions& opts = {},
                                          MatrixCache* cache = nullptr,
                                          const util::Deadline* deadline = nullptr);
+
+/// The initial reseeding at evolution length `cycles` (0 means 1, as in
+/// the builder), derived from `family`, a build at a T of at least
+/// `cycles`: the same triplets with `cycles` replaced, and a cell set
+/// iff its earliest detecting index is below `cycles`, keeping that
+/// index.  A triplet's first `cycles` patterns are a prefix of its
+/// longer run (delta is the ATPG pattern, sigma's draws never see T,
+/// and rows are independent), so the result equals a fresh build at
+/// `cycles` in triplets, bits and earliest indices.  Throws
+/// std::invalid_argument when `cycles` exceeds a row's T or the matrix
+/// carries no earliest indices.
+InitialReseeding at_cycles(const InitialReseeding& family, std::size_t cycles);
 
 }  // namespace fbist::reseed

@@ -1,7 +1,5 @@
 #include "reseed/matrix_cache.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -63,16 +61,11 @@ bool parse_key_hex(const std::string& stem, MatrixCache::Key* out) {
 
 }  // namespace
 
-MatrixCacheStats& MatrixCacheStats::operator+=(const MatrixCacheStats& o) {
-  hits += o.hits;
-  disk_hits += o.disk_hits;
-  misses += o.misses;
-  stores += o.stores;
-  evictions += o.evictions;
-  return *this;
+MatrixCache::MatrixCache(MatrixCacheOptions opts) : opts_(std::move(opts)) {
+  if (opts_.dir.empty()) {
+    throw std::invalid_argument("matrix cache: empty directory");
+  }
 }
-
-MatrixCache::MatrixCache(MatrixCacheOptions opts) : opts_(std::move(opts)) {}
 
 MatrixCache::Key MatrixCache::key(const netlist::CompiledCircuit& cc,
                                   const fault::FaultList& faults,
@@ -122,142 +115,79 @@ MatrixCache::Key MatrixCache::key(const netlist::CompiledCircuit& cc,
   return hs.h;
 }
 
-std::shared_ptr<const cover::DetectionMatrix> MatrixCache::lookup(Key k) {
-  // Lookup latency lands in an outcome-specific histogram — a memory
-  // hit (~100ns), a disk hit (ms) and a miss that triggers a rebuild
-  // (seconds downstream) are different regimes and averaging them
-  // would say nothing.
+std::optional<cover::DetectionMatrix> MatrixCache::lookup(Key k) {
+  // Lookup latency lands in an outcome-specific histogram — a hit
+  // (a parse, ms) and a miss that triggers a rebuild (seconds
+  // downstream) are different regimes and averaging them would say
+  // nothing.
   OBS_HISTOGRAM(h_hit, "matrix_cache.hit_ns");
-  OBS_HISTOGRAM(h_disk_hit, "matrix_cache.disk_hit_ns");
   OBS_HISTOGRAM(h_miss, "matrix_cache.miss_ns");
   [[maybe_unused]] const std::uint64_t start = obs::Clock::now_ns();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(k);
-    if (it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);  // touch
-      ++stats_.hits;
+  // Reads go through the guarded I/O layer — transient failures (or
+  // injected ones, "cache.disk_read") retry with backoff; repeated
+  // give-ups trip the breaker and the cache turns off.  A blob that
+  // *reads* but does not *parse* is a content problem, not a disk
+  // problem: it degrades to a miss without charging the breaker, and
+  // the rebuild's store overwrites it.
+  const std::string path = disk_path(k);
+  std::error_code ec;
+  if (disk_breaker_.allowed() && fs::exists(path, ec)) {
+    try {
+      const std::string text = util::io::read_file("cache.disk_read", path);
+      disk_breaker_.record_success();
+      cover::DetectionMatrix m = matrix_from_string(text);
+      ++hits_;
+      OBS_INSTANT("matrix_cache_hit");
       OBS_OBSERVE(h_hit, obs::Clock::now_ns() - start);
-      return it->second->matrix;
+      return m;
+    } catch (const util::io::IoError& e) {
+      disk_breaker_.record_failure();
+      obs::diag(obs::Severity::kWarn, "matrix_cache",
+                "cannot read blob " + path + " (" + e.what() +
+                    "), rebuilding");
+    } catch (const std::runtime_error& e) {
+      // Corrupt or future-version blob: fall through to a miss.
+      obs::diag(obs::Severity::kWarn, "matrix_cache",
+                "unreadable blob " + path + " (" + e.what() +
+                    "), rebuilding");
     }
   }
-  // Disk tier, read outside the lock (file I/O may be slow and the
-  // result is immutable either way).  Reads go through the guarded I/O
-  // layer — transient failures (or injected ones, "cache.disk_read")
-  // retry with backoff; repeated give-ups trip the breaker and the
-  // tier turns off.  A blob that *reads* but does not *parse* is a
-  // content problem, not a disk problem: it degrades to a miss without
-  // charging the breaker, and the rebuild's store overwrites it.
-  if (!opts_.dir.empty() && disk_breaker_.allowed()) {
-    const std::string path = disk_path(k);
-    std::error_code ec;
-    if (fs::exists(path, ec)) {
-      std::string text;
-      bool read_ok = false;
-      try {
-        text = util::io::read_file("cache.disk_read", path);
-        read_ok = true;
-        disk_breaker_.record_success();
-      } catch (const util::io::IoError& e) {
-        disk_breaker_.record_failure();
-        obs::diag(obs::Severity::kWarn, "matrix_cache",
-                  "cannot read blob " + path + " (" + e.what() +
-                      "), rebuilding");
-      }
-      if (read_ok) {
-        try {
-          auto m = std::make_shared<cover::DetectionMatrix>(
-              matrix_from_string(text));
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.hits;
-          ++stats_.disk_hits;
-          OBS_INSTANT("disk_hit");
-          OBS_OBSERVE(h_disk_hit, obs::Clock::now_ns() - start);
-          const auto it = index_.find(k);  // raced promotion: reuse theirs
-          if (it != index_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second);
-            return it->second->matrix;
-          }
-          if (opts_.max_memory_entries > 0) {
-            lru_.push_front(Entry{k, m});
-            index_[k] = lru_.begin();
-            while (lru_.size() > opts_.max_memory_entries) {
-              index_.erase(lru_.back().key);
-              lru_.pop_back();
-              ++stats_.evictions;
-            }
-          }
-          return m;
-        } catch (const std::runtime_error& e) {
-          // Corrupt or future-version blob: fall through to a miss;
-          // the rebuild's store overwrites it.
-          obs::diag(obs::Severity::kWarn, "matrix_cache",
-                    "unreadable blob " + path + " (" + e.what() +
-                        "), rebuilding");
-        }
-      }
-    }
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.misses;
+  ++misses_;
   OBS_OBSERVE(h_miss, obs::Clock::now_ns() - start);
-  return nullptr;
+  return std::nullopt;
 }
 
-void MatrixCache::store(Key k, std::shared_ptr<const cover::DetectionMatrix> m) {
-  if (m == nullptr) return;
+void MatrixCache::store(Key k, const cover::DetectionMatrix& m) {
   OBS_HISTOGRAM(h_store, "matrix_cache.store_ns");
   [[maybe_unused]] const std::uint64_t start = obs::Clock::now_ns();
-  bool write_disk = !opts_.dir.empty();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.stores;
-    const auto it = index_.find(k);
-    if (it != index_.end()) {
-      // Concurrent builders of the same key store identical content;
-      // keep the first (already shared with its hitters).
-      lru_.splice(lru_.begin(), lru_, it->second);
-      write_disk = false;
-    } else if (opts_.max_memory_entries > 0) {
-      lru_.push_front(Entry{k, m});
-      index_[k] = lru_.begin();
-      while (lru_.size() > opts_.max_memory_entries) {
-        index_.erase(lru_.back().key);
-        lru_.pop_back();
-        ++stats_.evictions;
-      }
+  ++stores_;
+  if (disk_breaker_.allowed()) {
+    // Guarded atomic write ("cache.disk_write"): temp-then-rename keeps
+    // concurrent readers off torn files (pid-qualified temp name, so
+    // concurrent processes do not collide), transient failures retry
+    // with backoff, and a give-up only costs reuse — the cache is best
+    // effort, so an unwritable directory never fails the build.
+    // Repeated give-ups trip the breaker and later stores skip the
+    // disk entirely.
+    std::error_code ec;
+    fs::create_directories(opts_.dir, ec);
+    const std::string path = disk_path(k);
+    try {
+      util::io::write_file_atomic("cache.disk_write", path,
+                                  matrix_to_string(m));
+      disk_breaker_.record_success();
+    } catch (const util::io::IoError& e) {
+      disk_breaker_.record_failure();
+      obs::diag(obs::Severity::kWarn, "matrix_cache",
+                "cannot persist blob " + path + " (" + e.what() +
+                    "), not cached");
     }
-  }
-  if (!write_disk || !disk_breaker_.allowed()) {
-    OBS_OBSERVE(h_store, obs::Clock::now_ns() - start);
-    return;
-  }
-  // Guarded atomic write ("cache.disk_write"): temp-then-rename keeps
-  // concurrent readers off torn files (pid-qualified temp name, so
-  // concurrent processes do not collide), transient failures retry
-  // with backoff, and a give-up only costs durability — the disk tier
-  // is best-effort, so an unwritable directory degrades the cache to
-  // memory-only rather than failing the build.  Repeated give-ups trip
-  // the breaker and later stores skip the disk entirely.
-  std::error_code ec;
-  fs::create_directories(opts_.dir, ec);
-  const std::string final_path = disk_path(k);
-  try {
-    util::io::write_file_atomic("cache.disk_write", final_path,
-                                matrix_to_string(*m));
-    disk_breaker_.record_success();
-  } catch (const util::io::IoError& e) {
-    disk_breaker_.record_failure();
-    obs::diag(obs::Severity::kWarn, "matrix_cache",
-              "cannot persist blob " + final_path + " (" + e.what() +
-                  "), memory tier only");
   }
   OBS_OBSERVE(h_store, obs::Clock::now_ns() - start);
 }
 
 MatrixCacheStats MatrixCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  return {hits_.load(), misses_.load(), stores_.load()};
 }
 
 std::vector<MatrixCache::DiskEntry> MatrixCache::list_dir(

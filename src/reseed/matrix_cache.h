@@ -1,34 +1,27 @@
-// Cross-run detection-matrix cache.
+// Cross-process detection-matrix cache.
 //
 // Building the detection matrix — one PPSFP fault-sim campaign per
-// candidate triplet — dominates pipeline cost even after lane packing,
-// yet paper-style sweeps rebuild the identical matrix for every run
-// that varies only the solver or optimizer options.  MatrixCache makes
-// that reuse explicit: matrices are stored under a content hash of
-// everything the build depends on, so equal inputs hit and *any*
-// divergence (circuit structure, fault list, TPG semantics, candidate
-// triplets — which subsume seed, T and the candidate-row set) misses.
+// candidate triplet — dominates pipeline cost even after lane packing.
+// Within one process the campaign runner and the trade-off sweep
+// already build each (circuit, TPG) once and derive every T from that
+// build (reseed::at_cycles), so reuse is left only across processes:
+// repeated campaigns against one directory skip fault simulation.
+// Matrices are stored under a content hash of everything the build
+// depends on, so equal inputs hit and *any* divergence (circuit
+// structure, fault list, TPG semantics, candidate triplets — which
+// subsume seed, T and the candidate-row set) misses.
 //
-// Two tiers:
-//   - in-memory LRU of shared_ptr<const DetectionMatrix> entries,
-//     bounded by max_memory_entries (thread-safe; campaign workers
-//     share one cache);
-//   - optional on-disk tier (options.dir): write-through "fbist-dmx v1"
-//     files named <16-hex-key>.dmx (reseed/serialize.h), written
-//     temp-then-rename so concurrent writers and readers never see a
-//     torn file.  Future-version files are rejected loudly by the
-//     serializer and treated as misses.
-//
-// Entries are immutable once stored; hits hand out the shared_ptr, so
-// a hit costs a hash plus a pointer copy, never a matrix copy.
+// One tier, on disk (options.dir): "fbist-dmx v1" files named
+// <16-hex-key>.dmx (reseed/serialize.h), written temp-then-rename so
+// concurrent writers and readers never see a torn file.  Future-version
+// files are rejected loudly by the serializer and treated as misses.
+// Thread-safe: campaign workers share one cache.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cover/detection_matrix.h"
@@ -41,30 +34,23 @@
 namespace fbist::reseed {
 
 struct MatrixCacheOptions {
-  /// On-disk tier directory; empty disables the disk tier.  Created on
-  /// first store if missing.
+  /// Cache directory (required).  Created on first store if missing.
   std::string dir;
-  /// In-memory LRU capacity (entries).  Zero disables the memory tier
-  /// (every hit then reloads from disk).
-  std::size_t max_memory_entries = 16;
 };
 
-/// Monotonic counters; hits = memory hits + disk_hits.
+/// Monotonic counters.
 struct MatrixCacheStats {
   std::uint64_t hits = 0;
-  std::uint64_t disk_hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t stores = 0;
-  std::uint64_t evictions = 0;
-
-  MatrixCacheStats& operator+=(const MatrixCacheStats& o);
 };
 
 class MatrixCache {
  public:
   using Key = std::uint64_t;
 
-  explicit MatrixCache(MatrixCacheOptions opts = {});
+  /// Throws std::invalid_argument when `opts.dir` is empty.
+  explicit MatrixCache(MatrixCacheOptions opts);
 
   /// Content hash of a matrix build.  The candidate triplets enter
   /// verbatim (delta, sigma, cycles per row), so TPG seed, T and the
@@ -76,20 +62,19 @@ class MatrixCache {
                  const fault::FaultList& faults, const tpg::Tpg& tpg,
                  const std::vector<tpg::Triplet>& candidates);
 
-  /// Returns the cached matrix or nullptr (a recorded miss).  Disk
-  /// hits are promoted into the memory tier.
-  std::shared_ptr<const cover::DetectionMatrix> lookup(Key k);
+  /// Reads and parses the stored matrix, or returns nullopt (a
+  /// recorded miss).
+  std::optional<cover::DetectionMatrix> lookup(Key k);
 
-  /// Inserts (idempotent: the first stored entry for a key wins) and
-  /// writes through to the disk tier when configured.
-  void store(Key k, std::shared_ptr<const cover::DetectionMatrix> m);
+  /// Writes the matrix under `k` (best effort: a failed write only
+  /// costs reuse).  Concurrent stores of one key write equal content.
+  void store(Key k, const cover::DetectionMatrix& m);
 
   MatrixCacheStats stats() const;
-  const MatrixCacheOptions& options() const { return opts_; }
 
-  /// True once repeated disk-tier failures tripped the breaker and the
-  /// cache degraded to memory-only (reads and writes skip the disk for
-  /// the rest of the process; results are unaffected, only reuse is).
+  /// True once repeated disk failures tripped the breaker and the cache
+  /// turned off (lookups miss and stores skip the disk for the rest of
+  /// the process; results are unaffected, only reuse is).
   bool disk_degraded() const { return disk_breaker_.tripped(); }
 
   /// One on-disk entry, for `fbist cache list`.
@@ -114,19 +99,12 @@ class MatrixCache {
 
   MatrixCacheOptions opts_;
 
-  mutable std::mutex mu_;
-  struct Entry {
-    Key key;
-    std::shared_ptr<const cover::DetectionMatrix> matrix;
-  };
-  std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<Key, std::list<Entry>::iterator> index_;
-  MatrixCacheStats stats_;
+  std::atomic<std::uint64_t> hits_{0}, misses_{0}, stores_{0};
 
-  /// Trips after consecutive disk-tier I/O failures (reads or writes);
-  /// a tripped breaker turns the disk tier off for this process.
-  util::CircuitBreaker disk_breaker_{
-      "matrix-cache disk tier", "cache degrades to memory-only"};
+  /// Trips after consecutive disk I/O failures (reads or writes); a
+  /// tripped breaker turns the cache off for this process.
+  util::CircuitBreaker disk_breaker_{"matrix-cache disk tier",
+                                     "cache turns off"};
 };
 
 }  // namespace fbist::reseed

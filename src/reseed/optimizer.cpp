@@ -36,7 +36,6 @@ ReseedingSolution optimize(const InitialReseeding& initial,
   const cover::DetectionMatrix& full = initial.matrix;
   sol.initial_rows = full.num_rows();
   sol.initial_cols = full.num_cols();
-  sol.faults_uncoverable = initial.uncovered_faults.size();
 
   // Cooperative deadline: polled between stages here, and every few
   // thousand nodes inside solve_exact (the only open-ended stage).
@@ -46,6 +45,7 @@ ReseedingSolution optimize(const InitialReseeding& initial,
 
   auto [work, col_map] = coverable_submatrix(full);
   sol.faults_targeted = work.num_cols();
+  sol.faults_uncoverable = full.num_cols() - work.num_cols();
   if (work.num_cols() == 0) return sol;  // nothing to cover
 
   std::vector<std::size_t> chosen_rows;       // final selection (row ids)

@@ -78,48 +78,47 @@ void Pipeline::init() {
   fsim_ = std::make_unique<sim::FaultSim>(nl_, faults_, compiled_);
 }
 
-std::pair<InitialReseeding, ReseedingSolution> Pipeline::run_detailed(
-    tpg::TpgKind kind, std::size_t cycles,
-    const OptimizerOptions& optimizer,
-    const util::Deadline* deadline) const {
+InitialReseeding Pipeline::build(tpg::TpgKind kind, std::size_t cycles,
+                                 const util::Deadline* deadline) const {
   OBS_HISTOGRAM(h_build, "pipeline.matrix_build_ns");
-  OBS_HISTOGRAM(h_solve, "pipeline.cover_solve_ns");
   if (deadline != nullptr) deadline->check("pipeline");
   const auto tpg = tpg::make_tpg(kind, nl_.num_inputs());
   BuilderOptions b = opts_.builder;
   if (cycles != 0) b.cycles_per_triplet = cycles;
   b.seed ^= util::hash_string(name_) ^ static_cast<std::uint64_t>(kind);
-  InitialReseeding initial;
-  {
-    OBS_SPAN("matrix_build", name_);
-    [[maybe_unused]] const std::uint64_t t0 = obs::Clock::now_ns();
-    initial = build_initial_reseeding(*fsim_, *tpg, atpg_.patterns, b,
-                                      opts_.matrix_cache.get(), deadline);
-    OBS_OBSERVE(h_build, obs::Clock::now_ns() - t0);
-  }
-  ReseedingSolution sol;
-  {
-    OBS_SPAN("cover_solve", name_);
-    [[maybe_unused]] const std::uint64_t t0 = obs::Clock::now_ns();
-    sol = optimize(initial, optimizer, deadline);
-    OBS_OBSERVE(h_solve, obs::Clock::now_ns() - t0);
-  }
-  return {std::move(initial), std::move(sol)};
+  OBS_SPAN("matrix_build", name_);
+  [[maybe_unused]] const std::uint64_t t0 = obs::Clock::now_ns();
+  InitialReseeding initial = build_initial_reseeding(
+      *fsim_, *tpg, atpg_.patterns, b, opts_.matrix_cache.get(), deadline);
+  OBS_OBSERVE(h_build, obs::Clock::now_ns() - t0);
+  return initial;
+}
+
+ReseedingSolution Pipeline::solve(const InitialReseeding& initial,
+                                  const OptimizerOptions& optimizer,
+                                  const util::Deadline* deadline) const {
+  OBS_HISTOGRAM(h_solve, "pipeline.cover_solve_ns");
+  OBS_SPAN("cover_solve", name_);
+  [[maybe_unused]] const std::uint64_t t0 = obs::Clock::now_ns();
+  ReseedingSolution sol = optimize(initial, optimizer, deadline);
+  OBS_OBSERVE(h_solve, obs::Clock::now_ns() - t0);
+  return sol;
 }
 
 std::pair<InitialReseeding, ReseedingSolution> Pipeline::run_detailed(
     tpg::TpgKind kind, std::size_t cycles) const {
-  return run_detailed(kind, cycles, opts_.optimizer);
+  InitialReseeding initial = build(kind, cycles);
+  ReseedingSolution sol = solve(initial, opts_.optimizer);
+  return {std::move(initial), std::move(sol)};
 }
 
 ReseedingSolution Pipeline::run(tpg::TpgKind kind, std::size_t cycles,
-                                const OptimizerOptions& optimizer,
-                                const util::Deadline* deadline) const {
-  return run_detailed(kind, cycles, optimizer, deadline).second;
+                                const OptimizerOptions& optimizer) const {
+  return solve(build(kind, cycles), optimizer);
 }
 
 ReseedingSolution Pipeline::run(tpg::TpgKind kind, std::size_t cycles) const {
-  return run_detailed(kind, cycles, opts_.optimizer).second;
+  return run(kind, cycles, opts_.optimizer);
 }
 
 }  // namespace fbist::reseed

@@ -36,9 +36,8 @@ struct PipelineOptions {
   atpg::AtpgOptions atpg;
   BuilderOptions builder;
   OptimizerOptions optimizer;
-  /// Cross-run detection-matrix cache (reseed/matrix_cache.h) shared by
-  /// every run of this pipeline — and, when the campaign layer installs
-  /// one, across circuits and processes.  Null disables caching.
+  /// Cross-process detection-matrix cache (reseed/matrix_cache.h)
+  /// consulted by every build of this pipeline.  Null disables caching.
   std::shared_ptr<MatrixCache> matrix_cache;
 };
 
@@ -64,27 +63,35 @@ class Pipeline {
                                                  std::string name,
                                                  PipelineOptions opts = {});
 
-  /// Runs Initial Reseeding Builder + optimizer for one TPG kind.
+  /// Runs the Initial Reseeding Builder for one TPG kind at evolution
+  /// length `cycles` (0 keeps the options' T).  The builder seed mixes
+  /// in the circuit name and TPG kind, never T, so a build at a larger T
+  /// thresholds to this one exactly (reseed::at_cycles).  An armed
+  /// `deadline` is polled between packings; expiry throws
+  /// util::TimeoutError (the campaign runner turns it into a canonical
+  /// timeout failure).
+  InitialReseeding build(tpg::TpgKind kind, std::size_t cycles,
+                         const util::Deadline* deadline = nullptr) const;
+
+  /// Runs the optimizer on a built (or thresholded) initial reseeding
+  /// with per-run optimizer options (campaigns cross solver choices
+  /// without re-preparing the circuit).  An armed `deadline` is polled
+  /// through the optimizer and exact solver.
+  ReseedingSolution solve(const InitialReseeding& initial,
+                          const OptimizerOptions& optimizer,
+                          const util::Deadline* deadline = nullptr) const;
+
+  /// build() + solve() for one TPG kind with the options' optimizer.
   /// Overrides the per-triplet evolution length when `cycles` != 0.
   ReseedingSolution run(tpg::TpgKind kind, std::size_t cycles = 0) const;
-
-  /// Like run(), but with per-run optimizer options (campaigns cross
-  /// solver choices without re-preparing the circuit).  An armed
-  /// `deadline` is polled cooperatively through the builder, optimizer,
-  /// and exact solver; expiry throws util::TimeoutError (the campaign
-  /// runner turns it into a canonical timeout failure).
+  /// Like run(), but with per-run optimizer options.
   ReseedingSolution run(tpg::TpgKind kind, std::size_t cycles,
-                        const OptimizerOptions& optimizer,
-                        const util::Deadline* deadline = nullptr) const;
+                        const OptimizerOptions& optimizer) const;
 
   /// Like run(), but also returns the initial reseeding (for benches
   /// that inspect the matrix itself).
   std::pair<InitialReseeding, ReseedingSolution> run_detailed(
       tpg::TpgKind kind, std::size_t cycles = 0) const;
-  std::pair<InitialReseeding, ReseedingSolution> run_detailed(
-      tpg::TpgKind kind, std::size_t cycles,
-      const OptimizerOptions& optimizer,
-      const util::Deadline* deadline = nullptr) const;
 
   const std::string& name() const { return name_; }
   const netlist::Netlist& circuit() const { return nl_; }

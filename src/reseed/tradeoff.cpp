@@ -1,5 +1,7 @@
 #include "reseed/tradeoff.h"
 
+#include <algorithm>
+
 namespace fbist::reseed {
 
 std::vector<TradeoffPoint> tradeoff_sweep(const sim::FaultSim& fsim,
@@ -7,13 +9,17 @@ std::vector<TradeoffPoint> tradeoff_sweep(const sim::FaultSim& fsim,
                                           const sim::PatternSet& atpg_patterns,
                                           const TradeoffOptions& opts) {
   std::vector<TradeoffPoint> points;
+  if (opts.cycle_values.empty()) return points;
   points.reserve(opts.cycle_values.size());
+  // One build at the largest T; every point thresholds it.
+  BuilderOptions b = opts.builder;
+  b.cycles_per_triplet = *std::max_element(opts.cycle_values.begin(),
+                                           opts.cycle_values.end());
+  const InitialReseeding family =
+      build_initial_reseeding(fsim, tpg, atpg_patterns, b);
   for (const std::size_t cycles : opts.cycle_values) {
-    BuilderOptions b = opts.builder;
-    b.cycles_per_triplet = cycles;
-    const InitialReseeding initial =
-        build_initial_reseeding(fsim, tpg, atpg_patterns, b);
-    const ReseedingSolution sol = optimize(initial, opts.optimizer);
+    const ReseedingSolution sol =
+        optimize(at_cycles(family, cycles), opts.optimizer);
 
     TradeoffPoint p;
     p.cycles_per_triplet = cycles;

@@ -2,9 +2,11 @@
 //
 // Increasing the per-triplet evolution length T makes every candidate
 // test set larger, so fewer triplets suffice to cover all faults — at
-// the price of a longer global test sequence.  The sweep re-runs the
-// full build-reduce-solve pipeline for a range of T values and reports
-// one (num_triplets, test_length) point per T.
+// the price of a longer global test sequence.  The sweep builds the
+// detection matrix once, at the largest T, derives each T's matrix by
+// thresholding that build (reseed::at_cycles, identical to a fresh build
+// at that T), reduces and solves it, and reports one (num_triplets,
+// test_length) point per T.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +28,7 @@ struct TradeoffPoint {
 struct TradeoffOptions {
   /// T values to evaluate (ascending recommended).
   std::vector<std::size_t> cycle_values = {16, 32, 64, 128, 256, 512};
-  BuilderOptions builder;     // cycles_per_triplet overridden per point
+  BuilderOptions builder;     // cycles_per_triplet: the largest T
   OptimizerOptions optimizer;
 };
 

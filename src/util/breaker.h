@@ -7,9 +7,9 @@
 // *optional* durability layer broke.  A CircuitBreaker latches instead:
 // after `threshold` consecutive guarded-operation failures it trips,
 // warns once (naming the degradation the caller declared — "cache
-// degrades to memory-only", "checkpointing disabled, durability
-// lost"), bumps breaker.tripped, and from then on allowed() is false so
-// the caller skips the doomed I/O entirely.  The sweep completes; only
+// turns off", "checkpointing disabled, durability lost"), bumps
+// breaker.tripped, and from then on allowed() is false so the caller
+// skips the doomed I/O entirely.  The sweep completes; only
 // durability is lost — which is exactly the contract the report's
 // canonical section never depended on.
 //

@@ -1,10 +1,11 @@
 // Run-level deadlines: cooperative cancellation for bounded execution.
 //
 // A hung run must never hang the sweep: the campaign runner arms one
-// Deadline per run (CampaignOptions::run_timeout_ms) and the long
-// compute loops below it — the builder's per-packing fan-out, the
-// optimizer stages, the exact solver's branch-and-bound — poll it at
-// natural chunk boundaries.  Expiry surfaces as a TimeoutError, which
+// Deadline per matrix build and one per run's solve
+// (CampaignOptions::run_timeout_ms), and the long compute loops below
+// them — the builder's per-packing fan-out, the optimizer stages, the
+// exact solver's branch-and-bound — poll it at natural chunk
+// boundaries.  Expiry surfaces as a TimeoutError, which
 // the runner converts into a *canonical* failed RunResult (the error
 // text quotes the configured limit, never the measured time or the
 // stage it fired in, so a timed-out run checkpoints and reports

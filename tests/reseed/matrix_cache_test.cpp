@@ -1,12 +1,13 @@
 // MatrixCache: content-key sensitivity (any input divergence must
-// miss), LRU bounds, the on-disk tier, and hit/build result identity
-// through build_initial_reseeding.
+// miss), the on-disk store, and hit/build result identity through
+// build_initial_reseeding.
 #include "reseed/matrix_cache.h"
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -103,70 +104,50 @@ TEST(MatrixCacheKey, SensitiveToCandidateTriplets) {
   EXPECT_NE(base, MatrixCache::key(f.cc, f.faults, *f.tpg, c4));
 }
 
-std::shared_ptr<const cover::DetectionMatrix> tiny_matrix(std::size_t rows,
-                                                          std::uint64_t seed) {
+cover::DetectionMatrix tiny_matrix(std::size_t rows, std::uint64_t seed) {
   util::Rng rng(seed);
-  auto m = std::make_shared<cover::DetectionMatrix>(rows, 10);
+  cover::DetectionMatrix m(rows, 10);
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < 10; ++c) {
-      if (rng.next_below(2) == 0) m->set(r, c);
+      if (rng.next_below(2) == 0) m.set(r, c);
     }
   }
   return m;
 }
 
-TEST(MatrixCache, MemoryHitReturnsSameEntry) {
-  MatrixCache cache;
-  const auto m = tiny_matrix(3, 1);
-  EXPECT_EQ(cache.lookup(42), nullptr);
-  cache.store(42, m);
-  EXPECT_EQ(cache.lookup(42).get(), m.get());  // shared, not copied
-  const auto st = cache.stats();
-  EXPECT_EQ(st.hits, 1u);
-  EXPECT_EQ(st.misses, 1u);
-  EXPECT_EQ(st.stores, 1u);
-  EXPECT_EQ(st.disk_hits, 0u);
+/// A fresh cache directory under the test temp dir.
+MatrixCacheOptions temp_dir_options(const std::string& name) {
+  MatrixCacheOptions opts;
+  opts.dir = ::testing::TempDir() + "fbist_mc_" + name;
+  fs::remove_all(opts.dir);
+  return opts;
 }
 
-TEST(MatrixCache, LruEvictsLeastRecentlyUsed) {
-  MatrixCacheOptions opts;
-  opts.max_memory_entries = 2;
-  MatrixCache cache(opts);
-  cache.store(1, tiny_matrix(1, 1));
-  cache.store(2, tiny_matrix(2, 2));
-  EXPECT_NE(cache.lookup(1), nullptr);  // touch 1: now 2 is LRU
-  cache.store(3, tiny_matrix(3, 3));    // evicts 2
-  EXPECT_NE(cache.lookup(1), nullptr);
-  EXPECT_NE(cache.lookup(3), nullptr);
-  EXPECT_EQ(cache.lookup(2), nullptr);
-  EXPECT_EQ(cache.stats().evictions, 1u);
+TEST(MatrixCache, EmptyDirectoryThrows) {
+  EXPECT_THROW(MatrixCache(MatrixCacheOptions{}), std::invalid_argument);
 }
 
 TEST(MatrixCache, DiskTierSurvivesNewInstance) {
-  const std::string dir = ::testing::TempDir() + "fbist_mc_disk";
-  fs::remove_all(dir);
-  const auto m = tiny_matrix(4, 7);
+  const MatrixCacheOptions opts = temp_dir_options("disk");
+  const std::string& dir = opts.dir;
+  const cover::DetectionMatrix m = tiny_matrix(4, 7);
   {
-    MatrixCacheOptions opts;
-    opts.dir = dir;
     MatrixCache writer(opts);
+    EXPECT_FALSE(writer.lookup(7).has_value());
     writer.store(7, m);
+    const auto st = writer.stats();
+    EXPECT_EQ(st.misses, 1u);
+    EXPECT_EQ(st.stores, 1u);
   }
-  MatrixCacheOptions opts;
-  opts.dir = dir;
   MatrixCache reader(opts);
   const auto back = reader.lookup(7);
-  ASSERT_NE(back, nullptr);
-  for (std::size_t r = 0; r < m->num_rows(); ++r) {
-    EXPECT_EQ(back->row(r), m->row(r));
+  ASSERT_TRUE(back.has_value());
+  for (std::size_t r = 0; r < m.num_rows(); ++r) {
+    EXPECT_EQ(back->row(r), m.row(r));
   }
   const auto st = reader.stats();
   EXPECT_EQ(st.hits, 1u);
-  EXPECT_EQ(st.disk_hits, 1u);
-  // A second lookup is served from memory (promoted on the disk hit).
-  ASSERT_NE(reader.lookup(7), nullptr);
-  EXPECT_EQ(reader.stats().disk_hits, 1u);
-  EXPECT_EQ(reader.stats().hits, 2u);
+  EXPECT_EQ(st.misses, 0u);
 
   EXPECT_EQ(MatrixCache::list_dir(dir).size(), 1u);
   EXPECT_EQ(MatrixCache::list_dir(dir)[0].key, 7u);
@@ -191,16 +172,16 @@ TEST(MatrixCache, CorruptOrFutureVersionDiskFilesMiss) {
   MatrixCacheOptions opts;
   opts.dir = dir;
   MatrixCache cache(opts);
-  EXPECT_EQ(cache.lookup(1), nullptr);
-  EXPECT_EQ(cache.lookup(2), nullptr);
+  EXPECT_FALSE(cache.lookup(1).has_value());
+  EXPECT_FALSE(cache.lookup(2).has_value());
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.stats().hits, 0u);
   fs::remove_all(dir);
 }
 
 // End to end: a cached build must equal a fresh build exactly — matrix
-// bits, earliest indices, triplets and uncovered columns — and the hit
-// must skip the simulator (observable through the stats).
+// bits, earliest indices and triplets — and the hit must skip the
+// simulator (observable through the stats).
 TEST(MatrixCache, CachedBuildIdenticalToFreshBuild) {
   const auto nl = circuits::make_circuit("c432");
   const fault::FaultList fl = fault::FaultList::collapsed(nl);
@@ -211,7 +192,8 @@ TEST(MatrixCache, CachedBuildIdenticalToFreshBuild) {
   BuilderOptions bopts;
   bopts.cycles_per_triplet = 6;
 
-  MatrixCache cache;
+  const MatrixCacheOptions opts = temp_dir_options("identity");
+  MatrixCache cache(opts);
   const InitialReseeding fresh =
       build_initial_reseeding(fsim, *tpg, atpg, bopts, &cache);
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -239,8 +221,8 @@ TEST(MatrixCache, CachedBuildIdenticalToFreshBuild) {
         EXPECT_EQ(other->matrix.earliest(r, c), fresh.matrix.earliest(r, c));
       }
     }
-    EXPECT_EQ(other->uncovered_faults, fresh.uncovered_faults);
   }
+  fs::remove_all(opts.dir);
 }
 
 TEST(MatrixCache, BuilderOptionChangesMiss) {
@@ -251,7 +233,8 @@ TEST(MatrixCache, BuilderOptionChangesMiss) {
   util::Rng rng(13);
   const sim::PatternSet atpg = sim::PatternSet::random(nl.num_inputs(), 8, rng);
 
-  MatrixCache cache;
+  const MatrixCacheOptions opts = temp_dir_options("options");
+  MatrixCache cache(opts);
   BuilderOptions a;
   a.cycles_per_triplet = 4;
   build_initial_reseeding(fsim, *tpg, atpg, a, &cache);
@@ -263,6 +246,7 @@ TEST(MatrixCache, BuilderOptionChangesMiss) {
   build_initial_reseeding(fsim, *tpg, atpg, c, &cache);
   EXPECT_EQ(cache.stats().misses, 3u);
   EXPECT_EQ(cache.stats().hits, 0u);
+  fs::remove_all(opts.dir);
 }
 
 }  // namespace

@@ -144,8 +144,8 @@ TEST(Optimizer, HandlesUncoverableColumns) {
   for (std::size_t r = 0; r < init.matrix.num_rows(); ++r) {
     init.matrix.set(r, victim, false);
   }
-  init.uncovered_faults.push_back(victim);
   const ReseedingSolution sol = optimize(init);
+  EXPECT_EQ(sol.faults_uncoverable, 1u);
   EXPECT_EQ(sol.faults_targeted, f.fl.size() - 1);
   EXPECT_EQ(sol.faults_covered, sol.faults_targeted);
 }

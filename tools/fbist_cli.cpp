@@ -20,10 +20,11 @@
 //       --jobs N             worker threads          (default: all cores)
 //       --json FILE          write the campaign report as JSON
 //       --timings            include wall-clock + jobs in the JSON
-//       --cache DIR          detection-matrix cache directory; runs that
-//                            share (circuit, TPG, T, seed) build their
-//                            matrix once, repeated campaigns reuse the
-//                            on-disk matrices instead of re-simulating
+//       --cache DIR          detection-matrix cache directory: repeated
+//                            campaigns reuse the on-disk matrices
+//                            instead of re-simulating (within one
+//                            campaign each circuit and TPG is built
+//                            once, at its largest T, anyway)
 //       --checkpoint DIR     persist each completed run as a versioned
 //                            blob in DIR and, on startup, skip runs that
 //                            already have one — a killed sweep resumes
@@ -34,8 +35,11 @@
 //                            contiguous slices of the canonical run
 //                            order (1-based); shards run on different
 //                            processes/hosts and are folded by `merge`
-//       --run-timeout MS     per-run wall-clock budget; an expired run
-//                            records the canonical failure
+//       --run-timeout MS     per-run wall-clock budget; each circuit and
+//                            TPG's matrix build gets one such budget
+//                            (an expired build fails all of its runs)
+//                            and each run's solve its own; an expired
+//                            run records the canonical failure
 //                            "run timeout: exceeded MS ms", checkpoints
 //                            like any other run, and the sweep continues
 //       --sat-escalate on|off  SAT escalation of PODEM-aborted faults
@@ -427,10 +431,9 @@ void print_report(const campaign::Report& report, const std::string& json_path,
                   bool timings) {
   std::cout << report.summary();
   if (report.cache.enabled) {
-    std::cout << "matrix cache: " << report.cache.hits << " hits ("
-              << report.cache.disk_hits << " from disk), "
+    std::cout << "matrix cache: " << report.cache.hits << " hits, "
               << report.cache.misses << " misses, " << report.cache.stores
-              << " stored, " << report.cache.evictions << " evicted\n";
+              << " stored\n";
   }
   if (report.checkpoint.enabled) {
     std::cout << "checkpoints: " << report.checkpoint.resumed << " resumed, "
