@@ -25,12 +25,10 @@ class MacTpg final : public fbist::tpg::Tpg {
 
   std::size_t width() const override { return width_; }
 
-  fbist::util::WideWord step(const fbist::util::WideWord& state,
-                             const fbist::util::WideWord& sigma) const override {
-    fbist::util::WideWord next = state;
-    next.mul(sigma);
-    next.add(sigma);
-    return next;
+  void advance(fbist::util::WideWord& state,
+               const fbist::util::WideWord& sigma) const override {
+    state.mul(sigma);
+    state.add(sigma);
   }
 
   fbist::util::WideWord legalize_sigma(

@@ -61,6 +61,8 @@ bool SatEngine::proves_redundant(const fault::Fault& f) {
 SolveStatus SatEngine::solve_miter(const fault::Fault& f, bool structural) {
   OBS_COUNTER(c_calls, "atpg.sat_calls");
   OBS_COUNTER(c_conflicts, "atpg.sat_conflicts");
+  OBS_COUNTER(c_decisions, "atpg.sat_decisions");
+  OBS_COUNTER(c_heap_pops, "atpg.sat_heap_pops");
   OBS_COUNTER(c_propagations, "atpg.sat_propagations");
   OBS_COUNTER(c_build_ns, "atpg.sat_build_ns");
   OBS_COUNTER(c_solve_ns, "atpg.sat_solve_ns");
@@ -153,6 +155,8 @@ SolveStatus SatEngine::solve_miter(const fault::Fault& f, bool structural) {
   OBS_SCOPED_NS(solve_timer, c_solve_ns);
   const SolveStatus status = solver.solve();
   OBS_COUNT(c_conflicts, solver.stats().conflicts);
+  OBS_COUNT(c_decisions, solver.stats().decisions);
+  OBS_COUNT(c_heap_pops, solver.stats().heap_pops);
   OBS_COUNT(c_propagations, solver.stats().propagations);
   return status;
 }

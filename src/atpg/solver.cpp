@@ -252,6 +252,7 @@ void Solver::heap_sift_down(std::size_t i) {
 }
 
 SatVar Solver::heap_pop() {
+  ++stats_.heap_pops;
   const SatVar top = heap_[0];
   heap_pos_[top] = kNoPos;
   heap_[0] = heap_.back();

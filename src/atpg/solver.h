@@ -47,6 +47,8 @@ struct SolverOptions {
 
 struct SolverStats {
   std::uint64_t decisions = 0;
+  /// Variables popped off the decision heap, assigned ones included.
+  std::uint64_t heap_pops = 0;
   std::uint64_t conflicts = 0;
   std::uint64_t propagations = 0;
   std::uint64_t restarts = 0;

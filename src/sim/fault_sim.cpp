@@ -1,9 +1,11 @@
 #include "sim/fault_sim.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
 #include "obs/metrics.h"
+#include "sim/gate_eval.h"
 #include "util/parallel.h"
 
 namespace fbist::sim {
@@ -14,40 +16,11 @@ using netlist::NetId;
 
 namespace {
 
-/// N 64-pattern blocks evaluated per cone walk: multi-block campaigns
-/// amortize one structure walk over N * 64 patterns instead of N walks
-/// over 64.  The walk is compiled for the baseline ISA, so the bitwise
-/// ops are 64-bit or 128-bit SSE2 instructions, never AVX.  Campaigns
-/// instantiate N = kChunkBlocks = 16 only (sim/pattern.h).
-template <int N>
-struct WordV {
-  Word w[N];
-};
-
-template <int N>
-inline WordV<N> operator~(const WordV<N>& a) {
-  WordV<N> r;
-  for (int i = 0; i < N; ++i) r.w[i] = ~a.w[i];
-  return r;
-}
-template <int N>
-inline WordV<N> operator&(const WordV<N>& a, const WordV<N>& b) {
-  WordV<N> r;
-  for (int i = 0; i < N; ++i) r.w[i] = a.w[i] & b.w[i];
-  return r;
-}
-template <int N>
-inline WordV<N> operator|(const WordV<N>& a, const WordV<N>& b) {
-  WordV<N> r;
-  for (int i = 0; i < N; ++i) r.w[i] = a.w[i] | b.w[i];
-  return r;
-}
-template <int N>
-inline WordV<N> operator^(const WordV<N>& a, const WordV<N>& b) {
-  WordV<N> r;
-  for (int i = 0; i < N; ++i) r.w[i] = a.w[i] ^ b.w[i];
-  return r;
-}
+/// N 64-pattern blocks per chunk walk (sim/gate_eval.h): a multi-block
+/// campaign amortizes one structure walk over N * 64 patterns instead of
+/// N walks over 64.  Campaigns instantiate N = kChunkBlocks = 16 only
+/// (sim/pattern.h).
+using detail::WordV;
 
 inline bool differs(Word a, Word b) { return a != b; }
 template <int N>
@@ -281,49 +254,31 @@ template <int N>
   return diff;
 }
 
-/// Builds the block-interleaved (N words per net) good-value layout of
-/// the chunks covering every block, the j-th block of chunk c being
-/// block c*N + j.  Absent blocks replicate the last real block's good
-/// values; the site is never flipped there (see walk_site_chunks), so
-/// the padding cannot trip the per-gate differs() check that drives the
-/// touched-scan skip.
-template <int N>
-void build_chunk_goods(const CompiledCircuit& cc,
-                       const std::vector<std::vector<Word>>& good,
-                       std::vector<std::vector<Word>>& goodT) {
-  const std::size_t blocks = good.size();
-  goodT.resize((blocks + N - 1) / N);
-  for (std::size_t chunk = 0; chunk < goodT.size(); ++chunk) {
-    auto& t = goodT[chunk];
-    t.resize(cc.num_nets() * N);
-    for (std::size_t j = 0; j < static_cast<std::size_t>(N); ++j) {
-      const std::size_t b = chunk * N + j;
-      const Word* const gb = good[b >= blocks ? blocks - 1 : b].data();
-      for (std::size_t n = 0; n < cc.num_nets(); ++n) t[n * N + j] = gb[n];
-    }
-  }
-}
-
-/// Walks every chunk of one site's cone, demuxing nonzero per-block
-/// difference words through `demux(block, diff, gs)`, and returns the
-/// number of chunk walks taken.  `activation(chunk, gs, act)` fills the
-/// chunk's per-block site-flip lanes (zero past the last real block)
-/// from the site's good values `gs`, or returns false once nothing is
-/// sought, which stops the site.  Blocks are visited in ascending
-/// pattern order, so a row's earliest index is the lowest set lane of
-/// its first detecting block, exactly as one narrow walk per block
-/// finds it — only the early-exit granularity (one chunk) differs.  A
-/// lane the site is not flipped in carries good values through the
-/// whole cone, so it never shows a difference.
+/// Walks every chunk of one site's cone over the campaign's good values
+/// `goodT` (chunk c's N-words-per-net layout at goodT + c * num_nets *
+/// N), demuxing nonzero per-block difference words through
+/// `demux(block, diff, gs)`, and returns the number of chunk walks
+/// taken.  `activation(chunk, gs, act)` fills the chunk's per-block
+/// site-flip lanes (zero past the last real block) from the site's good
+/// values `gs`, or returns false once nothing is sought, which stops the
+/// site.  Padding blocks past the last real one carry its good values
+/// (detail::simulate_blocks) and are never flipped, so they cannot trip
+/// the per-gate differs() check that drives the touched-scan skip.
+/// Blocks are visited in ascending pattern order, so a row's earliest
+/// index is the lowest set lane of its first detecting block, exactly
+/// as one narrow walk per block finds it — only the early-exit
+/// granularity (one chunk) differs.  A lane the site is not flipped in
+/// carries good values through the whole cone, so it never shows a
+/// difference.
 template <int N, typename ActFn, typename DemuxFn>
 std::size_t walk_site_chunks(const CompiledCircuit& cc, NetId site_net,
-                             std::size_t blocks,
-                             const std::vector<std::vector<Word>>& goodT,
+                             std::size_t blocks, const Word* goodT,
                              WordV<N>* local, std::uint8_t* diff_flag,
                              ActFn activation, DemuxFn demux) {
+  const std::size_t chunks = (blocks + N - 1) / N;
   std::size_t walks = 0;
-  for (std::size_t chunk = 0; chunk < goodT.size(); ++chunk) {
-    const Word* const gT = goodT[chunk].data();
+  for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+    const Word* const gT = goodT + chunk * cc.num_nets() * N;
     const WordV<N> gs = GoodV<N>{gT}(site_net);
     WordV<N> act;
     if (!activation(chunk, gs, act)) break;
@@ -380,7 +335,7 @@ FaultSim::FaultSim(const netlist::Netlist& nl, const fault::FaultList& faults)
 
 FaultSim::FaultSim(const netlist::Netlist& nl, const fault::FaultList& faults,
                    std::shared_ptr<const CompiledCircuit> compiled)
-    : nl_(nl), faults_(faults), cc_(std::move(compiled)), good_sim_(nl, cc_) {
+    : nl_(nl), faults_(faults), cc_(std::move(compiled)) {
   // Pair opposite-polarity faults on the same net into one site; each
   // site costs one cone walk per block.  A stray duplicate polarity
   // (never produced by FaultList::full/collapsed) gets its own site.
@@ -436,6 +391,7 @@ std::vector<FaultSimResult> FaultSim::run_packed(
     r.earliest.assign(nf, kNotDetected);
   }
   if (packed.empty() || nf == 0 || nrows == 0) return results;
+  assert(packed.num_inputs() == cc.num_inputs());
 
   const std::size_t blocks = (packed.size() + 63) / 64;
 
@@ -447,18 +403,27 @@ std::vector<FaultSimResult> FaultSim::run_packed(
   using Chunk = WordV<kChunkBlocks>;
 
   // Good values for every packed block, computed once — this is the
-  // 64/T-fold saving over per-row campaigns at small T — and, for a
-  // chunked walk, laid out chunk by chunk.  sim.good_ns times both, once
-  // per campaign.
-  std::vector<std::vector<Word>> good(blocks);
-  std::vector<std::vector<Word>> goodT;
+  // 64/T-fold saving over per-row campaigns at small T — by one schedule
+  // pass per chunk, straight into the layout the walk reads: one word
+  // per net for a one-block campaign, kChunkBlocks block-interleaved
+  // words per net per chunk otherwise.  sim.good_ns times it, once per
+  // campaign.
+  const std::size_t chunk_words =
+      cc.num_nets() * (chunked ? kChunkBlocks : 1);
+  std::vector<Word> good(((blocks + kChunkBlocks - 1) / kChunkBlocks) *
+                         chunk_words);
   {
     OBS_COUNTER(c_good_ns, "sim.good_ns");
     OBS_SCOPED_NS(good_timer, c_good_ns);
-    for (std::size_t b = 0; b < blocks; ++b) {
-      good_sim_.simulate_word(packed, b * 64, good[b]);
+    if (chunked) {
+      for (std::size_t b = 0; b < blocks; b += kChunkBlocks) {
+        Word* const chunk_goods = good.data() + b / kChunkBlocks * chunk_words;
+        detail::simulate_blocks<kChunkBlocks>(cc, packed, b, blocks,
+                                              chunk_goods);
+      }
+    } else {
+      detail::simulate_blocks<1>(cc, packed, 0, 1, good.data());
     }
-    if (chunked) build_chunk_goods<kChunkBlocks>(cc, good, goodT);
   }
 
   // Per-block demux plan: which rows overlap the block, at which lanes.
@@ -503,6 +468,14 @@ std::vector<FaultSimResult> FaultSim::run_packed(
   std::vector<WalkScratch> scratches =
       make_scratches(workers, max_slots, chunked);
 
+  // With seek masks, the faults some live row seeks: a site with neither
+  // fault in it costs one bit test per fault, before any per-row scan.
+  util::BitVector sought;
+  if (seek != nullptr) {
+    sought = util::BitVector(nf);
+    for (const std::uint32_t pos : live_rows) sought |= (*seek)[pos];
+  }
+
   const auto seeks = [seek](std::size_t pos, std::size_t fid) {
     return seek == nullptr || (*seek)[pos].get(fid);
   };
@@ -513,8 +486,12 @@ std::vector<FaultSimResult> FaultSim::run_packed(
     return n;
   };
   constexpr std::size_t kNoFault = static_cast<std::size_t>(-1);
+  const auto is_sought = [&](std::size_t fid) {
+    return fid != kNoFault && (seek == nullptr || sought.get(fid));
+  };
   auto simulate_site = [&](std::size_t sid, std::size_t worker) {
     const Site& site = sites_[sid];
+    if (!is_sought(site.fid[0]) && !is_sought(site.fid[1])) return;
     // left[s]: live rows that seek the stuck-at-s fault on this net and
     // have not yet detected it (zero for an absent fault).  Rows are
     // independent campaigns: a detection in one row's lanes never drops
@@ -552,7 +529,7 @@ std::vector<FaultSimResult> FaultSim::run_packed(
     };
 
     if (!chunked) {
-      const Word* const g = good[0].data();
+      const Word* const g = good.data();
       const Word lanes = union_lanes[0];
       const Word gs = g[site.net];
       // sa0 flips the site where the good value is 1, sa1 where it is 0
@@ -601,7 +578,7 @@ std::vector<FaultSimResult> FaultSim::run_packed(
       return true;
     };
     sc.walks += walk_site_chunks<kChunkBlocks>(
-        cc, site.net, blocks, goodT,
+        cc, site.net, blocks, good.data(),
         reinterpret_cast<Chunk*>(sc.localv.data()), diff_flag, activation,
         demux);
   };
@@ -612,14 +589,20 @@ std::vector<FaultSimResult> FaultSim::run_packed(
     for (std::size_t sid = 0; sid < sites_.size(); ++sid) simulate_site(sid, 0);
   }
   // Assemble packed detection bits outside the parallel section (sites
-  // write distinct earliest slots; BitVector words would be shared).
+  // write distinct earliest slots; BitVector words would be shared), one
+  // 64-fault word at a time.  Each detection stops that row's later
+  // blocks for the fault.
   std::uint64_t dropped = 0;
   for (FaultSimResult& res : results) {
-    for (std::size_t fid = 0; fid < nf; ++fid) {
-      if (res.earliest[fid] != kNotDetected) {
-        res.detected.set(fid);
-        ++dropped;  // a detection stops that row's later blocks
+    for (std::size_t w = 0; w * 64 < nf; ++w) {
+      const std::uint32_t* const e = res.earliest.data() + w * 64;
+      const std::size_t n = std::min<std::size_t>(64, nf - w * 64);
+      Word bits = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        bits |= Word{e[i] != kNotDetected} << i;
       }
+      res.detected.write_word(w, ~Word{0}, bits);
+      dropped += static_cast<std::uint64_t>(__builtin_popcountll(bits));
     }
   }
   std::uint64_t walks = 0;

@@ -1,11 +1,20 @@
 // Parallel-pattern single-fault-propagation (PPSFP) fault simulation.
 //
-// For each 64-pattern block the simulator computes good values once,
-// then for each live fault re-evaluates only the fault's fanout cone
-// with the fault site forced, comparing cone primary outputs against the
-// good response.  Detection bits, and optionally the *earliest detecting
-// pattern index* per fault, are accumulated — the latter drives the
-// paper's per-triplet test-length trimming.
+// A campaign computes good values once, then for each live fault
+// re-evaluates only the fault's fanout cone with the fault site forced,
+// comparing cone primary outputs against the good response.  Detection
+// bits and the *earliest detecting pattern index* per fault are
+// accumulated — the latter drives the paper's per-triplet test-length
+// trimming.
+//
+// Good values come from the one schedule evaluator (sim/gate_eval.h):
+// one pass per kChunkBlocks-block chunk, 16 blocks wide, written
+// straight into the block-interleaved layout the chunk walk reads (one
+// word-wide pass for a one-block campaign).  With seek masks, the union
+// of the live rows' masks is formed once per campaign, and a site none
+// of whose faults is in it costs one bit test per fault before any
+// per-row scan.  Detection bits are assembled from the earliest indices
+// one 64-fault word at a time.
 //
 // The cone walk streams the precompiled cone programs of a
 // netlist::CompiledCircuit (cone-local slot numbering, flat fanin
@@ -102,8 +111,9 @@ class FaultSim {
   /// candidate triplet, or one stage segment of each) laid out side by
   /// side in the lanes of one pre-packed set as
   /// `packing` describes (sim::pack_rows): good values are computed once
-  /// per packed block and each fault's cone is walked once per block (or
-  /// chunk of blocks) for every row in it, not once per row.  Callers
+  /// per chunk of blocks and each fault's cone is walked once per chunk
+  /// (or per block, for a one-block set) for every row in it, not once
+  /// per row.  Callers
   /// expand rows straight into the packed set
   /// (tpg::expand_triplet_into).  Lane ranges must be disjoint, a row of
   /// length <= 64 must not straddle a block boundary, and packed lanes
@@ -146,7 +156,6 @@ class FaultSim {
   const netlist::Netlist& nl_;
   const fault::FaultList& faults_;
   std::shared_ptr<const netlist::CompiledCircuit> cc_;
-  LogicSim good_sim_;
   std::vector<Site> sites_;
 };
 

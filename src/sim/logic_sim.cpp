@@ -9,7 +9,6 @@ namespace fbist::sim {
 
 using netlist::CompiledCircuit;
 using netlist::GateType;
-using netlist::NetId;
 
 Word eval_gate(GateType type, const Word* fanin_values, std::size_t fanin_count) {
   switch (type) {
@@ -57,22 +56,10 @@ void LogicSim::simulate_word(const PatternSet& patterns, std::size_t base,
                              std::vector<Word>& values) const {
   const CompiledCircuit& cc = *cc_;
   assert(patterns.num_inputs() == cc.num_inputs());
-  values.assign(cc.num_nets(), 0);
-
-  // Load PI slices.
-  const auto& inputs = cc.inputs();
-  const std::size_t word_index = base / 64;
   assert(base % 64 == 0);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const auto& slice_words = patterns.slice(i).words();
-    values[inputs[i]] = word_index < slice_words.size() ? slice_words[word_index] : 0;
-  }
-
-  Word* const v = values.data();
-  for (const NetId id : cc.schedule()) {
-    v[id] = detail::eval_compiled_gate(cc.type(id), cc.fanin(id),
-                                       [v](NetId f) { return v[f]; });
-  }
+  values.assign(cc.num_nets(), 0);
+  const std::size_t block = base / 64;
+  detail::simulate_blocks<1>(cc, patterns, block, block + 1, values.data());
 }
 
 std::vector<std::vector<Word>> LogicSim::simulate(const PatternSet& patterns) const {

@@ -4,9 +4,10 @@
 // 64 independent patterns, so a full-circuit evaluation of a word costs
 // one pass over the gate array with plain bitwise ops.  The simulator
 // evaluates the flat topological schedule of a netlist::CompiledCircuit
-// — no per-gate heap indirection — and the layout is shared with the
-// fault simulator (fault_sim.h), which re-evaluates only fault cones on
-// top of the good-value state produced here.
+// — no per-gate heap indirection — through the one schedule evaluator,
+// detail::simulate_blocks (sim/gate_eval.h), at width 1; the fault
+// simulator (fault_sim.h) runs the same evaluator 16 blocks wide for its
+// good values, then re-evaluates only fault cones on top of them.
 #pragma once
 
 #include <cstdint>

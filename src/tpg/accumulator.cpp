@@ -2,25 +2,19 @@
 
 namespace fbist::tpg {
 
-util::WideWord AdderTpg::step(const util::WideWord& state,
-                              const util::WideWord& sigma) const {
-  util::WideWord next = state;
-  next.add(sigma);
-  return next;
+void AdderTpg::advance(util::WideWord& state,
+                       const util::WideWord& sigma) const {
+  state.add(sigma);
 }
 
-util::WideWord SubtracterTpg::step(const util::WideWord& state,
-                                   const util::WideWord& sigma) const {
-  util::WideWord next = state;
-  next.sub(sigma);
-  return next;
+void SubtracterTpg::advance(util::WideWord& state,
+                            const util::WideWord& sigma) const {
+  state.sub(sigma);
 }
 
-util::WideWord MultiplierTpg::step(const util::WideWord& state,
-                                   const util::WideWord& sigma) const {
-  util::WideWord next = state;
-  next.mul(sigma);
-  return next;
+void MultiplierTpg::advance(util::WideWord& state,
+                            const util::WideWord& sigma) const {
+  state.mul(sigma);
 }
 
 util::WideWord MultiplierTpg::legalize_sigma(const util::WideWord& sigma) const {

@@ -19,8 +19,8 @@ class AdderTpg final : public Tpg {
  public:
   explicit AdderTpg(std::size_t width) : width_(width) {}
   std::size_t width() const override { return width_; }
-  util::WideWord step(const util::WideWord& state,
-                      const util::WideWord& sigma) const override;
+  void advance(util::WideWord& state,
+               const util::WideWord& sigma) const override;
   std::string name() const override { return "adder"; }
 
  private:
@@ -31,8 +31,8 @@ class SubtracterTpg final : public Tpg {
  public:
   explicit SubtracterTpg(std::size_t width) : width_(width) {}
   std::size_t width() const override { return width_; }
-  util::WideWord step(const util::WideWord& state,
-                      const util::WideWord& sigma) const override;
+  void advance(util::WideWord& state,
+               const util::WideWord& sigma) const override;
   std::string name() const override { return "subtracter"; }
 
  private:
@@ -43,8 +43,8 @@ class MultiplierTpg final : public Tpg {
  public:
   explicit MultiplierTpg(std::size_t width) : width_(width) {}
   std::size_t width() const override { return width_; }
-  util::WideWord step(const util::WideWord& state,
-                      const util::WideWord& sigma) const override;
+  void advance(util::WideWord& state,
+               const util::WideWord& sigma) const override;
   util::WideWord legalize_sigma(const util::WideWord& sigma) const override;
   std::string name() const override { return "multiplier"; }
 

@@ -30,14 +30,12 @@ std::string LfsrTpg::config_string() const {
   return s;
 }
 
-util::WideWord LfsrTpg::step(const util::WideWord& state,
-                             const util::WideWord& sigma) const {
+void LfsrTpg::advance(util::WideWord& state,
+                      const util::WideWord& sigma) const {
   bool feedback = false;
   for (const std::size_t t : taps_) feedback ^= state.get_bit(t);
-  util::WideWord next = state;
-  next.shl1(feedback);
-  next.bxor(sigma);
-  return next;
+  state.shl1(feedback);
+  state.bxor(sigma);
 }
 
 }  // namespace fbist::tpg

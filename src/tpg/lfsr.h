@@ -24,8 +24,8 @@ class LfsrTpg final : public Tpg {
   explicit LfsrTpg(std::size_t width, std::vector<std::size_t> taps = {});
 
   std::size_t width() const override { return width_; }
-  util::WideWord step(const util::WideWord& state,
-                      const util::WideWord& sigma) const override;
+  void advance(util::WideWord& state,
+               const util::WideWord& sigma) const override;
   std::string name() const override { return "lfsr"; }
   std::string config_string() const override;
 

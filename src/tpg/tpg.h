@@ -6,7 +6,10 @@
 // reseeding flow needs is minimal: an n-bit state register, an n-bit
 // held input operand sigma, and a deterministic step function
 // state <- f(state, sigma) applied once per clock.  Patterns observed at
-// the TPG outputs are the successive state values.
+// the TPG outputs are the successive state values.  A TPG implements
+// f as advance(), which updates a state in place: triplet expansion
+// clocks the register that way, one call per pattern and no allocation
+// on the built-in TPGs.  step() returns f(state, sigma) as a new value.
 #pragma once
 
 #include <cstddef>
@@ -24,9 +27,18 @@ class Tpg {
   /// State/operand/pattern width in bits.
   virtual std::size_t width() const = 0;
 
-  /// One clock: returns f(state, sigma).
-  virtual util::WideWord step(const util::WideWord& state,
-                              const util::WideWord& sigma) const = 0;
+  /// One clock in place: state := f(state, sigma).  Triplet expansion
+  /// calls it once per pattern; the built-in TPGs allocate nothing.
+  virtual void advance(util::WideWord& state,
+                       const util::WideWord& sigma) const = 0;
+
+  /// One clock on a copy: returns f(state, sigma).
+  util::WideWord step(const util::WideWord& state,
+                      const util::WideWord& sigma) const {
+    util::WideWord next = state;
+    advance(next, sigma);
+    return next;
+  }
 
   /// Canonicalises a caller-chosen sigma into one this TPG accepts
   /// (e.g. the multiplier accumulator forces sigma odd so stepping stays

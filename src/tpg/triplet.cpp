@@ -43,7 +43,7 @@ util::WideWord expand_triplet_into(const Tpg& tpg, const Triplet& t,
   for (std::size_t p = base; p < base + n; ++p) {
     std::copy(state.words().begin(), state.words().end(),
               tile.begin() + (p - first) * words);
-    state = tpg.step(state, sigma);
+    tpg.advance(state, sigma);
     if (p % 64 == 63 || p + 1 == base + n) {
       ps.write_tile(first, p + 1 - first, tile.data());
       first = p + 1;

@@ -40,9 +40,10 @@ sim::PatternSet expand_triplet_prefix(const Tpg& tpg, const Triplet& t,
 /// sim::FaultSim::run_packed, with no intermediate PatternSet.  The run
 /// may start and end at any lane; it is written one 64-pattern tile at a
 /// time (sim::PatternSet::write_tile), and patterns outside the range
-/// keep their bits.  Returns the TPG state that follows the run (delta
-/// stepped t.cycles times under the legalized sigma): where a run that
-/// continues this one starts.
+/// keep their bits.  The state advances in place (Tpg::advance), so on
+/// the built-in TPGs a pattern costs no allocation.  Returns the TPG
+/// state that follows the run (delta stepped t.cycles times under the
+/// legalized sigma): where a run that continues this one starts.
 util::WideWord expand_triplet_into(const Tpg& tpg, const Triplet& t,
                                    sim::PatternSet& ps, std::size_t base);
 

@@ -22,28 +22,6 @@ void BitVector::clear_tail() {
   }
 }
 
-bool BitVector::get(std::size_t i) const {
-  assert(i < size_);
-  return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;
-}
-
-void BitVector::set(std::size_t i, bool value) {
-  assert(i < size_);
-  const Word mask = Word{1} << (i % kWordBits);
-  if (value) {
-    words_[i / kWordBits] |= mask;
-  } else {
-    words_[i / kWordBits] &= ~mask;
-  }
-}
-
-void BitVector::reset(std::size_t i) { set(i, false); }
-
-void BitVector::flip(std::size_t i) {
-  assert(i < size_);
-  words_[i / kWordBits] ^= Word{1} << (i % kWordBits);
-}
-
 void BitVector::fill(bool value) {
   for (auto& w : words_) w = value ? ~Word{0} : Word{0};
   clear_tail();

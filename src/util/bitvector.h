@@ -3,9 +3,13 @@
 // BitVector is the workhorse of the set-covering layer: detection-matrix
 // rows (one bit per fault) and column masks are BitVectors, and the
 // reduction rules (essentiality, dominance) are expressed as word-wide
-// subset / intersection tests.
+// subset / intersection tests.  Fault simulation and ATPG use them as
+// per-fault masks; single-bit get/set/reset/flip are defined inline in
+// this header, since those callers test one bit per (site, row) or per
+// fault in their hot loops.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -28,10 +32,24 @@ class BitVector {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  bool get(std::size_t i) const;
-  void set(std::size_t i, bool value = true);
-  void reset(std::size_t i);
-  void flip(std::size_t i);
+  bool get(std::size_t i) const {
+    assert(i < size_);
+    return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;
+  }
+  void set(std::size_t i, bool value = true) {
+    assert(i < size_);
+    const Word mask = Word{1} << (i % kWordBits);
+    if (value) {
+      words_[i / kWordBits] |= mask;
+    } else {
+      words_[i / kWordBits] &= ~mask;
+    }
+  }
+  void reset(std::size_t i) { set(i, false); }
+  void flip(std::size_t i) {
+    assert(i < size_);
+    words_[i / kWordBits] ^= Word{1} << (i % kWordBits);
+  }
 
   /// Sets every bit to `value`.
   void fill(bool value);

@@ -79,19 +79,25 @@ WideWord& WideWord::sub(const WideWord& o) {
 
 WideWord& WideWord::mul(const WideWord& o) {
   assert(bits_ == o.bits_);
+  // Squaring: the loop below reads o while it writes *this.
+  if (&o == this) return mul(WideWord(o));
+  // Schoolbook, in place, top word first: pass i adds words_[i] * o,
+  // shifted by i words and truncated, into words [i, n).  When pass i
+  // reads words_[i], every higher word already holds its share of the
+  // product and every lower word still holds this operand.
   const std::size_t n = words_.size();
-  std::vector<Word> result(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (words_[i] == 0) continue;
+  for (std::size_t i = n; i-- > 0;) {
+    const Word a = words_[i];
+    if (a == 0) continue;
+    words_[i] = 0;
     unsigned __int128 carry = 0;
     for (std::size_t j = 0; i + j < n; ++j) {
       const unsigned __int128 cur =
-          static_cast<unsigned __int128>(words_[i]) * o.words_[j] + result[i + j] + carry;
-      result[i + j] = static_cast<Word>(cur);
+          static_cast<unsigned __int128>(a) * o.words_[j] + words_[i + j] + carry;
+      words_[i + j] = static_cast<Word>(cur);
       carry = cur >> 64;
     }
   }
-  words_ = std::move(result);
   clear_tail();
   return *this;
 }

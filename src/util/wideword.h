@@ -47,7 +47,8 @@ class WideWord {
   WideWord& add(const WideWord& o);
   /// this := (this - o) mod 2^n
   WideWord& sub(const WideWord& o);
-  /// this := (this * o) mod 2^n  (schoolbook, widths must match)
+  /// this := (this * o) mod 2^n  (schoolbook, in place, widths must
+  /// match; allocates only to square, o being *this)
   WideWord& mul(const WideWord& o);
   /// this := this XOR o
   WideWord& bxor(const WideWord& o);

@@ -4,6 +4,7 @@
 // the paper sweeps, odd batch remainders, paired sa0/sa1 sites, every
 // campaign size, and any worker count.
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -214,6 +215,63 @@ TEST(BatchedSim, BitIdenticalAcrossWorkerCounts) {
   expect_rows_match_reference(ref, rows, four, "4 workers");
 }
 
+/// A hand-made packing's rows and seek masks, for checks against the
+/// reference run_subset: random rows written into a packed set whose
+/// other lanes are random too, and for each row a mask that holds each
+/// fault with probability 1/2 unless `unsought` flags its net, or every
+/// fault for a row of length 0.  Row `repeat_row` repeats its first
+/// pattern throughout.
+struct SeekRows {
+  PatternSet packed;
+  std::vector<PatternSet> rows;
+  std::vector<util::BitVector> seek;
+  std::vector<std::vector<bool>> active;
+};
+
+SeekRows make_seek_rows(const netlist::Netlist& nl, const fault::FaultList& fl,
+                        const LanePacking& pk, std::uint64_t seed,
+                        const std::vector<bool>& unsought = {},
+                        std::size_t repeat_row = SIZE_MAX) {
+  util::Rng holes(seed + 1);
+  SeekRows sr{PatternSet::random(nl.num_inputs(), pk.num_patterns, holes),
+              {}, {}, {}};
+  util::Rng rng(seed);
+  for (std::size_t i = 0; i < pk.rows.size(); ++i) {
+    const LanePacking::Row& pr = pk.rows[i];
+    PatternSet row = PatternSet::random(nl.num_inputs(), pr.length, rng);
+    if (i == repeat_row) {
+      const util::WideWord one = row.pattern(0);
+      row = PatternSet(nl.num_inputs(), 0);
+      for (std::size_t k = 0; k < pr.length; ++k) row.append(one);
+    }
+    sr.packed.write_patterns(pr.base, row);
+    sr.rows.push_back(std::move(row));
+    util::BitVector mask(fl.size());
+    std::vector<bool> flags(fl.size());
+    for (std::size_t f = 0; f < fl.size(); ++f) {
+      flags[f] = pr.length == 0 ||
+                 (rng.next_bool() && (unsought.empty() || !unsought[fl[f].net]));
+      mask.set(f, flags[f]);
+    }
+    sr.seek.push_back(std::move(mask));
+    sr.active.push_back(std::move(flags));
+  }
+  return sr;
+}
+
+/// Checks every row of `got` against the reference run_subset on that
+/// row and its mask alone.
+void expect_rows_match_subset(const ReferenceFaultSim& ref, const SeekRows& sr,
+                              const std::vector<FaultSimResult>& got,
+                              const char* what) {
+  ASSERT_EQ(got.size(), sr.rows.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    expect_identical(
+        got[i], ref.run_subset(sr.rows[i], sr.active[i], /*parallel=*/false),
+        what, i);
+  }
+}
+
 // Per-row seek masks over a hand-made packing of three chunks (pack_rows
 // caps a packing at one): a chunk flips the site only in the lanes of
 // rows that seek the fault and have not found it.  Row 2 spans the first
@@ -239,51 +297,142 @@ TEST(BatchedSim, MultiChunkSeekMasksMatchReferenceSubset) {
   pk.num_patterns = 2 * kChunk + 228;
   ASSERT_EQ((pk.num_blocks() + kChunkBlocks - 1) / kChunkBlocks, 3u);
 
-  util::Rng rng(23);
-  std::vector<PatternSet> rows;
-  std::vector<util::BitVector> seek;
-  std::vector<std::vector<bool>> active;
-  PatternSet packed(nl.num_inputs(), pk.num_patterns);
-  for (const LanePacking::Row& pr : pk.rows) {
-    PatternSet row = PatternSet::random(nl.num_inputs(), pr.length, rng);
-    if (pr.row == 4) {
-      const util::WideWord one = row.pattern(0);
-      row = PatternSet(nl.num_inputs(), 0);
-      for (std::size_t i = 0; i < pr.length; ++i) row.append(one);
-    }
-    packed.write_patterns(pr.base, row);
-    rows.push_back(std::move(row));
-    util::BitVector mask(fl.size());
-    std::vector<bool> flags(fl.size());
-    for (std::size_t f = 0; f < fl.size(); ++f) {
-      flags[f] = rng.next_bool();
-      mask.set(f, flags[f]);
-    }
-    seek.push_back(std::move(mask));
-    active.push_back(std::move(flags));
-  }
-
+  const SeekRows sr = make_seek_rows(nl, fl, pk, /*seed=*/23, /*unsought=*/{},
+                                     /*repeat_row=*/4);
   for (const std::size_t workers : {1, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     campaign::Scheduler::global().set_workers(workers);
-    const auto got = fsim.run_packed(packed, pk, &seek);
+    const auto got = fsim.run_packed(sr.packed, pk, &sr.seek);
     campaign::Scheduler::global().set_workers(0);  // restore default
-    ASSERT_EQ(got.size(), rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      expect_identical(got[i],
-                       ref.run_subset(rows[i], active[i], /*parallel=*/false),
-                       "multi-chunk seek", i);
-    }
+    expect_rows_match_subset(ref, sr, got, "multi-chunk seek");
     // The case the lane masks decide: a fault both long rows seek that
     // row 2 finds in the first chunk and row 4 never finds.
     std::size_t split = 0;
     for (std::size_t f = 0; f < fl.size(); ++f) {
-      if (seek[2].get(f) && seek[4].get(f) &&
+      if (sr.seek[2].get(f) && sr.seek[4].get(f) &&
           got[2].earliest[f] < kChunk - 64 && !got[4].detected.get(f)) {
         ++split;
       }
     }
     EXPECT_GT(split, 0u);
+  }
+}
+
+/// A packing of `blocks` blocks whose last block holds 55 lanes.  Rows
+/// alternate: 23 patterns inside one block, then 150 to 406 patterns
+/// from the next block boundary, ending 22 lanes into a block (the last
+/// row is cut at the packing's end) — so rows end mid-block, mid-chunk,
+/// and some cross a chunk boundary.  Lanes between rows are holes.
+LanePacking staggered_packing(std::size_t blocks) {
+  LanePacking pk;
+  pk.num_patterns = blocks * 64 - 9;
+  std::size_t at = 0;
+  for (std::size_t i = 0;; ++i) {
+    const bool shortrow = i % 2 == 0;
+    const std::size_t len = shortrow ? 23 : 150 + 64 * (i % 5);
+    if (!shortrow || at % 64 + len > 64) at = (at + 63) / 64 * 64;
+    if (at >= pk.num_patterns) break;
+    pk.rows.push_back({i, at, std::min(len, pk.num_patterns - at)});
+    at += pk.rows.back().length;
+  }
+  return pk;
+}
+
+// Good values come from one 16-block schedule pass per chunk, straight
+// into the chunk layout, with blocks past the last real one replicating
+// it.  Multi-row packings of one to three chunks — 2, 15, 16, 17, 31 and
+// 33 blocks, so the last chunk carries 14, 1, 0, 15, 1 and 15 padding
+// blocks — must give every row exactly the reference run_subset.
+TEST(BatchedSim, ChunkGoodValuesMatchReferenceAcrossBlockCounts) {
+  const auto nl = circuits::make_circuit("c880");
+  const auto fl = fault::FaultList::full(nl);  // paired sa0/sa1 sites
+  FaultSim fsim(nl, fl);
+  ReferenceFaultSim ref(nl, fl);
+  for (const std::size_t blocks : {2, 15, 16, 17, 31, 33}) {
+    SCOPED_TRACE("blocks=" + std::to_string(blocks));
+    const LanePacking pk = staggered_packing(blocks);
+    ASSERT_EQ(pk.num_blocks(), blocks);
+    ASSERT_GE(pk.rows.size(), 2u);
+    const SeekRows sr = make_seek_rows(nl, fl, pk, /*seed=*/blocks);
+    expect_rows_match_subset(ref, sr, fsim.run_packed(sr.packed, pk, &sr.seek),
+                             "chunk goods");
+  }
+}
+
+// A site that no live row seeks is skipped with one test of the union of
+// the live rows' masks.  Here no live row seeks either fault of every
+// third net, and the rows of length 0 seek every fault and must detect
+// nothing.  Every row must equal the reference run_subset — in a
+// many-row campaign, in a campaign with one live row, and through
+// run_subset.
+TEST(BatchedSim, UnsoughtSitesMatchReferenceSubset) {
+  const auto nl = circuits::make_circuit("c880");
+  const auto fl = fault::FaultList::full(nl);
+  std::vector<bool> unsought(nl.num_nets(), false);
+  for (std::size_t n = 0; n < unsought.size(); n += 3) unsought[n] = true;
+
+  LanePacking many;
+  many.rows = {{0, 0, 7}, {1, 7, 0}, {2, 64, 300}, {3, 448, 64},
+               {4, 512, 40}, {5, 552, 0}};
+  many.num_patterns = 552;
+  LanePacking one_live;
+  one_live.rows = {{0, 0, 0}, {1, 0, 700}, {2, 700, 0}};
+  one_live.num_patterns = 700;
+  FaultSim fsim(nl, fl);
+  ReferenceFaultSim ref(nl, fl);
+  for (const LanePacking* pk : {&many, &one_live}) {
+    const SeekRows sr = make_seek_rows(nl, fl, *pk, /*seed=*/71, unsought);
+    const auto got = fsim.run_packed(sr.packed, *pk, &sr.seek);
+    expect_rows_match_subset(ref, sr, got, "unsought");
+    for (std::size_t i = 0; i < pk->rows.size() && i < got.size(); ++i) {
+      if (pk->rows[i].length == 0) EXPECT_EQ(got[i].num_detected(), 0u);
+    }
+  }
+
+  util::Rng rng(73);
+  const PatternSet patterns = PatternSet::random(nl.num_inputs(), 200, rng);
+  util::BitVector mask(fl.size());
+  std::vector<bool> flags(fl.size());
+  for (std::size_t f = 0; f < fl.size(); ++f) {
+    flags[f] = !unsought[fl[f].net] && rng.next_bool(0.5);
+    mask.set(f, flags[f]);
+  }
+  expect_identical(fsim.run_subset(patterns, mask),
+                   ref.run_subset(patterns, flags, /*parallel=*/false),
+                   "run_subset", 0);
+}
+
+// Detection bits are assembled one 64-fault word at a time from the
+// earliest indices.  On fault lists of 63, 65 and 129 faults the last
+// word is partial: for every row, detected must be exactly the faults
+// with an earliest index, and equal the reference.
+TEST(BatchedSim, DetectedWordsMatchEarliestOnPartialWords) {
+  const auto nl = circuits::make_circuit("c880");
+  const auto all = fault::FaultList::collapsed(nl);
+  for (const std::size_t keep : {63, 65, 129}) {
+    SCOPED_TRACE("faults=" + std::to_string(keep));
+    // Every stride-th fault, so the kept faults spread over the circuit.
+    const std::size_t stride = all.size() / keep;
+    std::vector<bool> drop(all.size(), true);
+    for (std::size_t k = 0; k < keep; ++k) drop[k * stride] = false;
+    const fault::FaultList fl = all.without(drop);
+    ASSERT_EQ(fl.size(), keep);
+
+    FaultSim fsim(nl, fl);
+    ReferenceFaultSim ref(nl, fl);
+    const auto rows = random_rows(9, 100, nl.num_inputs(), keep);
+    const auto got = run_rows(fsim, rows);
+    expect_rows_match_reference(ref, rows, got, "partial words");
+    std::size_t detections = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].detected.size(), keep);
+      for (std::size_t f = 0; f < keep; ++f) {
+        ASSERT_EQ(got[i].detected.get(f), got[i].earliest[f] != kNotDetected)
+            << "row " << i << " fault " << f;
+      }
+      detections += got[i].num_detected();
+    }
+    EXPECT_GT(detections, 0u);
   }
 }
 

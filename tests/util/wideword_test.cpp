@@ -214,6 +214,36 @@ TEST(WideWordProperty, OddMulIsBijectiveMod2N) {
   }
 }
 
+// mul against shift-and-add built from add and shl1 alone, at widths on
+// and off the word boundary up to 700 bits (11 words), where partial
+// products carry across words: random operands, an all-ones operand
+// (every partial product carries) and squaring in place (a.mul(a)).
+TEST(WideWordProperty, MulMatchesShiftAndAdd) {
+  const auto shift_and_add = [](const WideWord& a, const WideWord& b) {
+    WideWord r(a.bits());
+    for (std::size_t i = b.bits(); i-- > 0;) {
+      r.shl1();
+      if (b.get_bit(i)) r.add(a);
+    }
+    return r;
+  };
+  Rng rng(29);
+  for (const std::size_t bits : {1, 63, 64, 65, 130, 700}) {
+    WideWord ones(bits);
+    for (std::size_t i = 0; i < bits; ++i) ones.set_bit(i, true);
+    for (int t = 0; t < 6; ++t) {
+      const WideWord a = t == 0 ? ones : WideWord::random(bits, rng);
+      const WideWord b = t == 1 ? ones : WideWord::random(bits, rng);
+      WideWord got = a;
+      got.mul(b);
+      EXPECT_EQ(got, shift_and_add(a, b)) << "bits=" << bits << " t=" << t;
+      WideWord square = a;
+      square.mul(square);
+      EXPECT_EQ(square, shift_and_add(a, a)) << "bits=" << bits << " t=" << t;
+    }
+  }
+}
+
 // Property: shl1 followed by shr1 restores value when the dropped top
 // bit is fed back in.
 TEST(WideWordProperty, ShiftRoundTrip) {
