@@ -4,81 +4,76 @@
 
 namespace fbist::atpg {
 
-void Cnf::add_clause(const SatLit* lits, std::size_t n) {
-  lits_.insert(lits_.end(), lits, lits + n);
-  offset_.push_back(static_cast<std::uint32_t>(lits_.size()));
-}
-
-void emit_and_cnf(ClauseSink& sink, SatLit out, const SatLit* fanin,
+void emit_and_cnf(Solver& solver, SatLit out, const SatLit* fanin,
                   std::size_t n) {
   // out -> fi for every fanin: (~out | fi).
   for (std::size_t i = 0; i < n; ++i) {
-    sink.add_clause({~out, fanin[i]});
+    solver.add_clause({~out, fanin[i]});
   }
   // (f1 & ... & fn) -> out: (out | ~f1 | ... | ~fn).
   std::vector<SatLit> big;
   big.reserve(n + 1);
   big.push_back(out);
   for (std::size_t i = 0; i < n; ++i) big.push_back(~fanin[i]);
-  sink.add_clause(big.data(), big.size());
+  solver.add_clause(big.data(), big.size());
 }
 
-void emit_xor_cnf(ClauseSink& sink, SatLit out, SatLit a, SatLit b) {
+void emit_xor_cnf(Solver& solver, SatLit out, SatLit a, SatLit b) {
   // Four clauses excluding every assignment where out != a ^ b.
-  sink.add_clause({~out, a, b});
-  sink.add_clause({~out, ~a, ~b});
-  sink.add_clause({out, ~a, b});
-  sink.add_clause({out, a, ~b});
+  solver.add_clause({~out, a, b});
+  solver.add_clause({~out, ~a, ~b});
+  solver.add_clause({out, ~a, b});
+  solver.add_clause({out, a, ~b});
 }
 
 namespace {
 
 /// out <-> XOR(fanin...): chain 2-input XORs through fresh aux vars,
 /// with the final stage writing `out` directly.
-void emit_xor_chain(ClauseSink& sink, SatLit out, const SatLit* fanin,
+void emit_xor_chain(Solver& solver, SatLit out, const SatLit* fanin,
                     std::size_t n) {
   SatLit acc = fanin[0];
   for (std::size_t i = 1; i < n; ++i) {
     const SatLit stage =
-        (i + 1 == n) ? out : mk_lit(sink.new_var());
-    emit_xor_cnf(sink, stage, acc, fanin[i]);
+        (i + 1 == n) ? out : mk_lit(solver.new_var());
+    emit_xor_cnf(solver, stage, acc, fanin[i]);
     acc = stage;
   }
 }
 
 }  // namespace
 
-void emit_gate_cnf(ClauseSink& sink, netlist::GateType type, SatLit out,
+void emit_gate_cnf(Solver& solver, netlist::GateType type, SatLit out,
                    const SatLit* fanin, std::size_t n) {
   using netlist::GateType;
   switch (type) {
     case GateType::kBuf:
-      sink.add_clause({~out, fanin[0]});
-      sink.add_clause({out, ~fanin[0]});
+      solver.add_clause({~out, fanin[0]});
+      solver.add_clause({out, ~fanin[0]});
       return;
     case GateType::kNot:
-      sink.add_clause({~out, ~fanin[0]});
-      sink.add_clause({out, fanin[0]});
+      solver.add_clause({~out, ~fanin[0]});
+      solver.add_clause({out, fanin[0]});
       return;
     case GateType::kAnd:
-      emit_and_cnf(sink, out, fanin, n);
+      emit_and_cnf(solver, out, fanin, n);
       return;
     case GateType::kNand:
-      emit_and_cnf(sink, ~out, fanin, n);
+      emit_and_cnf(solver, ~out, fanin, n);
       return;
     case GateType::kOr:
     case GateType::kNor: {
       // OR(f) == ~AND(~f); NOR keeps the positive output literal.
       std::vector<SatLit> inv(fanin, fanin + n);
       for (SatLit& l : inv) l = ~l;
-      emit_and_cnf(sink, type == GateType::kOr ? ~out : out, inv.data(), n);
+      emit_and_cnf(solver, type == GateType::kOr ? ~out : out, inv.data(), n);
       return;
     }
     case GateType::kXor:
-      emit_xor_chain(sink, out, fanin, n);
+      emit_xor_chain(solver, out, fanin, n);
       return;
     case GateType::kXnor:
-      emit_xor_chain(sink, ~out, fanin, n);
+      emit_xor_chain(solver, ~out, fanin, n);
       return;
     case GateType::kInput:
       break;
@@ -89,15 +84,15 @@ void emit_gate_cnf(ClauseSink& sink, netlist::GateType type, SatLit out,
 std::size_t CircuitCnf::add_timeframe() {
   const std::size_t num_nets = cc_.num_nets();
   std::vector<SatVar> vars(num_nets);
-  for (std::size_t n = 0; n < num_nets; ++n) vars[n] = sink_.new_var();
+  for (std::size_t n = 0; n < num_nets; ++n) vars[n] = solver_.new_var();
 
   std::vector<SatLit> fanin_lits;
   for (const netlist::NetId gate : cc_.schedule()) {
     const netlist::Span<netlist::NetId> fanin = cc_.fanin(gate);
     fanin_lits.clear();
     for (const netlist::NetId f : fanin) fanin_lits.push_back(mk_lit(vars[f]));
-    emit_gate_cnf(sink_, cc_.type(gate), mk_lit(vars[gate]), fanin_lits.data(),
-                  fanin_lits.size());
+    emit_gate_cnf(solver_, cc_.type(gate), mk_lit(vars[gate]),
+                  fanin_lits.data(), fanin_lits.size());
   }
   frames_.push_back(std::move(vars));
   return frames_.size() - 1;

@@ -10,13 +10,10 @@ SatEngine::SatEngine(const netlist::CompiledCircuit& cc, SatEngineOptions opts)
     : cc_(cc), opts_(opts), image_(SolverOptions{opts.conflict_limit}) {
   OBS_COUNTER(c_build_ns, "atpg.sat_build_ns");
   OBS_SCOPED_NS(build_timer, c_build_ns);
-  // One combinational timeframe into a fresh sink: net n's variable is
-  // exactly n (see CircuitCnf), so the engine needs no variable map for
-  // the good circuit.
-  Cnf good_cnf;
-  CircuitCnf frames(cc_, good_cnf);
-  frames.add_timeframe();
-  image_.load(good_cnf);
+  // One combinational timeframe straight into the fresh image: net n's
+  // variable is exactly n (see CircuitCnf), so the engine needs no
+  // variable map for the good circuit.
+  CircuitCnf(cc_, image_).add_timeframe();
 }
 
 SatResult SatEngine::generate(const fault::Fault& f) {

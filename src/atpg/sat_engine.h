@@ -10,10 +10,10 @@
 // (solver.h):
 //
 //   * the good circuit is encoded once per SatEngine (Tseitin clauses
-//     over the whole schedule, via cnf.h) and loaded once into a solver
-//     image; each fault's solve copy-assigns that image into the
-//     engine's one scratch solver, which is exactly the state a fresh
-//     solver reaches after loading it — so results stay
+//     over the whole schedule, via cnf.h) straight into a solver image;
+//     each fault's solve copy-assigns that image into the engine's one
+//     scratch solver, which is exactly the state a fresh solver reaches
+//     after the same emission — so results stay
 //     order-independent and deterministic, and the scratch's vectors
 //     keep their capacity from call to call;
 //   * the faulty circuit is only re-encoded over the fault's fanout

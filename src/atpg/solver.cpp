@@ -35,17 +35,6 @@ SatVar Solver::new_var() {
   return v;
 }
 
-void Solver::ensure_vars(std::size_t count) {
-  while (assign_.size() < count) new_var();
-}
-
-void Solver::load(const Cnf& cnf) {
-  ensure_vars(cnf.num_vars());
-  for (std::size_t c = 0; c < cnf.num_clauses(); ++c) {
-    add_clause(cnf.clause_begin(c), cnf.clause_size(c));
-  }
-}
-
 void Solver::add_clause(const SatLit* lits, std::size_t n) {
   assert(trail_lim_.empty() && "clauses may only be added at level 0");
   if (unsat_) return;

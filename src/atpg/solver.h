@@ -15,10 +15,10 @@
 //  * bounded: a conflict limit turns "too hard" into an explicit
 //    kAborted instead of an unbounded search (PODEM's backtrack-limit
 //    discipline, transplanted);
-//  * incremental-ish: a preassembled Cnf bulk-loads once, the loaded
-//    solver is copied per fault (it holds only values and clause
-//    indices, so the default copy is exact), then per-fault clauses are
-//    added on top (the engine's miter layer).
+//  * incremental-ish: the good circuit is emitted once straight into a
+//    solver (cnf.h), that solver is copied per fault (it holds only
+//    values and clause indices, so the default copy is exact), then
+//    per-fault clauses are added on top (the engine's miter layer).
 //
 // Assumptions are supported as forced first decisions — the CNF
 // property suite unit-assumes the primary-input literals and checks
@@ -27,11 +27,35 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
-#include "atpg/cnf.h"
-
 namespace fbist::atpg {
+
+/// SAT variable index (0-based).
+using SatVar = std::uint32_t;
+
+/// Literal: a variable or its negation, encoded as var << 1 | neg.
+struct SatLit {
+  std::uint32_t code = 0;
+
+  SatLit() = default;
+  SatLit(SatVar v, bool neg) : code((v << 1) | (neg ? 1u : 0u)) {}
+
+  SatVar var() const { return code >> 1; }
+  bool neg() const { return (code & 1u) != 0; }
+  SatLit operator~() const {
+    SatLit l;
+    l.code = code ^ 1u;
+    return l;
+  }
+  bool operator==(const SatLit& o) const { return code == o.code; }
+  bool operator!=(const SatLit& o) const { return code != o.code; }
+  bool operator<(const SatLit& o) const { return code < o.code; }
+};
+
+/// Positive literal of `v` (negated when `neg`).
+inline SatLit mk_lit(SatVar v, bool neg = false) { return SatLit(v, neg); }
 
 /// Outcome of one solve() call.
 enum class SolveStatus : std::uint8_t {
@@ -55,23 +79,24 @@ struct SolverStats {
   std::uint64_t learned_clauses = 0;
 };
 
-/// One solver instance: load / add clauses, solve, read the model.
-class Solver : public ClauseSink {
+/// One solver instance: add variables and clauses, solve, read the
+/// model.
+class Solver {
  public:
   explicit Solver(SolverOptions opts = {});
 
-  SatVar new_var() override;
-  /// Adds one clause.  Level-0 simplification only: false literals are
-  /// dropped, satisfied/tautological clauses are skipped.  An empty
-  /// (all-false) clause marks the instance trivially unsat.
-  void add_clause(const SatLit* lits, std::size_t n) override;
-  using ClauseSink::add_clause;
-
-  /// Bulk-appends `cnf` (its variables must already exist — see
-  /// ensure_vars / new_var).
-  void load(const Cnf& cnf);
-  /// Allocates variables up to `count` (no-op when enough exist).
-  void ensure_vars(std::size_t count);
+  /// Allocates a fresh variable.
+  SatVar new_var();
+  /// Adds one clause (disjunction of `n` literals).  Level-0
+  /// simplification only: false literals are dropped,
+  /// satisfied/tautological clauses are skipped.  An empty (all-false)
+  /// clause marks the instance trivially unsat.
+  void add_clause(const SatLit* lits, std::size_t n);
+  void add_clause(std::initializer_list<SatLit> lits) {
+    add_clause(lits.begin(), lits.size());
+  }
+  /// Unit clause: force `l` true.
+  void add_unit(SatLit l) { add_clause(&l, 1); }
 
   /// Solves under optional assumptions (forced first decisions, in
   /// order).  Resets the search state; clauses persist across calls.

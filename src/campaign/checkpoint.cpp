@@ -74,6 +74,23 @@ std::uint64_t spec_hash(const CampaignSpec& spec) {
     hs.u64(rs.cycles);
     hs.str(solver_name(rs.solver));
   }
+  // Every pipeline option that changes a run's result.  Left out:
+  // builder.cycles_per_triplet and optimizer.solver, which every run
+  // overrides, and exact.deadline and the matrix cache, which never
+  // change a result.
+  const reseed::PipelineOptions& po = spec.pipeline;
+  hs.u64(po.atpg.podem.backtrack_limit);
+  hs.u64(po.atpg.sat_escalate ? 1 : 0);
+  hs.u64(po.atpg.sat.conflict_limit);
+  hs.u64(po.atpg.seed);
+  hs.u64(po.builder.seed);
+  hs.u64(po.builder.shared_sigma ? 1 : 0);
+  hs.u64(po.optimizer.reduce.use_essentiality ? 1 : 0);
+  hs.u64(po.optimizer.reduce.use_row_dominance ? 1 : 0);
+  hs.u64(po.optimizer.reduce.use_col_dominance ? 1 : 0);
+  hs.u64(po.optimizer.exact.node_budget);
+  hs.u64(po.optimizer.skip_reduction ? 1 : 0);
+  hs.u64(po.optimizer.trim_lengths ? 1 : 0);
   return hs.h;
 }
 

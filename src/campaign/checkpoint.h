@@ -48,10 +48,13 @@
 
 namespace fbist::campaign {
 
-/// Content hash (64-bit FNV-1a) of the spec's canonical run list: run
+/// Content hash (64-bit FNV-1a) of the spec's canonical run list — run
 /// count plus every run's circuit / TPG / T / solver in expansion
-/// order.  Two specs that expand to the same runs share a hash — and
-/// may share checkpoint directories; anything else is rejected.
+/// order — and of every pipeline option that changes a run's result
+/// (ATPG budgets, escalation and seed, builder seed and sigma sharing,
+/// reduction, node budget and trimming).  Two specs that expand to the
+/// same runs under the same options share a hash — and may share
+/// checkpoint directories; anything else is rejected.
 std::uint64_t spec_hash(const CampaignSpec& spec);
 
 /// The hash as the 16-lowercase-hex-digit string used in blobs.

@@ -32,6 +32,10 @@ namespace fbist::reseed {
 
 class MatrixCache;
 
+/// Every field here that can change a run's result is folded into a
+/// campaign's checkpoint hash (campaign::spec_hash), so a directory
+/// written under other options is rejected on resume or merge; a new
+/// such field must join that hash.
 struct PipelineOptions {
   atpg::AtpgOptions atpg;
   BuilderOptions builder;

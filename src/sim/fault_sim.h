@@ -7,37 +7,37 @@
 // accumulated — the latter drives the paper's per-triplet test-length
 // trimming.
 //
-// Good values come from the one schedule evaluator (sim/gate_eval.h):
-// one pass per kChunkBlocks-block chunk, 16 blocks wide, written
-// straight into the block-interleaved layout the chunk walk reads (one
-// word-wide pass for a one-block campaign).  With seek masks, the union
-// of the live rows' masks is formed once per campaign, and a site none
-// of whose faults is in it costs one bit test per fault before any
-// per-row scan.  Detection bits are assembled from the earliest indices
-// one 64-fault word at a time.
+// Every entry point is one campaign of run_packed, the one driver, over
+// a lane-packed pattern set (sim::LanePacking) with an optional
+// util::BitVector seek mask per row: run and run_subset pass it a
+// single row.  A campaign runs one cone walk, compiled at two widths: a
+// one-block campaign walks one 64-pattern block per cone visit, and a
+// longer one kChunkBlocks (16, sim/pattern.h) blocks per visit over
+// block-interleaved good values, from block 0 on, until no row still
+// seeks the site's faults.  Good values come from the one schedule
+// evaluator (sim/gate_eval.h), one pass per chunk at the walk's width.
+// With seek masks, the union of the live rows' masks is formed once per
+// campaign, and a site none of whose faults is in it costs one bit test
+// per fault before any per-row scan.  Detection bits are assembled from
+// the earliest indices one 64-fault word at a time.
 //
-// The cone walk streams the precompiled cone programs of a
+// The walk streams the precompiled cone programs of a
 // netlist::CompiledCircuit (cone-local slot numbering, flat fanin
-// references, reachable-PO positions), with work distributed across
-// hardware threads via util::parallel_for_workers and per-worker
-// scratch.  Two campaign-level optimizations apply on top:
+// references, reachable-PO positions) and skips every gate none of
+// whose fanins differs from good.  Sites are always distributed over
+// the shared pool via util::parallel_for_workers, with per-worker
+// scratch; the pool runs the loop serially on one worker, below its
+// cutoff or when saturated, and results never depend on the worker
+// count.  Two campaign-level optimizations apply on top:
 //
 //  * site pairing: sa0 and sa1 on the same net activate on disjoint
 //    pattern lanes, so one walk with the site complemented per lane
 //    simulates both faults exactly — dual-polarity nets cost one walk;
-//  * block chunks: a one-block campaign takes one narrow walk per site;
-//    a longer one walks kChunkBlocks (16, sim/pattern.h) 64-pattern
-//    blocks per structure walk over block-interleaved good values, from
-//    block 0 on, until no row still seeks the site's faults.  A chunk
-//    complements the site only on the lanes of rows that still seek
-//    the fault, so a row that has found it stops producing effects
-//    nobody reads.  The walk is compiled once for the baseline ISA and
-//    runs no AVX code.
+//  * lane-masked activation: a walk complements the site only on the
+//    lanes of rows that still seek the fault, so a row that has found
+//    it stops producing effects nobody reads.
 //
-// Every entry point is one campaign of run_packed, the one driver, over
-// a lane-packed pattern set (sim::LanePacking) with an optional
-// util::BitVector seek mask per row: run, run_subset and detects pass
-// it a single row.
+// The walk is compiled once for the baseline ISA and runs no AVX code.
 #pragma once
 
 #include <cstddef>
@@ -56,13 +56,6 @@ namespace fbist::sim {
 
 /// Sentinel for "fault never detected".
 constexpr std::uint32_t kNotDetected = std::numeric_limits<std::uint32_t>::max();
-
-/// Cone-program length (uint32 words) above which the fault simulator's
-/// narrow walk uses the touched-scan skip; shorter programs evaluate
-/// the whole cone (the skip branch mispredicts on small dense cones).
-/// Public so equivalence tests can pin both walk variants to the
-/// reference simulator.
-constexpr std::size_t kScanMinProgWords = 2048;
 
 /// Result of a fault-simulation campaign over one pattern set.
 struct FaultSimResult {
@@ -95,16 +88,13 @@ class FaultSim {
   /// dropped from the campaign's later blocks; its earliest index is
   /// exact, because blocks are processed in pattern order and within a
   /// block the lowest set lane is taken.
-  ///
-  /// `parallel` distributes fault sites across hardware threads.
-  FaultSimResult run(const PatternSet& patterns, bool parallel = true) const;
+  FaultSimResult run(const PatternSet& patterns) const;
 
   /// Simulates patterns against the faults set in `seek` (size = fault
   /// count); no other fault is reported detected.  Used by the ATPG's
   /// fault-dropping loop and compaction.
   FaultSimResult run_subset(const PatternSet& patterns,
-                            const util::BitVector& seek,
-                            bool parallel = true) const;
+                            const util::BitVector& seek) const;
 
   /// The one campaign driver behind every entry point.  Simulates many
   /// *independent* pattern sequences ("rows", e.g. one per reseeding
@@ -112,9 +102,8 @@ class FaultSim {
   /// side in the lanes of one pre-packed set as
   /// `packing` describes (sim::pack_rows): good values are computed once
   /// per chunk of blocks and each fault's cone is walked once per chunk
-  /// (or per block, for a one-block set) for every row in it, not once
-  /// per row.  Callers
-  /// expand rows straight into the packed set
+  /// (one block, for a one-block set) for every row in it, not once per
+  /// row.  Callers expand rows straight into the packed set
   /// (tpg::expand_triplet_into).  Lane ranges must be disjoint, a row of
   /// length <= 64 must not straddle a block boundary, and packed lanes
   /// outside every row are ignored.
@@ -123,7 +112,7 @@ class FaultSim {
   /// row seeks every fault, otherwise (*seek)[i] (size = fault count)
   /// flags the faults of packing.rows[i].  A site is walked while some
   /// row still seeks one of its faults and has not yet detected it, and
-  /// a chunk flips the site only in such rows' lanes.
+  /// a walk flips the site only in such rows' lanes.
   ///
   /// Returns one result per packing.rows entry, in that order, equal to
   /// run_subset() on that row alone with its seek mask — detection bits
@@ -132,11 +121,7 @@ class FaultSim {
   /// lanes that seek it.
   std::vector<FaultSimResult> run_packed(
       const PatternSet& packed, const LanePacking& packing,
-      const std::vector<util::BitVector>* seek = nullptr,
-      bool parallel = true) const;
-
-  /// True iff `pattern` detects fault `f` (single-pattern probe).
-  bool detects(const util::WideWord& pattern, std::size_t fault_id) const;
+      const std::vector<util::BitVector>* seek = nullptr) const;
 
   const fault::FaultList& faults() const { return faults_; }
   const netlist::Netlist& netlist() const { return nl_; }

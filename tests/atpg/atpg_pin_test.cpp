@@ -118,7 +118,7 @@ TEST(AtpgPin, CompactedSetIsReverseOrderIrredundant) {
     for (std::size_t p = r.patterns.size(); p-- > 0;) {
       sim::PatternSet one(nl.num_inputs(), 0);
       one.append(r.patterns.pattern(p));
-      util::BitVector hits = fsim.run(one, /*parallel=*/false).detected;
+      util::BitVector hits = fsim.run(one).detected;
       hits &= detected;
       EXPECT_FALSE(hits.is_subset_of(later))
           << "kept pattern " << p << " is redundant";

@@ -22,7 +22,7 @@ namespace fbist::atpg {
 namespace {
 
 /// PI unit assumptions selecting `pattern` (bit i -> inputs()[i]).
-/// With a fresh sink, net n's frame-0 variable is exactly n.
+/// With a fresh solver, net n's frame-0 variable is exactly n.
 std::vector<SatLit> pi_assumptions(const netlist::CompiledCircuit& cc,
                                    const util::WideWord& pattern) {
   std::vector<SatLit> a;
@@ -39,12 +39,9 @@ std::vector<SatLit> pi_assumptions(const netlist::CompiledCircuit& cc,
 void expect_model_matches_sim(const netlist::Netlist& nl,
                               const std::vector<util::WideWord>& patterns) {
   const auto cc = std::make_shared<netlist::CompiledCircuit>(nl);
-  Cnf cnf;
-  CircuitCnf frames(*cc, cnf);
-  frames.add_timeframe();
-
   Solver solver;
-  solver.load(cnf);
+  CircuitCnf frames(*cc, solver);
+  frames.add_timeframe();
   sim::LogicSim lsim(nl, cc);
 
   for (const util::WideWord& p : patterns) {
@@ -132,16 +129,15 @@ TEST(CnfProperty, ForcingAnOutputWrongIsUnsat) {
   spec.seed = 5;
   const auto nl = circuits::generate(spec);
   const auto cc = std::make_shared<netlist::CompiledCircuit>(nl);
-  Cnf cnf;
-  CircuitCnf frames(*cc, cnf);
+  Solver loaded;
+  CircuitCnf frames(*cc, loaded);
   frames.add_timeframe();
   sim::LogicSim lsim(nl, cc);
 
   for (const util::WideWord& p : random_patterns(10, 8, 99)) {
     const std::vector<bool> expect = lsim.simulate_single(p);
     for (const netlist::NetId po : cc->outputs()) {
-      Solver solver;
-      solver.load(cnf);
+      Solver solver = loaded;  // a fresh copy per output, as SatEngine does
       std::vector<SatLit> a = pi_assumptions(*cc, p);
       a.push_back(frames.lit(0, po, /*neg=*/expect[po]));
       EXPECT_EQ(solver.solve(a), SolveStatus::kUnsat);
@@ -155,8 +151,8 @@ TEST(CnfProperty, ForcingAnOutputWrongIsUnsat) {
 TEST(CnfProperty, TwoTimeframesAreIndependentCopies) {
   const auto nl = circuits::make_c17();
   const auto cc = std::make_shared<netlist::CompiledCircuit>(nl);
-  Cnf cnf;
-  CircuitCnf frames(*cc, cnf);
+  Solver solver;
+  CircuitCnf frames(*cc, solver);
   ASSERT_EQ(frames.add_timeframe(), 0u);
   ASSERT_EQ(frames.add_timeframe(), 1u);
   sim::LogicSim lsim(nl, cc);
@@ -165,8 +161,6 @@ TEST(CnfProperty, TwoTimeframesAreIndependentCopies) {
   util::WideWord p1 = p0;
   for (std::size_t i = 0; i < 5; ++i) p1.set_bit(i, !p1.get_bit(i));
 
-  Solver solver;
-  solver.load(cnf);
   std::vector<SatLit> a;
   for (std::size_t i = 0; i < 5; ++i) {
     a.push_back(

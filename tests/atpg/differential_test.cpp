@@ -23,6 +23,7 @@
 #include "circuits/generator.h"
 #include "circuits/registry.h"
 #include "fault/fault.h"
+#include "sim/detects.h"
 #include "sim/fault_sim.h"
 #include "sim/pattern.h"
 
@@ -73,7 +74,7 @@ void cross_check(const netlist::Netlist& nl, bool exhaustive) {
       EXPECT_EQ(sr.status, SatStatus::kRedundant) << fault_name(nl, f);
     }
     if (sr.status == SatStatus::kDetected) {
-      EXPECT_TRUE(fsim.detects(sr.pattern, fid)) << fault_name(nl, f);
+      EXPECT_TRUE(sim::detects(fsim, sr.pattern, fid)) << fault_name(nl, f);
     }
     const bool structural_redundant = sat.proves_redundant(f);
     EXPECT_EQ(structural_redundant, sr.status == SatStatus::kRedundant)

@@ -4,6 +4,7 @@
 
 #include "circuits/generator.h"
 #include "circuits/registry.h"
+#include "sim/detects.h"
 #include "sim/fault_sim.h"
 
 namespace fbist::atpg {
@@ -24,7 +25,7 @@ TEST(Podem, FindsTestForEveryC17Fault) {
     const PodemResult r = podem.generate(fl[fid]);
     ASSERT_EQ(r.status, PodemStatus::kTestFound)
         << fault_name(nl, fl[fid]);
-    EXPECT_TRUE(fsim.detects(zero_fill(r), fid))
+    EXPECT_TRUE(sim::detects(fsim, zero_fill(r), fid))
         << fault_name(nl, fl[fid]) << " pattern " << r.pattern.to_hex();
   }
 }
@@ -46,7 +47,7 @@ TEST(Podem, GeneratedPatternsDetectOnGeneratedCircuit) {
     switch (r.status) {
       case PodemStatus::kTestFound:
         ++found;
-        EXPECT_TRUE(fsim.detects(zero_fill(r), fid))
+        EXPECT_TRUE(sim::detects(fsim, zero_fill(r), fid))
             << fault_name(nl, fl[fid]);
         break;
       case PodemStatus::kUntestable:
@@ -140,7 +141,7 @@ TEST_P(PodemPropertyTest, PatternsValidatedBySimulation) {
   for (std::size_t fid = 0; fid < fl.size(); ++fid) {
     const PodemResult r = podem.generate(fl[fid]);
     if (r.status == PodemStatus::kTestFound) {
-      EXPECT_TRUE(fsim.detects(r.pattern, fid))
+      EXPECT_TRUE(sim::detects(fsim, r.pattern, fid))
           << "seed=" << GetParam() << " fault=" << fault_name(nl, fl[fid]);
     }
     // (kUntestable / kAborted verdicts carry no pattern to validate.)

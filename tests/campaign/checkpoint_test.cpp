@@ -323,6 +323,65 @@ TEST(Checkpoint, SpecHashCoversEveryRunAxis) {
   c = base;
   c.solvers = {reseed::SolverChoice::kGreedy};
   EXPECT_NE(spec_hash(c), h);
+
+  // Every pipeline option that changes a run's result.
+  const std::vector<void (*)(reseed::PipelineOptions&)> options = {
+      [](reseed::PipelineOptions& o) { o.atpg.podem.backtrack_limit += 1; },
+      [](reseed::PipelineOptions& o) { o.atpg.sat_escalate = false; },
+      [](reseed::PipelineOptions& o) { o.atpg.sat.conflict_limit += 1; },
+      [](reseed::PipelineOptions& o) { o.atpg.seed += 1; },
+      [](reseed::PipelineOptions& o) { o.builder.seed += 1; },
+      [](reseed::PipelineOptions& o) { o.builder.shared_sigma = true; },
+      [](reseed::PipelineOptions& o) {
+        o.optimizer.reduce.use_essentiality = false;
+      },
+      [](reseed::PipelineOptions& o) {
+        o.optimizer.reduce.use_row_dominance = false;
+      },
+      [](reseed::PipelineOptions& o) {
+        o.optimizer.reduce.use_col_dominance = false;
+      },
+      [](reseed::PipelineOptions& o) { o.optimizer.exact.node_budget += 1; },
+      [](reseed::PipelineOptions& o) { o.optimizer.skip_reduction = true; },
+      [](reseed::PipelineOptions& o) { o.optimizer.trim_lengths = false; },
+  };
+  for (std::size_t i = 0; i < options.size(); ++i) {
+    c = base;
+    options[i](c.pipeline);
+    EXPECT_NE(spec_hash(c), h) << "pipeline option " << i;
+  }
+}
+
+// A directory written with SAT escalation on holds another sweep than
+// the same runs with escalation off: reopening it for the off sweep
+// throws from load(), and merging it does too.
+TEST(Checkpoint, BlobsFromOtherPipelineOptionsAreRejected) {
+  const std::string dir = scratch_dir("options");
+  const CampaignSpec on = small_spec();
+  RunResult result;
+  result.spec = on.expand()[0];
+  result.ok = true;
+  CheckpointStore(dir, on).write(0, result);
+  EXPECT_EQ(CheckpointStore(dir, on).load().size(), 1u);
+
+  CampaignSpec off = on;
+  off.pipeline.atpg.sat_escalate = false;
+  CheckpointStore store(dir, off);
+  for (const bool merge : {false, true}) {
+    try {
+      if (merge) {
+        merge_checkpoints(off, {dir});
+      } else {
+        store.load();
+      }
+      FAIL() << "blob from other pipeline options accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("does not match this campaign"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -36,9 +36,11 @@ std::vector<PatternSet> random_rows(std::size_t num_rows, std::size_t cycles,
 
 /// Simulates independent rows the way reseed::build_initial_reseeding
 /// does: packs them into shared blocks (one simulation chunk per
-/// packing), copies each row into its lane range and
-/// runs every packing — on the shared pool when `parallel`.  With
-/// `seek`, row i looks only for the faults flagged in (*seek)[i].
+/// packing), copies each row into its lane range and runs every
+/// packing — the packings on the shared pool when `parallel`, one after
+/// another otherwise (each campaign puts its sites on the pool either
+/// way).  With `seek`, row i looks only for the faults flagged in
+/// (*seek)[i].
 /// Returns one result per row.
 std::vector<FaultSimResult> run_rows(
     const FaultSim& fsim, const std::vector<PatternSet>& rows,
@@ -55,8 +57,8 @@ std::vector<FaultSimResult> run_rows(
       if (pr.length > 0) packed.write_patterns(pr.base, rows[pr.row]);
       if (seek != nullptr) pk_seek.push_back((*seek)[pr.row]);
     }
-    std::vector<FaultSimResult> rs = fsim.run_packed(
-        packed, pk, seek != nullptr ? &pk_seek : nullptr, parallel);
+    std::vector<FaultSimResult> rs =
+        fsim.run_packed(packed, pk, seek != nullptr ? &pk_seek : nullptr);
     for (std::size_t i = 0; i < pk.rows.size(); ++i) {
       results[pk.rows[i].row] = std::move(rs[i]);
     }
@@ -363,8 +365,9 @@ TEST(BatchedSim, ChunkGoodValuesMatchReferenceAcrossBlockCounts) {
 // the live rows' masks.  Here no live row seeks either fault of every
 // third net, and the rows of length 0 seek every fault and must detect
 // nothing.  Every row must equal the reference run_subset — in a
-// many-row campaign, in a campaign with one live row, and through
-// run_subset.
+// many-row campaign, in a campaign with one live row, in a one-block
+// campaign of several rows (whose one-block walk flips only the lanes
+// of the rows that seek the fault), and through run_subset.
 TEST(BatchedSim, UnsoughtSitesMatchReferenceSubset) {
   const auto nl = circuits::make_circuit("c880");
   const auto fl = fault::FaultList::full(nl);
@@ -378,9 +381,12 @@ TEST(BatchedSim, UnsoughtSitesMatchReferenceSubset) {
   LanePacking one_live;
   one_live.rows = {{0, 0, 0}, {1, 0, 700}, {2, 700, 0}};
   one_live.num_patterns = 700;
+  LanePacking one_block;
+  one_block.rows = {{0, 0, 7}, {1, 7, 0}, {2, 7, 25}, {3, 32, 32}};
+  one_block.num_patterns = 64;
   FaultSim fsim(nl, fl);
   ReferenceFaultSim ref(nl, fl);
-  for (const LanePacking* pk : {&many, &one_live}) {
+  for (const LanePacking* pk : {&many, &one_live, &one_block}) {
     const SeekRows sr = make_seek_rows(nl, fl, *pk, /*seed=*/71, unsought);
     const auto got = fsim.run_packed(sr.packed, *pk, &sr.seek);
     expect_rows_match_subset(ref, sr, got, "unsought");
@@ -473,8 +479,8 @@ TEST(BatchedSim, PackedTripletExpansionMatchesPerRow) {
 
 // ---- chunk walks by campaign size -------------------------------------
 
-// A one-block campaign takes the narrow walk; a longer one walks
-// kChunkBlocks-block chunks from block 0 on.  The sizes cover one block,
+// A one-block campaign walks one block per cone visit; a longer one
+// walks kChunkBlocks-block chunks from block 0 on.  The sizes cover one block,
 // a padded chunk, full chunks, several chunks and partial tail blocks.
 TEST(ChunkWalk, BitIdenticalAcrossCampaignSizes) {
   const auto nl = circuits::make_circuit("c432");

@@ -4,6 +4,7 @@
 // circuits, and a scan-flattened netlist, across random pattern words.
 #include <gtest/gtest.h>
 
+#include "campaign/scheduler.h"
 #include "circuits/generator.h"
 #include "circuits/registry.h"
 #include "fault/fault.h"
@@ -52,6 +53,18 @@ z = AND(t, d1)
   return circuits;
 }
 
+/// A circuit deep enough that its largest cone programs run to
+/// thousands of words.
+Netlist deep_circuit() {
+  circuits::GeneratorSpec spec;
+  spec.num_inputs = 18;
+  spec.num_outputs = 4;
+  spec.num_gates = 1600;
+  spec.layers = 14;
+  spec.seed = 123;
+  return circuits::generate(spec);
+}
+
 TEST(CompiledEquiv, LogicSimMatchesReferenceWordForWord) {
   for (const Netlist& nl : test_circuits()) {
     LogicSim sim(nl);
@@ -79,7 +92,7 @@ TEST(CompiledEquiv, FaultSimMatchesReferenceFullAndCollapsed) {
       // 300 patterns are 5 blocks: the chunk path with padded chunk
       // lanes and a partial tail block at once.
       const PatternSet ps = PatternSet::random(nl.num_inputs(), 300, rng);
-      const FaultSimResult got = fsim.run(ps, /*parallel=*/false);
+      const FaultSimResult got = fsim.run(ps);
       const FaultSimResult want = ref.run(ps, /*parallel=*/false);
       EXPECT_EQ(got.detected, want.detected) << nl.summary();
       EXPECT_EQ(got.earliest, want.earliest) << nl.summary();
@@ -111,49 +124,55 @@ TEST(CompiledEquiv, FaultSimSubsetMatchesReference) {
   }
   ASSERT_GT(late, 0u) << "no detection past block 0; the chunk walk is idle";
 
-  const FaultSimResult got = fsim.run_subset(ps, seek, /*parallel=*/false);
+  const FaultSimResult got = fsim.run_subset(ps, seek);
   EXPECT_EQ(got.detected, want.detected);
   EXPECT_EQ(got.earliest, want.earliest);
 }
 
 TEST(CompiledEquiv, ScanWalkVariantMatchesReferenceOnDeepCones) {
-  // A circuit deep enough that its largest cone programs cross the
-  // touched-scan threshold, so the kScan=true walk variants are pinned
-  // to the reference as well (the circuits above stay below it).
-  circuits::GeneratorSpec spec;
-  spec.num_inputs = 18;
-  spec.num_outputs = 4;
-  spec.num_gates = 1600;
-  spec.layers = 14;
-  spec.seed = 123;
-  const Netlist nl = circuits::generate(spec);
+  // A circuit deep enough that a fault's active region is a small share
+  // of its largest cones, so the walk's touched-gate skip leaves most
+  // gates at their good values — pinned to the reference at one block
+  // (the one-block walk) and at three (one padded chunk).
+  const Netlist nl = deep_circuit();
   const netlist::CompiledCircuit cc(nl);
   std::size_t max_prog = 0;
   for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
     max_prog = std::max(max_prog, cc.cone_program(n).size());
   }
-  ASSERT_GE(max_prog, kScanMinProgWords)
-      << "circuit no longer exercises the scan walk; enlarge it";
+  // 2048 program words: cones several times larger than the circuits
+  // above reach, where skipped gates dominate a walk.
+  ASSERT_GE(max_prog, 2048u) << "circuit no longer has deep cones; enlarge it";
 
   const auto fl = fault::FaultList::collapsed(nl);
   FaultSim fsim(nl, fl);
   ReferenceFaultSim ref(nl, fl);
   util::Rng rng(9);
-  const PatternSet ps = PatternSet::random(nl.num_inputs(), 192, rng);
-  const FaultSimResult got = fsim.run(ps, /*parallel=*/false);
-  const FaultSimResult want = ref.run(ps, /*parallel=*/false);
-  EXPECT_EQ(got.detected, want.detected);
-  EXPECT_EQ(got.earliest, want.earliest);
+  for (const std::size_t n : {192, 64}) {
+    SCOPED_TRACE("patterns=" + std::to_string(n));
+    const PatternSet ps = PatternSet::random(nl.num_inputs(), n, rng);
+    const FaultSimResult got = fsim.run(ps);
+    const FaultSimResult want = ref.run(ps, /*parallel=*/false);
+    EXPECT_EQ(got.detected, want.detected);
+    EXPECT_EQ(got.earliest, want.earliest);
+  }
 }
 
+// Sites always go through the shared pool; the result must not depend
+// on how many workers it has.  The deep circuit keeps a 1024-pattern
+// campaign busy long enough for the 4-worker pool's workers to join its
+// site loop.
 TEST(CompiledEquiv, FaultSimParallelMatchesSerial) {
-  const Netlist nl = test_circuits()[2];
+  const Netlist nl = deep_circuit();
   const auto fl = fault::FaultList::collapsed(nl);
   FaultSim fsim(nl, fl);
   util::Rng rng(21);
-  const PatternSet ps = PatternSet::random(nl.num_inputs(), 320, rng);
-  const FaultSimResult par = fsim.run(ps, /*parallel=*/true);
-  const FaultSimResult ser = fsim.run(ps, /*parallel=*/false);
+  const PatternSet ps = PatternSet::random(nl.num_inputs(), 1024, rng);
+  campaign::Scheduler::global().set_workers(1);
+  const FaultSimResult ser = fsim.run(ps);
+  campaign::Scheduler::global().set_workers(4);
+  const FaultSimResult par = fsim.run(ps);
+  campaign::Scheduler::global().set_workers(0);  // restore default
   EXPECT_EQ(par.detected, ser.detected);
   EXPECT_EQ(par.earliest, ser.earliest);
 }

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "campaign/scheduler.h"
 #include "circuits/generator.h"
 #include "circuits/registry.h"
+#include "sim/detects.h"
 
 namespace fbist::sim {
 namespace {
@@ -65,7 +67,7 @@ TEST(FaultSim, MatchesReferenceOnC17AllFaultsAllPatterns) {
     util::WideWord pat(5);
     for (std::size_t i = 0; i < 5; ++i) pat.set_bit(i, (vec >> i) & 1);
     for (std::size_t fid = 0; fid < fl.size(); ++fid) {
-      EXPECT_EQ(fsim.detects(pat, fid), reference_detects(nl, fl[fid], pat))
+      EXPECT_EQ(detects(fsim, pat, fid), reference_detects(nl, fl[fid], pat))
           << "vec=" << vec << " fault=" << fault_name(nl, fl[fid]);
     }
   }
@@ -78,7 +80,7 @@ TEST(FaultSim, EarliestIndexIsFirstDetectingPattern) {
 
   util::Rng rng(9);
   const PatternSet ps = PatternSet::random(5, 100, rng);
-  const FaultSimResult r = fsim.run(ps, /*parallel=*/false);
+  const FaultSimResult r = fsim.run(ps);
   for (std::size_t fid = 0; fid < fl.size(); ++fid) {
     if (!r.detected.get(fid)) {
       EXPECT_EQ(r.earliest[fid], kNotDetected);
@@ -86,31 +88,42 @@ TEST(FaultSim, EarliestIndexIsFirstDetectingPattern) {
     }
     const std::uint32_t idx = r.earliest[fid];
     // The reported pattern must detect the fault...
-    EXPECT_TRUE(fsim.detects(ps.pattern(idx), fid));
+    EXPECT_TRUE(detects(fsim, ps.pattern(idx), fid));
     // ...and no earlier pattern may.
     for (std::uint32_t p = 0; p < idx; ++p) {
-      EXPECT_FALSE(fsim.detects(ps.pattern(p), fid))
+      EXPECT_FALSE(detects(fsim, ps.pattern(p), fid))
           << "fault " << fid << " detected earlier at " << p;
     }
   }
 }
 
+// Every campaign distributes its sites over the shared pool, a one-block
+// campaign's too; the result must not depend on how many workers it has.
+// The circuit is deep enough for the 4-worker pool's workers to join the
+// site loop at one block (64 patterns) and at three.
 TEST(FaultSim, ParallelAndSerialAgree) {
   circuits::GeneratorSpec spec;
   spec.num_inputs = 16;
   spec.num_outputs = 8;
-  spec.num_gates = 200;
+  spec.num_gates = 1600;
+  spec.layers = 14;
   spec.seed = 15;
   const Netlist nl = circuits::generate(spec);
   const auto fl = fault::FaultList::collapsed(nl);
   FaultSim fsim(nl, fl);
 
   util::Rng rng(77);
-  const PatternSet ps = PatternSet::random(16, 192, rng);
-  const FaultSimResult par = fsim.run(ps, /*parallel=*/true);
-  const FaultSimResult ser = fsim.run(ps, /*parallel=*/false);
-  EXPECT_EQ(par.detected, ser.detected);
-  EXPECT_EQ(par.earliest, ser.earliest);
+  for (const std::size_t n : {64, 192}) {
+    SCOPED_TRACE("patterns=" + std::to_string(n));
+    const PatternSet ps = PatternSet::random(16, n, rng);
+    campaign::Scheduler::global().set_workers(1);
+    const FaultSimResult ser = fsim.run(ps);
+    campaign::Scheduler::global().set_workers(4);
+    const FaultSimResult par = fsim.run(ps);
+    campaign::Scheduler::global().set_workers(0);  // restore default
+    EXPECT_EQ(par.detected, ser.detected);
+    EXPECT_EQ(par.earliest, ser.earliest);
+  }
 }
 
 TEST(FaultSim, SubsetRunIgnoresInactive) {
@@ -123,7 +136,7 @@ TEST(FaultSim, SubsetRunIgnoresInactive) {
   util::BitVector seek(fl.size());
   seek.set(2);
   seek.set(7);
-  const FaultSimResult r = fsim.run_subset(ps, seek, /*parallel=*/false);
+  const FaultSimResult r = fsim.run_subset(ps, seek);
   r.detected.for_each_set([&](std::size_t fid) {
     EXPECT_TRUE(fid == 2 || fid == 7);
   });

@@ -5,6 +5,7 @@
 #include "atpg/podem.h"
 #include "circuits/generator.h"
 #include "circuits/registry.h"
+#include "sim/detects.h"
 #include "sim/fault_sim.h"
 #include "util/rng.h"
 
@@ -124,7 +125,7 @@ TEST(TernarySim, RobustDetectionImpliesEveryFillDetects) {
       for (std::size_t b = 0; b < x_bits.size(); ++b) {
         pat.set_bit(x_bits[b], (fill >> b) & 1);
       }
-      EXPECT_TRUE(fsim.detects(pat, fid))
+      EXPECT_TRUE(detects(fsim, pat, fid))
           << fault_name(nl, fl[fid]) << " fill " << fill;
     }
   }
