@@ -4,18 +4,23 @@
 
 namespace fbist::atpg {
 
+namespace {
+
+/// out <-> AND(fanin...), every fanin negated when `negated` (the OR
+/// family by De Morgan): out -> fi per fanin, then (fi...) -> out.
+void emit_and_family(Solver& solver, SatLit out, const SatLit* fanin,
+                     std::size_t n, bool negated) {
+  for (std::size_t i = 0; i < n; ++i) {
+    solver.add_clause({~out, negated ? ~fanin[i] : fanin[i]});
+  }
+  solver.add_clause(out, fanin, n, /*negate_tail=*/!negated);
+}
+
+}  // namespace
+
 void emit_and_cnf(Solver& solver, SatLit out, const SatLit* fanin,
                   std::size_t n) {
-  // out -> fi for every fanin: (~out | fi).
-  for (std::size_t i = 0; i < n; ++i) {
-    solver.add_clause({~out, fanin[i]});
-  }
-  // (f1 & ... & fn) -> out: (out | ~f1 | ... | ~fn).
-  std::vector<SatLit> big;
-  big.reserve(n + 1);
-  big.push_back(out);
-  for (std::size_t i = 0; i < n; ++i) big.push_back(~fanin[i]);
-  solver.add_clause(big.data(), big.size());
+  emit_and_family(solver, out, fanin, n, /*negated=*/false);
 }
 
 void emit_xor_cnf(Solver& solver, SatLit out, SatLit a, SatLit b) {
@@ -62,13 +67,11 @@ void emit_gate_cnf(Solver& solver, netlist::GateType type, SatLit out,
       emit_and_cnf(solver, ~out, fanin, n);
       return;
     case GateType::kOr:
-    case GateType::kNor: {
+    case GateType::kNor:
       // OR(f) == ~AND(~f); NOR keeps the positive output literal.
-      std::vector<SatLit> inv(fanin, fanin + n);
-      for (SatLit& l : inv) l = ~l;
-      emit_and_cnf(solver, type == GateType::kOr ? ~out : out, inv.data(), n);
+      emit_and_family(solver, type == GateType::kOr ? ~out : out, fanin, n,
+                      /*negated=*/true);
       return;
-    }
     case GateType::kXor:
       emit_xor_chain(solver, out, fanin, n);
       return;

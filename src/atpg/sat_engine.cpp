@@ -1,13 +1,15 @@
 #include "atpg/sat_engine.h"
 
-#include <vector>
-
 #include "obs/metrics.h"
 
 namespace fbist::atpg {
 
 SatEngine::SatEngine(const netlist::CompiledCircuit& cc, SatEngineOptions opts)
-    : cc_(cc), opts_(opts), image_(SolverOptions{opts.conflict_limit}) {
+    : cc_(cc),
+      opts_(opts),
+      image_(SolverOptions{opts.conflict_limit}),
+      faulty_(cc.num_nets(), kShared),
+      d_var_(cc.num_nets(), kShared) {
   OBS_COUNTER(c_build_ns, "atpg.sat_build_ns");
   OBS_SCOPED_NS(build_timer, c_build_ns);
   // One combinational timeframe straight into the fresh image: net n's
@@ -25,6 +27,7 @@ SatResult SatEngine::generate(const fault::Fault& f) {
   if (cc_.reaches_output(f.net)) {  // dead logic is settled unsolved
     result.conflicts = scratch_.stats().conflicts;
     result.decisions = scratch_.stats().decisions;
+    result.propagations = scratch_.stats().propagations;
   }
   switch (status) {
     case SolveStatus::kUnsat:
@@ -74,20 +77,17 @@ SolveStatus SatEngine::solve_miter(const fault::Fault& f, bool structural) {
   Solver& solver = scratch_;
   {
     OBS_SCOPED_NS(build_timer, c_build_ns);
-    // The image holds only values and clause indices, so the copy is the
-    // state a fresh solver reaches after loading the good circuit; copy
-    // assignment reuses the scratch's vectors, watch lists included.
+    // The copy is the state a fresh solver reaches after loading the
+    // good circuit.  The solver is flat arrays, so once the scratch has
+    // held a miter as large the copy frees and allocates nothing.
     solver = image_;
 
     // Faulty copy: variables only for the fault site and its fanout
     // cone.  Everything outside the cone is shared with the good circuit.
-    const std::size_t num_nets = cc_.num_nets();
-    constexpr SatVar kShared = static_cast<SatVar>(-1);
-    std::vector<SatVar> faulty(num_nets, kShared);
-
+    //
     // The stuck site: a fresh variable pinned to the stuck value.
-    faulty[f.net] = solver.new_var();
-    solver.add_unit(mk_lit(faulty[f.net], /*neg=*/!f.stuck_value));
+    faulty_[f.net] = solver.new_var();
+    solver.add_unit(mk_lit(faulty_[f.net], /*neg=*/!f.stuck_value));
     // Activation: the good circuit must drive the site to the opposite
     // value.  (For an uncontrollable site this makes the formula UNSAT —
     // exactly the redundancy answer.)
@@ -96,57 +96,55 @@ SolveStatus SatEngine::solve_miter(const fault::Fault& f, bool structural) {
     // cone_gates() is ascending NetId == evaluation order, so fanins are
     // always defined (either earlier in the cone, the site, or shared).
     const auto cone = cc_.cone_gates(f.net);
-    std::vector<SatLit> fanin_lits;
     for (const netlist::NetId g : cone) {
-      faulty[g] = solver.new_var();
-      fanin_lits.clear();
+      faulty_[g] = solver.new_var();
+      clause_.clear();
       for (const netlist::NetId in : cc_.fanin(g)) {
-        const SatVar v =
-            faulty[in] == kShared ? static_cast<SatVar>(in) : faulty[in];
-        fanin_lits.push_back(mk_lit(v));
+        clause_.push_back(mk_lit(faulty_[in] == kShared ? static_cast<SatVar>(in)
+                                                        : faulty_[in]));
       }
-      emit_gate_cnf(solver, cc_.type(g), mk_lit(faulty[g]), fanin_lits.data(),
-                    fanin_lits.size());
+      emit_gate_cnf(solver, cc_.type(g), mk_lit(faulty_[g]), clause_.data(),
+                    clause_.size());
     }
 
     // Miter: one XOR difference per cone-reachable PO, then "some output
     // differs" as a single disjunction.
-    std::vector<SatLit> diffs;
+    clause_.clear();
     for (const std::uint32_t pos : cc_.cone_outputs(f.net)) {
       const netlist::NetId po = cc_.outputs()[pos];
-      const SatVar d = solver.new_var();
-      emit_xor_cnf(solver, mk_lit(d), mk_lit(static_cast<SatVar>(po)),
-                   mk_lit(faulty[po]));
-      diffs.push_back(mk_lit(d));
+      const SatLit d = mk_lit(solver.new_var());
+      emit_xor_cnf(solver, d, mk_lit(static_cast<SatVar>(po)), mk_lit(faulty_[po]));
+      clause_.push_back(d);
     }
-    solver.add_clause(diffs.data(), diffs.size());
+    solver.add_clause(clause_.data(), clause_.size());
 
     if (structural) {
       // D-chain: d_n means "net n carries the fault effect".  It needs
       // good and faulty values to differ, and off a primary output it
       // needs some reader to carry the effect on (every reader of a cone
       // net is in the cone).  The site carries the effect.
-      std::vector<SatVar> d_var(num_nets, kShared);
-      d_var[f.net] = solver.new_var();
-      for (const netlist::NetId g : cone) d_var[g] = solver.new_var();
-      std::vector<SatLit> readers;
+      d_var_[f.net] = solver.new_var();
+      for (const netlist::NetId g : cone) d_var_[g] = solver.new_var();
       auto chain = [&](netlist::NetId n) {
-        const SatLit d = mk_lit(d_var[n]);
+        const SatLit d = mk_lit(d_var_[n]);
         const SatLit good = mk_lit(static_cast<SatVar>(n));
-        const SatLit bad = mk_lit(faulty[n]);
+        const SatLit bad = mk_lit(faulty_[n]);
         solver.add_clause({~d, good, bad});
         solver.add_clause({~d, ~good, ~bad});
         if (cc_.output_index(n) != static_cast<std::size_t>(-1)) return;
-        readers.assign(1, ~d);
+        clause_.assign(1, ~d);
         for (const netlist::NetId r : cc_.fanout(n)) {
-          readers.push_back(mk_lit(d_var[r]));
+          clause_.push_back(mk_lit(d_var_[r]));
         }
-        solver.add_clause(readers.data(), readers.size());
+        solver.add_clause(clause_.data(), clause_.size());
       };
       chain(f.net);
       for (const netlist::NetId g : cone) chain(g);
-      solver.add_unit(mk_lit(d_var[f.net]));
+      solver.add_unit(mk_lit(d_var_[f.net]));
     }
+
+    faulty_[f.net] = kShared;
+    for (const netlist::NetId g : cone) faulty_[g] = kShared;
   }
 
   OBS_SCOPED_NS(solve_timer, c_solve_ns);

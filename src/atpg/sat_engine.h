@@ -14,8 +14,9 @@
 //     each fault's solve copy-assigns that image into the engine's one
 //     scratch solver, which is exactly the state a fresh solver reaches
 //     after the same emission — so results stay
-//     order-independent and deterministic, and the scratch's vectors
-//     keep their capacity from call to call;
+//     order-independent and deterministic — and, the solver being flat
+//     arrays, frees and allocates nothing once the scratch has held a
+//     miter as large;
 //   * the faulty circuit is only re-encoded over the fault's fanout
 //     cone (cone_gates), with the fault site forced to its stuck value
 //     and the good site forced to the opposite value (activation);
@@ -50,6 +51,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "atpg/cnf.h"
 #include "atpg/solver.h"
@@ -78,6 +80,7 @@ struct SatResult {
   util::WideWord care;     // all-ones when kDetected (model is total)
   std::uint64_t conflicts = 0;
   std::uint64_t decisions = 0;
+  std::uint64_t propagations = 0;
 };
 
 /// Per-circuit SAT ATPG engine.  Construction encodes and loads the
@@ -112,6 +115,17 @@ class SatEngine {
   SatEngineOptions opts_;
   Solver image_;    // good circuit loaded, nothing solved; net n <-> variable n
   Solver scratch_;  // the current miter: a copy of image_ plus its clauses
+
+  // Miter scratch, kept across faults.  faulty_ maps a net to its
+  // faulty-circuit variable, kShared off the current cone: solve_miter()
+  // sets it over the site and its cone and restores exactly those
+  // entries.  d_var_ maps a net to its D-chain variable; it is read only
+  // over the site and its cone, after being set there, so it is never
+  // restored.
+  static constexpr SatVar kShared = static_cast<SatVar>(-1);
+  std::vector<SatVar> faulty_;
+  std::vector<SatVar> d_var_;
+  std::vector<SatLit> clause_;  // literals of the clause being emitted
 };
 
 }  // namespace fbist::atpg

@@ -36,13 +36,27 @@ SatVar Solver::new_var() {
 }
 
 void Solver::add_clause(const SatLit* lits, std::size_t n) {
+  sorted_.assign(lits, lits + n);
+  commit_clause();
+}
+
+void Solver::add_clause(SatLit head, const SatLit* tail, std::size_t n,
+                        bool negate_tail) {
+  sorted_.clear();
+  sorted_.push_back(head);
+  for (std::size_t i = 0; i < n; ++i) {
+    sorted_.push_back(negate_tail ? ~tail[i] : tail[i]);
+  }
+  commit_clause();
+}
+
+void Solver::commit_clause() {
   assert(trail_lim_.empty() && "clauses may only be added at level 0");
   if (unsat_) return;
 
   // Level-0 simplification: sort + dedup, drop false literals, skip
   // satisfied or tautological clauses.
   std::vector<SatLit>& c = sorted_;
-  c.assign(lits, lits + n);
   std::sort(c.begin(), c.end());
   c.erase(std::unique(c.begin(), c.end()), c.end());
   std::vector<SatLit>& kept = kept_;
@@ -62,12 +76,37 @@ void Solver::add_clause(const SatLit* lits, std::size_t n) {
     if (!enqueue(kept[0], kNoReason)) unsat_ = true;
     return;
   }
-  const std::uint32_t ci = static_cast<std::uint32_t>(clause_off_.size());
-  clause_off_.push_back(static_cast<std::uint32_t>(pool_.size()));
-  clause_len_.push_back(static_cast<std::uint32_t>(kept.size()));
-  pool_.insert(pool_.end(), kept.begin(), kept.end());
-  watches_[kept[0].code].push_back(ci);
-  watches_[kept[1].code].push_back(ci);
+  const std::uint32_t cref = store_clause(kept.data(), kept.size());
+  watch(kept[0], cref);
+  watch(kept[1], cref);
+}
+
+std::uint32_t Solver::store_clause(const SatLit* lits, std::size_t n) {
+  SatLit header;
+  header.code = static_cast<std::uint32_t>(n);
+  pool_.push_back(header);
+  const std::uint32_t cref = static_cast<std::uint32_t>(pool_.size());
+  pool_.insert(pool_.end(), lits, lits + n);
+  return cref;
+}
+
+void Solver::watch(SatLit l, std::uint32_t cref) {
+  Watches& w = watches_[l.code];
+  if (w.size == w.cap) grow_watches(w);
+  watch_pool_[w.begin + w.size++] = cref;
+}
+
+void Solver::grow_watches(Watches& w) {
+  const std::uint32_t end = static_cast<std::uint32_t>(watch_pool_.size());
+  const std::uint32_t extra = std::max<std::uint32_t>(w.cap, 2);
+  if (w.begin + w.cap == end) {
+    watch_pool_.resize(end + extra);
+  } else {
+    watch_pool_.resize(end + w.cap + extra);
+    std::copy_n(watch_pool_.begin() + w.begin, w.size, watch_pool_.begin() + end);
+    w.begin = end;
+  }
+  w.cap += extra;
 }
 
 bool Solver::enqueue(SatLit l, std::uint32_t reason) {
@@ -85,39 +124,43 @@ std::uint32_t Solver::propagate() {
   while (qhead_ < trail_.size()) {
     const SatLit p = trail_[qhead_++];  // p just became true
     const SatLit false_lit = ~p;
-    std::vector<std::uint32_t>& ws = watches_[false_lit.code];
-    std::size_t i = 0, j = 0;
-    while (i < ws.size()) {
-      const std::uint32_t ci = ws[i++];
-      SatLit* lits = pool_.data() + clause_off_[ci];
-      const std::uint32_t len = clause_len_[ci];
+    Watches& ws = watches_[false_lit.code];
+    const std::uint32_t n = ws.size;
+    std::uint32_t i = 0, j = 0;
+    while (i < n) {
+      // Re-read per watch: moving a watch to another list may move the
+      // arena (never this list, whose literal is false).
+      std::uint32_t* const list = watch_pool_.data() + ws.begin;
+      const std::uint32_t cref = list[i++];
+      SatLit* lits = pool_.data() + cref;
+      const std::uint32_t len = lits[-1].code;
       if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
       const SatLit first = lits[0];
       if (lit_value(assign_, first) == 1) {
-        ws[j++] = ci;  // satisfied — keep the watch
+        list[j++] = cref;  // satisfied — keep the watch
         continue;
       }
       bool moved = false;
       for (std::uint32_t k = 2; k < len; ++k) {
         if (lit_value(assign_, lits[k]) != 0) {
           std::swap(lits[1], lits[k]);
-          watches_[lits[1].code].push_back(ci);
+          watch(lits[1], cref);
           moved = true;
           break;
         }
       }
       if (moved) continue;
-      ws[j++] = ci;  // clause stays watched on false_lit
+      list[j++] = cref;  // clause stays watched on false_lit
       if (lit_value(assign_, first) == 0) {
         // Conflict: keep the remaining watchers, flush the queue.
-        while (i < ws.size()) ws[j++] = ws[i++];
-        ws.resize(j);
+        while (i < n) list[j++] = list[i++];
+        ws.size = j;
         qhead_ = trail_.size();
-        return ci;
+        return cref;
       }
-      enqueue(first, ci);
+      enqueue(first, cref);
     }
-    ws.resize(j);
+    ws.size = j;
   }
   return kNoReason;
 }
@@ -134,8 +177,8 @@ std::uint32_t Solver::analyze(std::uint32_t conflict,
   std::uint32_t confl = conflict;
 
   do {
-    const SatLit* lits = pool_.data() + clause_off_[confl];
-    const std::uint32_t len = clause_len_[confl];
+    const SatLit* lits = pool_.data() + confl;
+    const std::uint32_t len = lits[-1].code;
     for (std::uint32_t k = p_defined ? 1 : 0; k < len; ++k) {
       const SatLit q = lits[k];
       if (seen_[q.var()] || level_[q.var()] == 0) continue;
@@ -281,7 +324,7 @@ SolveStatus Solver::solve(const std::vector<SatLit>& assumptions) {
   std::uint64_t conflicts_total = 0;
   std::uint64_t conflicts_since_restart = 0;
   std::uint64_t restart_limit = 100;
-  std::vector<SatLit> learned;
+  std::vector<SatLit>& learned = learned_;
 
   while (true) {
     const std::uint32_t confl = propagate();
@@ -300,14 +343,11 @@ SolveStatus Solver::solve(const std::vector<SatLit>& assumptions) {
       if (learned.size() == 1) {
         if (!enqueue(learned[0], kNoReason)) return SolveStatus::kUnsat;
       } else {
-        const std::uint32_t ci = static_cast<std::uint32_t>(clause_off_.size());
-        clause_off_.push_back(static_cast<std::uint32_t>(pool_.size()));
-        clause_len_.push_back(static_cast<std::uint32_t>(learned.size()));
-        pool_.insert(pool_.end(), learned.begin(), learned.end());
-        watches_[learned[0].code].push_back(ci);
-        watches_[learned[1].code].push_back(ci);
+        const std::uint32_t cref = store_clause(learned.data(), learned.size());
+        watch(learned[0], cref);
+        watch(learned[1], cref);
         ++stats_.learned_clauses;
-        enqueue(learned[0], ci);
+        enqueue(learned[0], cref);
       }
       decay_activities();
       continue;

@@ -16,9 +16,11 @@
 //    kAborted instead of an unbounded search (PODEM's backtrack-limit
 //    discipline, transplanted);
 //  * incremental-ish: the good circuit is emitted once straight into a
-//    solver (cnf.h), that solver is copied per fault (it holds only
-//    values and clause indices, so the default copy is exact), then
-//    per-fault clauses are added on top (the engine's miter layer).
+//    solver (cnf.h), that solver is copied per fault, then per-fault
+//    clauses are added on top (the engine's miter layer).  Every member
+//    is a flat array of values and clause-pool offsets, so the default
+//    copy is exact, and a copy into a solver that already held a larger
+//    miter frees and allocates nothing: it is a few block copies.
 //
 // Assumptions are supported as forced first decisions — the CNF
 // property suite unit-assumes the primary-input literals and checks
@@ -95,6 +97,10 @@ class Solver {
   void add_clause(std::initializer_list<SatLit> lits) {
     add_clause(lits.begin(), lits.size());
   }
+  /// Adds head | tail[0] | ... | tail[n-1], with every tail literal
+  /// negated when `negate_tail`: a Tseitin gate's long clause without a
+  /// buffer of the caller's.
+  void add_clause(SatLit head, const SatLit* tail, std::size_t n, bool negate_tail);
   /// Unit clause: force `l` true.
   void add_unit(SatLit l) { add_clause(&l, 1); }
 
@@ -111,9 +117,25 @@ class Solver {
  private:
   static constexpr std::uint32_t kNoReason = static_cast<std::uint32_t>(-1);
 
+  /// One literal's watch list: clause references at
+  /// watch_pool_[begin, begin + size), room up to begin + cap.
+  struct Watches {
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
+    std::uint32_t cap = 0;
+  };
+
+  /// Simplifies the clause in sorted_ at level 0 and stores it.
+  void commit_clause();
+  /// Appends a clause to the pool; returns its reference.
+  std::uint32_t store_clause(const SatLit* lits, std::size_t n);
+  /// Appends `cref` to `l`'s watch list.
+  void watch(SatLit l, std::uint32_t cref);
+  /// Makes room for one more watch in `w` (may move the arena).
+  void grow_watches(Watches& w);
   bool enqueue(SatLit l, std::uint32_t reason);
   /// Propagates the trail to fixpoint; returns a conflicting clause
-  /// index or kNoReason.
+  /// reference or kNoReason.
   std::uint32_t propagate();
   /// First-UIP analysis of `conflict`; fills `learned` (asserting
   /// literal first) and returns the backjump level.
@@ -134,16 +156,21 @@ class Solver {
   SolverOptions opts_;
   SolverStats stats_;
 
-  // Clause storage: flat literal pool + per-clause offsets.  Watched
-  // literals are the first two of each clause.
+  // Clause storage: one flat pool holding, per clause, a header whose
+  // code is the clause length, then its literals.  A clause reference
+  // (cref) is the pool offset of its first literal; watch lists and
+  // reasons hold crefs.  Watched literals are the first two of each
+  // clause.
   std::vector<SatLit> pool_;
-  std::vector<std::uint32_t> clause_off_;
-  std::vector<std::uint32_t> clause_len_;
-  std::vector<std::vector<std::uint32_t>> watches_;  // per literal code
+  // Watch lists, per literal code, as ranges of one arena.  A list that
+  // outgrows its room moves to the arena's end (or extends in place
+  // when it is already last), leaving a hole.
+  std::vector<Watches> watches_;
+  std::vector<std::uint32_t> watch_pool_;
 
   std::vector<std::int8_t> assign_;     // per var: -1 unset, 0 false, 1 true
   std::vector<std::uint32_t> level_;    // per var
-  std::vector<std::uint32_t> reason_;   // per var: clause index or kNoReason
+  std::vector<std::uint32_t> reason_;   // per var: cref or kNoReason
   std::vector<SatLit> trail_;
   std::vector<std::uint32_t> trail_lim_;  // trail size at each decision level
   std::size_t qhead_ = 0;
@@ -158,6 +185,7 @@ class Solver {
   std::vector<std::uint8_t> seen_;  // analyze() scratch
   std::vector<SatLit> sorted_;      // add_clause() scratch: sorted input
   std::vector<SatLit> kept_;        // add_clause() scratch: simplified
+  std::vector<SatLit> learned_;     // solve() scratch: the learned clause
   bool unsat_ = false;              // empty clause added
 };
 

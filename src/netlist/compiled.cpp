@@ -69,102 +69,178 @@ CompiledCircuit::CompiledCircuit(const Netlist& nl, bool build_cone_slices) {
     }
   }
 
-  // --- per-net fanout-cone slices --------------------------------------
-  // One DFS per root over the CSR fanout arrays; a per-net stamp marks
-  // membership for the current root, so no per-root allocation happens.
+  // --- per-net fanout-cone slices and programs -------------------------
+  // Bit-parallel forward reachability, one pass per 64 consecutive roots
+  // [r0, r0 + 64): bit i of roots_of[v] says root r0 + i reaches v (a
+  // root reaches itself).  Net ids are topological, so a pass that
+  // visits its pending nets in ascending id meets every net after all
+  // its fanins, and each cone in evaluation order; it visits only the
+  // nets its roots reach.  A counting sweep over every pass sizes each
+  // slice, output list and program exactly, and a filling sweep writes
+  // them in place.
   if (!build_cone_slices) return;
+  std::vector<std::uint64_t> roots_of(n, 0);
+  std::vector<std::uint64_t> pending((n + 63) / 64, 0);
+  // Calls visit(v, bits) for every net v the roots [r0, r0 + 64) reach,
+  // ascending, after pushing `bits` = roots_of[v] onto v's readers.
+  const auto reach_pass = [&](NetId r0, auto&& visit) {
+    const NetId r_end = static_cast<NetId>(std::min<std::size_t>(n, r0 + std::size_t{64}));
+    for (NetId r = r0; r < r_end; ++r) {
+      roots_of[r] |= std::uint64_t{1} << (r - r0);
+      pending[r >> 6] |= std::uint64_t{1} << (r & 63);
+    }
+    std::size_t last = (r_end - 1) >> 6;
+    for (std::size_t wi = r0 >> 6; wi <= last; ++wi) {
+      while (pending[wi] != 0) {
+        const NetId v = static_cast<NetId>(wi * 64 + __builtin_ctzll(pending[wi]));
+        pending[wi] &= pending[wi] - 1;
+        const std::uint64_t bits = roots_of[v];
+        for (std::uint32_t e = fanout_offset_[v]; e < fanout_offset_[v + 1]; ++e) {
+          const NetId r = fanout_[e];
+          roots_of[r] |= bits;
+          pending[r >> 6] |= std::uint64_t{1} << (r & 63);
+          last = std::max<std::size_t>(last, r >> 6);
+        }
+        visit(v, bits);
+      }
+    }
+  };
+  // The bit of v's own root among `bits` (0 when v is no pass root).
+  const auto own_bit = [](NetId v, NetId r0) {
+    return v - r0 < 64 ? std::uint64_t{1} << (v - r0) : 0;
+  };
+
+  // Counting sweep: per root, its cone gates, the POs among the root and
+  // its cone, and its program records' fanin count plus one per gate.
+  // `slot_words` is the most (net, cone) pairs one pass visits.
   cone_offset_.assign(n + 1, 0);
   cone_out_offset_.assign(n + 1, 0);
-  std::vector<NetId> stamp(n, kNullNet);
-  std::vector<std::uint32_t> slot_of(n, 0);
-  std::vector<NetId> stack;
-  std::vector<NetId> gates;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> out_pos_slot;
-  for (NetId root = 0; root < n; ++root) {
-    stamp[root] = root;
-    stack.assign(1, root);
-    gates.clear();
-    while (!stack.empty()) {
-      const NetId cur = stack.back();
-      stack.pop_back();
-      for (std::uint32_t i = fanout_offset_[cur]; i < fanout_offset_[cur + 1]; ++i) {
-        const NetId reader = fanout_[i];
-        if (stamp[reader] == root) continue;
-        stamp[reader] = root;
-        gates.push_back(reader);
-        stack.push_back(reader);
-      }
-    }
-    std::sort(gates.begin(), gates.end());
-    max_cone_gates_ = std::max(max_cone_gates_, gates.size());
-
-    // Dense cone-local numbering: root = slot 0, gates[i] = slot i + 1.
-    slot_of[root] = 0;
-    for (std::size_t i = 0; i < gates.size(); ++i) {
-      slot_of[gates[i]] = static_cast<std::uint32_t>(i + 1);
-    }
-
-    out_pos_slot.clear();
-    if (output_pos_[root] != kNoPos) out_pos_slot.emplace_back(output_pos_[root], 0u);
-    for (const NetId g : gates) {
-      if (output_pos_[g] != kNoPos) {
-        out_pos_slot.emplace_back(output_pos_[g], slot_of[g]);
-      }
-    }
-    std::sort(out_pos_slot.begin(), out_pos_slot.end());
-
-    cone_gates_.insert(cone_gates_.end(), gates.begin(), gates.end());
-    for (const auto& [pos, slot] : out_pos_slot) {
-      cone_outputs_.push_back(pos);
-      cone_out_slot_.push_back(slot);
-    }
-    cone_offset_[root + 1] = cone_gates_.size();
-    cone_out_offset_[root + 1] = cone_outputs_.size();
-  }
-
-  // --- cone evaluation programs (encoding: compiled.h) ------------------
-  // Second pass so the encoding can be chosen from whole-circuit limits:
-  // narrow packs (id, slot, fanin count) into 16/16/12 bits.
+  cone_prog_offset_.assign(n + 1, 0);
+  std::size_t slot_words = 0;
   std::size_t max_fanin = 0;
+  for (NetId r0 = 0; r0 < n; r0 += 64) {
+    std::size_t pairs = 0;
+    reach_pass(r0, [&](NetId v, std::uint64_t bits) {
+      roots_of[v] = 0;
+      const std::uint32_t record = 1 + fanin_offset_[v + 1] - fanin_offset_[v];
+      const bool is_po = output_pos_[v] != kNoPos;
+      const std::uint64_t own = own_bit(v, r0);
+      if (is_po && own != 0) ++cone_out_offset_[v + 1];
+      ++pairs;
+      for (std::uint64_t w = bits & ~own; w != 0; w &= w - 1) {
+        const NetId root = r0 + static_cast<NetId>(__builtin_ctzll(w));
+        ++cone_offset_[root + 1];
+        cone_prog_offset_[root + 1] += record;
+        if (is_po) ++cone_out_offset_[root + 1];
+        ++pairs;
+      }
+    });
+    slot_words = std::max(slot_words, pairs);
+  }
   for (NetId id = 0; id < n; ++id) {
+    max_cone_gates_ = std::max<std::size_t>(max_cone_gates_, cone_offset_[id + 1]);
     max_fanin = std::max<std::size_t>(max_fanin, fanin_offset_[id + 1] - fanin_offset_[id]);
   }
+  // Narrow packs (id, slot, fanin count) into 16/16/12 bits; wide spends
+  // two words on each header and each fanin reference.
   narrow_programs_ = n < (1u << 16) && max_cone_gates_ + 2 < (1u << 16) &&
                      max_fanin < (1u << 12);
-  cone_prog_offset_.assign(n + 1, 0);
-  for (NetId root = 0; root < n; ++root) {
-    // Re-establish this root's slot numbering from the stored slice.
-    const std::uint64_t begin = cone_offset_[root];
-    const std::uint64_t end = cone_offset_[root + 1];
-    stamp[root] = root;
-    slot_of[root] = 0;
-    for (std::uint64_t i = begin; i < end; ++i) {
-      stamp[cone_gates_[i]] = root;
-      slot_of[cone_gates_[i]] = static_cast<std::uint32_t>(i - begin + 1);
+  const std::uint32_t ref_words = narrow_programs_ ? 1 : 2;
+  for (std::size_t i = 1; i <= n; ++i) {
+    cone_offset_[i] += cone_offset_[i - 1];
+    cone_out_offset_[i] += cone_out_offset_[i - 1];
+    cone_prog_offset_[i] = cone_prog_offset_[i - 1] + ref_words * cone_prog_offset_[i];
+  }
+  cone_gates_.resize(cone_offset_[n]);
+  cone_outputs_.resize(cone_out_offset_[n]);
+  cone_out_slot_.resize(cone_out_offset_[n]);
+  cone_prog_.resize(cone_prog_offset_[n]);
+
+  // Filling sweep.  A visited net's slots in the cones that hold it sit
+  // at slots[slot_at[v]...], one per bit of roots_of[v] in bit order
+  // (0 in its own root's cone), so a reader finds its fanin's slot in
+  // cone i by walking both nets' bits together.
+  std::vector<std::uint32_t> slots(slot_words);
+  std::vector<std::uint32_t> slot_at(n);
+  std::vector<NetId> visited(n);
+  std::vector<std::uint64_t> po_pending((outputs_.size() + 63) / 64, 0);
+  for (NetId r0 = 0; r0 < n; r0 += 64) {
+    const std::size_t roots = std::min<std::size_t>(64, n - r0);
+    std::uint64_t gate_at[64] = {}, prog_at[64] = {}, out_at[64] = {};
+    std::uint32_t sentinel[64] = {};
+    std::uint32_t cones[64] = {};  // per visited net: the roots whose cone holds it
+    for (std::size_t i = 0; i < roots; ++i) {
+      gate_at[i] = cone_offset_[r0 + i];
+      prog_at[i] = cone_prog_offset_[r0 + i];
+      out_at[i] = cone_out_offset_[r0 + i];
+      sentinel[i] = static_cast<std::uint32_t>(cone_offset_[r0 + i + 1] - gate_at[i] + 1);
     }
-    const std::uint32_t sentinel = static_cast<std::uint32_t>(end - begin + 1);
-    for (std::uint64_t gi = begin; gi < end; ++gi) {
-      const NetId g = cone_gates_[gi];
-      const std::uint32_t k = fanin_offset_[g + 1] - fanin_offset_[g];
-      if (narrow_programs_) {
-        cone_prog_.push_back((static_cast<std::uint32_t>(g) << 16) | (k << 4) |
-                             static_cast<std::uint32_t>(type_[g]));
-      } else {
-        cone_prog_.push_back((k << 8) | static_cast<std::uint32_t>(type_[g]));
-        cone_prog_.push_back(g);
+    std::size_t used = 0;
+    std::size_t num_visited = 0;
+    reach_pass(r0, [&](NetId v, std::uint64_t bits) {
+      visited[num_visited++] = v;
+      if (output_pos_[v] != kNoPos) {
+        po_pending[output_pos_[v] >> 6] |= std::uint64_t{1} << (output_pos_[v] & 63);
       }
-      for (std::uint32_t i = fanin_offset_[g]; i < fanin_offset_[g + 1]; ++i) {
-        const NetId f = fanin_[i];
-        const std::uint32_t slot = stamp[f] == root ? slot_of[f] : sentinel;
+      slot_at[v] = static_cast<std::uint32_t>(used);
+      const std::uint64_t own = own_bit(v, r0);
+      std::uint32_t m = 0;
+      for (std::uint64_t w = bits; w != 0; w &= w - 1) {
+        const std::uint32_t i = static_cast<std::uint32_t>(__builtin_ctzll(w));
+        if ((std::uint64_t{1} << i) == own) {
+          slots[used++] = 0;
+          continue;
+        }
+        cones[m++] = i;
+        cone_gates_[gate_at[i]++] = v;
+        slots[used++] = static_cast<std::uint32_t>(gate_at[i] - cone_offset_[r0 + i]);
+      }
+      const std::uint32_t k = fanin_offset_[v + 1] - fanin_offset_[v];
+      const std::uint32_t type = static_cast<std::uint32_t>(type_[v]);
+      for (std::uint32_t q = 0; q < m; ++q) {
+        std::uint32_t* rec = cone_prog_.data() + prog_at[cones[q]];
         if (narrow_programs_) {
-          cone_prog_.push_back((slot << 16) | static_cast<std::uint32_t>(f));
+          rec[0] = (static_cast<std::uint32_t>(v) << 16) | (k << 4) | type;
         } else {
-          cone_prog_.push_back(slot);
-          cone_prog_.push_back(f);
+          rec[0] = (k << 8) | type;
+          rec[1] = v;
+        }
+      }
+      for (std::uint32_t j = 0; j < k; ++j) {
+        const NetId f = fanin_[fanin_offset_[v] + j];
+        const std::uint64_t f_bits = roots_of[f];
+        const std::uint32_t* f_slot = f_bits != 0 ? slots.data() + slot_at[f] : nullptr;
+        const std::size_t at = ref_words * (1 + j);
+        for (std::uint32_t q = 0; q < m; ++q) {
+          const std::uint32_t i = cones[q];
+          std::uint32_t* ref = cone_prog_.data() + prog_at[i] + at;
+          std::uint32_t slot = sentinel[i];
+          if ((f_bits >> i) & 1) slot = *f_slot++;
+          if (narrow_programs_) {
+            ref[0] = (slot << 16) | static_cast<std::uint32_t>(f);
+          } else {
+            ref[0] = slot;
+            ref[1] = f;
+          }
+        }
+      }
+      for (std::uint32_t q = 0; q < m; ++q) prog_at[cones[q]] += ref_words * (1 + k);
+    });
+    // Cone outputs in position order, each with its slot in the cone.
+    for (std::size_t wi = 0; wi < po_pending.size(); ++wi) {
+      for (; po_pending[wi] != 0; po_pending[wi] &= po_pending[wi] - 1) {
+        const std::uint32_t pos =
+            static_cast<std::uint32_t>(wi * 64 + __builtin_ctzll(po_pending[wi]));
+        const NetId po = outputs_[pos];
+        const std::uint32_t* po_slot = slots.data() + slot_at[po];
+        for (std::uint64_t w = roots_of[po]; w != 0; w &= w - 1) {
+          const std::size_t i = static_cast<std::size_t>(__builtin_ctzll(w));
+          cone_outputs_[out_at[i]] = pos;
+          cone_out_slot_[out_at[i]++] = *po_slot++;
         }
       }
     }
-    cone_prog_offset_[root + 1] = cone_prog_.size();
+    for (std::size_t i = 0; i < num_visited; ++i) roots_of[visited[i]] = 0;
   }
 }
 

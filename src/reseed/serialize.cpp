@@ -1,9 +1,10 @@
 #include "reseed/serialize.h"
 
-#include <cstdio>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace fbist::reseed {
 
@@ -152,40 +153,26 @@ RomImage read_rom_file(const std::string& path) {
   return read_rom(f);
 }
 
+namespace {
+
+void append_decimal(std::string& out, std::uint64_t v) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// Appends `w` as 16 lowercase hex digits, zero-padded.
+void append_hex_word(std::string& out, std::uint64_t w) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  char buf[16];
+  for (int i = 15; i >= 0; --i, w >>= 4) buf[i] = kDigits[w & 0xf];
+  out.append(buf, sizeof buf);
+}
+
+}  // namespace
+
 void write_matrix(const cover::DetectionMatrix& m, std::ostream& out) {
-  const std::size_t rows = m.num_rows();
-  const std::size_t cols = m.num_cols();
-  out << "fbist-dmx v1\n";
-  out << "dims " << rows << " " << cols << "\n";
-  out << "has-earliest " << (m.has_earliest() ? 1 : 0) << "\n";
-  char hex[17];
-  for (std::size_t r = 0; r < rows; ++r) {
-    out << "row " << r;
-    for (const util::BitVector::Word w : m.row(r).words()) {
-      std::snprintf(hex, sizeof hex, "%016llx",
-                    static_cast<unsigned long long>(w));
-      out << " " << hex;
-    }
-    out << "\n";
-  }
-  if (!m.has_earliest()) return;
-  // Earliest indices are sparse in practice (only detected pairs carry
-  // one), so each row stores its (col, index) pairs, not the full C
-  // vector.  Detected bits and earliest entries coincide by
-  // construction, but the format does not assume it: pairs round-trip
-  // whatever the matrix holds.
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::size_t k = 0;
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (m.earliest(r, c) != UINT32_MAX) ++k;
-    }
-    out << "edet " << r << " " << k;
-    for (std::size_t c = 0; c < cols; ++c) {
-      const std::uint32_t e = m.earliest(r, c);
-      if (e != UINT32_MAX) out << " " << c << " " << e;
-    }
-    out << "\n";
-  }
+  const std::string text = matrix_to_string(m);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 cover::DetectionMatrix read_matrix(std::istream& in) {
@@ -290,9 +277,49 @@ cover::DetectionMatrix read_matrix(std::istream& in) {
 }
 
 std::string matrix_to_string(const cover::DetectionMatrix& m) {
-  std::ostringstream ss;
-  write_matrix(m, ss);
-  return ss.str();
+  const std::size_t rows = m.num_rows();
+  const std::size_t cols = m.num_cols();
+  std::string out = "fbist-dmx v1\ndims ";
+  append_decimal(out, rows);
+  out += ' ';
+  append_decimal(out, cols);
+  out += m.has_earliest() ? "\nhas-earliest 1\n" : "\nhas-earliest 0\n";
+  out.reserve(out.size() + rows * (26 + 17 * ((cols + 63) / 64)));
+  for (std::size_t r = 0; r < rows; ++r) {
+    out += "row ";
+    append_decimal(out, r);
+    for (const util::BitVector::Word w : m.row(r).words()) {
+      out += ' ';
+      append_hex_word(out, w);
+    }
+    out += '\n';
+  }
+  if (!m.has_earliest()) return out;
+  // Earliest indices are sparse in practice (only detected pairs carry
+  // one), so each row stores its (col, index) pairs, not the full C
+  // vector.  Detected bits and earliest entries coincide by
+  // construction, but the format does not assume it: pairs round-trip
+  // whatever the matrix holds.
+  std::vector<std::pair<std::size_t, std::uint32_t>> pairs;
+  for (std::size_t r = 0; r < rows; ++r) {
+    pairs.clear();
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::uint32_t e = m.earliest(r, c);
+      if (e != UINT32_MAX) pairs.emplace_back(c, e);
+    }
+    out += "edet ";
+    append_decimal(out, r);
+    out += ' ';
+    append_decimal(out, pairs.size());
+    for (const auto& [c, e] : pairs) {
+      out += ' ';
+      append_decimal(out, c);
+      out += ' ';
+      append_decimal(out, e);
+    }
+    out += '\n';
+  }
+  return out;
 }
 
 cover::DetectionMatrix matrix_from_string(const std::string& text) {

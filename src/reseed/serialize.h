@@ -84,7 +84,8 @@ RomImage read_rom_file(const std::string& path);
 /// and, when attached, the earliest-detection indices exactly;
 /// read_matrix throws std::runtime_error with a line-numbered message
 /// on malformed input and a version-naming message on a future-version
-/// blob.
+/// blob.  matrix_to_string formats the blob straight into one string
+/// (no stream); write_matrix writes that string.
 void write_matrix(const cover::DetectionMatrix& m, std::ostream& out);
 cover::DetectionMatrix read_matrix(std::istream& in);
 

@@ -3,6 +3,10 @@
 // SAT-escalation path end-to-end through run_atpg.
 #include "atpg/sat_engine.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "atpg/engine.h"
@@ -112,6 +116,48 @@ TEST(SatEngine, DeterministicAcrossCallsAndEngines) {
     EXPECT_EQ(x.decisions, z.decisions);
     EXPECT_EQ(x.conflicts, z.conflicts);
   }
+}
+
+// One engine answers a fault with a large cone, then faults with ever
+// smaller cones, plain and structural miters interleaved; every answer
+// must equal a fresh engine's.  A miter built on what the previous,
+// larger one left behind (watch storage of variables past the image,
+// per-net maps of the last cone) would answer differently.
+TEST(SatEngine, ReusedEngineAnswersLikeAFreshOne) {
+  const auto nl = circuits::make_circuit("c1355");
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  std::vector<std::size_t> by_cone(fl.size());
+  for (std::size_t fid = 0; fid < fl.size(); ++fid) by_cone[fid] = fid;
+  std::stable_sort(by_cone.begin(), by_cone.end(), [&](std::size_t a, std::size_t b) {
+    return cc.cone_gates(fl[a].net).size() > cc.cone_gates(fl[b].net).size();
+  });
+
+  SatEngine reused(cc);
+  std::size_t redundant = 0;
+  for (std::size_t i = 0; i < by_cone.size(); i += by_cone.size() / 40) {
+    const fault::Fault& f = fl[by_cone[i]];
+    SCOPED_TRACE(fault_name(nl, f) + ", cone of " +
+                 std::to_string(cc.cone_gates(f.net).size()) + " gates");
+    bool verdict = false;
+    SatResult got;
+    if (i % 2 == 0) {
+      got = reused.generate(f);
+      verdict = reused.proves_redundant(f);
+    } else {
+      verdict = reused.proves_redundant(f);
+      got = reused.generate(f);
+    }
+    const SatResult want = SatEngine(cc).generate(f);
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.pattern, want.pattern);
+    EXPECT_EQ(got.conflicts, want.conflicts);
+    EXPECT_EQ(got.decisions, want.decisions);
+    EXPECT_EQ(got.propagations, want.propagations);
+    EXPECT_EQ(verdict, SatEngine(cc).proves_redundant(f));
+    if (verdict) ++redundant;
+  }
+  EXPECT_GT(redundant, 0u);  // the structural miter's UNSAT path ran too
 }
 
 // End-to-end escalation through run_atpg: a backtrack limit of zero

@@ -1,15 +1,26 @@
 // Equivalence tests pinning netlist::CompiledCircuit to the legacy
 // reference walkers (levelize.h, cone.h, Netlist::fanouts) on the
-// genuine c17, generated circuits, and a scan-flattened netlist.
+// genuine c17, generated circuits, and a scan-flattened netlist; its
+// cone slices, outputs, slots and programs to the reference encoder
+// (cone_encoder.h) on circuits at the edges of cone compilation; and
+// those arrays on every registry circuit to recorded digests (ConePin).
 #include "netlist/compiled.h"
+
+#include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "circuits/generator.h"
 #include "circuits/registry.h"
+#include "fault/fault.h"
 #include "netlist/bench_io.h"
 #include "netlist/cone.h"
+#include "netlist/cone_encoder.h"
 #include "netlist/levelize.h"
+#include "sim/fault_sim.h"
+#include "sim/reference_sim.h"
+#include "util/rng.h"
 
 namespace fbist::netlist {
 namespace {
@@ -186,6 +197,163 @@ TEST(CompiledCircuit, DanglingGateDoesNotReachOutput) {
   const CompiledCircuit cc(nl);
   EXPECT_TRUE(cc.reaches_output(keep));
   EXPECT_FALSE(cc.reaches_output(nl.find("dangling")));
+}
+
+/// 4100 inputs under one XOR, whose header needs the wide encoding.
+Netlist wide_fanin_circuit() {
+  Netlist nl;
+  std::vector<NetId> ins;
+  for (int i = 0; i < 4100; ++i) ins.push_back(nl.add_input("i" + std::to_string(i)));
+  const NetId wide = nl.add_gate(GateType::kXor, "wide", ins);
+  const NetId g = nl.add_gate(GateType::kAnd, "g", {wide, ins[0]});
+  const NetId h = nl.add_gate(GateType::kNor, "h", {ins[1], ins[2], g});
+  nl.mark_output(h);
+  nl.mark_output(wide);
+  return nl;
+}
+
+/// Circuits at the edges of cone compilation: nets on both sides of
+/// every multiple of 64 roots, a duplicated fanin, a dangling gate, a
+/// primary output that other gates read (listed out of net order), and
+/// one gate with 4100 fanins, which no narrow header can hold.
+std::vector<Netlist> cone_edge_circuits() {
+  std::vector<Netlist> circuits;
+  for (const std::size_t nets : {63u, 64u, 65u, 129u}) {
+    // The generator may add collector gates: generate at or under the
+    // net count, then chain 2-input gates up to it.
+    circuits::GeneratorSpec spec;
+    spec.num_inputs = 9;
+    spec.num_outputs = 4;
+    spec.num_gates = nets - spec.num_inputs;
+    spec.seed = nets;
+    Netlist nl = circuits::generate(spec);
+    while (nl.num_nets() > nets) {
+      --spec.num_gates;
+      nl = circuits::generate(spec);
+    }
+    NetId last = nl.outputs().back();
+    while (nl.num_nets() < nets) {
+      const std::string name = "pad" + std::to_string(nl.num_nets());
+      last = nl.add_gate(GateType::kNand, name, {last, nl.inputs()[nl.num_nets() % 9]});
+    }
+    nl.mark_output(last);
+    circuits.push_back(std::move(nl));
+  }
+
+  Netlist nl;
+  const NetId a = nl.add_input("a");
+  const NetId b = nl.add_input("b");
+  const NetId c = nl.add_input("c");
+  const NetId d = nl.add_gate(GateType::kAnd, "d", {a, a});
+  const NetId e = nl.add_gate(GateType::kOr, "e", {d, b});
+  const NetId y = nl.add_gate(GateType::kNand, "y", {e, c});
+  const NetId z = nl.add_gate(GateType::kXor, "z", {y, d, y});
+  nl.add_gate(GateType::kNor, "dangling", {a, e});
+  nl.mark_output(z);
+  nl.mark_output(y);
+  nl.mark_output(b);
+  circuits.push_back(std::move(nl));
+
+  circuits.push_back(wide_fanin_circuit());
+  return circuits;
+}
+
+/// Compares every cone array of `cc` with the reference encoder's.
+void expect_cones_match_reference(const Netlist& nl, const CompiledCircuit& cc) {
+  const EncodedCones ref = encode_cones(nl);
+  EXPECT_EQ(cc.max_cone_gates(), ref.max_cone_gates);
+  EXPECT_EQ(cc.narrow_programs(), ref.narrow);
+  const auto same = [](auto span, const auto& want) {
+    return std::vector<std::uint64_t>(span.begin(), span.end()) ==
+           std::vector<std::uint64_t>(want.begin(), want.end());
+  };
+  for (NetId n = 0; n < nl.num_nets(); ++n) {
+    EXPECT_TRUE(same(cc.cone_gates(n), ref.gates[n])) << "gates of net " << n;
+    EXPECT_TRUE(same(cc.cone_outputs(n), ref.outputs[n])) << "outputs of net " << n;
+    EXPECT_TRUE(same(cc.cone_output_slots(n), ref.output_slots[n]))
+        << "output slots of net " << n;
+    EXPECT_TRUE(same(cc.cone_program(n), ref.programs[n])) << "program of net " << n;
+  }
+}
+
+TEST(CompiledCircuit, ConeDataMatchesReferenceEncoder) {
+  for (const Netlist& nl : test_circuits()) {
+    expect_cones_match_reference(nl, CompiledCircuit(nl));
+  }
+  const std::size_t nets[] = {63, 64, 65, 129};
+  const std::vector<Netlist> edges = cone_edge_circuits();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    SCOPED_TRACE("edge circuit " + std::to_string(i));
+    if (i < 4) ASSERT_EQ(edges[i].num_nets(), nets[i]);
+    const CompiledCircuit cc(edges[i]);
+    EXPECT_EQ(cc.narrow_programs(), i + 1 < edges.size());
+    expect_cones_match_reference(edges[i], cc);
+  }
+}
+
+TEST(CompiledCircuit, WideEncodingFaultSimMatchesReference) {
+  const Netlist nl = wide_fanin_circuit();
+  ASSERT_FALSE(CompiledCircuit(nl).narrow_programs());
+  const auto fl = fault::FaultList::collapsed(nl);
+  const sim::FaultSim fsim(nl, fl);
+  const sim::ReferenceFaultSim ref(nl, fl);
+  util::Rng rng(41);
+  for (const std::size_t n : {5u, 64u, 200u}) {
+    SCOPED_TRACE("patterns=" + std::to_string(n));
+    const sim::PatternSet ps = sim::PatternSet::random(nl.num_inputs(), n, rng);
+    const sim::FaultSimResult got = fsim.run(ps);
+    const sim::FaultSimResult want = ref.run(ps);
+    EXPECT_EQ(got.detected, want.detected);
+    EXPECT_EQ(got.earliest, want.earliest);
+  }
+}
+
+/// FNV-1a over the compiled cone arrays of every net, the largest cone
+/// and the encoding flag.
+std::uint64_t cone_digest(const CompiledCircuit& cc) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(cc.max_cone_gates());
+  mix(cc.narrow_programs() ? 1 : 0);
+  for (NetId n = 0; n < cc.num_nets(); ++n) {
+    for (const auto span : {cc.cone_gates(n), cc.cone_outputs(n),
+                            cc.cone_output_slots(n), cc.cone_program(n)}) {
+      mix(span.size());
+      for (const std::uint32_t w : span) mix(w);
+    }
+  }
+  return h;
+}
+
+// The compiled cone arrays of all registry circuits and of two large
+// generated netlists, folded into one digest per circuit set.  Recorded
+// with the per-root DFS compiler these arrays were first built by; any
+// compiler must reproduce them word for word.
+TEST(ConePin, RegistryAndGeneratedCircuits) {
+  std::uint64_t registry = 0xcbf29ce484222325ull;
+  for (const std::string& name : circuits::circuit_names()) {
+    registry = registry * 31 + cone_digest(CompiledCircuit(circuits::make_circuit(name)));
+  }
+  EXPECT_EQ(registry, 0x2e3e576664840558ull) << "got 0x" << std::hex << registry;
+
+  constexpr struct {
+    std::size_t gates;
+    std::uint64_t digest;
+  } kGenerated[] = {{5000, 0x9f8c2b83e1212d1cull}, {20000, 0x08d019aca7205d56ull}};
+  for (const auto& pin : kGenerated) {
+    circuits::GeneratorSpec spec;
+    spec.num_inputs = pin.gates / 10;
+    spec.num_outputs = pin.gates / 10;
+    spec.num_gates = pin.gates;
+    spec.seed = 7;
+    const std::uint64_t got = cone_digest(CompiledCircuit(circuits::generate(spec)));
+    EXPECT_EQ(got, pin.digest) << pin.gates << " gates: got 0x" << std::hex << got;
+  }
 }
 
 }  // namespace

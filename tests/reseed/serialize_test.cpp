@@ -140,6 +140,22 @@ TEST(MatrixSerialize, RoundTripBitsAndEarliest) {
   }
 }
 
+// The blob bytes themselves, not only their round trip: the matrix
+// cache keeps blobs on disk across builds.  Recorded with the
+// iostream-based writer.
+TEST(MatrixSerialize, BytesPinned) {
+  std::string blobs;
+  for (const std::size_t cols : {1u, 63u, 64u, 65u, 200u}) {
+    for (const bool with_earliest : {false, true}) {
+      blobs += matrix_to_string(sample_matrix(7, cols, with_earliest, cols * 7 + 1));
+    }
+  }
+  blobs += matrix_to_string(cover::DetectionMatrix(0, 0));
+  blobs += matrix_to_string(cover::DetectionMatrix(2, 0));
+  const std::uint64_t got = util::hash_string(blobs);
+  EXPECT_EQ(got, 0x8d8c7fe2f5e69747ull) << "got 0x" << std::hex << got;
+}
+
 TEST(MatrixSerialize, RoundTripEmptyAndDense) {
   expect_matrices_equal(cover::DetectionMatrix(0, 0),
                         matrix_from_string(matrix_to_string(

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "campaign/scheduler.h"
+#include "circuits/generator.h"
 #include "circuits/registry.h"
 #include "fault/fault.h"
 #include "sim/fault_sim.h"
@@ -200,9 +201,18 @@ TEST(BatchedSim, EmptyInputs) {
 }
 
 // Bit-identical at any worker count: packings and sites distribute over
-// the shared pool but write disjoint result slots.
+// the shared pool but write disjoint result slots.  The circuit is deep
+// enough that the one packing's site loop outlasts the pool's start-up,
+// so sites run on every loop slot (on c880 the campaign ended before a
+// second slot ran one).
 TEST(BatchedSim, BitIdenticalAcrossWorkerCounts) {
-  const auto nl = circuits::make_circuit("c880");
+  circuits::GeneratorSpec spec;
+  spec.num_inputs = 16;
+  spec.num_outputs = 8;
+  spec.num_gates = 1600;
+  spec.layers = 14;
+  spec.seed = 15;
+  const auto nl = circuits::generate(spec);
   const auto fl = fault::FaultList::collapsed(nl);
   FaultSim fsim(nl, fl);
   ReferenceFaultSim ref(nl, fl);
