@@ -4,13 +4,16 @@
 // flattened on the fly (Q -> scan-in PI, D -> scan-out PO), which is the
 // full-scan treatment the paper applies to the ISCAS'89 circuits.  Point
 // this at a real c432.bench / s1238.bench if you have the ISCAS files.
+// The file is loaded the way campaigns load circuits
+// (campaign::load_circuit, read through util::io), so a registry name
+// such as c432 works too.
 //
 //   $ ./bench_file_flow ../data/demo_seq.bench adder 32
 #include <cstdlib>
 #include <iostream>
 #include <string>
 
-#include "netlist/bench_io.h"
+#include "campaign/spec.h"
 #include "netlist/stats.h"
 #include "reseed/pipeline.h"
 #include "reseed/report.h"
@@ -34,7 +37,7 @@ int main(int argc, char** argv) {
 
   netlist::Netlist nl;
   try {
-    nl = netlist::parse_bench_file(path);
+    nl = campaign::load_circuit(path);
   } catch (const std::exception& e) {
     std::cerr << "failed to load " << path << ": " << e.what() << "\n";
     return 1;

@@ -46,13 +46,6 @@ struct Hasher {
 
 constexpr const char* kSuffix = ".ckpt";
 
-/// Rest-of-line field: everything after "<key> " (may be empty).  Used
-/// for circuit names (paths may contain spaces) and error messages.
-std::string rest_of_line(const std::string& line, const std::string& key) {
-  if (line.size() <= key.size() + 1) return std::string();
-  return line.substr(key.size() + 1);
-}
-
 /// Error messages are one rest-of-line field; fold any embedded
 /// newline (exception text is free-form) into a space on write.
 std::string one_line(std::string s) {
@@ -100,8 +93,9 @@ std::string spec_hash_hex(std::uint64_t h) {
   return std::string(buf);
 }
 
-void write_checkpoint(const CheckpointRecord& rec, std::ostream& out) {
+std::string checkpoint_to_string(const CheckpointRecord& rec) {
   const RunResult& r = rec.result;
+  std::ostringstream out;
   out << "fbist-ckpt v2\n";
   out << "spec " << spec_hash_hex(rec.spec) << "\n";
   out << "run " << rec.position << " " << rec.total_runs << "\n";
@@ -124,9 +118,11 @@ void write_checkpoint(const CheckpointRecord& rec, std::ostream& out) {
   char ms[32];
   std::snprintf(ms, sizeof ms, "%.6f", r.wall_ms);
   out << "wall_ms " << ms << "\n";
+  return out.str();
 }
 
-CheckpointRecord read_checkpoint(std::istream& in) {
+CheckpointRecord checkpoint_from_string(const std::string& text) {
+  std::istringstream in(text);
   CheckpointRecord rec;
   std::string line;
   std::size_t line_no = 0;
@@ -174,7 +170,7 @@ CheckpointRecord read_checkpoint(std::istream& in) {
       }
       run_seen = true;
     } else if (key == "circuit") {
-      rec.result.spec.circuit = rest_of_line(line, key);
+      rec.result.spec.circuit = reseed::rest_of_line(line, key);
       if (rec.result.spec.circuit.empty()) fail("empty circuit");
       circuit_seen = true;
     } else if (key == "tpg") {
@@ -205,7 +201,7 @@ CheckpointRecord read_checkpoint(std::istream& in) {
       rec.result.ok = ok == 1;
     } else if (key == "error") {
       if (ok != 0) fail("error record without ok 0");
-      rec.result.error = rest_of_line(line, key);
+      rec.result.error = reseed::rest_of_line(line, key);
       error_seen = true;
     } else if (key == "counts") {
       if (ok != 1) fail("counts record without ok 1");
@@ -241,17 +237,6 @@ CheckpointRecord read_checkpoint(std::istream& in) {
     throw std::runtime_error("ckpt: failed run without error record");
   }
   return rec;
-}
-
-std::string checkpoint_to_string(const CheckpointRecord& rec) {
-  std::ostringstream ss;
-  write_checkpoint(rec, ss);
-  return ss.str();
-}
-
-CheckpointRecord checkpoint_from_string(const std::string& text) {
-  std::istringstream ss(text);
-  return read_checkpoint(ss);
 }
 
 namespace {

@@ -36,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -68,15 +67,12 @@ struct CheckpointRecord {
   RunResult result;             // includes the run's RunSpec identity
 };
 
-/// Serialization of one run result ("fbist-ckpt v2" — v2 added the
+/// The codec of one run result ("fbist-ckpt v2" — v2 added the
 /// redundant / sat_detected counts; v1 blobs read as corrupt and are
-/// re-executed).  write always
-/// succeeds on a good stream; read throws std::runtime_error with a
-/// line-numbered message on malformed input and a version-naming
-/// message on a future-version blob.
-void write_checkpoint(const CheckpointRecord& rec, std::ostream& out);
-CheckpointRecord read_checkpoint(std::istream& in);
-
+/// re-executed).  checkpoint_from_string throws std::runtime_error
+/// with a line-numbered message on malformed input and a
+/// version-naming message on a future-version blob.  CheckpointStore
+/// moves the text to and from disk through util::io.
 std::string checkpoint_to_string(const CheckpointRecord& rec);
 CheckpointRecord checkpoint_from_string(const std::string& text);
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "obs/metrics.h"
@@ -36,6 +37,7 @@ struct Scheduler::LoopJob {
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> slots{0};
   std::size_t active = 0;  // caller + joined workers, guarded by mu_
+  std::exception_ptr error;  // first body exception, guarded by mu_
 
   bool exhausted() const {
     return next.load(std::memory_order_relaxed) >= n;
@@ -211,7 +213,16 @@ void Scheduler::participate(LoopJob& job) {
         job.next.fetch_add(job.chunk, std::memory_order_relaxed);
     if (begin >= job.n) break;
     const std::size_t end = std::min(job.n, begin + job.chunk);
-    for (std::size_t i = begin; i < end; ++i) (*job.body)(i, slot);
+    try {
+      for (std::size_t i = begin; i < end; ++i) (*job.body)(i, slot);
+    } catch (...) {
+      // Keep the first exception for the caller and hand out no more
+      // chunks; the other participants finish the chunk they hold.
+      std::lock_guard<std::mutex> lk(mu_);
+      if (!job.error) job.error = std::current_exception();
+      job.next.store(job.n, std::memory_order_relaxed);
+      return;
+    }
   }
 }
 
@@ -255,6 +266,8 @@ void Scheduler::parallel_for(
   if (job.slots.load(std::memory_order_relaxed) == 1) {
     OBS_COUNT(c_degraded, 1);
   }
+  // Every participant has left the job, so error is settled.
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 void TaskGroup::run(std::function<void()> task) {

@@ -83,6 +83,13 @@ class Scheduler {
   /// Blocks until the loop is complete; the caller participates, idle
   /// workers join.  Serial for small n — same cutoff as the old
   /// util::parallel_for, so existing grain expectations hold.
+  ///
+  /// Exceptions: a body may throw, on the caller or on a worker.  The
+  /// first exception is kept and no further chunks are handed out; the
+  /// other participants finish the chunk they hold (an exception there
+  /// is dropped), and parallel_for rethrows the kept one on the caller
+  /// once every participant has left the loop.  Indices after the
+  /// failure may never run; the pool stays usable.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 

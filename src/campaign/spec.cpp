@@ -87,7 +87,8 @@ const char* solver_name(reseed::SolverChoice s) {
   return s == reseed::SolverChoice::kExact ? "exact" : "greedy";
 }
 
-CampaignSpec parse_spec(std::istream& in) {
+CampaignSpec parse_spec_string(const std::string& text) {
+  std::istringstream in(text);
   CampaignSpec spec;
   // The defaulted lists are replaced wholesale by the first matching
   // key; subsequent lines of the same key append.
@@ -132,11 +133,6 @@ CampaignSpec parse_spec(std::istream& in) {
   }
   spec.validate();
   return spec;
-}
-
-CampaignSpec parse_spec_string(const std::string& text) {
-  std::istringstream in(text);
-  return parse_spec(in);
 }
 
 CampaignSpec parse_spec_file(const std::string& path) {
@@ -220,7 +216,9 @@ bool is_bench_path(const std::string& arg) {
 }
 
 netlist::Netlist load_circuit(const std::string& arg) {
-  if (is_bench_path(arg)) return netlist::parse_bench_file(arg);
+  if (is_bench_path(arg)) {
+    return netlist::parse_bench_string(util::io::read_file("spec.read", arg));
+  }
   return circuits::make_circuit(arg);
 }
 

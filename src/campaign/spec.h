@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,9 +76,8 @@ const char* solver_name(reseed::SolverChoice s);
 
 /// Parses the text format above; throws std::runtime_error with a
 /// line-numbered message on malformed input.
-CampaignSpec parse_spec(std::istream& in);
 CampaignSpec parse_spec_string(const std::string& text);
-/// File variant reads through the guarded I/O layer ("spec.read"
+/// Reads a spec file through the guarded I/O layer ("spec.read"
 /// failpoint; transient read failures retry before giving up).
 CampaignSpec parse_spec_file(const std::string& path);
 
@@ -106,6 +104,9 @@ std::uint64_t parse_run_timeout_arg(const std::string& arg);
 /// True when `arg` names a .bench file rather than a registry circuit.
 bool is_bench_path(const std::string& arg);
 /// Loads a registry circuit or parses a .bench file (scan-flattened).
+/// The file is read through the guarded I/O layer ("spec.read"), so
+/// an unreadable path fails with the errno reason, e.g. "cannot open
+/// x.bench: No such file or directory".
 netlist::Netlist load_circuit(const std::string& arg);
 
 }  // namespace fbist::campaign

@@ -1,27 +1,23 @@
 #include "cover/instance_io.h"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 namespace fbist::cover {
 
-void write_instance(const DetectionMatrix& m, std::ostream& out) {
+std::string instance_to_string(const DetectionMatrix& m) {
+  std::ostringstream out;
   out << "scp " << m.num_rows() << " " << m.num_cols() << "\n";
   for (std::size_t r = 0; r < m.num_rows(); ++r) {
     out << "row";
     m.row(r).for_each_set([&](std::size_t c) { out << ' ' << c; });
     out << "\n";
   }
+  return out.str();
 }
 
-std::string instance_to_string(const DetectionMatrix& m) {
-  std::ostringstream ss;
-  write_instance(m, ss);
-  return ss.str();
-}
-
-DetectionMatrix read_instance(std::istream& in) {
+DetectionMatrix instance_from_string(const std::string& text) {
+  std::istringstream in(text);
   std::string line;
   std::size_t line_no = 0;
   auto fail = [&](const std::string& msg) -> void {
@@ -61,23 +57,6 @@ DetectionMatrix read_instance(std::istream& in) {
                              " rows, found " + std::to_string(next_row));
   }
   return m;
-}
-
-DetectionMatrix instance_from_string(const std::string& text) {
-  std::istringstream ss(text);
-  return read_instance(ss);
-}
-
-void write_instance_file(const DetectionMatrix& m, const std::string& path) {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("cannot write " + path);
-  write_instance(m, f);
-}
-
-DetectionMatrix read_instance_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open " + path);
-  return read_instance(f);
 }
 
 }  // namespace fbist::cover

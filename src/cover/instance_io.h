@@ -13,22 +13,17 @@
 // must be covered by some row for the instance to be solvable.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "cover/detection_matrix.h"
 
 namespace fbist::cover {
 
-void write_instance(const DetectionMatrix& m, std::ostream& out);
+/// The `.scp` codec.  instance_from_string throws std::runtime_error
+/// with a line-numbered message on malformed input.  The CLI writes
+/// `matrix --out` files and reads `solve` inputs through util::io
+/// (util/guarded_io.h).
 std::string instance_to_string(const DetectionMatrix& m);
-
-/// Throws std::runtime_error with a line-numbered message on malformed
-/// input.
-DetectionMatrix read_instance(std::istream& in);
 DetectionMatrix instance_from_string(const std::string& text);
-
-void write_instance_file(const DetectionMatrix& m, const std::string& path);
-DetectionMatrix read_instance_file(const std::string& path);
 
 }  // namespace fbist::cover

@@ -1,7 +1,6 @@
 #include "netlist/bench_io.h"
 
 #include <cctype>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -30,7 +29,8 @@ struct PendingGate {
 
 }  // namespace
 
-Netlist parse_bench(std::istream& in) {
+Netlist parse_bench_string(const std::string& text) {
+  std::istringstream in(text);
   std::vector<std::string> input_names;
   std::vector<std::string> output_names;
   std::vector<PendingGate> pending;
@@ -176,18 +176,8 @@ Netlist parse_bench(std::istream& in) {
   return nl;
 }
 
-Netlist parse_bench_string(const std::string& text) {
-  std::istringstream ss(text);
-  return parse_bench(ss);
-}
-
-Netlist parse_bench_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open " + path);
-  return parse_bench(f);
-}
-
-void write_bench(const Netlist& nl, std::ostream& out) {
+std::string to_bench_string(const Netlist& nl) {
+  std::ostringstream out;
   out << "# " << nl.summary() << "\n";
   for (const NetId i : nl.inputs()) out << "INPUT(" << nl.gate(i).name << ")\n";
   for (const NetId o : nl.outputs()) out << "OUTPUT(" << nl.gate(o).name << ")\n";
@@ -204,12 +194,7 @@ void write_bench(const Netlist& nl, std::ostream& out) {
     }
     out << ")\n";
   }
-}
-
-std::string to_bench_string(const Netlist& nl) {
-  std::ostringstream ss;
-  write_bench(nl, ss);
-  return ss.str();
+  return out.str();
 }
 
 }  // namespace fbist::netlist

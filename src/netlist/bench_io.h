@@ -16,7 +16,6 @@
 // paper applies to the ISCAS'89 circuits.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "netlist/netlist.h"
@@ -24,13 +23,13 @@
 namespace fbist::netlist {
 
 /// Parses a `.bench` description.  Throws std::runtime_error with a
-/// line-numbered diagnostic on malformed input.
-Netlist parse_bench(std::istream& in);
+/// line-numbered diagnostic on malformed input.  A `.bench` file is
+/// read through campaign::load_circuit (campaign/spec.h), which goes
+/// through util::io.
 Netlist parse_bench_string(const std::string& text);
-Netlist parse_bench_file(const std::string& path);
 
-/// Writes `nl` in `.bench` format (stable order: inputs, gates, outputs).
-void write_bench(const Netlist& nl, std::ostream& out);
+/// Formats `nl` in `.bench` format (stable order: inputs, gates,
+/// outputs).
 std::string to_bench_string(const Netlist& nl);
 
 }  // namespace fbist::netlist

@@ -244,10 +244,4 @@ CompiledCircuit::CompiledCircuit(const Netlist& nl, bool build_cone_slices) {
   }
 }
 
-double CompiledCircuit::mean_cone_size() const {
-  const std::size_t n = num_nets();
-  return n == 0 ? 0.0
-               : static_cast<double>(cone_gates_.size()) / static_cast<double>(n);
-}
-
 }  // namespace fbist::netlist

@@ -135,9 +135,6 @@ class CompiledCircuit {
   /// Largest cone size in gates (scratch sizing for the cone walkers).
   std::size_t max_cone_gates() const { return max_cone_gates_; }
 
-  /// Mean cone size in gates (diagnostic, mirrors ConeIndex::mean_size).
-  double mean_cone_size() const;
-
   const std::vector<NetId>& inputs() const { return inputs_; }
   const std::vector<NetId>& outputs() const { return outputs_; }
 

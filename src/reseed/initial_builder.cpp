@@ -1,10 +1,7 @@
 #include "reseed/initial_builder.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -90,14 +87,10 @@ InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
   // bit-identical at any worker count.
   OBS_COUNTER(c_packings, "builder.packings");
   OBS_COUNTER(c_expand_ns, "builder.expand_ns");
-  // parallel_for does not catch loop-body exceptions, so trap them
-  // here: first throw wins, later packings bail out early, and the
-  // exception resurfaces on the calling thread after the stage's join.
-  // This is how a deadline expiry (or an injected builder failure)
-  // unwinds a multi-packing build cleanly.
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  std::atomic<bool> abort{false};
+  // A packing body may throw (a deadline expiry, an injected builder
+  // failure): parallel_for stops handing out packings and rethrows the
+  // first exception on this thread after the stage's join, so the
+  // build unwinds before any partial matrix is attached or cached.
   std::vector<util::WideWord> state(M);  // start of each row's next segment
   std::vector<std::size_t> stage_rows;   // matrix row of each stage row
   std::vector<std::size_t> lengths;
@@ -114,57 +107,49 @@ InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
     if (stage_rows.empty()) break;
     const std::vector<sim::LanePacking> packings = sim::pack_rows(lengths);
     util::parallel_for(packings.size(), [&](std::size_t p) {
-      if (abort.load(std::memory_order_relaxed)) return;
-      try {
-        FBIST_FAILPOINT("builder.pack");
-        if (deadline != nullptr) deadline->check("matrix build");
-        OBS_SPAN("packing");
-        OBS_COUNT(c_packings, 1);
-        const sim::LanePacking& pk = packings[p];
-        sim::PatternSet packed(tpg.width(), pk.num_patterns);
-        {
-          OBS_SCOPED_NS(expand_timer, c_expand_ns);
-          for (const sim::LanePacking::Row& pr : pk.rows) {
-            const std::size_t r = stage_rows[pr.row];
-            const tpg::Triplet& t = out.triplets[r];
-            util::WideWord next = tpg::expand_triplet_into(
-                tpg,
-                tpg::Triplet{lo == 0 ? t.delta : state[r], t.sigma, pr.length},
-                packed, pr.base);
-            if (lo + pr.length < t.cycles) state[r] = std::move(next);
-          }
-        }
-        if (lo == 0) {
-          std::vector<sim::FaultSimResult> rs = fsim.run_packed(packed, pk);
-          for (std::size_t i = 0; i < pk.rows.size(); ++i) {
-            const std::size_t r = stage_rows[pk.rows[i].row];
-            out.matrix.set_row(r, std::move(rs[i].detected));
-            earliest[r] = std::move(rs[i].earliest);
-          }
-          return;
-        }
-        std::vector<util::BitVector> seek;
-        seek.reserve(pk.rows.size());
+      FBIST_FAILPOINT("builder.pack");
+      if (deadline != nullptr) deadline->check("matrix build");
+      OBS_SPAN("packing");
+      OBS_COUNT(c_packings, 1);
+      const sim::LanePacking& pk = packings[p];
+      sim::PatternSet packed(tpg.width(), pk.num_patterns);
+      {
+        OBS_SCOPED_NS(expand_timer, c_expand_ns);
         for (const sim::LanePacking::Row& pr : pk.rows) {
-          seek.emplace_back(F, true);
-          seek.back().and_not(out.matrix.row(stage_rows[pr.row]));
+          const std::size_t r = stage_rows[pr.row];
+          const tpg::Triplet& t = out.triplets[r];
+          util::WideWord next = tpg::expand_triplet_into(
+              tpg,
+              tpg::Triplet{lo == 0 ? t.delta : state[r], t.sigma, pr.length},
+              packed, pr.base);
+          if (lo + pr.length < t.cycles) state[r] = std::move(next);
         }
-        const std::vector<sim::FaultSimResult> rs =
-            fsim.run_packed(packed, pk, &seek);
+      }
+      if (lo == 0) {
+        std::vector<sim::FaultSimResult> rs = fsim.run_packed(packed, pk);
         for (std::size_t i = 0; i < pk.rows.size(); ++i) {
           const std::size_t r = stage_rows[pk.rows[i].row];
-          rs[i].detected.for_each_set([&](std::size_t f) {
-            out.matrix.set(r, f);
-            earliest[r][f] = static_cast<std::uint32_t>(lo + rs[i].earliest[f]);
-          });
+          out.matrix.set_row(r, std::move(rs[i].detected));
+          earliest[r] = std::move(rs[i].earliest);
         }
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-        abort.store(true, std::memory_order_relaxed);
+        return;
+      }
+      std::vector<util::BitVector> seek;
+      seek.reserve(pk.rows.size());
+      for (const sim::LanePacking::Row& pr : pk.rows) {
+        seek.emplace_back(F, true);
+        seek.back().and_not(out.matrix.row(stage_rows[pr.row]));
+      }
+      const std::vector<sim::FaultSimResult> rs =
+          fsim.run_packed(packed, pk, &seek);
+      for (std::size_t i = 0; i < pk.rows.size(); ++i) {
+        const std::size_t r = stage_rows[pk.rows[i].row];
+        rs[i].detected.for_each_set([&](std::size_t f) {
+          out.matrix.set(r, f);
+          earliest[r][f] = static_cast<std::uint32_t>(lo + rs[i].earliest[f]);
+        });
       }
     });
-    if (first_error) std::rethrow_exception(first_error);
   }
   // Final poll before the matrix becomes durable state: an expired
   // deadline must never let a (complete but over-budget) matrix be

@@ -53,7 +53,9 @@ struct InitialReseeding {
 /// freshly built results are identical.  An armed `deadline` is polled
 /// between packings (each packing is one bounded PPSFP walk); expiry
 /// throws util::TimeoutError before any partial matrix can reach the
-/// cache.
+/// cache.  Any exception a packing throws (an expiry, an injected
+/// builder.pack failure) reaches the caller the same way, through the
+/// pool's parallel_for (campaign/scheduler.h).
 InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
                                          const tpg::Tpg& tpg,
                                          const sim::PatternSet& atpg_patterns,

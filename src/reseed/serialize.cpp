@@ -1,7 +1,6 @@
 #include "reseed/serialize.h"
 
 #include <charconv>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -19,6 +18,12 @@ void check_version_header(const std::string& key, const std::string& version,
                              version + "' (this build reads '" + want_version +
                              "'); rebuild or evict the blob");
   }
+}
+
+std::string rest_of_line(const std::string& line, const std::string& key) {
+  // `key` is the line's first token, so its first occurrence is it.
+  const std::size_t start = line.find(key) + key.size() + 1;
+  return start >= line.size() ? std::string() : line.substr(start);
 }
 
 std::size_t RomImage::test_length() const {
@@ -57,7 +62,8 @@ RomImage to_rom_image(const ReseedingSolution& sol, const std::string& circuit,
   return rom;
 }
 
-void write_rom(const RomImage& rom, std::ostream& out) {
+std::string rom_to_string(const RomImage& rom) {
+  std::ostringstream out;
   out << "fbist-rom v1\n";
   out << "circuit " << rom.circuit << "\n";
   out << "tpg " << rom.tpg_name << "\n";
@@ -68,9 +74,11 @@ void write_rom(const RomImage& rom, std::ostream& out) {
     out << "triplet " << t.delta.to_hex() << " " << t.sigma.to_hex() << " "
         << t.cycles << "\n";
   }
+  return out.str();
 }
 
-RomImage read_rom(std::istream& in) {
+RomImage rom_from_string(const std::string& text) {
+  std::istringstream in(text);
   RomImage rom;
   std::string line;
   std::size_t line_no = 0;
@@ -98,7 +106,7 @@ RomImage read_rom(std::istream& in) {
       continue;
     }
     if (key == "circuit") {
-      ss >> rom.circuit;
+      rom.circuit = rest_of_line(line, key);
     } else if (key == "tpg") {
       ss >> rom.tpg_name;
     } else if (key == "width") {
@@ -130,29 +138,6 @@ RomImage read_rom(std::istream& in) {
   return rom;
 }
 
-std::string rom_to_string(const RomImage& rom) {
-  std::ostringstream ss;
-  write_rom(rom, ss);
-  return ss.str();
-}
-
-RomImage rom_from_string(const std::string& text) {
-  std::istringstream ss(text);
-  return read_rom(ss);
-}
-
-void write_rom_file(const RomImage& rom, const std::string& path) {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("cannot write " + path);
-  write_rom(rom, f);
-}
-
-RomImage read_rom_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open " + path);
-  return read_rom(f);
-}
-
 namespace {
 
 void append_decimal(std::string& out, std::uint64_t v) {
@@ -170,12 +155,8 @@ void append_hex_word(std::string& out, std::uint64_t w) {
 
 }  // namespace
 
-void write_matrix(const cover::DetectionMatrix& m, std::ostream& out) {
-  const std::string text = matrix_to_string(m);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-}
-
-cover::DetectionMatrix read_matrix(std::istream& in) {
+cover::DetectionMatrix matrix_from_string(const std::string& text) {
+  std::istringstream in(text);
   std::string line;
   std::size_t line_no = 0;
 
@@ -320,24 +301,6 @@ std::string matrix_to_string(const cover::DetectionMatrix& m) {
     out += '\n';
   }
   return out;
-}
-
-cover::DetectionMatrix matrix_from_string(const std::string& text) {
-  std::istringstream ss(text);
-  return read_matrix(ss);
-}
-
-void write_matrix_file(const cover::DetectionMatrix& m,
-                       const std::string& path) {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("cannot write " + path);
-  write_matrix(m, f);
-}
-
-cover::DetectionMatrix read_matrix_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open " + path);
-  return read_matrix(f);
 }
 
 }  // namespace fbist::reseed

@@ -28,9 +28,12 @@
 // reject a blob whose magic matches but whose version does not with a
 // message naming both versions, so stale on-disk cache files fail
 // loudly instead of being misparsed.
+//
+// Each format is one string codec.  Its callers move the text to and
+// from disk through util::io (util/guarded_io.h): the CLI's ROM files
+// and the matrix cache's blobs are written atomically and checked.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -48,6 +51,12 @@ namespace fbist::reseed {
 /// fbist-dmx, and the campaign layer's fbist-ckpt run-result records).
 void check_version_header(const std::string& key, const std::string& version,
                           const char* magic, const char* want_version);
+
+/// Rest-of-line field: everything after "<key> ", where `key` is the
+/// line's first token (may be empty).  Read this way, a field may
+/// contain spaces — circuit paths in fbist-rom and fbist-ckpt, error
+/// messages in fbist-ckpt.
+std::string rest_of_line(const std::string& line, const std::string& key);
 
 /// Everything needed to replay a reseeding solution on hardware.
 struct RomImage {
@@ -68,32 +77,19 @@ struct RomImage {
 RomImage to_rom_image(const ReseedingSolution& sol, const std::string& circuit,
                       const std::string& tpg_name, std::size_t width);
 
-/// Serialization.  write_rom always succeeds on a good stream; read_rom
+/// The ROM codec.  rom_to_string formats the image; rom_from_string
 /// throws std::runtime_error with a line-numbered message on malformed
-/// input.
-void write_rom(const RomImage& rom, std::ostream& out);
-RomImage read_rom(std::istream& in);
-
+/// input.  Files hold exactly these bytes and are read and written
+/// through util::io (util/guarded_io.h).
 std::string rom_to_string(const RomImage& rom);
 RomImage rom_from_string(const std::string& text);
 
-void write_rom_file(const RomImage& rom, const std::string& path);
-RomImage read_rom_file(const std::string& path);
-
-/// Detection-matrix persistence ("fbist-dmx v1").  Round-trips the bits
+/// The detection-matrix codec ("fbist-dmx v1").  Round-trips the bits
 /// and, when attached, the earliest-detection indices exactly;
-/// read_matrix throws std::runtime_error with a line-numbered message
-/// on malformed input and a version-naming message on a future-version
-/// blob.  matrix_to_string formats the blob straight into one string
-/// (no stream); write_matrix writes that string.
-void write_matrix(const cover::DetectionMatrix& m, std::ostream& out);
-cover::DetectionMatrix read_matrix(std::istream& in);
-
+/// matrix_from_string throws std::runtime_error with a line-numbered
+/// message on malformed input and a version-naming message on a
+/// future-version blob.
 std::string matrix_to_string(const cover::DetectionMatrix& m);
 cover::DetectionMatrix matrix_from_string(const std::string& text);
-
-void write_matrix_file(const cover::DetectionMatrix& m,
-                       const std::string& path);
-cover::DetectionMatrix read_matrix_file(const std::string& path);
 
 }  // namespace fbist::reseed

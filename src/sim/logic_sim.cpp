@@ -1,56 +1,12 @@
 #include "sim/logic_sim.h"
 
 #include <cassert>
-#include <stdexcept>
 
 #include "sim/gate_eval.h"
 
 namespace fbist::sim {
 
 using netlist::CompiledCircuit;
-using netlist::GateType;
-
-Word eval_gate(GateType type, const Word* fanin_values, std::size_t fanin_count) {
-  switch (type) {
-    case GateType::kInput:
-      throw std::logic_error("eval_gate on primary input");
-    case GateType::kBuf:
-      return fanin_values[0];
-    case GateType::kNot:
-      return ~fanin_values[0];
-    case GateType::kAnd: {
-      Word v = fanin_values[0];
-      for (std::size_t i = 1; i < fanin_count; ++i) v &= fanin_values[i];
-      return v;
-    }
-    case GateType::kNand: {
-      Word v = fanin_values[0];
-      for (std::size_t i = 1; i < fanin_count; ++i) v &= fanin_values[i];
-      return ~v;
-    }
-    case GateType::kOr: {
-      Word v = fanin_values[0];
-      for (std::size_t i = 1; i < fanin_count; ++i) v |= fanin_values[i];
-      return v;
-    }
-    case GateType::kNor: {
-      Word v = fanin_values[0];
-      for (std::size_t i = 1; i < fanin_count; ++i) v |= fanin_values[i];
-      return ~v;
-    }
-    case GateType::kXor: {
-      Word v = fanin_values[0];
-      for (std::size_t i = 1; i < fanin_count; ++i) v ^= fanin_values[i];
-      return v;
-    }
-    case GateType::kXnor: {
-      Word v = fanin_values[0];
-      for (std::size_t i = 1; i < fanin_count; ++i) v ^= fanin_values[i];
-      return ~v;
-    }
-  }
-  return 0;
-}
 
 void LogicSim::simulate_word(const PatternSet& patterns, std::size_t base,
                              std::vector<Word>& values) const {

@@ -22,9 +22,6 @@ namespace fbist::sim {
 
 using Word = std::uint64_t;
 
-/// Evaluates one gate over bit-sliced fanin values.
-Word eval_gate(netlist::GateType type, const Word* fanin_values, std::size_t fanin_count);
-
 /// Parallel-pattern good-value simulator for one netlist.
 class LogicSim {
  public:

@@ -12,6 +12,13 @@
 //
 //   FBIST_FAILPOINT("checkpoint.write");
 //
+// Most sites are named by what they guard; two cover a whole class of
+// files, since every file goes through util::io (util/guarded_io.h):
+// spec.read covers every operator-named input (campaign spec files,
+// .bench circuits, the ROM of `replay`, the .scp of `solve`), and
+// report.write every CLI output file (`--json` reports, `--out` ROMs
+// and .scp instances).
+//
 // which is a no-op unless that site was armed at process start via the
 // environment (or configure() in tests):
 //

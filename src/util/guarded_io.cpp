@@ -116,30 +116,36 @@ void write_file_atomic(const char* site, const std::string& path,
       site,
       [&] {
         FBIST_FAILPOINT(site);
-        const std::string tmp =
-            path + ".tmp." + std::to_string(::getpid());
+        // An existing target that is not a regular file (a FIFO, a
+        // device, a symlink such as /dev/stdout) is written in place:
+        // renaming a temp over it would replace the node itself.
+        std::error_code ec;
+        const fs::file_status st = fs::symlink_status(path, ec);
+        const bool in_place =
+            !ec && fs::exists(st) && !fs::is_regular_file(st);
+        const std::string target =
+            in_place ? path : path + ".tmp." + std::to_string(::getpid());
         errno = 0;
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+        std::ofstream out(target, std::ios::binary | std::ios::trunc);
         if (!out) {
-          throw IoError("cannot open " + tmp + errno_suffix(errno),
+          throw IoError("cannot open " + target + errno_suffix(errno),
                         errno_is_transient(errno));
         }
         out.write(payload.data(),
                   static_cast<std::streamsize>(payload.size()));
         out.flush();
+        out.close();  // a failed write, flush or close leaves errno set
         if (!out) {
           const int err = errno;
-          out.close();
-          remove_quietly(tmp);
-          throw IoError("short write to " + tmp + errno_suffix(err),
+          if (!in_place) remove_quietly(target);
+          throw IoError("short write to " + target + errno_suffix(err),
                         errno_is_transient(err));
         }
-        out.close();
-        std::error_code ec;
-        fs::rename(tmp, path, ec);
+        if (in_place) return;
+        fs::rename(target, path, ec);
         if (ec) {
-          remove_quietly(tmp);
-          throw IoError("cannot rename " + tmp + " to " + path + ": " +
+          remove_quietly(target);
+          throw IoError("cannot rename " + target + " to " + path + ": " +
                             ec.message(),
                         errno_is_transient(ec.value()));
         }

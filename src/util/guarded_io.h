@@ -1,9 +1,12 @@
 // Guarded I/O: classified errors, deterministic retry with backoff.
 //
-// Every durable write and read in the campaign stack — checkpoint
-// blobs, .dmx cache blobs, report/trace/metrics artifacts, spec files —
-// goes through this layer instead of touching streams directly.  It
-// gives each site three things:
+// Every file the program reads or writes goes through this layer —
+// checkpoint blobs, .dmx cache blobs, report/trace/metrics artifacts,
+// spec files, .bench circuits, and the CLI's ROM and .scp files — and
+// nothing else opens a file stream.  Each persisted text format is one
+// string codec (reseed/serialize.h, cover/instance_io.h,
+// netlist/bench_io.h, campaign/checkpoint.h, campaign/spec.h), and
+// this layer moves the string.  It gives each site three things:
 //
 //   1. A failpoint (util::failpoint) at the top of every attempt, so
 //      chaos tests inject failures on the exact production path.
@@ -18,9 +21,11 @@
 //      snapshot shows how hard the disk fought back.
 //
 // Writers are atomic: payload lands in `path + ".tmp.<pid>"`, is
-// flush-checked, then renamed over the target — a torn write can leave
-// a stale temp (swept by CheckpointStore on open) but never a
-// half-written final file.
+// flush- and close-checked, then renamed over the target — a torn
+// write can leave a stale temp (swept by CheckpointStore on open) but
+// never a half-written final file.  An existing target that is not a
+// regular file (a FIFO, a device, a symlink such as /dev/stdout) is
+// never renamed over: it is written in place, with the same checks.
 #pragma once
 
 #include <cstdint>
@@ -62,8 +67,10 @@ struct RetryPolicy {
 void with_retries(const char* site, const std::function<void()>& op,
                   const RetryPolicy& policy = RetryPolicy{});
 
-/// Atomically writes `payload` to `path` (tmp + flush-check + rename)
-/// under with_retries; evaluates the failpoint `site` on each attempt.
+/// Atomically writes `payload` to `path` (tmp + flush/close check +
+/// rename) under with_retries; evaluates the failpoint `site` on each
+/// attempt.  A target that exists and is not a regular file is written
+/// in place instead (see the header comment).
 void write_file_atomic(const char* site, const std::string& path,
                        const std::string& payload,
                        const RetryPolicy& policy = RetryPolicy{});

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace fbist::campaign {
@@ -101,6 +104,53 @@ TEST(Scheduler, TaskExceptionSurfacesFromWait) {
   group.run([&ran] { ran.fetch_add(1); });
   group.wait();
   EXPECT_EQ(ran.load(), 1);
+}
+
+TEST(Scheduler, ParallelForRethrowsTheFirstBodyException) {
+  // A body that throws on the caller's own slot, or on a worker's,
+  // reaches the caller once every participant has left the loop, and
+  // the pool then runs a full loop.
+  constexpr std::size_t kN = 4096;
+  for (const std::size_t workers : {1u, 4u}) {
+    Scheduler sched(workers);
+    for (const bool throw_on_caller : {true, false}) {
+      SCOPED_TRACE(std::to_string(workers) + " workers, throw on " +
+                   (throw_on_caller ? "the caller" : "a worker"));
+      const std::thread::id caller = std::this_thread::get_id();
+      std::atomic<bool> caller_ran{false};
+      std::atomic<bool> worker_ran{false};
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      try {
+        sched.parallel_for(kN, [&](std::size_t i, std::size_t) {
+          const bool on_caller = std::this_thread::get_id() == caller;
+          (on_caller ? caller_ran : worker_ran).store(true);
+          // Hold each side until the other has run an index, so both
+          // share the loop when the body throws.  A blocked side holds
+          // one chunk, so the other always finds one left.
+          const std::atomic<bool>& other = on_caller ? worker_ran : caller_ran;
+          while (!other.load() && std::chrono::steady_clock::now() < until) {
+            std::this_thread::yield();
+          }
+          if (on_caller == throw_on_caller) {
+            throw std::runtime_error("body " + std::to_string(i));
+          }
+        });
+        ADD_FAILURE() << "no exception reached the caller";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("body ", 0), 0u) << e.what();
+      }
+      EXPECT_TRUE(caller_ran.load());
+      EXPECT_TRUE(worker_ran.load());
+      std::vector<std::atomic<int>> hits(kN);
+      sched.parallel_for(kN, [&](std::size_t i, std::size_t) {
+        hits[i].fetch_add(1);
+      });
+      for (std::size_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+      }
+    }
+  }
 }
 
 TEST(Scheduler, SetWorkersRestartsThePool) {

@@ -66,15 +66,5 @@ TEST(InstanceIo, SolverAgreesAcrossRoundTrip) {
   EXPECT_EQ(solve_exact(m).rows.size(), solve_exact(back).rows.size());
 }
 
-TEST(InstanceIo, FileRoundTrip) {
-  util::Rng rng(4);
-  const auto m = random_matrix(rng, 5, 7);
-  const std::string path = "/tmp/fbist_instance_test.scp";
-  write_instance_file(m, path);
-  const auto back = read_instance_file(path);
-  for (std::size_t r = 0; r < 5; ++r) EXPECT_EQ(back.row(r), m.row(r));
-  EXPECT_THROW(read_instance_file("/nonexistent/i.scp"), std::runtime_error);
-}
-
 }  // namespace
 }  // namespace fbist::cover

@@ -108,9 +108,5 @@ TEST(BenchIo, CommentsAndBlankLinesIgnored) {
   EXPECT_NO_THROW(parse_bench_string(text));
 }
 
-TEST(BenchIo, MissingFileThrows) {
-  EXPECT_THROW(parse_bench_file("/nonexistent/file.bench"), std::runtime_error);
-}
-
 }  // namespace
 }  // namespace fbist::netlist

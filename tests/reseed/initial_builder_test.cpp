@@ -13,6 +13,8 @@
 #include "tpg/accumulator.h"
 #include "tpg/expand_oracle.h"
 #include "tpg/triplet.h"
+#include "util/failpoint.h"
+#include "util/rng.h"
 
 namespace fbist::reseed {
 namespace {
@@ -279,6 +281,45 @@ TEST(InitialBuilder, SharedSigmaUsesOneValue) {
   const auto init = build_initial_reseeding(f.fsim, tpg, f.atpg.patterns, opts);
   for (std::size_t i = 1; i < init.triplets.size(); ++i) {
     EXPECT_EQ(init.triplets[i].sigma, init.triplets[0].sigma);
+  }
+}
+
+// A packing that throws, on a pool worker or on the caller, reaches the
+// build's caller: builder.pack fires once, the build throws that
+// InjectedError, and the next build (the failpoint spent) returns what
+// an unarmed build returns.  640 candidates at T = 64 pack into 40
+// one-chunk packings, so the stage runs on the 4-worker pool.
+TEST(InitialBuilder, InjectedPackFailureReachesTheCallerOnce) {
+  if (!util::failpoint::compiled_in()) {
+    GTEST_SKIP() << "failpoints compiled out";
+  }
+  const netlist::Netlist nl = circuits::make_circuit("c432");
+  const fault::FaultList fl = fault::FaultList::collapsed(nl);
+  const sim::FaultSim fsim(nl, fl);
+  util::Rng rng(3);
+  const sim::PatternSet candidates =
+      sim::PatternSet::random(nl.num_inputs(), 640, rng);
+  const auto tpg = tpg::make_tpg(tpg::TpgKind::kAdder, nl.num_inputs());
+  BuilderOptions opts;
+  opts.cycles_per_triplet = 64;
+  campaign::Scheduler::global().set_workers(4);
+  const InitialReseeding want =
+      build_initial_reseeding(fsim, *tpg, candidates, opts);
+  util::failpoint::configure("builder.pack=perm(1,0,1)");
+  EXPECT_THROW(build_initial_reseeding(fsim, *tpg, candidates, opts),
+               util::failpoint::InjectedError);
+  const InitialReseeding got =
+      build_initial_reseeding(fsim, *tpg, candidates, opts);
+  EXPECT_EQ(util::failpoint::fires("builder.pack"), 1u);
+  util::failpoint::clear();
+  campaign::Scheduler::global().set_workers(0);  // restore default
+  ASSERT_EQ(got.matrix.num_rows(), want.matrix.num_rows());
+  for (std::size_t i = 0; i < want.matrix.num_rows(); ++i) {
+    EXPECT_EQ(got.matrix.row(i), want.matrix.row(i)) << "row " << i;
+    for (std::size_t c = 0; c < want.matrix.num_cols(); ++c) {
+      ASSERT_EQ(got.matrix.earliest(i, c), want.matrix.earliest(i, c))
+          << "row " << i;
+    }
   }
 }
 

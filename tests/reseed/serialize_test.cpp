@@ -173,14 +173,6 @@ TEST(MatrixSerialize, RoundTripEmptyAndDense) {
   expect_matrices_equal(dense, matrix_from_string(matrix_to_string(dense)));
 }
 
-TEST(MatrixSerialize, RoundTripThroughFile) {
-  const auto m = sample_matrix(5, 100, /*with_earliest=*/true, 9);
-  const std::string path = ::testing::TempDir() + "fbist_dmx_roundtrip.dmx";
-  write_matrix_file(m, path);
-  expect_matrices_equal(m, read_matrix_file(path));
-  std::remove(path.c_str());
-}
-
 TEST(MatrixSerialize, RejectsBadInput) {
   EXPECT_THROW(matrix_from_string(""), std::runtime_error);
   EXPECT_THROW(matrix_from_string("fbist-rom v1\n"), std::runtime_error);
@@ -203,12 +195,13 @@ TEST(MatrixSerialize, VersionMismatchNamesBothVersions) {
   }
 }
 
-TEST(Serialize, FileRoundTrip) {
-  const RomImage rom = sample_rom();
-  const std::string path = "/tmp/fbist_serialize_test.rom";
-  write_rom_file(rom, path);
-  EXPECT_EQ(read_rom_file(path), rom);
-  EXPECT_THROW(read_rom_file("/nonexistent/x.rom"), std::runtime_error);
+TEST(Serialize, CircuitPathWithSpacesRoundTrips) {
+  // A .bench path names the circuit; the field is the rest of its line.
+  RomImage rom = sample_rom();
+  rom.circuit = "my designs/c17 v2.bench";
+  const std::string text = rom_to_string(rom);
+  EXPECT_NE(text.find("\ncircuit my designs/c17 v2.bench\n"), std::string::npos);
+  EXPECT_EQ(rom_from_string(text), rom);
 }
 
 TEST(Serialize, EndToEndSolutionReplay) {

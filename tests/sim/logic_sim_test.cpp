@@ -4,6 +4,7 @@
 
 #include "circuits/generator.h"
 #include "circuits/registry.h"
+#include "sim/reference_sim.h"
 
 namespace fbist::sim {
 namespace {

@@ -1,6 +1,7 @@
 #include "sim/reference_sim.h"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "util/parallel.h"
 
@@ -8,6 +9,48 @@ namespace fbist::sim {
 
 using netlist::GateType;
 using netlist::NetId;
+
+Word eval_gate(GateType type, const Word* fanin_values, std::size_t fanin_count) {
+  switch (type) {
+    case GateType::kInput:
+      throw std::logic_error("eval_gate on primary input");
+    case GateType::kBuf:
+      return fanin_values[0];
+    case GateType::kNot:
+      return ~fanin_values[0];
+    case GateType::kAnd: {
+      Word v = fanin_values[0];
+      for (std::size_t i = 1; i < fanin_count; ++i) v &= fanin_values[i];
+      return v;
+    }
+    case GateType::kNand: {
+      Word v = fanin_values[0];
+      for (std::size_t i = 1; i < fanin_count; ++i) v &= fanin_values[i];
+      return ~v;
+    }
+    case GateType::kOr: {
+      Word v = fanin_values[0];
+      for (std::size_t i = 1; i < fanin_count; ++i) v |= fanin_values[i];
+      return v;
+    }
+    case GateType::kNor: {
+      Word v = fanin_values[0];
+      for (std::size_t i = 1; i < fanin_count; ++i) v |= fanin_values[i];
+      return ~v;
+    }
+    case GateType::kXor: {
+      Word v = fanin_values[0];
+      for (std::size_t i = 1; i < fanin_count; ++i) v ^= fanin_values[i];
+      return v;
+    }
+    case GateType::kXnor: {
+      Word v = fanin_values[0];
+      for (std::size_t i = 1; i < fanin_count; ++i) v ^= fanin_values[i];
+      return ~v;
+    }
+  }
+  return 0;
+}
 
 void ReferenceLogicSim::simulate_word(const PatternSet& patterns, std::size_t base,
                                       std::vector<Word>& values) const {

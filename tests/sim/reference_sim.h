@@ -25,6 +25,12 @@
 
 namespace fbist::sim {
 
+/// Evaluates one gate over bit-sliced fanin values: the reference
+/// simulators' per-gate evaluator (the library evaluates the compiled
+/// schedule through detail::eval_compiled_gate instead).
+Word eval_gate(netlist::GateType type, const Word* fanin_values,
+               std::size_t fanin_count);
+
 /// Seed parallel-pattern good-value simulator (per-gate Netlist walk).
 class ReferenceLogicSim {
  public:

@@ -1,8 +1,12 @@
 #include "util/guarded_io.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <string>
 
@@ -112,6 +116,33 @@ TEST_F(GuardedIoTest, AtomicWriteRoundTripsAndLeavesNoTemp) {
   for (const auto& de : fs::directory_iterator(dir)) {
     ++entries;
     EXPECT_EQ(de.path().filename().string(), "payload.bin");
+  }
+  EXPECT_EQ(entries, 1u);
+  fs::remove_all(dir);
+}
+
+TEST_F(GuardedIoTest, NonRegularTargetIsWrittenInPlace) {
+  // A FIFO stands in for a device such as /dev/stdout: the payload
+  // must go through it to the reader, and no rename may replace it.
+  const std::string dir = scratch_dir("fifo");
+  const std::string path = dir + "/out.fifo";
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+  // With a reader already open, the writer's open returns at once.
+  const int reader = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(reader, 0) << std::strerror(errno);
+  const std::string payload = "fbist-rom v1\ncircuit c17\n";  // < PIPE_BUF
+  io::write_file_atomic("report.write", path, payload, fast_policy());
+  std::string got(4096, '\0');
+  const ssize_t n = ::read(reader, got.data(), got.size());
+  ::close(reader);
+  ASSERT_GE(n, 0) << std::strerror(errno);
+  got.resize(static_cast<std::size_t>(n));
+  EXPECT_EQ(got, payload);
+  EXPECT_TRUE(fs::is_fifo(fs::symlink_status(path)));
+  std::size_t entries = 0;
+  for (const auto& de : fs::directory_iterator(dir)) {
+    ++entries;
+    EXPECT_EQ(de.path().filename().string(), "out.fifo");
   }
   EXPECT_EQ(entries, 1u);
   fs::remove_all(dir);

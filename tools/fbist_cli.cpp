@@ -76,7 +76,11 @@
 // (see util/failpoint.h for the grammar; `fbist failpoints` lists the
 // sites) to deterministically inject I/O failures and delays at the
 // durable-I/O paths — the chaos CI job drives the whole sweep this way
-// and asserts the report stays byte-identical.
+// and asserts the report stays byte-identical.  Every file goes through
+// util::io: output files (`--out`, `--json`) are written atomically
+// under report.write, so a failed write exits 1 and leaves no file, and
+// operator-named inputs (.bench circuits, ROMs, .scp instances, spec
+// files) are read under spec.read.
 //
 // Circuit arguments name either a registry benchmark (c432, s1238, ...)
 // or a path to an ISCAS .bench file (sequential files are scan-flattened).
@@ -246,7 +250,8 @@ int cmd_reseed(const std::string& arg, const Flags& f) {
   if (!f.out.empty()) {
     const auto rom = reseed::to_rom_image(sol, arg, f.tpg,
                                           p.circuit().num_inputs());
-    reseed::write_rom_file(rom, f.out);
+    util::io::write_file_atomic("report.write", f.out,
+                                reseed::rom_to_string(rom));
     std::cout << "ROM image written to " << f.out << " (" << rom.rom_bits()
               << " bits)\n";
   }
@@ -254,7 +259,8 @@ int cmd_reseed(const std::string& arg, const Flags& f) {
 }
 
 int cmd_replay(const std::string& arg, const std::string& rom_path) {
-  const auto rom = reseed::read_rom_file(rom_path);
+  const auto rom =
+      reseed::rom_from_string(util::io::read_file("spec.read", rom_path));
   reseed::Pipeline p(load_circuit(arg), arg);
   if (rom.width != p.circuit().num_inputs()) {
     obs::diag(obs::Severity::kError, "replay",
@@ -301,9 +307,10 @@ int cmd_matrix(const std::string& arg, const Flags& f) {
   const auto [init, sol] = p.run_detailed(parse_tpg(f.tpg), f.cycles);
   (void)sol;
   if (f.out.empty()) {
-    cover::write_instance(init.matrix, std::cout);
+    std::cout << cover::instance_to_string(init.matrix);
   } else {
-    cover::write_instance_file(init.matrix, f.out);
+    util::io::write_file_atomic("report.write", f.out,
+                                cover::instance_to_string(init.matrix));
     std::cout << "detection matrix (" << init.matrix.num_rows() << "x"
               << init.matrix.num_cols() << ") written to " << f.out << "\n";
   }
@@ -311,7 +318,8 @@ int cmd_matrix(const std::string& arg, const Flags& f) {
 }
 
 int cmd_solve(const std::string& path, const Flags& f) {
-  const auto m = cover::read_instance_file(path);
+  const auto m =
+      cover::instance_from_string(util::io::read_file("spec.read", path));
   if (!m.all_columns_coverable()) {
     obs::diag(obs::Severity::kError, "solve",
               "instance has uncoverable columns");
@@ -555,7 +563,7 @@ int cmd_gen(const std::vector<std::string>& args) {
   spec.num_gates = parse_count(args[4], "<gates>");
   spec.seed = parse_unsigned(args[5], "<seed>");
   spec.layers = 8 + spec.num_gates / 150;
-  netlist::write_bench(circuits::generate(spec), std::cout);
+  std::cout << netlist::to_bench_string(circuits::generate(spec));
   return 0;
 }
 
