@@ -286,14 +286,14 @@ void run_matrix_build_bench(benchmark::State& state, bool batched) {
         reseed::build_initial_reseeding(fsim, tpg, atpg_patterns, opts);
     for (auto _ : state) {
       cover::DetectionMatrix m(M, fl.size());
-      std::vector<std::vector<std::uint32_t>> earliest(M);
+      m.track_earliest();
       util::parallel_for(M, [&](std::size_t i) {
         const auto ts = tpg::expand_triplet(tpg, init.triplets[i]);
         const auto r = fsim.run(ts);
+        r.detected.for_each_set(
+            [&](std::size_t f) { m.set_earliest(i, f, r.earliest[f]); });
         m.set_row(i, r.detected);
-        earliest[i] = r.earliest;
       });
-      m.attach_earliest(std::move(earliest));
       benchmark::DoNotOptimize(m);
     }
   }

@@ -32,6 +32,7 @@ Podem::Podem(std::shared_ptr<const CompiledCircuit> compiled, PodemOptions opts)
   cc1_.assign(n, 0);
   buckets_.resize(cc.depth() + 1);
   queued_.assign(n, 0);
+  region_.assign(n, 0);
   value_.assign(n, kVX);
   node_.resize(n);
   for (NetId id = 0; id < n; ++id) {
@@ -116,7 +117,7 @@ inline void Podem::set(NetId net, Val5 v) {
   const Node& node = node_[net];
   for (std::uint32_t i = node.readers_begin; i < node.readers_end; ++i) {
     const Reader r = readers_[i];
-    if (queued_[r.net]) continue;
+    if (queued_[r.net] || region_[r.net] != region_stamp_) continue;
     queued_[r.net] = 1;
     buckets_[r.level].push_back(r.net);
     queue_hi_ = std::max(queue_hi_, r.level);
@@ -332,6 +333,26 @@ PodemResult Podem::search(const fault::Fault& f,
   cone_nets_.reserve(cone.size() + 1);
   cone_nets_.push_back(f.net);
   cone_nets_.insert(cone_nets_.end(), cone.begin(), cone.end());
+
+  // Mark the region: the cone nets and every net in their fanin.
+  if (++region_stamp_ == 0) {  // wrapped: no stale entry may match
+    std::fill(region_.begin(), region_.end(), 0);
+    region_stamp_ = 1;
+  }
+  region_walk_.clear();
+  for (const NetId id : cone_nets_) {
+    region_[id] = region_stamp_;
+    region_walk_.push_back(id);
+  }
+  while (!region_walk_.empty()) {
+    const NetId id = region_walk_.back();
+    region_walk_.pop_back();
+    for (const NetId fin : node_[id].fanin) {
+      if (region_[fin] == region_stamp_) continue;
+      region_[fin] = region_stamp_;
+      region_walk_.push_back(fin);
+    }
+  }
 
   // Start state: every net X (the previous call ended by undoing its
   // whole trail) except the site's faulty side (set() pins it), implied

@@ -21,12 +21,18 @@
 // fanin bytes plus a rail select, with no per-gate type switch and no
 // fanin copy.  Each reader is listed with its level, so queueing it
 // touches nothing else.
+// Implication stays inside the fault's region, the transitive fanin of
+// the site and its fanout cone: set() queues no reader outside it, so
+// nets outside stay X.  Everything the search reads lies in the region
+// (the site, the cone and its readers, the fanins of frontier gates,
+// every net a backtrace walks, every output that can carry a D), and a
+// region net's fanins are region nets.
 // Every value change is logged on a trail of (net, previous value)
 // entries, and each decision frame records the trail length before its
 // assignment, so a flip or a pop costs only the changes made since that
 // decision.  Five-valued implication is a pure function of the PI
-// assignment, so the search sees the same values as a full forward pass
-// over the circuit would give.
+// assignment, so on every net it reads the search sees the value a full
+// forward pass over the circuit would give.
 //
 // Structure access (fanin/fanout adjacency, levels, per-fault cone
 // slices) goes through a netlist::CompiledCircuit, which the engine
@@ -98,8 +104,8 @@ class Podem {
   /// forward through every gate it reaches.
   void imply(netlist::NetId net, Val5 v);
   /// Writes one value (the fault site's faulty side stays pinned); on a
-  /// change, trails the old value and queues the net's readers in their
-  /// level buckets.
+  /// change, trails the old value and queues the net's readers inside
+  /// the fault's region in their level buckets.
   void set(netlist::NetId net, Val5 v);
   /// Restores every value changed since the trail had length `mark`.
   void undo_to(std::size_t mark);
@@ -146,6 +152,12 @@ class Podem {
   /// frontier scan walks this list ({fault net} ∪ cone gates) instead of
   /// the whole netlist.
   std::vector<netlist::NetId> cone_nets_;
+  /// The fault's region, TFI(cone_nets_): a net is in it iff its entry
+  /// equals region_stamp_, which each search() bumps before it marks
+  /// the region with a fanin walk (region_walk_ is the walk's stack).
+  std::vector<std::uint32_t> region_;
+  std::uint32_t region_stamp_ = 0;
+  std::vector<netlist::NetId> region_walk_;
 };
 
 }  // namespace fbist::atpg

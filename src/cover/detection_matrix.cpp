@@ -30,17 +30,9 @@ std::size_t DetectionMatrix::density() const {
   return n;
 }
 
-void DetectionMatrix::attach_earliest(
-    std::vector<std::vector<std::uint32_t>> earliest) {
-  if (earliest.size() != rows_.size()) {
-    throw std::invalid_argument("attach_earliest: row count mismatch");
-  }
-  for (const auto& e : earliest) {
-    if (e.size() != cols_) {
-      throw std::invalid_argument("attach_earliest: column count mismatch");
-    }
-  }
-  earliest_ = std::move(earliest);
+void DetectionMatrix::track_earliest() {
+  earliest_.assign(rows_.size() * cols_, kNone);
+  tracks_earliest_ = true;
 }
 
 }  // namespace fbist::cover

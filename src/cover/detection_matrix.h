@@ -5,10 +5,18 @@
 // the bits, the matrix can carry the earliest detecting pattern index of
 // each (triplet, fault) pair, which the optimizer uses for the paper's
 // per-triplet test-length trimming.
+//
+// The earliest indices are one flat row-major array of 16-bit cells
+// (rows x cols), 0xFFFF for a cell no pattern detects.  An index lies
+// below the triplet's evolution length T, so the matrix holds the
+// indices of any T up to kMaxCycles = 65535; the builder
+// (reseed/initial_builder.h) rejects a larger T.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/bitvector.h"
@@ -17,6 +25,10 @@ namespace fbist::cover {
 
 class DetectionMatrix {
  public:
+  /// Largest evolution length T whose earliest indices fit a cell: an
+  /// index below T is at most 65534, under the "none" marker 0xFFFF.
+  static constexpr std::size_t kMaxCycles = 65535;
+
   DetectionMatrix() = default;
   DetectionMatrix(std::size_t rows, std::size_t cols);
 
@@ -41,18 +53,31 @@ class DetectionMatrix {
   /// Number of set bits in the whole matrix.
   std::size_t density() const;
 
-  /// Optional earliest-detection payload: earliest[r][c] = pattern index
-  /// of first detection, or UINT32_MAX.  Empty when not tracked.
-  void attach_earliest(std::vector<std::vector<std::uint32_t>> earliest);
-  bool has_earliest() const { return !earliest_.empty(); }
+  /// Optional earliest-detection payload.  track_earliest() starts it
+  /// with no cell detected; set_earliest() then stores the pattern index
+  /// of a cell's first detection, below kMaxCycles.  Writers of distinct
+  /// rows may run at once.  has_earliest() is true for a tracked matrix
+  /// with at least one row.
+  void track_earliest();
+  bool has_earliest() const { return tracks_earliest_ && !rows_.empty(); }
+  void set_earliest(std::size_t r, std::size_t c, std::uint32_t e) {
+    assert(e < kMaxCycles);
+    earliest_[r * cols_ + c] = static_cast<std::uint16_t>(e);
+  }
+  /// The cell's earliest index, or UINT32_MAX (sim::kNotDetected) when
+  /// no pattern detects it.
   std::uint32_t earliest(std::size_t r, std::size_t c) const {
-    return earliest_[r][c];
+    const std::uint16_t e = earliest_[r * cols_ + c];
+    return e == kNone ? std::numeric_limits<std::uint32_t>::max() : e;
   }
 
  private:
+  static constexpr std::uint16_t kNone = 0xFFFF;
+
   std::size_t cols_ = 0;
   std::vector<util::BitVector> rows_;
-  std::vector<std::vector<std::uint32_t>> earliest_;
+  bool tracks_earliest_ = false;
+  std::vector<std::uint16_t> earliest_;  // rows x cols, row-major
 };
 
 }  // namespace fbist::cover

@@ -48,6 +48,13 @@ InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
                                          MatrixCache* cache,
                                          const util::Deadline* deadline) {
   assert(atpg_patterns.num_inputs() == tpg.width());
+  if (opts.cycles_per_triplet > cover::DetectionMatrix::kMaxCycles) {
+    throw std::invalid_argument(
+        "build_initial_reseeding: T " +
+        std::to_string(opts.cycles_per_triplet) + " exceeds the limit of " +
+        std::to_string(cover::DetectionMatrix::kMaxCycles) +
+        " patterns per triplet");
+  }
   const std::size_t M = atpg_patterns.size();
   const std::size_t F = fsim.faults().size();
 
@@ -67,7 +74,7 @@ InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
   }
 
   out.matrix = cover::DetectionMatrix(M, F);
-  std::vector<std::vector<std::uint32_t>> earliest(M);
+  out.matrix.track_earliest();
 
   // Rows are independent fault-sim campaigns, run in stages over
   // doubling pattern windows: stage 0 simulates each row's patterns
@@ -83,14 +90,15 @@ InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
   // earliest = stage start + index within the stage, exactly as one
   // walk over the whole row finds it.  A packing spans one simulation
   // chunk (sim::kChunkBlocks = 16 blocks, 1024 patterns); a stage's
-  // packings run on the shared work-stealing pool, and the matrix is
-  // bit-identical at any worker count.
+  // packings run on the shared work-stealing pool and write their rows'
+  // bits and earliest indices in place (packings of one stage hold
+  // disjoint rows), and the matrix is bit-identical at any worker count.
   OBS_COUNTER(c_packings, "builder.packings");
   OBS_COUNTER(c_expand_ns, "builder.expand_ns");
   // A packing body may throw (a deadline expiry, an injected builder
   // failure): parallel_for stops handing out packings and rethrows the
   // first exception on this thread after the stage's join, so the
-  // build unwinds before any partial matrix is attached or cached.
+  // build unwinds before any partial matrix is returned or cached.
   std::vector<util::WideWord> state(M);  // start of each row's next segment
   std::vector<std::size_t> stage_rows;   // matrix row of each stage row
   std::vector<std::size_t> lengths;
@@ -129,8 +137,10 @@ InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
         std::vector<sim::FaultSimResult> rs = fsim.run_packed(packed, pk);
         for (std::size_t i = 0; i < pk.rows.size(); ++i) {
           const std::size_t r = stage_rows[pk.rows[i].row];
+          rs[i].detected.for_each_set([&](std::size_t f) {
+            out.matrix.set_earliest(r, f, rs[i].earliest[f]);
+          });
           out.matrix.set_row(r, std::move(rs[i].detected));
-          earliest[r] = std::move(rs[i].earliest);
         }
         return;
       }
@@ -146,7 +156,8 @@ InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
         const std::size_t r = stage_rows[pk.rows[i].row];
         rs[i].detected.for_each_set([&](std::size_t f) {
           out.matrix.set(r, f);
-          earliest[r][f] = static_cast<std::uint32_t>(lo + rs[i].earliest[f]);
+          out.matrix.set_earliest(
+              r, f, static_cast<std::uint32_t>(lo + rs[i].earliest[f]));
         });
       }
     });
@@ -155,7 +166,6 @@ InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
   // deadline must never let a (complete but over-budget) matrix be
   // cached after the run is already doomed to a timeout failure.
   if (deadline != nullptr) deadline->check("matrix build");
-  out.matrix.attach_earliest(std::move(earliest));
 
   if (cache != nullptr) cache->store(key, out.matrix);
   return out;
@@ -170,7 +180,7 @@ InitialReseeding at_cycles(const InitialReseeding& family, std::size_t cycles) {
   InitialReseeding out;
   out.triplets = family.triplets;
   out.matrix = cover::DetectionMatrix(m.num_rows(), m.num_cols());
-  std::vector<std::vector<std::uint32_t>> earliest(m.num_rows());
+  out.matrix.track_earliest();
   for (std::size_t r = 0; r < m.num_rows(); ++r) {
     if (cycles > out.triplets[r].cycles) {
       throw std::invalid_argument(
@@ -178,15 +188,13 @@ InitialReseeding at_cycles(const InitialReseeding& family, std::size_t cycles) {
           std::to_string(out.triplets[r].cycles));
     }
     out.triplets[r].cycles = cycles;
-    earliest[r].assign(m.num_cols(), sim::kNotDetected);
     m.row(r).for_each_set([&](std::size_t c) {
       const std::uint32_t e = m.earliest(r, c);
       if (e >= cycles) return;
       out.matrix.set(r, c);
-      earliest[r][c] = e;
+      out.matrix.set_earliest(r, c, e);
     });
   }
-  out.matrix.attach_earliest(std::move(earliest));
   return out;
 }
 

@@ -28,7 +28,9 @@ class MatrixCache;
 
 struct BuilderOptions {
   /// Evolution length T applied to every candidate triplet ("the value T
-  /// is experimentally tuned and fixed equal for all the triplets").
+  /// is experimentally tuned and fixed equal for all the triplets"); at
+  /// most cover::DetectionMatrix::kMaxCycles = 65535, the largest T whose
+  /// earliest indices the matrix holds.
   std::size_t cycles_per_triplet = 64;
   /// Seed for the sigma draws.
   std::uint64_t seed = 7;
@@ -43,7 +45,7 @@ struct BuilderOptions {
 /// separately (they need a longer T or more seeds).
 struct InitialReseeding {
   std::vector<tpg::Triplet> triplets;      // M candidates, one per ATPG pattern
-  cover::DetectionMatrix matrix;           // M x |F|, earliest indices attached
+  cover::DetectionMatrix matrix;           // M x |F|, earliest indices tracked
 };
 
 /// Builds the initial reseeding for `atpg_patterns` on `tpg` against the
@@ -55,7 +57,9 @@ struct InitialReseeding {
 /// throws util::TimeoutError before any partial matrix can reach the
 /// cache.  Any exception a packing throws (an expiry, an injected
 /// builder.pack failure) reaches the caller the same way, through the
-/// pool's parallel_for (campaign/scheduler.h).
+/// pool's parallel_for (campaign/scheduler.h).  Throws
+/// std::invalid_argument, before any lookup or simulation, when
+/// `opts.cycles_per_triplet` exceeds cover::DetectionMatrix::kMaxCycles.
 InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
                                          const tpg::Tpg& tpg,
                                          const sim::PatternSet& atpg_patterns,

@@ -169,7 +169,6 @@ cover::DetectionMatrix matrix_from_string(const std::string& text) {
   int has_earliest = -1;
   std::size_t rows = 0, cols = 0, row_words = 0;
   cover::DetectionMatrix m;
-  std::vector<std::vector<std::uint32_t>> earliest;
 
   while (std::getline(in, line)) {
     ++line_no;
@@ -189,20 +188,22 @@ cover::DetectionMatrix matrix_from_string(const std::string& text) {
       continue;
     }
     if (key == "dims") {
+      // Earliest cells are written in place, so the shape and the flag
+      // are set once.
+      if (dims_seen) fail("duplicate dims");
       ss >> rows >> cols;
       if (ss.fail()) fail("bad dims");
       m = cover::DetectionMatrix(rows, cols);
       row_words = (cols + 63) / 64;
       dims_seen = true;
     } else if (key == "has-earliest") {
+      if (has_earliest != -1) fail("duplicate has-earliest");
       ss >> has_earliest;
       if (ss.fail() || (has_earliest != 0 && has_earliest != 1)) {
         fail("bad has-earliest flag");
       }
       if (!dims_seen) fail("has-earliest before dims");
-      if (has_earliest == 1) {
-        earliest.assign(rows, std::vector<std::uint32_t>(cols, UINT32_MAX));
-      }
+      if (has_earliest == 1) m.track_earliest();
     } else if (key == "row") {
       if (!dims_seen) fail("row before dims");
       std::size_t r = 0;
@@ -244,7 +245,11 @@ cover::DetectionMatrix matrix_from_string(const std::string& text) {
         std::uint32_t e = 0;
         ss >> c >> e;
         if (ss.fail() || c >= cols) fail("bad edet pair");
-        earliest[r][c] = e;
+        if (e >= cover::DetectionMatrix::kMaxCycles) {
+          fail("edet index " + std::to_string(e) + " not below " +
+               std::to_string(cover::DetectionMatrix::kMaxCycles));
+        }
+        m.set_earliest(r, c, e);
       }
     } else {
       fail("unknown record '" + key + "'");
@@ -253,7 +258,6 @@ cover::DetectionMatrix matrix_from_string(const std::string& text) {
   if (!header_seen) throw std::runtime_error("dmx: empty input");
   if (!dims_seen) throw std::runtime_error("dmx: missing dims");
   if (has_earliest == -1) throw std::runtime_error("dmx: missing has-earliest");
-  if (has_earliest == 1) m.attach_earliest(std::move(earliest));
   return m;
 }
 

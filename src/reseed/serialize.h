@@ -24,6 +24,11 @@
 //   row <r> <16-hex-digit word>...     one line per row, LSB-first words
 //   edet <r> <k> <col> <idx> ...       k detected (col, earliest) pairs
 //
+// An earliest index is below its row's T, and T is at most
+// cover::DetectionMatrix::kMaxCycles = 65535, so a reader rejects an
+// index of 65535 or more as a malformed blob (which the matrix cache
+// treats as a miss).
+//
 // Both formats carry an explicit version in the header line; readers
 // reject a blob whose magic matches but whose version does not with a
 // message naming both versions, so stale on-disk cache files fail

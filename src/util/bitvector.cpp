@@ -152,7 +152,9 @@ BitVector BitVector::gather(const BitVector& mask) const {
     const Word m = mask.words_[w];
     if (m == 0) continue;
     const int k = __builtin_popcountll(m);
-    const Word packed = pext_word(words_[w], m);
+    // A full mask word keeps the whole word (the baseline pext_word
+    // would loop 64 times for it).
+    const Word packed = m == ~Word{0} ? words_[w] : pext_word(words_[w], m);
     const std::size_t off = pos % kWordBits;
     out.words_[pos / kWordBits] |= packed << off;
     if (off != 0 && off + static_cast<std::size_t>(k) > kWordBits) {

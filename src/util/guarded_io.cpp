@@ -8,8 +8,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <thread>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "util/failpoint.h"
@@ -166,14 +166,20 @@ std::string read_file(const char* site, const std::string& path,
           throw IoError("cannot open " + path + errno_suffix(errno),
                         errno_is_transient(errno));
         }
-        std::ostringstream buf;
-        buf << in.rdbuf();
+        // A failed read(2) marks `in` bad: a directory opens fine and
+        // fails here with EISDIR.  (Streaming in.rdbuf() into a string
+        // stream would swallow that error and return "".)
+        std::string got;
+        char chunk[1 << 16];
+        while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+          got.append(chunk, static_cast<std::size_t>(in.gcount()));
+        }
         if (in.bad()) {
           const int err = errno;
           throw IoError("cannot read " + path + errno_suffix(err),
                         errno_is_transient(err));
         }
-        text = buf.str();
+        text = std::move(got);
       },
       policy);
   return text;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 namespace fbist::cover {
 namespace {
 
@@ -51,19 +55,42 @@ TEST(DetectionMatrix, Density) {
 }
 
 TEST(DetectionMatrix, EarliestPayload) {
-  DetectionMatrix m(2, 2);
-  EXPECT_FALSE(m.has_earliest());
-  std::vector<std::vector<std::uint32_t>> e = {{5, 10}, {0, 7}};
-  m.attach_earliest(e);
-  EXPECT_TRUE(m.has_earliest());
-  EXPECT_EQ(m.earliest(0, 1), 10u);
-  EXPECT_EQ(m.earliest(1, 0), 0u);
-}
-
-TEST(DetectionMatrix, EarliestValidatesShape) {
-  DetectionMatrix m(2, 2);
-  EXPECT_THROW(m.attach_earliest({{1, 2}}), std::invalid_argument);
-  EXPECT_THROW(m.attach_earliest({{1}, {2}}), std::invalid_argument);
+  // Column counts on both sides of a 64-cell boundary: every cell reads
+  // back the index it was given, the largest one included, and every
+  // other cell reads "none".
+  for (const std::size_t cols : {63u, 64u, 65u}) {
+    SCOPED_TRACE("cols=" + std::to_string(cols));
+    DetectionMatrix m(3, cols);
+    EXPECT_FALSE(m.has_earliest());
+    m.track_earliest();
+    EXPECT_TRUE(m.has_earliest());
+    std::vector<std::vector<std::uint32_t>> want(
+        3, std::vector<std::uint32_t>(cols, UINT32_MAX));
+    for (std::size_t r = 0; r < 3; ++r) {
+      for (std::size_t c = r; c < cols; c += r + 2) {
+        want[r][c] = static_cast<std::uint32_t>(r * 1000 + c);
+      }
+    }
+    want[2][cols - 1] = DetectionMatrix::kMaxCycles - 1;
+    for (std::size_t r = 0; r < 3; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        if (want[r][c] != UINT32_MAX) m.set_earliest(r, c, want[r][c]);
+      }
+    }
+    for (std::size_t r = 0; r < 3; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        ASSERT_EQ(m.earliest(r, c), want[r][c]) << r << "," << c;
+      }
+    }
+  }
+  // A tracked matrix with rows says so even with no columns; one with
+  // no rows never does.
+  DetectionMatrix no_cols(2, 0);
+  no_cols.track_earliest();
+  EXPECT_TRUE(no_cols.has_earliest());
+  DetectionMatrix no_rows(0, 5);
+  no_rows.track_earliest();
+  EXPECT_FALSE(no_rows.has_earliest());
 }
 
 }  // namespace

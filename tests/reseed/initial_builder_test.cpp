@@ -9,6 +9,7 @@
 #include "atpg/engine.h"
 #include "campaign/scheduler.h"
 #include "circuits/registry.h"
+#include "reseed/serialize.h"
 #include "sim/reference_sim.h"
 #include "tpg/accumulator.h"
 #include "tpg/expand_oracle.h"
@@ -271,6 +272,37 @@ TEST(InitialBuilder, AtCyclesEqualsFreshBuild) {
   bare.matrix = cover::DetectionMatrix(bare.matrix.num_rows(),
                                        bare.matrix.num_cols());
   EXPECT_THROW(at_cycles(bare, 1), std::invalid_argument);
+}
+
+// The largest T a matrix holds: a T = 65535 family on c432 thresholds
+// to itself and round-trips through the fbist-dmx codec, and one more
+// cycle per triplet is rejected with T and the limit in the message.
+TEST(InitialBuilder, CyclesLimit) {
+  const netlist::Netlist nl = circuits::make_circuit("c432");
+  const fault::FaultList fl = fault::FaultList::collapsed(nl);
+  const sim::FaultSim fsim(nl, fl);
+  const atpg::AtpgResult atpg = atpg::run_atpg(nl, fl);
+  const auto tpg = tpg::make_tpg(tpg::TpgKind::kAdder, nl.num_inputs());
+  BuilderOptions opts;
+  opts.cycles_per_triplet = cover::DetectionMatrix::kMaxCycles;
+  const InitialReseeding family =
+      build_initial_reseeding(fsim, *tpg, atpg.patterns, opts);
+  EXPECT_EQ(first_difference(at_cycles(family, opts.cycles_per_triplet), family),
+            "");
+  InitialReseeding reread;
+  reread.triplets = family.triplets;
+  reread.matrix = matrix_from_string(matrix_to_string(family.matrix));
+  EXPECT_EQ(first_difference(reread, family), "");
+
+  opts.cycles_per_triplet = cover::DetectionMatrix::kMaxCycles + 1;
+  try {
+    build_initial_reseeding(fsim, *tpg, atpg.patterns, opts);
+    FAIL() << "T = 65536 accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("65536"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("65535"), std::string::npos) << msg;
+  }
 }
 
 TEST(InitialBuilder, SharedSigmaUsesOneValue) {

@@ -99,17 +99,16 @@ cover::DetectionMatrix sample_matrix(std::size_t rows, std::size_t cols,
                                      bool with_earliest, std::uint64_t seed) {
   util::Rng rng(seed);
   cover::DetectionMatrix m(rows, cols);
-  std::vector<std::vector<std::uint32_t>> earliest(
-      rows, std::vector<std::uint32_t>(cols, UINT32_MAX));
+  if (with_earliest) m.track_earliest();
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
       if (rng.next_below(3) == 0) {
         m.set(r, c);
-        earliest[r][c] = static_cast<std::uint32_t>(rng.next_below(500));
+        const auto e = static_cast<std::uint32_t>(rng.next_below(500));
+        if (with_earliest) m.set_earliest(r, c, e);
       }
     }
   }
-  if (with_earliest) m.attach_earliest(std::move(earliest));
   return m;
 }
 
@@ -161,15 +160,13 @@ TEST(MatrixSerialize, RoundTripEmptyAndDense) {
                         matrix_from_string(matrix_to_string(
                             cover::DetectionMatrix(0, 0))));
   cover::DetectionMatrix dense(3, 130);
-  std::vector<std::vector<std::uint32_t>> e(
-      3, std::vector<std::uint32_t>(130, 0));
+  dense.track_earliest();
   for (std::size_t r = 0; r < 3; ++r) {
     for (std::size_t c = 0; c < 130; ++c) {
       dense.set(r, c);
-      e[r][c] = static_cast<std::uint32_t>(r * 1000 + c);
+      dense.set_earliest(r, c, static_cast<std::uint32_t>(r * 1000 + c));
     }
   }
-  dense.attach_earliest(std::move(e));
   expect_matrices_equal(dense, matrix_from_string(matrix_to_string(dense)));
 }
 
@@ -182,6 +179,38 @@ TEST(MatrixSerialize, RejectsBadInput) {
   EXPECT_THROW(
       matrix_from_string("fbist-dmx v1\ndims 1 4\nhas-earliest 0\nrow 5 0\n"),
       std::runtime_error);  // row index out of range
+  EXPECT_THROW(matrix_from_string(
+                   "fbist-dmx v1\ndims 1 4\nhas-earliest 1\ndims 2 4\n"),
+               std::runtime_error);  // a second dims
+  EXPECT_THROW(matrix_from_string("fbist-dmx v1\ndims 1 4\nhas-earliest 1\n"
+                                  "has-earliest 0\n"),
+               std::runtime_error);  // a second has-earliest
+}
+
+// An earliest index is below T <= 65535: the largest one a blob can hold
+// is 65534, and 65535 (the "none" marker) or more is a malformed blob.
+// A tracked matrix with rows and no columns keeps its has-earliest flag.
+TEST(MatrixSerialize, EarliestIndexLimit) {
+  const std::string head =
+      "fbist-dmx v1\ndims 1 2\nhas-earliest 1\nrow 0 0000000000000002\n";
+  const cover::DetectionMatrix m =
+      matrix_from_string(head + "edet 0 1 1 65534\n");
+  EXPECT_EQ(m.earliest(0, 1), 65534u);
+  EXPECT_EQ(m.earliest(0, 0), UINT32_MAX);
+  for (const char* bad : {"65535", "65536", "4294967295"}) {
+    try {
+      matrix_from_string(head + "edet 0 1 1 " + bad + "\n");
+      FAIL() << bad << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("65535"), std::string::npos)
+          << e.what();
+    }
+  }
+  cover::DetectionMatrix no_cols(2, 0);
+  no_cols.track_earliest();
+  const std::string blob = matrix_to_string(no_cols);
+  EXPECT_NE(blob.find("has-earliest 1"), std::string::npos) << blob;
+  expect_matrices_equal(no_cols, matrix_from_string(blob));
 }
 
 TEST(MatrixSerialize, VersionMismatchNamesBothVersions) {

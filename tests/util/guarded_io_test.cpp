@@ -158,6 +158,21 @@ TEST_F(GuardedIoTest, MissingFileIsAPermanentReadError) {
   }
 }
 
+TEST_F(GuardedIoTest, DirectoryIsAPermanentReadError) {
+  // A directory opens as a stream; its first read fails with EISDIR.
+  const std::string dir = scratch_dir("read_dir");
+  try {
+    io::read_file("spec.read", dir, fast_policy());
+    FAIL() << "directory read succeeded";
+  } catch (const io::IoError& e) {
+    EXPECT_FALSE(e.transient());
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(dir), std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::strerror(EISDIR)), std::string::npos) << msg;
+  }
+  fs::remove_all(dir);
+}
+
 TEST_F(GuardedIoTest, InjectedTransientWriteRecoversWithinTheBudget) {
   if (!failpoint::compiled_in()) {
     GTEST_SKIP() << "failpoints compiled out";
