@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "circuits/registry.h"
+#include "cover/detection_matrix.h"
 #include "netlist/bench_io.h"
 #include "util/guarded_io.h"
 
@@ -62,6 +63,13 @@ void CampaignSpec::validate() const {
   for (const auto cycles : cycle_values) {
     if (cycles == 0) {
       throw std::invalid_argument("campaign spec: cycles must be >= 1");
+    }
+    if (cycles > cover::DetectionMatrix::kMaxCycles) {
+      throw std::invalid_argument(
+          "campaign spec: T " + std::to_string(cycles) +
+          " exceeds the limit of " +
+          std::to_string(cover::DetectionMatrix::kMaxCycles) +
+          " patterns per triplet");
     }
   }
 }

@@ -65,7 +65,8 @@ struct CampaignSpec {
   /// Throws std::invalid_argument when count == 0 or index >= count.
   std::vector<std::size_t> shard(std::size_t index, std::size_t count) const;
 
-  /// Throws std::invalid_argument on an empty or degenerate spec.
+  /// Throws std::invalid_argument on an empty or degenerate spec, or on
+  /// a T above cover::DetectionMatrix::kMaxCycles.
   void validate() const;
 };
 

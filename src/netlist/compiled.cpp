@@ -69,15 +69,15 @@ CompiledCircuit::CompiledCircuit(const Netlist& nl, bool build_cone_slices) {
     }
   }
 
-  // --- per-net fanout-cone slices and programs -------------------------
+  // --- per-net fanout-cone programs and outputs -----------------------
   // Bit-parallel forward reachability, one pass per 64 consecutive roots
   // [r0, r0 + 64): bit i of roots_of[v] says root r0 + i reaches v (a
   // root reaches itself).  Net ids are topological, so a pass that
   // visits its pending nets in ascending id meets every net after all
   // its fanins, and each cone in evaluation order; it visits only the
   // nets its roots reach.  A counting sweep over every pass sizes each
-  // slice, output list and program exactly, and a filling sweep writes
-  // them in place.
+  // output list and program exactly, and a filling sweep writes them in
+  // place.
   if (!build_cone_slices) return;
   std::vector<std::uint64_t> roots_of(n, 0);
   std::vector<std::uint64_t> pending((n + 63) / 64, 0);
@@ -111,18 +111,20 @@ CompiledCircuit::CompiledCircuit(const Netlist& nl, bool build_cone_slices) {
   };
 
   // Counting sweep: per root, its cone gates, the POs among the root and
-  // its cone, and its program records' fanin count plus one per gate.
+  // its cone, and its program's words in either encoding (a record is
+  // 1 + ceil(k / 2) words narrow and 2 + k wide; compiled.h).
   // `slot_words` is the most (net, cone) pairs one pass visits.
   cone_offset_.assign(n + 1, 0);
   cone_out_offset_.assign(n + 1, 0);
   cone_prog_offset_.assign(n + 1, 0);
+  std::vector<std::uint64_t> wide_words(n + 1, 0);
   std::size_t slot_words = 0;
   std::size_t max_fanin = 0;
   for (NetId r0 = 0; r0 < n; r0 += 64) {
     std::size_t pairs = 0;
     reach_pass(r0, [&](NetId v, std::uint64_t bits) {
       roots_of[v] = 0;
-      const std::uint32_t record = 1 + fanin_offset_[v + 1] - fanin_offset_[v];
+      const std::uint32_t k = fanin_offset_[v + 1] - fanin_offset_[v];
       const bool is_po = output_pos_[v] != kNoPos;
       const std::uint64_t own = own_bit(v, r0);
       if (is_po && own != 0) ++cone_out_offset_[v + 1];
@@ -130,7 +132,8 @@ CompiledCircuit::CompiledCircuit(const Netlist& nl, bool build_cone_slices) {
       for (std::uint64_t w = bits & ~own; w != 0; w &= w - 1) {
         const NetId root = r0 + static_cast<NetId>(__builtin_ctzll(w));
         ++cone_offset_[root + 1];
-        cone_prog_offset_[root + 1] += record;
+        cone_prog_offset_[root + 1] += 1 + (k + 1) / 2;
+        wide_words[root + 1] += 2 + k;
         if (is_po) ++cone_out_offset_[root + 1];
         ++pairs;
       }
@@ -142,16 +145,16 @@ CompiledCircuit::CompiledCircuit(const Netlist& nl, bool build_cone_slices) {
     max_fanin = std::max<std::size_t>(max_fanin, fanin_offset_[id + 1] - fanin_offset_[id]);
   }
   // Narrow packs (id, slot, fanin count) into 16/16/12 bits; wide spends
-  // two words on each header and each fanin reference.
+  // two words on each header and one on each slot.
   narrow_programs_ = n < (1u << 16) && max_cone_gates_ + 2 < (1u << 16) &&
                      max_fanin < (1u << 12);
-  const std::uint32_t ref_words = narrow_programs_ ? 1 : 2;
+  if (!narrow_programs_) cone_prog_offset_.swap(wide_words);
+  std::vector<std::uint64_t>().swap(wide_words);
   for (std::size_t i = 1; i <= n; ++i) {
     cone_offset_[i] += cone_offset_[i - 1];
     cone_out_offset_[i] += cone_out_offset_[i - 1];
-    cone_prog_offset_[i] = cone_prog_offset_[i - 1] + ref_words * cone_prog_offset_[i];
+    cone_prog_offset_[i] += cone_prog_offset_[i - 1];
   }
-  cone_gates_.resize(cone_offset_[n]);
   cone_outputs_.resize(cone_out_offset_[n]);
   cone_out_slot_.resize(cone_out_offset_[n]);
   cone_prog_.resize(cone_prog_offset_[n]);
@@ -159,21 +162,22 @@ CompiledCircuit::CompiledCircuit(const Netlist& nl, bool build_cone_slices) {
   // Filling sweep.  A visited net's slots in the cones that hold it sit
   // at slots[slot_at[v]...], one per bit of roots_of[v] in bit order
   // (0 in its own root's cone), so a reader finds its fanin's slot in
-  // cone i by walking both nets' bits together.
+  // cone i by walking both nets' bits together.  Programs start zeroed,
+  // so narrow slots are OR-ed into their half-words.
   std::vector<std::uint32_t> slots(slot_words);
   std::vector<std::uint32_t> slot_at(n);
   std::vector<NetId> visited(n);
   std::vector<std::uint64_t> po_pending((outputs_.size() + 63) / 64, 0);
   for (NetId r0 = 0; r0 < n; r0 += 64) {
     const std::size_t roots = std::min<std::size_t>(64, n - r0);
-    std::uint64_t gate_at[64] = {}, prog_at[64] = {}, out_at[64] = {};
-    std::uint32_t sentinel[64] = {};
+    std::uint64_t prog_at[64] = {}, out_at[64] = {};
+    std::uint32_t count[64] = {}, sentinel[64] = {};
     std::uint32_t cones[64] = {};  // per visited net: the roots whose cone holds it
     for (std::size_t i = 0; i < roots; ++i) {
-      gate_at[i] = cone_offset_[r0 + i];
       prog_at[i] = cone_prog_offset_[r0 + i];
       out_at[i] = cone_out_offset_[r0 + i];
-      sentinel[i] = static_cast<std::uint32_t>(cone_offset_[r0 + i + 1] - gate_at[i] + 1);
+      sentinel[i] =
+          static_cast<std::uint32_t>(cone_offset_[r0 + i + 1] - cone_offset_[r0 + i] + 1);
     }
     std::size_t used = 0;
     std::size_t num_visited = 0;
@@ -192,8 +196,7 @@ CompiledCircuit::CompiledCircuit(const Netlist& nl, bool build_cone_slices) {
           continue;
         }
         cones[m++] = i;
-        cone_gates_[gate_at[i]++] = v;
-        slots[used++] = static_cast<std::uint32_t>(gate_at[i] - cone_offset_[r0 + i]);
+        slots[used++] = ++count[i];
       }
       const std::uint32_t k = fanin_offset_[v + 1] - fanin_offset_[v];
       const std::uint32_t type = static_cast<std::uint32_t>(type_[v]);
@@ -210,21 +213,20 @@ CompiledCircuit::CompiledCircuit(const Netlist& nl, bool build_cone_slices) {
         const NetId f = fanin_[fanin_offset_[v] + j];
         const std::uint64_t f_bits = roots_of[f];
         const std::uint32_t* f_slot = f_bits != 0 ? slots.data() + slot_at[f] : nullptr;
-        const std::size_t at = ref_words * (1 + j);
         for (std::uint32_t q = 0; q < m; ++q) {
           const std::uint32_t i = cones[q];
-          std::uint32_t* ref = cone_prog_.data() + prog_at[i] + at;
+          std::uint32_t* rec = cone_prog_.data() + prog_at[i];
           std::uint32_t slot = sentinel[i];
           if ((f_bits >> i) & 1) slot = *f_slot++;
           if (narrow_programs_) {
-            ref[0] = (slot << 16) | static_cast<std::uint32_t>(f);
+            rec[1 + j / 2] |= slot << (16 * (j & 1));
           } else {
-            ref[0] = slot;
-            ref[1] = f;
+            rec[2 + j] = slot;
           }
         }
       }
-      for (std::uint32_t q = 0; q < m; ++q) prog_at[cones[q]] += ref_words * (1 + k);
+      const std::uint32_t record = narrow_programs_ ? 1 + (k + 1) / 2 : 2 + k;
+      for (std::uint32_t q = 0; q < m; ++q) prog_at[cones[q]] += record;
     });
     // Cone outputs in position order, each with its slot in the cone.
     for (std::size_t wi = 0; wi < po_pending.size(); ++wi) {

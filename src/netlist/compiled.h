@@ -11,8 +11,9 @@
 //   * fanin / fanout adjacency      (offsets[] + flat NetId[])
 //   * per-net gate type and level   (flat arrays)
 //   * topologically ordered gate schedule (non-input nets)
-//   * per-net transitive fanout-cone slices, including the positions of
-//     the primary outputs each cone reaches (offsets[] + flat arrays)
+//   * per-net transitive fanout-cone programs (one record per cone gate,
+//     fanins as cone-local slots), including the positions of the
+//     primary outputs each cone reaches (offsets[] + flat arrays)
 //   * O(1) input/output position lookup and output-reachability flags
 //
 // Consumers: sim::LogicSim evaluates the flat schedule, sim::FaultSim
@@ -28,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -48,10 +50,56 @@ struct Span {
   T front() const { return data[0]; }
 };
 
+/// Forward view over the gates of one cone, read off the gate ids of
+/// its program's records (encodings: CompiledCircuit::cone_program).
+class ConeGates {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = NetId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const NetId*;
+    using reference = NetId;
+
+    iterator() = default;
+    iterator(const std::uint32_t* record, bool narrow) : p_(record), narrow_(narrow) {}
+    NetId operator*() const { return narrow_ ? p_[0] >> 16 : p_[1]; }
+    iterator& operator++() {
+      p_ += narrow_ ? 1 + (((p_[0] >> 4) & 0xfff) + 1) / 2 : 2 + (p_[0] >> 8);
+      return *this;
+    }
+    iterator operator++(int) {
+      const iterator at = *this;
+      ++*this;
+      return at;
+    }
+    bool operator==(const iterator& o) const { return p_ == o.p_; }
+    bool operator!=(const iterator& o) const { return p_ != o.p_; }
+
+   private:
+    const std::uint32_t* p_ = nullptr;
+    bool narrow_ = false;
+  };
+
+  ConeGates(const std::uint32_t* begin, const std::uint32_t* end, std::size_t count,
+            bool narrow)
+      : begin_(begin), end_(end), count_(count), narrow_(narrow) {}
+  iterator begin() const { return {begin_, narrow_}; }
+  iterator end() const { return {end_, narrow_}; }
+  std::size_t size() const { return count_; }
+
+ private:
+  const std::uint32_t* begin_;
+  const std::uint32_t* end_;
+  std::size_t count_;
+  bool narrow_;
+};
+
 /// Immutable flat-array snapshot of one netlist's structure.
 class CompiledCircuit {
  public:
-  /// `build_cone_slices` controls the per-net cone slices and programs —
+  /// `build_cone_slices` controls the per-net cone programs and outputs —
   /// the dominant compile cost (O(sum of cone sizes)).  Consumers that
   /// only stream structure (stats, SCOAP, plain logic simulation) pass
   /// false; the fault simulator and PODEM need the full form.
@@ -84,10 +132,12 @@ class CompiledCircuit {
   std::uint32_t depth() const { return depth_; }
 
   /// Transitive fanout cone of `root` (excluding the root), ascending
-  /// NetId == evaluation order.  Matches netlist::fanout_cone().
-  Span<NetId> cone_gates(NetId root) const {
-    return {cone_gates_.data() + cone_offset_[root],
-            cone_offset_[root + 1] - cone_offset_[root]};
+  /// NetId == evaluation order.  Matches netlist::fanout_cone().  Read
+  /// off the records of cone_program(root), so the cone is stored once.
+  ConeGates cone_gates(NetId root) const {
+    const Span<std::uint32_t> prog = cone_program(root);
+    return ConeGates(prog.begin(), prog.end(),
+                     cone_offset_[root + 1] - cone_offset_[root], narrow_programs_);
   }
   /// Positions into outputs() of the primary outputs reachable from
   /// `root` (including the root itself when it is a PO), ascending.
@@ -96,27 +146,32 @@ class CompiledCircuit {
             cone_out_offset_[root + 1] - cone_out_offset_[root]};
   }
   /// Precompiled evaluation program of `root`'s cone: a flat uint32
-  /// stream with one record per cone gate in evaluation order.
+  /// stream with one record per cone gate in evaluation order.  A
+  /// record names its gate and, per fanin in fanin(gate) order, the
+  /// fanin's cone-local slot; the fanin's net id is fanin(gate)[i],
+  /// read from the CSR, not from the program.
   ///
   /// Wide encoding (always valid):
-  ///   record := header global_id (slot global_id){fanin_count}
+  ///   record := header gate_id slot{fanin_count}
   ///   header := (fanin_count << 8) | gate_type
   ///
   /// Narrow encoding (used when every net id, slot, and fanin count
-  /// fits 16/12 bits — true for all registry-scale circuits; halves the
-  /// stream bytes the PPSFP walk is bound by on cache-resident
-  /// circuits; narrow_programs() says which one is in effect):
-  ///   record := ((global_id << 16) | (fanin_count << 4) | gate_type)
-  ///             ((slot << 16) | global_id){fanin_count}
+  /// fits 16/12 bits — true for all registry-scale circuits; about half
+  /// the words of the wide stream, which the PPSFP walk is bound by;
+  /// narrow_programs() says which one is in effect):
+  ///   record := ((gate_id << 16) | (fanin_count << 4) | gate_type)
+  ///             (slot[2j] | (slot[2j+1] << 16)){ceil(fanin_count / 2)}
+  /// i.e. 16-bit slots two per word, the low half first, and the high
+  /// half of the last word 0 when fanin_count is odd.
   ///
   /// Cone-local *slots* number the cone densely: slot 0 is the root,
-  /// slot i+1 is cone_gates(root)[i] (== the i-th record), and slot
+  /// slot i+1 is the i-th cone gate (== the i-th record), and slot
   /// cone_gates(root).size()+1 is a sentinel standing for every fanin
   /// outside the cone.  The PPSFP inner loop (sim/fault_sim.cpp) keeps
   /// faulty values in a slot-indexed scratch that fits in cache and a
-  /// differs-bitset over slots; the sentinel's bit is never set, so an
+  /// differs-flag per slot; the sentinel's flag is never set, so an
   /// outside fanin — which can never carry a fault effect — falls
-  /// through to the good value of its inline global id with the same
+  /// through to the good value of its CSR net id with the same
   /// branchless select as an unaffected in-cone fanin.
   Span<std::uint32_t> cone_program(NetId root) const {
     return {cone_prog_.data() + cone_prog_offset_[root],
@@ -162,8 +217,7 @@ class CompiledCircuit {
   std::vector<NetId> schedule_;
   std::vector<std::uint32_t> level_;
   std::uint32_t depth_ = 0;
-  std::vector<std::uint64_t> cone_offset_;     // size num_nets + 1
-  std::vector<NetId> cone_gates_;
+  std::vector<std::uint64_t> cone_offset_;     // size num_nets + 1: cone sizes, summed
   std::vector<std::uint64_t> cone_out_offset_; // size num_nets + 1
   std::vector<std::uint32_t> cone_outputs_;
   std::vector<std::uint32_t> cone_out_slot_;   // parallel to cone_outputs_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -33,22 +34,35 @@ inline bool test_flag(const std::uint8_t* flags, std::uint32_t slot) {
   return flags[slot] != 0;
 }
 
+/// Slot i of a narrow record's references: 16-bit slots two per word,
+/// the low half first (netlist/compiled.h), read as one half-word load.
+/// A big-endian host stores a word's low half second.
+inline std::uint32_t narrow_slot(const std::uint32_t* refs, std::uint32_t i) {
+  constexpr std::uint32_t kHalfSwap = __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__ ? 1 : 0;
+  std::uint16_t slot;
+  std::memcpy(&slot, reinterpret_cast<const unsigned char*>(refs) + 2 * (i ^ kHalfSwap),
+              sizeof slot);
+  return slot;
+}
+
 /// Runs one precompiled cone program (encoding: netlist/compiled.h).
 ///
 /// `local[slot]` holds the faulty value of cone slot `slot`;
 /// `diff_flag` flags the slots whose faulty value currently differs
 /// from good (slot 0 = forced fault site, pre-set by the caller).  A
 /// gate none of whose fanins differ is skipped — its value is the good
-/// value, which readers fetch through the inline global id — so the
-/// walk touches only the fault's active region, in scratch that stays
-/// cache-resident (cone-dense slots, not net ids).  Fanin references
-/// are fixed-width (slot, global) pairs, so both the touched-scan and
-/// the loads are branchless selects.
+/// value, which readers fetch through the fanin's net id — so the walk
+/// touches only the fault's active region, in scratch that stays
+/// cache-resident (cone-dense slots, not net ids).  A record holds
+/// only its fanins' slots; fanin i's net id is cc.fanin(gate)[i], whose
+/// base the walk takes when it decodes the header.  Both the
+/// touched-scan and the loads are branchless selects.
 ///
 /// `kNarrow` selects the packed 16-bit program encoding (see
 /// compiled.h), which halves the stream bytes the walk is bound by.
 template <typename V, bool kNarrow, typename GoodFn>
-inline void walk_cone_program(netlist::Span<std::uint32_t> prog, V* local,
+inline void walk_cone_program(const CompiledCircuit& cc,
+                              netlist::Span<std::uint32_t> prog, V* local,
                               std::uint8_t* diff_flag, GoodFn good_of) {
   const std::uint32_t* p = prog.begin();
   const std::uint32_t* const p_end = prog.end();
@@ -67,14 +81,12 @@ inline void walk_cone_program(netlist::Span<std::uint32_t> prog, V* local,
       k = header >> 8;
       type = static_cast<GateType>(header & 0xff);
     }
+    const NetId* const fin = cc.fanin(self).data;
     const std::uint32_t* const refs = p;
-    p += kNarrow ? k : 2 * k;
+    p += kNarrow ? (k + 1) / 2 : k;
 
     const auto ref_slot = [refs](std::uint32_t i) -> std::uint32_t {
-      return kNarrow ? refs[i] >> 16 : refs[2 * i];
-    };
-    const auto ref_glob = [refs](std::uint32_t i) -> NetId {
-      return kNarrow ? (refs[i] & 0xffff) : refs[2 * i + 1];
+      return kNarrow ? narrow_slot(refs, i) : refs[i];
     };
 
     bool touched = test_flag(diff_flag, ref_slot(0));
@@ -88,7 +100,7 @@ inline void walk_cone_program(netlist::Span<std::uint32_t> prog, V* local,
 
     const auto load = [&](std::uint32_t i) -> V {
       const std::uint32_t slot = ref_slot(i);
-      return test_flag(diff_flag, slot) ? local[slot] : good_of(ref_glob(i));
+      return test_flag(diff_flag, slot) ? local[slot] : good_of(fin[i]);
     };
     V v = load(0);
     switch (type) {
@@ -145,10 +157,11 @@ struct GoodV {
 /// chunk_site_walk it ran about 5% slower on a matrix build over
 /// tradeoff-mid's seven circuits (x86-64, AVX-512 host, one pinned CPU).
 template <int N, bool kNarrow>
-[[gnu::noinline]] void walk_chunk(netlist::Span<std::uint32_t> prog,
+[[gnu::noinline]] void walk_chunk(const CompiledCircuit& cc,
+                                  netlist::Span<std::uint32_t> prog,
                                   WordV<N>* local, std::uint8_t* diff_flag,
                                   const Word* gT) {
-  walk_cone_program<WordV<N>, kNarrow>(prog, local, diff_flag, GoodV<N>{gT});
+  walk_cone_program<WordV<N>, kNarrow>(cc, prog, local, diff_flag, GoodV<N>{gT});
 }
 
 /// One faulty walk of `site_net`'s cone over one chunk's interleaved
@@ -171,9 +184,9 @@ template <int N>
   local[0] = good_of(site_net) ^ act;
   diff_flag[0] = 1;
   if (cc.narrow_programs()) {
-    walk_chunk<N, true>(prog, local, diff_flag, gT);
+    walk_chunk<N, true>(cc, prog, local, diff_flag, gT);
   } else {
-    walk_chunk<N, false>(prog, local, diff_flag, gT);
+    walk_chunk<N, false>(cc, prog, local, diff_flag, gT);
   }
   const netlist::Span<std::uint32_t> cone_outs = cc.cone_outputs(site_net);
   const netlist::Span<std::uint32_t> cone_slots = cc.cone_output_slots(site_net);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+
+#include "campaign/runner.h"
 
 namespace fbist::campaign {
 namespace {
@@ -45,6 +48,38 @@ TEST(CampaignSpec, ValidateRejectsDegenerateSpecs) {
   spec.cycle_values = {64};
   spec.tpgs.clear();
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+}
+
+/// The message of the std::invalid_argument `f` throws ("" if none).
+template <typename F>
+std::string invalid_argument_of(F f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// T is at most cover::DetectionMatrix::kMaxCycles; a larger T in a spec
+// file fails the parse, naming the value and the limit.
+TEST(CampaignSpec, SpecFileCyclesAboveTheLimitAreRejected) {
+  const std::string what = invalid_argument_of(
+      [] { parse_spec_string("circuits c17\ncycles 64 65536\n"); });
+  EXPECT_NE(what.find("T 65536 exceeds the limit of 65535"), std::string::npos)
+      << what;
+  EXPECT_NO_THROW(parse_spec_string("circuits c17\ncycles 64 65535\n"));
+}
+
+// A spec assembled from flags (as `fbist campaign --cycles` builds it)
+// is rejected before any run starts, the valid T = 64 run included.
+TEST(CampaignSpec, FlagCyclesAboveTheLimitStopTheCampaignBeforeAnyRun) {
+  CampaignSpec spec;
+  spec.circuits = {"c17"};
+  spec.cycle_values = {64, 65536};
+  const std::string what = invalid_argument_of([&] { run_campaign(spec); });
+  EXPECT_NE(what.find("T 65536 exceeds the limit of 65535"), std::string::npos)
+      << what;
 }
 
 TEST(CampaignSpec, ParsesTextFormat) {

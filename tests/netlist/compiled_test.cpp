@@ -1,13 +1,16 @@
 // Equivalence tests pinning netlist::CompiledCircuit to the legacy
 // reference walkers (levelize.h, cone.h, Netlist::fanouts) on the
 // genuine c17, generated circuits, and a scan-flattened netlist; its
-// cone slices, outputs, slots and programs to the reference encoder
+// cone gates, outputs, slots and programs to the reference encoder
 // (cone_encoder.h) on circuits at the edges of cone compilation; and
-// those arrays on every registry circuit to recorded digests (ConePin).
+// what those cones hold, and their program words, on every registry
+// circuit to recorded digests (ConePin).
 #include "netlist/compiled.h"
 
 #include <cstdint>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -120,11 +123,10 @@ TEST(CompiledCircuit, ConeSlicesMatchFanoutCone) {
     const CompiledCircuit cc(nl);
     for (NetId n = 0; n < nl.num_nets(); ++n) {
       const Cone legacy = fanout_cone(nl, n);
-      const auto gates = cc.cone_gates(n);
-      ASSERT_EQ(gates.size(), legacy.gates.size()) << "net " << nl.gate(n).name;
-      for (std::size_t i = 0; i < gates.size(); ++i) {
-        EXPECT_EQ(gates[i], legacy.gates[i]);
-      }
+      const auto view = cc.cone_gates(n);
+      const std::vector<NetId> gates(view.begin(), view.end());
+      ASSERT_EQ(view.size(), legacy.gates.size()) << "net " << nl.gate(n).name;
+      EXPECT_EQ(gates, legacy.gates) << "net " << nl.gate(n).name;
       const auto outs = cc.cone_outputs(n);
       ASSERT_EQ(outs.size(), legacy.output_positions.size())
           << "net " << nl.gate(n).name;
@@ -139,7 +141,8 @@ TEST(CompiledCircuit, ConeOutputSlotsPointAtTheRightNets) {
   for (const Netlist& nl : test_circuits()) {
     const CompiledCircuit cc(nl);
     for (NetId n = 0; n < nl.num_nets(); ++n) {
-      const auto gates = cc.cone_gates(n);
+      const auto view = cc.cone_gates(n);
+      const std::vector<NetId> gates(view.begin(), view.end());
       const auto outs = cc.cone_outputs(n);
       const auto slots = cc.cone_output_slots(n);
       ASSERT_EQ(outs.size(), slots.size());
@@ -289,6 +292,16 @@ TEST(CompiledCircuit, ConeDataMatchesReferenceEncoder) {
     EXPECT_EQ(cc.narrow_programs(), i + 1 < edges.size());
     expect_cones_match_reference(edges[i], cc);
   }
+  // Narrow records of both fanin parities were compared: an odd count
+  // leaves its last half-word 0.
+  bool odd = false, even = false;
+  for (std::size_t i = 0; i + 1 < edges.size(); ++i) {
+    for (NetId n = 0; n < edges[i].num_nets(); ++n) {
+      const std::size_t k = edges[i].gate(n).fanin.size();
+      if (k != 0) (k % 2 != 0 ? odd : even) = true;
+    }
+  }
+  EXPECT_TRUE(odd && even);
 }
 
 TEST(CompiledCircuit, WideEncodingFaultSimMatchesReference) {
@@ -308,52 +321,90 @@ TEST(CompiledCircuit, WideEncodingFaultSimMatchesReference) {
   }
 }
 
-/// FNV-1a over the compiled cone arrays of every net, the largest cone
-/// and the encoding flag.
-std::uint64_t cone_digest(const CompiledCircuit& cc) {
+/// FNV-1a, fed one 64-bit value at a time.
+struct Fnv {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t v) {
+  void mix(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
       h ^= (v >> (8 * i)) & 0xff;
       h *= 0x100000001b3ull;
     }
-  };
-  mix(cc.max_cone_gates());
-  mix(cc.narrow_programs() ? 1 : 0);
+  }
+};
+
+/// What every net's compiled cone says, whatever its encoding: the
+/// largest cone, the encoding flag, and per net the cone gates, the
+/// cone outputs and their slots.
+std::uint64_t cone_content_digest(const CompiledCircuit& cc) {
+  Fnv f;
+  f.mix(cc.max_cone_gates());
+  f.mix(cc.narrow_programs() ? 1 : 0);
   for (NetId n = 0; n < cc.num_nets(); ++n) {
-    for (const auto span : {cc.cone_gates(n), cc.cone_outputs(n),
-                            cc.cone_output_slots(n), cc.cone_program(n)}) {
-      mix(span.size());
-      for (const std::uint32_t w : span) mix(w);
+    const auto gates = cc.cone_gates(n);
+    f.mix(gates.size());
+    for (const NetId g : gates) f.mix(g);
+    for (const auto span : {cc.cone_outputs(n), cc.cone_output_slots(n)}) {
+      f.mix(span.size());
+      for (const std::uint32_t w : span) f.mix(w);
     }
   }
-  return h;
+  return f.h;
 }
 
-// The compiled cone arrays of all registry circuits and of two large
-// generated netlists, folded into one digest per circuit set.  Recorded
-// with the per-root DFS compiler these arrays were first built by; any
-// compiler must reproduce them word for word.
-TEST(ConePin, RegistryAndGeneratedCircuits) {
+/// Every net's cone program, word for word.
+std::uint64_t cone_program_digest(const CompiledCircuit& cc) {
+  Fnv f;
+  for (NetId n = 0; n < cc.num_nets(); ++n) {
+    const auto prog = cc.cone_program(n);
+    f.mix(prog.size());
+    for (const std::uint32_t w : prog) f.mix(w);
+  }
+  return f.h;
+}
+
+/// One digest per circuit set: every registry circuit, then generated
+/// netlists of 5000 and 20000 gates.
+template <typename Digest>
+std::vector<std::uint64_t> digest_sets(Digest digest) {
   std::uint64_t registry = 0xcbf29ce484222325ull;
   for (const std::string& name : circuits::circuit_names()) {
-    registry = registry * 31 + cone_digest(CompiledCircuit(circuits::make_circuit(name)));
+    registry = registry * 31 + digest(CompiledCircuit(circuits::make_circuit(name)));
   }
-  EXPECT_EQ(registry, 0x2e3e576664840558ull) << "got 0x" << std::hex << registry;
-
-  constexpr struct {
-    std::size_t gates;
-    std::uint64_t digest;
-  } kGenerated[] = {{5000, 0x9f8c2b83e1212d1cull}, {20000, 0x08d019aca7205d56ull}};
-  for (const auto& pin : kGenerated) {
+  std::vector<std::uint64_t> sets{registry};
+  for (const std::size_t gates : {5000u, 20000u}) {
     circuits::GeneratorSpec spec;
-    spec.num_inputs = pin.gates / 10;
-    spec.num_outputs = pin.gates / 10;
-    spec.num_gates = pin.gates;
+    spec.num_inputs = gates / 10;
+    spec.num_outputs = gates / 10;
+    spec.num_gates = gates;
     spec.seed = 7;
-    const std::uint64_t got = cone_digest(CompiledCircuit(circuits::generate(spec)));
-    EXPECT_EQ(got, pin.digest) << pin.gates << " gates: got 0x" << std::hex << got;
+    sets.push_back(digest(CompiledCircuit(circuits::generate(spec))));
   }
+  return sets;
+}
+
+std::string hex(const std::vector<std::uint64_t>& v) {
+  std::ostringstream s;
+  for (const std::uint64_t d : v) s << " 0x" << std::hex << d;
+  return s.str();
+}
+
+// What the compiled cones hold, for all registry circuits and two large
+// generated netlists: recorded before cone gate lists were read off the
+// programs, so any compiler or encoding must reproduce it.
+TEST(ConePin, RegistryAndGeneratedCircuits) {
+  const std::vector<std::uint64_t> want{0x11802a39779791b2ull, 0x6da0933307f0a984ull,
+                                        0x282c4eba781281c0ull};
+  const std::vector<std::uint64_t> got = digest_sets(cone_content_digest);
+  EXPECT_EQ(got, want) << "got" << hex(got);
+}
+
+// The same circuits' cone programs word for word.  Re-recorded only by
+// a change that means to change the program encoding.
+TEST(ConePin, ProgramWords) {
+  const std::vector<std::uint64_t> want{0x75abca9ab51e8c77ull, 0x0397ffddb9401d3cull,
+                                        0x0f058fe4d62a6798ull};
+  const std::vector<std::uint64_t> got = digest_sets(cone_program_digest);
+  EXPECT_EQ(got, want) << "got" << hex(got);
 }
 
 }  // namespace

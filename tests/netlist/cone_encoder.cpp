@@ -51,17 +51,15 @@ EncodedCones encode_cones(const Netlist& nl) {
       const auto k = static_cast<std::uint32_t>(gate.fanin.size());
       if (enc.narrow) {
         prog.push_back((static_cast<std::uint32_t>(g) << 16) | (k << 4) | type);
+        // 16-bit slots two per word, the low half first.
+        for (std::uint32_t j = 0; j < k; j += 2) {
+          const std::uint32_t hi = j + 1 < k ? slot_of(gate.fanin[j + 1]) : 0;
+          prog.push_back(slot_of(gate.fanin[j]) | (hi << 16));
+        }
       } else {
         prog.push_back((k << 8) | type);
         prog.push_back(g);
-      }
-      for (const NetId f : gate.fanin) {
-        if (enc.narrow) {
-          prog.push_back((slot_of(f) << 16) | static_cast<std::uint32_t>(f));
-        } else {
-          prog.push_back(slot_of(f));
-          prog.push_back(f);
-        }
+        for (const NetId f : gate.fanin) prog.push_back(slot_of(f));
       }
     }
   }

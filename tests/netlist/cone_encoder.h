@@ -1,12 +1,12 @@
 // Cone-program encoder — reference implementation.
 //
-// netlist::CompiledCircuit stores, per net, its fanout-cone slice, the
-// primary outputs the cone reaches with their cone-local slots, and the
-// cone's evaluation program (encodings: netlist/compiled.h).  This
-// module rebuilds all of it the plain way, one root at a time from
-// fanout_cone() (cone.h) and the slot rule — slot 0 is the root, slot
-// i+1 is cone gate i, one sentinel slot past the last gate — so the
-// compiler's arrays can be pinned word for word
+// netlist::CompiledCircuit stores, per net, the primary outputs its
+// fanout cone reaches with their cone-local slots, and the cone's
+// evaluation program (encodings: netlist/compiled.h), off which it reads
+// the cone's gates.  This module rebuilds all of it the plain way, one
+// root at a time from fanout_cone() (cone.h) and the slot rule — slot 0
+// is the root, slot i+1 is cone gate i, one sentinel slot past the last
+// gate — so the compiler's arrays can be pinned word for word
 // (tests/netlist/compiled_test.cpp).
 #pragma once
 

@@ -84,8 +84,12 @@
 //
 // Circuit arguments name either a registry benchmark (c432, s1238, ...)
 // or a path to an ISCAS .bench file (sequential files are scan-flattened).
+// A flag or argument a subcommand does not read exits 1 naming it
+// ("matrix does not take --solver"); none is silently dropped.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -168,22 +172,36 @@ struct Flags {
   std::string out;
 };
 
-Flags parse_flags(const std::vector<std::string>& args, std::size_t from) {
+/// Parses the flags after `<cmd> <circuit>`.  A flag the subcommand
+/// does not read (one outside `accepted`) is an error naming it, never
+/// silently dropped.
+Flags parse_flags(const std::vector<std::string>& args,
+                  std::initializer_list<const char*> accepted) {
   Flags f;
-  for (std::size_t i = from; i < args.size(); ++i) {
-    auto need_value = [&](const char* flag) -> const std::string& {
-      if (i + 1 >= args.size()) {
-        throw std::runtime_error(std::string(flag) + " needs a value");
-      }
-      return args[++i];
-    };
-    if (args[i] == "--tpg") f.tpg = need_value("--tpg");
-    else if (args[i] == "--cycles") f.cycles = parse_count(need_value("--cycles"), "--cycles");
-    else if (args[i] == "--solver") f.solver = campaign::parse_solver(need_value("--solver"));
-    else if (args[i] == "--out") f.out = need_value("--out");
-    else throw std::runtime_error("unknown flag: " + args[i]);
+  for (std::size_t i = 3; i < args.size(); i += 2) {
+    const std::string& flag = args[i];
+    if (flag != "--tpg" && flag != "--cycles" && flag != "--solver" &&
+        flag != "--out") {
+      throw std::runtime_error("unknown flag: " + flag);
+    }
+    if (std::find(accepted.begin(), accepted.end(), flag) == accepted.end()) {
+      throw std::runtime_error(args[1] + " does not take " + flag);
+    }
+    if (i + 1 >= args.size()) throw std::runtime_error(flag + " needs a value");
+    const std::string& value = args[i + 1];
+    if (flag == "--tpg") f.tpg = value;
+    else if (flag == "--cycles") f.cycles = parse_count(value, "--cycles");
+    else if (flag == "--solver") f.solver = campaign::parse_solver(value);
+    else f.out = value;
   }
   return f;
+}
+
+/// Rejects any argument past the `count` a subcommand reads.
+void no_more_args(const std::vector<std::string>& args, std::size_t count) {
+  if (args.size() > count) {
+    throw std::runtime_error(args[1] + " does not take " + args[count]);
+  }
 }
 
 int cmd_list() {
@@ -304,8 +322,7 @@ int cmd_tradeoff(const std::string& arg, const Flags& f) {
 
 int cmd_matrix(const std::string& arg, const Flags& f) {
   reseed::Pipeline p(load_circuit(arg), arg);
-  const auto [init, sol] = p.run_detailed(parse_tpg(f.tpg), f.cycles);
-  (void)sol;
+  const auto init = p.build(parse_tpg(f.tpg), f.cycles);
   if (f.out.empty()) {
     std::cout << cover::instance_to_string(init.matrix);
   } else {
@@ -363,14 +380,20 @@ CampaignArgs parse_campaign_args(const std::vector<std::string>& args) {
   CampaignArgs out;
   // Pass 1: a positional spec file (if any) provides the base spec;
   // --flags then extend the circuit list and override the other lists
-  // regardless of argument order.
+  // regardless of argument order.  A second positional argument is an
+  // error, not a spec file that replaces the first.
+  const std::string* spec_file = nullptr;
   for (std::size_t i = 2; i < args.size(); ++i) {
     if (args[i].rfind("--", 0) == 0) {
       if (args[i] != "--timings") ++i;  // skip the flag's value
       continue;
     }
-    out.spec = campaign::parse_spec_file(args[i]);
+    if (spec_file != nullptr) {
+      throw std::runtime_error(args[1] + " does not take " + args[i]);
+    }
+    spec_file = &args[i];
   }
+  if (spec_file != nullptr) out.spec = campaign::parse_spec_file(*spec_file);
 
   for (std::size_t i = 2; i < args.size(); ++i) {
     auto need_value = [&](const char* flag) -> const std::string& {
@@ -489,10 +512,11 @@ int cmd_merge(const std::vector<std::string>& args) {
         "merge: at least one --checkpoint DIR is required");
   }
   if (a.copts.jobs != 0 || a.copts.shard_count != 1 ||
-      a.copts.matrix_cache != nullptr || a.copts.run_timeout_ms != 0) {
+      a.copts.matrix_cache != nullptr || a.copts.run_timeout_ms != 0 ||
+      !a.copts.trace_file.empty() || !a.copts.metrics_file.empty()) {
     throw std::runtime_error(
         "merge folds existing checkpoints; --jobs/--shard/--cache/"
-        "--run-timeout do not apply");
+        "--run-timeout/--trace/--metrics do not apply");
   }
   // Determinism contract: the merged report is byte-identical to an
   // uninterrupted single-process run of the same spec.
@@ -506,6 +530,7 @@ int cmd_cache(const std::vector<std::string>& args) {
   if (args.size() < 4) return usage();
   const std::string& action = args[2];
   const std::string& dir = args[3];
+  if (action == "list" || action == "clear") no_more_args(args, 4);
   if (action == "list") {
     const auto entries = reseed::MatrixCache::list_dir(dir);
     std::uintmax_t total = 0;
@@ -525,6 +550,7 @@ int cmd_cache(const std::vector<std::string>& args) {
   }
   if (action == "evict") {
     if (args.size() < 5) return usage();
+    no_more_args(args, 5);
     const std::string& hex = args[4];
     if (hex.size() != 16 ||
         hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
@@ -557,6 +583,7 @@ int cmd_failpoints() {
 
 int cmd_gen(const std::vector<std::string>& args) {
   if (args.size() < 6) return usage();
+  no_more_args(args, 6);
   circuits::GeneratorSpec spec;
   spec.num_inputs = parse_count(args[2], "<pi>");
   spec.num_outputs = parse_count(args[3], "<po>");
@@ -583,24 +610,37 @@ int main(int argc, char** argv) {
   if (args.size() < 2) return usage();
   const std::string& cmd = args[1];
   try {
-    if (cmd == "list") return cmd_list();
-    if (cmd == "failpoints") return cmd_failpoints();
+    if (cmd == "list" || cmd == "failpoints") {
+      no_more_args(args, 2);
+      return cmd == "list" ? cmd_list() : cmd_failpoints();
+    }
     if (cmd == "gen") return cmd_gen(args);
     if (cmd == "campaign") return cmd_campaign(args);
     if (cmd == "merge") return cmd_merge(args);
     if (cmd == "cache") return cmd_cache(args);
     if (args.size() < 3) return usage();
     const std::string& circuit = args[2];
-    if (cmd == "info") return cmd_info(circuit);
+    if (cmd == "info") {
+      no_more_args(args, 3);
+      return cmd_info(circuit);
+    }
     if (cmd == "atpg") return cmd_atpg(circuit, args);
-    if (cmd == "reseed") return cmd_reseed(circuit, parse_flags(args, 3));
+    if (cmd == "reseed") {
+      return cmd_reseed(circuit,
+                        parse_flags(args, {"--tpg", "--cycles", "--solver", "--out"}));
+    }
     if (cmd == "replay") {
       if (args.size() < 4) return usage();
+      no_more_args(args, 4);
       return cmd_replay(circuit, args[3]);
     }
-    if (cmd == "tradeoff") return cmd_tradeoff(circuit, parse_flags(args, 3));
-    if (cmd == "matrix") return cmd_matrix(circuit, parse_flags(args, 3));
-    if (cmd == "solve") return cmd_solve(circuit, parse_flags(args, 3));
+    // tradeoff runs a fixed T series with the exact solver and prints
+    // its table, so it reads only --tpg.
+    if (cmd == "tradeoff") return cmd_tradeoff(circuit, parse_flags(args, {"--tpg"}));
+    if (cmd == "matrix") {
+      return cmd_matrix(circuit, parse_flags(args, {"--tpg", "--cycles", "--out"}));
+    }
+    if (cmd == "solve") return cmd_solve(circuit, parse_flags(args, {"--solver"}));
     return usage();
   } catch (const std::exception& e) {
     obs::diag(obs::Severity::kError, "cli", e.what());
