@@ -35,7 +35,8 @@ using namespace fbist;
 
 void BM_LogicSim(benchmark::State& state) {
   const auto nl = circuits::make_circuit("c880");
-  sim::LogicSim sim(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  sim::LogicSim sim(cc);
   util::Rng rng(1);
   const auto ps = sim::PatternSet::random(nl.num_inputs(), 1024, rng);
   for (auto _ : state) {
@@ -62,7 +63,8 @@ BENCHMARK(BM_LogicSimReference)->Unit(benchmark::kMicrosecond);
 void run_fault_sim_bench(benchmark::State& state, const std::string& circuit,
                          bool reference) {
   const auto nl = circuits::make_circuit(circuit);
-  const auto fl = fault::FaultList::collapsed(nl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
   util::Rng rng(2);
   const auto ps = sim::PatternSet::random(
       nl.num_inputs(), static_cast<std::size_t>(state.range(0)), rng);
@@ -73,7 +75,7 @@ void run_fault_sim_bench(benchmark::State& state, const std::string& circuit,
       benchmark::DoNotOptimize(r);
     }
   } else {
-    sim::FaultSim fsim(nl, fl);
+    sim::FaultSim fsim(cc, fl);
     for (auto _ : state) {
       auto r = fsim.run(ps);
       benchmark::DoNotOptimize(r);
@@ -158,9 +160,10 @@ BENCHMARK(BM_GreedySolver)->Arg(20)->Arg(40)->Unit(benchmark::kMicrosecond);
 
 void BM_Atpg(benchmark::State& state) {
   const auto nl = circuits::make_circuit("c432");
-  const auto fl = fault::FaultList::collapsed(nl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
   for (auto _ : state) {
-    auto r = atpg::run_atpg(nl, fl);
+    auto r = atpg::run_atpg(cc, fl);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -168,8 +171,9 @@ BENCHMARK(BM_Atpg)->Unit(benchmark::kMillisecond);
 
 void BM_Scoap(benchmark::State& state) {
   const auto nl = circuits::make_circuit("s9234");
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
   for (auto _ : state) {
-    auto s = atpg::compute_scoap(nl);
+    auto s = atpg::compute_scoap(cc);
     benchmark::DoNotOptimize(s);
   }
 }
@@ -267,8 +271,9 @@ BENCHMARK(BM_CampaignSharedPipeline)
 void run_matrix_build_bench(benchmark::State& state, bool batched) {
   const auto cycles = static_cast<std::size_t>(state.range(0));
   const auto nl = circuits::make_circuit("s9234");
-  const auto fl = fault::FaultList::collapsed(nl);
-  sim::FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  sim::FaultSim fsim(cc, fl);
   tpg::AdderTpg tpg(nl.num_inputs());
   util::Rng rng(3);
   const std::size_t M = 64;  // candidate triplets (stand-in ATPG set)

@@ -43,9 +43,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::cout << netlist::stats_to_string(netlist::compute_stats(nl), path);
-
   reseed::Pipeline pipeline(std::move(nl), path);
+  std::cout << netlist::stats_to_string(
+      netlist::compute_stats(pipeline.compiled()), path);
   std::cout << "target faults (collapsed, ATPG-detected): "
             << pipeline.faults().size() << "\n"
             << "ATPG test set: " << pipeline.atpg_patterns().size()

@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   std::cout << "\nGolden signatures (" << nl.num_outputs() << "-bit MISR):\n";
   for (const auto& st : sol.selected) {
     const auto ts = tpg::expand_triplet(*run_tpg, st.triplet);
-    const auto sig = bist::golden_signature(nl, ts, misr);
+    const auto sig = bist::golden_signature(pipeline.compiled(), ts, misr);
     std::cout << "    triplet #" << st.triplet_index << " -> 0x" << sig.to_hex()
               << "\n";
   }

@@ -32,19 +32,12 @@ double AtpgResult::testable_coverage_percent() const {
                              static_cast<double>(testable);
 }
 
-AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
-                    const AtpgOptions& opts) {
-  return run_atpg(nl, faults, opts,
-                  std::make_shared<netlist::CompiledCircuit>(nl));
-}
-
-AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
-                    const AtpgOptions& opts,
-                    std::shared_ptr<const netlist::CompiledCircuit> compiled) {
+AtpgResult run_atpg(const netlist::CompiledCircuit& cc,
+                    const fault::FaultList& faults, const AtpgOptions& opts) {
   AtpgResult result;
   result.verdict.assign(faults.size(), FaultVerdict::kAborted);
 
-  sim::FaultSim fsim(nl, faults, compiled);
+  sim::FaultSim fsim(cc, faults);
   util::Rng rng(opts.seed);
 
   // The faults still without a verdict; settle() is the one place a
@@ -63,14 +56,14 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
   OBS_COUNTER(c_compact_ns, "atpg.compact_ns");
 
   // Working pattern list (uncompacted); compaction re-simulates at the end.
-  sim::PatternSet pool(nl.num_inputs(), 0);
+  sim::PatternSet pool(cc.num_inputs(), 0);
 
   // ---- Phase 1: random patterns with fault dropping -------------------
   {
     OBS_SCOPED_NS(random_timer, c_random_ns);
     std::size_t dry_blocks = 0;
     for (std::size_t b = 0; b < kMaxRandomBlocks && remaining.any(); ++b) {
-      sim::PatternSet block = sim::PatternSet::random(nl.num_inputs(), 64, rng);
+      sim::PatternSet block = sim::PatternSet::random(cc.num_inputs(), 64, rng);
       const sim::FaultSimResult r = fsim.run_subset(block, remaining);
       if (r.detected.none()) {
         if (++dry_blocks >= kUnproductiveBlockLimit) break;
@@ -96,7 +89,7 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
   // whether it detected `target`.
   auto add_pattern = [&](const util::WideWord& pat, std::size_t target) {
     OBS_SCOPED_NS(drop_sim_timer, c_drop_sim_ns);
-    sim::PatternSet one(nl.num_inputs(), 0);
+    sim::PatternSet one(cc.num_inputs(), 0);
     one.append(pat);
     const sim::FaultSimResult r = fsim.run_subset(one, remaining);
     if (!r.detected.get(target)) return false;
@@ -107,7 +100,7 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
     return true;
   };
 
-  Podem podem(compiled, opts.podem);
+  Podem podem(cc, opts.podem);
   auto run_podem = [&](const fault::Fault& f, std::size_t budget) {
     OBS_SCOPED_NS(podem_timer, c_podem_ns);
     return podem.generate(f, budget);
@@ -137,7 +130,7 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
     PodemResult pr = run_podem(
         f, opts.sat_escalate ? std::min(budget, kPodemFirstTry) : budget);
     if (pr.status == PodemStatus::kAborted && opts.sat_escalate) {
-      if (!sat) sat = std::make_unique<SatEngine>(*compiled, opts.sat);
+      if (!sat) sat = std::make_unique<SatEngine>(cc, opts.sat);
       if (sat->proves_redundant(f)) {
         settle_sat_redundant(fid);
         continue;
@@ -206,13 +199,13 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
     for (std::size_t fid = 0; fid < faults.size(); ++fid) {
       if (result.verdict[fid] == FaultVerdict::kDetected) detected.set(fid);
     }
-    sim::PatternSet reversed(nl.num_inputs(), 0);
+    sim::PatternSet reversed(cc.num_inputs(), 0);
     for (std::size_t p = pool.size(); p-- > 0;) reversed.append(pool.pattern(p));
     const sim::FaultSimResult r = fsim.run_subset(reversed, detected);
     util::BitVector keep(pool.size());
     r.detected.for_each_set(
         [&](std::size_t fid) { keep.set(pool.size() - 1 - r.earliest[fid]); });
-    sim::PatternSet compacted(nl.num_inputs(), 0);
+    sim::PatternSet compacted(cc.num_inputs(), 0);
     keep.for_each_set([&](std::size_t p) { compacted.append(pool.pattern(p)); });
     pool = std::move(compacted);
   }

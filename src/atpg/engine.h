@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "atpg/podem.h"
@@ -86,16 +85,12 @@ struct AtpgResult {
   double testable_coverage_percent() const;
 };
 
-/// Runs the full ATPG flow for `faults` on `nl`.  Compiles the circuit
-/// once internally; fault simulator and PODEM share the compiled form.
-AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
+/// Runs the full ATPG flow for `faults` on `cc`, which the fault
+/// simulator, PODEM and the SAT engine all borrow (reseed::Pipeline
+/// passes its one compile).  Throws std::invalid_argument when `cc` was
+/// compiled without cone programs.
+AtpgResult run_atpg(const netlist::CompiledCircuit& cc,
+                    const fault::FaultList& faults,
                     const AtpgOptions& opts = {});
-
-/// Like above, but shares a caller-provided compiled circuit (must
-/// describe `nl`) — used by reseed::Pipeline, which compiles once per
-/// circuit for ATPG, fault simulation, and every TPG evaluation.
-AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
-                    const AtpgOptions& opts,
-                    std::shared_ptr<const netlist::CompiledCircuit> compiled);
 
 }  // namespace fbist::atpg

@@ -1,6 +1,7 @@
 #include "atpg/podem.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 
@@ -19,14 +20,12 @@ std::uint8_t sat_add(std::uint8_t a, std::uint8_t b) {
 
 }  // namespace
 
-Podem::Podem(const netlist::Netlist& nl, PodemOptions opts)
-    : Podem(std::make_shared<CompiledCircuit>(nl), std::move(opts)) {}
-
-Podem::Podem(std::shared_ptr<const CompiledCircuit> compiled, PodemOptions opts)
-    : cc_(std::move(compiled)), opts_(opts) {
+Podem::Podem(const CompiledCircuit& cc, PodemOptions opts) : cc_(cc), opts_(opts) {
+  if (!cc.has_cone_programs()) {
+    throw std::invalid_argument("Podem: circuit compiled without cone programs");
+  }
   // SCOAP-flavoured controllability: cost of setting each net to 0/1.
   // Saturated small integers are plenty for backtrace tie-breaking.
-  const CompiledCircuit& cc = *cc_;
   const std::size_t n = cc.num_nets();
   cc0_.assign(n, 0);
   cc1_.assign(n, 0);
@@ -131,7 +130,7 @@ void Podem::imply(NetId net, Val5 v) {
   // being drained.  set() pins the fault site's faulty side right after
   // its gate is evaluated, so every reader sees the pinned value.
   set(net, v);
-  for (std::uint32_t lv = cc_->level(net) + 1; lv <= queue_hi_; ++lv) {
+  for (std::uint32_t lv = cc_.level(net) + 1; lv <= queue_hi_; ++lv) {
     std::vector<NetId>& bucket = buckets_[lv];
     for (const NetId id : bucket) {
       queued_[id] = 0;
@@ -161,7 +160,7 @@ bool Podem::fault_activated(const fault::Fault& f) const {
 }
 
 bool Podem::d_at_output() const {
-  for (const NetId o : cc_->outputs()) {
+  for (const NetId o : cc_.outputs()) {
     if (value_[o].is_d_or_dbar()) return true;
   }
   return false;
@@ -177,7 +176,7 @@ std::optional<std::pair<NetId, Tern>> Podem::objective(const fault::Fault& f) co
 
   // Objective 2: advance the D-frontier gate (a gate with an X side
   // reading a D or D') closest to an output.
-  const CompiledCircuit& cc = *cc_;
+  const CompiledCircuit& cc = cc_;
   NetId best_gate = netlist::kNullNet;
   std::uint32_t best_level = 0;
   for (const NetId id : cone_nets_) {
@@ -227,7 +226,7 @@ std::pair<NetId, Tern> Podem::backtrace(NetId net, Tern value) const {
   // Walk from the objective toward a PI, choosing at each gate the
   // easiest fanin per controllability, flipping the target value through
   // inversions.
-  const CompiledCircuit& cc = *cc_;
+  const CompiledCircuit& cc = cc_;
   NetId cur = net;
   Tern want = value;
   while (cc.type(cur) != GateType::kInput) {
@@ -322,7 +321,7 @@ PodemResult Podem::generate(const fault::Fault& f,
 
 PodemResult Podem::search(const fault::Fault& f,
                           std::size_t backtrack_limit) {
-  const CompiledCircuit& cc = *cc_;
+  const CompiledCircuit& cc = cc_;
   PodemResult result;
   result.pattern = util::WideWord(cc.num_inputs());
   result.care = util::WideWord(cc.num_inputs());

@@ -34,21 +34,19 @@
 // assignment, so on every net it reads the search sees the value a full
 // forward pass over the circuit would give.
 //
-// Structure access (fanin/fanout adjacency, levels, per-fault cone
-// slices) goes through a netlist::CompiledCircuit, which the engine
-// shares with the fault simulator instead of re-deriving levels/cones
-// per Podem instance.
+// Structure access (fanin/fanout adjacency, levels, per-fault cones)
+// goes through a netlist::CompiledCircuit that the engine borrows — in
+// run_atpg the same one the fault simulator and the SAT engine read —
+// instead of re-deriving levels and cones per Podem instance.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "atpg/values.h"
 #include "fault/fault.h"
 #include "netlist/compiled.h"
-#include "netlist/netlist.h"
 #include "util/wideword.h"
 
 namespace fbist::atpg {
@@ -80,14 +78,15 @@ struct PodemOptions {
   std::size_t backtrack_limit = 600;
 };
 
-/// PODEM engine bound to one netlist (reused across faults).
+/// PODEM engine bound to one compiled circuit, which it borrows
+/// (reused across faults).
 class Podem {
  public:
-  /// Compiles the netlist privately.
-  explicit Podem(const netlist::Netlist& nl, PodemOptions opts = {});
-  /// Shares an existing compiled form.
-  explicit Podem(std::shared_ptr<const netlist::CompiledCircuit> compiled,
-                 PodemOptions opts = {});
+  /// Throws std::invalid_argument when `cc` was compiled without cone
+  /// programs (the structure-only form): each search reads its fault's
+  /// cone.
+  explicit Podem(const netlist::CompiledCircuit& cc, PodemOptions opts = {});
+  Podem(const netlist::CompiledCircuit&&, PodemOptions = {}) = delete;
 
   /// Attempts to generate a test for `f` within the options' backtrack
   /// budget.  Bumps the `atpg.podem_*` effort counters once per call.
@@ -135,7 +134,7 @@ class Podem {
     std::uint32_t level;
   };
 
-  std::shared_ptr<const netlist::CompiledCircuit> cc_;
+  const netlist::CompiledCircuit& cc_;
   PodemOptions opts_;
   std::vector<Node> node_;               // per net
   std::vector<Reader> readers_;          // every net's readers, net by net

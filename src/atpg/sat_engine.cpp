@@ -1,5 +1,7 @@
 #include "atpg/sat_engine.h"
 
+#include <stdexcept>
+
 #include "obs/metrics.h"
 
 namespace fbist::atpg {
@@ -10,6 +12,10 @@ SatEngine::SatEngine(const netlist::CompiledCircuit& cc, SatEngineOptions opts)
       image_(SolverOptions{opts.conflict_limit}),
       faulty_(cc.num_nets(), kShared),
       d_var_(cc.num_nets(), kShared) {
+  if (!cc.has_cone_programs()) {
+    throw std::invalid_argument(
+        "SatEngine: circuit compiled without cone programs");
+  }
   OBS_COUNTER(c_build_ns, "atpg.sat_build_ns");
   OBS_SCOPED_NS(build_timer, c_build_ns);
   // One combinational timeframe straight into the fresh image: net n's

@@ -90,8 +90,12 @@ struct SatResult {
 /// uses it.
 class SatEngine {
  public:
+  /// Borrows `cc`.  Throws std::invalid_argument when it was compiled
+  /// without cone programs (the structure-only form): each miter reads
+  /// its fault's cone.
   explicit SatEngine(const netlist::CompiledCircuit& cc,
                      SatEngineOptions opts = {});
+  SatEngine(const netlist::CompiledCircuit&&, SatEngineOptions = {}) = delete;
 
   /// Decides one stuck-at fault with the plain miter.  Deterministic:
   /// identical circuit + fault always yields the identical result

@@ -8,7 +8,6 @@ namespace fbist::atpg {
 
 using netlist::CompiledCircuit;
 using netlist::GateType;
-using netlist::Netlist;
 using netlist::NetId;
 
 namespace {
@@ -150,11 +149,6 @@ ScoapAnalysis compute_scoap(const CompiledCircuit& cc) {
   return s;
 }
 
-ScoapAnalysis compute_scoap(const Netlist& nl) {
-  // SCOAP only streams fanin/fanout/types; skip the cone-slice build.
-  return compute_scoap(CompiledCircuit(nl, /*build_cone_slices=*/false));
-}
-
 std::vector<std::size_t> hardest_first(const ScoapAnalysis& scoap,
                                        const fault::FaultList& faults) {
   std::vector<std::size_t> order(faults.size());
@@ -167,11 +161,12 @@ std::vector<std::size_t> hardest_first(const ScoapAnalysis& scoap,
   return order;
 }
 
-std::string scoap_summary(const Netlist& nl, const ScoapAnalysis& s) {
+std::string scoap_summary(const ScoapAnalysis& s) {
+  const std::size_t num_nets = s.co.size();
   ScoapCost max_cc = 0, max_co = 0;
   double sum_cc = 0, sum_co = 0;
   std::size_t counted = 0;
-  for (NetId id = 0; id < nl.num_nets(); ++id) {
+  for (NetId id = 0; id < num_nets; ++id) {
     const ScoapCost cc = std::max(s.cc0[id], s.cc1[id]);
     if (cc >= kScoapInf || s.co[id] >= kScoapInf) continue;
     max_cc = std::max(max_cc, cc);
@@ -186,7 +181,7 @@ std::string scoap_summary(const Netlist& nl, const ScoapAnalysis& s) {
     ss << " avg CC=" << sum_cc / static_cast<double>(counted)
        << " avg CO=" << sum_co / static_cast<double>(counted);
   }
-  ss << " (" << counted << "/" << nl.num_nets() << " nets observable)";
+  ss << " (" << counted << "/" << num_nets << " nets observable)";
   return ss.str();
 }
 

@@ -22,7 +22,6 @@
 
 #include "fault/fault.h"
 #include "netlist/compiled.h"
-#include "netlist/netlist.h"
 
 namespace fbist::atpg {
 
@@ -44,12 +43,10 @@ struct ScoapAnalysis {
   }
 };
 
-/// Computes all three measures over a compiled circuit (the hot path —
-/// forward/backward passes over flat CSR arrays).
+/// Computes all three measures over a compiled circuit (forward and
+/// backward passes over the flat CSR arrays; the structure-only form is
+/// enough).
 ScoapAnalysis compute_scoap(const netlist::CompiledCircuit& cc);
-
-/// Convenience overload: compiles `nl` once and delegates.
-ScoapAnalysis compute_scoap(const netlist::Netlist& nl);
 
 /// Fault ids of `faults` sorted hardest-first by fault_difficulty —
 /// useful for ordering deterministic ATPG (hard faults first maximises
@@ -57,7 +54,7 @@ ScoapAnalysis compute_scoap(const netlist::Netlist& nl);
 std::vector<std::size_t> hardest_first(const ScoapAnalysis& scoap,
                                        const fault::FaultList& faults);
 
-/// Multi-line summary (distribution of difficulties) for reports.
-std::string scoap_summary(const netlist::Netlist& nl, const ScoapAnalysis& s);
+/// One-line summary (distribution of difficulties) for reports.
+std::string scoap_summary(const ScoapAnalysis& s);
 
 }  // namespace fbist::atpg

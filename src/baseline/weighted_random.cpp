@@ -34,7 +34,7 @@ sim::PatternSet weighted_patterns(const std::vector<double>& weights,
 WeightedRandomResult run_weighted_random(const sim::FaultSim& fsim,
                                          const sim::PatternSet& guide,
                                          const WeightedRandomOptions& opts) {
-  const std::size_t num_inputs = fsim.netlist().num_inputs();
+  const std::size_t num_inputs = fsim.compiled().num_inputs();
   const std::size_t nf = fsim.faults().size();
   util::Rng rng(opts.seed);
 

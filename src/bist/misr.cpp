@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/gate_eval.h"
+#include "sim/logic_sim.h"
+
 namespace fbist::bist {
 
 using netlist::GateType;
@@ -49,9 +52,9 @@ util::WideWord Misr::signature(const std::vector<util::WideWord>& responses) con
   return state;
 }
 
-std::vector<util::WideWord> golden_responses(const netlist::Netlist& nl,
+std::vector<util::WideWord> golden_responses(const netlist::CompiledCircuit& cc,
                                              const sim::PatternSet& patterns) {
-  const sim::LogicSim sim(nl);
+  const sim::LogicSim sim(cc);
   std::vector<util::WideWord> out;
   out.reserve(patterns.size());
   for (std::size_t p = 0; p < patterns.size(); ++p) {
@@ -60,69 +63,50 @@ std::vector<util::WideWord> golden_responses(const netlist::Netlist& nl,
   return out;
 }
 
-util::WideWord golden_signature(const netlist::Netlist& nl,
+util::WideWord golden_signature(const netlist::CompiledCircuit& cc,
                                 const sim::PatternSet& patterns,
                                 const Misr& misr) {
-  return misr.signature(golden_responses(nl, patterns));
+  return misr.signature(golden_responses(cc, patterns));
 }
 
 namespace {
 
-/// Output response of the faulty circuit for one pattern (serial
-/// evaluation with the fault net forced).
-util::WideWord faulty_response(const netlist::Netlist& nl,
+/// Output response of the faulty circuit for one pattern: the schedule
+/// evaluated one pattern per Word (bit 0 carries it) with the fault net
+/// forced.  `v` is per-net scratch.
+util::WideWord faulty_response(const netlist::CompiledCircuit& cc,
                                const fault::Fault& f,
-                               const util::WideWord& pattern) {
-  std::vector<bool> v(nl.num_nets(), false);
-  for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
-    v[nl.inputs()[i]] = pattern.get_bit(i);
+                               const util::WideWord& pattern,
+                               std::vector<sim::Word>& v) {
+  const sim::Word stuck = f.stuck_value ? ~sim::Word{0} : 0;
+  for (std::size_t i = 0; i < cc.num_inputs(); ++i) {
+    v[cc.inputs()[i]] = pattern.get_bit(i) ? ~sim::Word{0} : 0;
   }
-  if (nl.gate(f.net).type == GateType::kInput) v[f.net] = f.stuck_value;
-  for (NetId id = 0; id < nl.num_nets(); ++id) {
-    const auto& g = nl.gate(id);
-    if (g.type != GateType::kInput) {
-      bool r = v[g.fanin[0]];
-      switch (g.type) {
-        case GateType::kBuf: break;
-        case GateType::kNot: r = !r; break;
-        case GateType::kAnd:
-        case GateType::kNand:
-          for (std::size_t i = 1; i < g.fanin.size(); ++i) r = r && v[g.fanin[i]];
-          if (g.type == GateType::kNand) r = !r;
-          break;
-        case GateType::kOr:
-        case GateType::kNor:
-          for (std::size_t i = 1; i < g.fanin.size(); ++i) r = r || v[g.fanin[i]];
-          if (g.type == GateType::kNor) r = !r;
-          break;
-        case GateType::kXor:
-        case GateType::kXnor:
-          for (std::size_t i = 1; i < g.fanin.size(); ++i) r = r != v[g.fanin[i]];
-          if (g.type == GateType::kXnor) r = !r;
-          break;
-        default: break;
-      }
-      v[id] = r;
-    }
-    if (id == f.net) v[id] = f.stuck_value;
+  if (cc.type(f.net) == GateType::kInput) v[f.net] = stuck;
+  const auto load = [&v](NetId n) { return v[n]; };
+  for (const NetId id : cc.schedule()) {
+    v[id] = sim::detail::eval_compiled_gate<sim::Word>(cc.type(id), cc.fanin(id),
+                                                       load);
+    if (id == f.net) v[id] = stuck;
   }
-  util::WideWord resp(nl.num_outputs());
-  for (std::size_t i = 0; i < nl.num_outputs(); ++i) {
-    resp.set_bit(i, v[nl.outputs()[i]]);
+  util::WideWord resp(cc.num_outputs());
+  for (std::size_t i = 0; i < cc.num_outputs(); ++i) {
+    resp.set_bit(i, v[cc.outputs()[i]] & 1);
   }
   return resp;
 }
 
 }  // namespace
 
-std::vector<std::size_t> aliased_faults(const netlist::Netlist& nl,
+std::vector<std::size_t> aliased_faults(const netlist::CompiledCircuit& cc,
                                         const fault::FaultList& faults,
                                         const std::vector<std::size_t>& fault_ids,
                                         const sim::PatternSet& patterns,
                                         const Misr& misr) {
-  const util::WideWord golden = golden_signature(nl, patterns, misr);
-  const auto golden_resp = golden_responses(nl, patterns);
+  const auto golden_resp = golden_responses(cc, patterns);
+  const util::WideWord golden = misr.signature(golden_resp);
 
+  std::vector<sim::Word> values(cc.num_nets());
   std::vector<std::size_t> aliased;
   for (const std::size_t fid : fault_ids) {
     const fault::Fault& f = faults[fid];
@@ -130,7 +114,7 @@ std::vector<std::size_t> aliased_faults(const netlist::Netlist& nl,
     responses.reserve(patterns.size());
     bool any_diff = false;
     for (std::size_t p = 0; p < patterns.size(); ++p) {
-      responses.push_back(faulty_response(nl, f, patterns.pattern(p)));
+      responses.push_back(faulty_response(cc, f, patterns.pattern(p), values));
       if (!(responses.back() == golden_resp[p])) any_diff = true;
     }
     if (!any_diff) continue;  // fault not detected at the outputs at all

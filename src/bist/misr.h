@@ -19,8 +19,7 @@
 #include <vector>
 
 #include "fault/fault.h"
-#include "netlist/netlist.h"
-#include "sim/logic_sim.h"
+#include "netlist/compiled.h"
 #include "sim/pattern.h"
 #include "util/wideword.h"
 
@@ -50,23 +49,26 @@ class Misr {
   std::vector<std::size_t> taps_;
 };
 
-/// Fault-free output responses of `nl` to every pattern, in order.
-std::vector<util::WideWord> golden_responses(const netlist::Netlist& nl,
+/// Fault-free output responses of `cc` to every pattern, in order.
+/// These and the functions below borrow the circuit for the call; the
+/// structure-only form is enough.
+std::vector<util::WideWord> golden_responses(const netlist::CompiledCircuit& cc,
                                              const sim::PatternSet& patterns);
 
 /// Golden signature of a pattern set: zero-seeded MISR over the
 /// fault-free responses.
-util::WideWord golden_signature(const netlist::Netlist& nl,
+util::WideWord golden_signature(const netlist::CompiledCircuit& cc,
                                 const sim::PatternSet& patterns,
                                 const Misr& misr);
 
 /// Aliasing measurement: for each fault id listed in `fault_ids`,
-/// simulates the faulty circuit over `patterns`, compacts the faulty
-/// response stream and compares against the golden signature.  Returns
-/// the ids of *aliased* faults — detected at the outputs but invisible
-/// in the signature.  (Theory: aliasing probability ~ 2^-width for a
-/// well-formed MISR.)
-std::vector<std::size_t> aliased_faults(const netlist::Netlist& nl,
+/// simulates the faulty circuit over `patterns` (the schedule evaluated
+/// one pattern at a time, the fault net forced to its stuck value after
+/// its gate), compacts the faulty response stream and compares against
+/// the golden signature.  Returns the ids of *aliased* faults — detected
+/// at the outputs but invisible in the signature.  (Theory: aliasing
+/// probability ~ 2^-width for a well-formed MISR.)
+std::vector<std::size_t> aliased_faults(const netlist::CompiledCircuit& cc,
                                         const fault::FaultList& faults,
                                         const std::vector<std::size_t>& fault_ids,
                                         const sim::PatternSet& patterns,

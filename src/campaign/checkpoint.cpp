@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -18,31 +19,14 @@
 #include "reseed/serialize.h"
 #include "util/failpoint.h"
 #include "util/guarded_io.h"
+#include "util/parse.h"
+#include "util/rng.h"
 
 namespace fbist::campaign {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-/// FNV-1a 64-bit accumulator (the matrix cache's framing discipline:
-/// every variable-length field is preceded by its length, so moving a
-/// byte between adjacent fields changes the hash).
-struct Hasher {
-  std::uint64_t h = 1469598103934665603ull;
-
-  void byte(std::uint8_t b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void str(const std::string& s) {
-    u64(s.size());
-    for (const char c : s) byte(static_cast<std::uint8_t>(c));
-  }
-};
 
 constexpr const char* kSuffix = ".ckpt";
 
@@ -58,7 +42,7 @@ std::string one_line(std::string s) {
 }  // namespace
 
 std::uint64_t spec_hash(const CampaignSpec& spec) {
-  Hasher hs;
+  util::Fnv1a hs(util::Fnv1a::kShortBasis);
   const std::vector<RunSpec> runs = spec.expand();
   hs.u64(runs.size());
   for (const RunSpec& rs : runs) {
@@ -164,10 +148,13 @@ CheckpointRecord checkpoint_from_string(const std::string& text) {
       rec.spec = std::stoull(hex, nullptr, 16);
       spec_seen = true;
     } else if (key == "run") {
-      ss >> rec.position >> rec.total_runs;
-      if (ss.fail() || rec.total_runs == 0 || rec.position >= rec.total_runs) {
+      const std::optional<std::uint64_t> position = util::read_unsigned(ss);
+      const std::optional<std::uint64_t> total = util::read_unsigned(ss);
+      if (!position || !total || *total == 0 || *position >= *total) {
         fail("bad run position");
       }
+      rec.position = *position;
+      rec.total_runs = *total;
       run_seen = true;
     } else if (key == "circuit") {
       rec.result.spec.circuit = reseed::rest_of_line(line, key);
@@ -183,8 +170,9 @@ CheckpointRecord checkpoint_from_string(const std::string& text) {
       }
       tpg_seen = true;
     } else if (key == "cycles") {
-      ss >> rec.result.spec.cycles;
-      if (ss.fail() || rec.result.spec.cycles == 0) fail("bad cycles");
+      const std::optional<std::uint64_t> cycles = util::read_unsigned(ss);
+      if (!cycles || *cycles == 0) fail("bad cycles");
+      rec.result.spec.cycles = *cycles;
       cycles_seen = true;
     } else if (key == "solver") {
       std::string name;
@@ -196,8 +184,9 @@ CheckpointRecord checkpoint_from_string(const std::string& text) {
       }
       solver_seen = true;
     } else if (key == "ok") {
-      ss >> ok;
-      if (ss.fail() || (ok != 0 && ok != 1)) fail("bad ok flag");
+      const std::optional<std::uint64_t> flag = util::read_unsigned(ss);
+      if (!flag || *flag > 1) fail("bad ok flag");
+      ok = static_cast<int>(*flag);
       rec.result.ok = ok == 1;
     } else if (key == "error") {
       if (ok != 0) fail("error record without ok 0");
@@ -206,13 +195,18 @@ CheckpointRecord checkpoint_from_string(const std::string& text) {
     } else if (key == "counts") {
       if (ok != 1) fail("counts record without ok 1");
       RunResult& r = rec.result;
-      int optimal = 0;
-      ss >> r.circuit_inputs >> r.circuit_gates >> r.atpg_patterns >>
-          r.faults_targeted >> r.redundant >> r.sat_detected >>
-          r.num_triplets >> r.test_length >> r.faults_covered >>
-          r.faults_uncoverable >> r.necessary_triplets >> r.solver_triplets >>
-          optimal >> r.rom_bits;
-      if (ss.fail() || (optimal != 0 && optimal != 1)) fail("bad counts");
+      std::size_t optimal = 0;
+      for (std::size_t* field :
+           {&r.circuit_inputs, &r.circuit_gates, &r.atpg_patterns,
+            &r.faults_targeted, &r.redundant, &r.sat_detected,
+            &r.num_triplets, &r.test_length, &r.faults_covered,
+            &r.faults_uncoverable, &r.necessary_triplets, &r.solver_triplets,
+            &optimal, &r.rom_bits}) {
+        const std::optional<std::uint64_t> v = util::read_unsigned(ss);
+        if (!v) fail("bad counts");
+        *field = *v;
+      }
+      if (optimal > 1) fail("bad counts");
       r.solver_optimal = optimal == 1;
       counts_seen = true;
     } else if (key == "wall_ms") {

@@ -7,6 +7,7 @@
 #include "cover/detection_matrix.h"
 #include "netlist/bench_io.h"
 #include "util/guarded_io.h"
+#include "util/parse.h"
 
 namespace fbist::campaign {
 
@@ -126,7 +127,7 @@ CampaignSpec parse_spec_string(const std::string& text) {
       saw_cycles = true;
       while (ls >> tok) {
         try {
-          spec.cycle_values.push_back(parse_count(tok, "cycle count"));
+          spec.cycle_values.push_back(util::parse_count(tok, "cycle count"));
         } catch (const std::runtime_error& e) {
           throw fail(e.what());
         }
@@ -152,28 +153,6 @@ CampaignSpec parse_spec_file(const std::string& path) {
                              e.what());
   }
   return parse_spec_string(text);
-}
-
-std::uint64_t parse_unsigned(const std::string& tok, const char* what) {
-  std::size_t pos = 0;
-  unsigned long long v = 0;
-  try {
-    v = std::stoull(tok, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (tok.empty() || tok[0] < '0' || tok[0] > '9' || pos != tok.size()) {
-    throw std::runtime_error(std::string(what) + ": bad value '" + tok + "'");
-  }
-  return v;
-}
-
-std::size_t parse_count(const std::string& tok, const char* what) {
-  const std::uint64_t v = parse_unsigned(tok, what);
-  if (v == 0) {
-    throw std::runtime_error(std::string(what) + ": bad value '" + tok + "'");
-  }
-  return v;
 }
 
 std::pair<std::size_t, std::size_t> parse_shard_arg(const std::string& arg) {
@@ -210,7 +189,7 @@ std::pair<std::size_t, std::size_t> parse_shard_arg(const std::string& arg) {
 
 std::uint64_t parse_run_timeout_arg(const std::string& arg) {
   try {
-    return parse_count(arg, "--run-timeout");
+    return util::parse_count(arg, "--run-timeout");
   } catch (const std::runtime_error&) {
     throw std::runtime_error(
         "--run-timeout: expected a positive integer millisecond count, got '" +

@@ -82,14 +82,6 @@ CampaignSpec parse_spec_string(const std::string& text);
 /// failpoint; transient read failures retry before giving up).
 CampaignSpec parse_spec_file(const std::string& path);
 
-/// Strict unsigned parser: digits only, so it rejects signs, spaces,
-/// trailing junk and 64-bit overflow (std::stoull alone accepts
-/// "16junk" and wraps "-1" to 2^64-1).  Throws std::runtime_error
-/// "<what>: bad value '<tok>'".
-std::uint64_t parse_unsigned(const std::string& tok, const char* what);
-/// Strict positive count: parse_unsigned, and 0 is rejected too.
-std::size_t parse_count(const std::string& tok, const char* what);
-
 /// Parses a `--shard I/N` argument (1-based index) into the 0-based
 /// (index, count) pair CampaignOptions carries.  Throws
 /// std::runtime_error with a message naming the expected form and the

@@ -1,7 +1,10 @@
 #include "cover/instance_io.h"
 
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/parse.h"
 
 namespace fbist::cover {
 
@@ -35,20 +38,23 @@ DetectionMatrix instance_from_string(const std::string& text) {
     ss >> key;
     if (!header_seen) {
       if (key != "scp") fail("expected 'scp <rows> <cols>' header");
-      ss >> rows >> cols;
-      if (ss.fail()) fail("bad header dimensions");
+      const std::optional<std::uint64_t> r = util::read_unsigned(ss);
+      const std::optional<std::uint64_t> c = util::read_unsigned(ss);
+      if (!r || !c) fail("bad header dimensions");
+      rows = *r;
+      cols = *c;
       m = DetectionMatrix(rows, cols);
       header_seen = true;
       continue;
     }
     if (key != "row") fail("expected 'row' record");
     if (next_row >= rows) fail("more rows than declared");
-    std::size_t c;
-    while (ss >> c) {
-      if (c >= cols) fail("column index out of range");
-      m.set(next_row, c);
+    while (!(ss >> std::ws).eof()) {
+      const std::optional<std::uint64_t> c = util::read_unsigned(ss);
+      if (!c) fail("bad column index");
+      if (*c >= cols) fail("column index out of range");
+      m.set(next_row, *c);
     }
-    if (!ss.eof()) fail("bad column index");
     ++next_row;
   }
   if (!header_seen) throw std::runtime_error("scp: empty input");

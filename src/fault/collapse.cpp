@@ -8,7 +8,6 @@ namespace fbist::fault {
 
 using netlist::CompiledCircuit;
 using netlist::GateType;
-using netlist::Netlist;
 using netlist::NetId;
 
 std::vector<Fault> collapse_faults(const CompiledCircuit& cc) {
@@ -69,24 +68,6 @@ std::vector<Fault> collapse_faults(const CompiledCircuit& cc) {
     if (keep[n][1]) out.push_back(Fault{n, true});
   }
   return out;
-}
-
-std::vector<Fault> collapse_faults(const Netlist& nl) {
-  // Structure-only compile: no cone slices, and unlike the old
-  // Netlist::fanouts() path no lazy mutable caches on the netlist.
-  return collapse_faults(CompiledCircuit(nl, /*build_cone_slices=*/false));
-}
-
-std::size_t full_fault_count(const CompiledCircuit& cc) {
-  std::size_t n = 0;
-  for (NetId id = 0; id < cc.num_nets(); ++id) {
-    if (cc.reaches_output(id)) n += 2;
-  }
-  return n;
-}
-
-std::size_t full_fault_count(const Netlist& nl) {
-  return full_fault_count(CompiledCircuit(nl, /*build_cone_slices=*/false));
 }
 
 }  // namespace fbist::fault

@@ -25,18 +25,10 @@ class CompiledCircuit;
 
 namespace fbist::fault {
 
-/// Returns the collapsed fault vector for `nl` (order: ascending net id,
-/// s-a-0 before s-a-1).  Compiles the structure privately; when a
-/// CompiledCircuit already exists, prefer the overload below.
-std::vector<Fault> collapse_faults(const netlist::Netlist& nl);
-
-/// Collapses over an existing compiled form — fanout adjacency, output
-/// positions and reachability come from the shared CSR snapshot, so no
-/// per-netlist lazy caches (Netlist::fanouts()) are touched or rebuilt.
+/// Returns the collapsed fault vector of `cc` (order: ascending net id,
+/// s-a-0 before s-a-1).  Fanout adjacency, output positions and
+/// reachability come from the compiled CSR arrays, so the structure-only
+/// form is enough.
 std::vector<Fault> collapse_faults(const netlist::CompiledCircuit& cc);
-
-/// Size of the full (uncollapsed, output-reaching) fault universe.
-std::size_t full_fault_count(const netlist::Netlist& nl);
-std::size_t full_fault_count(const netlist::CompiledCircuit& cc);
 
 }  // namespace fbist::fault

@@ -9,20 +9,15 @@ std::string fault_name(const netlist::Netlist& nl, const Fault& f) {
   return nl.gate(f.net).name + (f.stuck_value ? "/1" : "/0");
 }
 
-FaultList FaultList::full(const netlist::Netlist& nl) {
-  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+FaultList FaultList::full(const netlist::CompiledCircuit& cc) {
   std::vector<Fault> faults;
-  faults.reserve(nl.num_nets() * 2);
-  for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
+  faults.reserve(cc.num_nets() * 2);
+  for (netlist::NetId n = 0; n < cc.num_nets(); ++n) {
     if (!cc.reaches_output(n)) continue;
     faults.push_back(Fault{n, false});
     faults.push_back(Fault{n, true});
   }
   return FaultList(std::move(faults));
-}
-
-FaultList FaultList::collapsed(const netlist::Netlist& nl) {
-  return FaultList(collapse_faults(nl));
 }
 
 FaultList FaultList::collapsed(const netlist::CompiledCircuit& cc) {

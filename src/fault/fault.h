@@ -31,7 +31,8 @@ struct Fault {
   }
 };
 
-/// Printable form, e.g. "G11/0".
+/// Printable form, e.g. "G11/0".  Takes the netlist, which holds the
+/// net names; everything else in this layer reads a compiled circuit.
 std::string fault_name(const netlist::Netlist& nl, const Fault& f);
 
 /// The indexed fault universe of one circuit.
@@ -45,14 +46,11 @@ class FaultList {
 
   /// Full (uncollapsed) list: both polarities on every net that reaches
   /// a primary output (faults on dead logic are undetectable by
-  /// construction and excluded up front).
-  static FaultList full(const netlist::Netlist& nl);
+  /// construction and excluded up front).  Either compiled form will
+  /// do: the list reads only reachability.
+  static FaultList full(const netlist::CompiledCircuit& cc);
 
   /// Structurally collapsed list (see fault/collapse.h).
-  static FaultList collapsed(const netlist::Netlist& nl);
-  /// Collapses over an existing compiled form — no private recompile,
-  /// no lazy Netlist caches (the pipeline shares one CompiledCircuit
-  /// across collapsing, ATPG and fault simulation).
   static FaultList collapsed(const netlist::CompiledCircuit& cc);
 
   std::size_t size() const { return faults_.size(); }

@@ -16,11 +16,25 @@
 //     primary outputs each cone reaches (offsets[] + flat arrays)
 //   * O(1) input/output position lookup and output-reachability flags
 //
-// Consumers: sim::LogicSim evaluates the flat schedule, sim::FaultSim
-// walks precompiled cone slices (PPSFP), atpg::Podem / atpg::compute_scoap
-// run implication and controllability passes over the same arrays, and
-// reseed::Pipeline compiles once per circuit and shares the result
-// across ATPG, fault simulation, and every TPG/T evaluation.
+// One circuit handle.  reseed::Pipeline is the one place in the
+// library that compiles; every engine and analysis below it takes
+// `const CompiledCircuit&` and borrows the caller's snapshot, keeping a
+// reference for as long as it lives (the engines that store one —
+// sim::FaultSim, sim::LogicSim, atpg::Podem, atpg::SatEngine — refuse a
+// temporary).  Callers that hold only a netlist compile it once
+// themselves and pass it along.  sim::LogicSim evaluates the flat
+// schedule, sim::FaultSim walks the cone programs (PPSFP), atpg::Podem
+// and atpg::compute_scoap run implication and controllability passes
+// over the same arrays, and the pipeline shares its one compile across
+// collapsing, ATPG, and every TPG/T evaluation.
+//
+// The structure-only form, CompiledCircuit(nl, false), skips the cone
+// programs, by far the dominant compile cost (s15850 in Release: about
+// 0.2 ms without them, 30 ms with them).  Callers that never walk a cone use
+// it: `fbist info` (stats, collapsing, SCOAP), logic simulation, the
+// MISR and structural-TPG checks, the examples and many tests.  The
+// three engines that walk cones (FaultSim, Podem, SatEngine) throw
+// std::invalid_argument when handed one.
 //
 // The reference walkers (the test-only tests/netlist/levelize.h and
 // cone.h) are independent implementations; equivalence tests in
@@ -101,8 +115,9 @@ class CompiledCircuit {
  public:
   /// `build_cone_slices` controls the per-net cone programs and outputs —
   /// the dominant compile cost (O(sum of cone sizes)).  Consumers that
-  /// only stream structure (stats, SCOAP, plain logic simulation) pass
-  /// false; the fault simulator and PODEM need the full form.
+  /// only stream structure (stats, collapsing, SCOAP, logic simulation)
+  /// pass false; the fault simulator, PODEM and the SAT engine need the
+  /// full form.
   explicit CompiledCircuit(const Netlist& nl, bool build_cone_slices = true);
 
   std::size_t num_nets() const { return type_.size(); }
@@ -177,6 +192,10 @@ class CompiledCircuit {
     return {cone_prog_.data() + cone_prog_offset_[root],
             cone_prog_offset_[root + 1] - cone_prog_offset_[root]};
   }
+
+  /// False for the structure-only form, which has no cone programs,
+  /// outputs or slots.
+  bool has_cone_programs() const { return !cone_prog_offset_.empty(); }
 
   /// True when cone programs use the narrow (packed 16-bit) encoding.
   bool narrow_programs() const { return narrow_programs_; }

@@ -7,11 +7,7 @@
 
 namespace fbist::netlist {
 
-CircuitStats compute_stats(const Netlist& nl) {
-  // One structure-only compile pass supplies depth, fanin and fanout
-  // counts — the seed re-derived levels and a vector-of-vectors fanout
-  // cache separately; cone slices are not needed here.
-  const CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+CircuitStats compute_stats(const CompiledCircuit& cc) {
   CircuitStats s;
   s.num_inputs = cc.num_inputs();
   s.num_outputs = cc.num_outputs();

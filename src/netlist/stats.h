@@ -9,6 +9,8 @@
 
 namespace fbist::netlist {
 
+class CompiledCircuit;
+
 struct CircuitStats {
   std::size_t num_inputs = 0;
   std::size_t num_outputs = 0;
@@ -22,7 +24,9 @@ struct CircuitStats {
   std::array<std::size_t, 9> per_type{};
 };
 
-CircuitStats compute_stats(const Netlist& nl);
+/// Counts read off the compiled arrays; the structure-only form is
+/// enough.
+CircuitStats compute_stats(const CompiledCircuit& cc);
 
 /// Multi-line human-readable rendering.
 std::string stats_to_string(const CircuitStats& s, const std::string& name = {});

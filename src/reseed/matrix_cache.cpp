@@ -12,32 +12,13 @@
 #include "obs/trace.h"
 #include "reseed/serialize.h"
 #include "util/guarded_io.h"
+#include "util/rng.h"
 
 namespace fbist::reseed {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-/// FNV-1a 64-bit accumulator.  Every component is framed by a domain
-/// tag and its length, so concatenation ambiguities (e.g. shifting a
-/// byte between adjacent variable-length fields) change the hash.
-struct Hasher {
-  std::uint64_t h = 1469598103934665603ull;
-
-  void byte(std::uint8_t b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void str(const std::string& s) {
-    u64(s.size());
-    for (const char c : s) byte(static_cast<std::uint8_t>(c));
-  }
-  void tag(char c) { byte(static_cast<std::uint8_t>(c)); }
-};
 
 constexpr const char* kSuffix = ".dmx";
 
@@ -71,11 +52,14 @@ MatrixCache::Key MatrixCache::key(const netlist::CompiledCircuit& cc,
                                   const fault::FaultList& faults,
                                   const tpg::Tpg& tpg,
                                   const std::vector<tpg::Triplet>& candidates) {
-  Hasher hs;
+  // Every component is framed by a domain tag and its length, so
+  // concatenation ambiguities (e.g. shifting a byte between adjacent
+  // variable-length fields) change the key.
+  util::Fnv1a hs(util::Fnv1a::kShortBasis);
 
   // Circuit structure: per-net gate type and fanin in net-id order,
   // plus the PI/PO orderings the simulator reads and observes through.
-  hs.tag('C');
+  hs.byte('C');
   hs.u64(cc.num_nets());
   for (netlist::NetId n = 0; n < cc.num_nets(); ++n) {
     hs.byte(static_cast<std::uint8_t>(cc.type(n)));
@@ -89,7 +73,7 @@ MatrixCache::Key MatrixCache::key(const netlist::CompiledCircuit& cc,
   for (const netlist::NetId n : cc.outputs()) hs.u64(n);
 
   // Fault list: matrix columns, in column order.
-  hs.tag('F');
+  hs.byte('F');
   hs.u64(faults.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
     hs.u64(faults[i].net);
@@ -97,13 +81,13 @@ MatrixCache::Key MatrixCache::key(const netlist::CompiledCircuit& cc,
   }
 
   // TPG semantics: how triplets expand into pattern sequences.
-  hs.tag('T');
+  hs.byte('T');
   hs.str(tpg.name());
   hs.u64(tpg.width());
   hs.str(tpg.config_string());
 
   // Candidate triplets: matrix rows, in row order.
-  hs.tag('R');
+  hs.byte('R');
   hs.u64(candidates.size());
   for (const tpg::Triplet& t : candidates) {
     hs.u64(t.delta.bits());

@@ -40,7 +40,7 @@ void Pipeline::init() {
   {
     OBS_SPAN("compile", name_);
     [[maybe_unused]] const std::uint64_t t0 = obs::Clock::now_ns();
-    compiled_ = std::make_shared<const netlist::CompiledCircuit>(nl_);
+    compiled_ = std::make_unique<const netlist::CompiledCircuit>(nl_);
     OBS_OBSERVE(h_compile, obs::Clock::now_ns() - t0);
   }
 
@@ -62,7 +62,7 @@ void Pipeline::init() {
     {
       OBS_SPAN("atpg", name_);
       [[maybe_unused]] const std::uint64_t t0 = obs::Clock::now_ns();
-      atpg_ = atpg::run_atpg(nl_, all, aopts, compiled_);
+      atpg_ = atpg::run_atpg(*compiled_, all, aopts);
       OBS_OBSERVE(h_atpg, obs::Clock::now_ns() - t0);
     }
 
@@ -75,7 +75,7 @@ void Pipeline::init() {
   if (faults_.size() == 0) {
     throw std::runtime_error("pipeline: ATPG detected no faults on " + name_);
   }
-  fsim_ = std::make_unique<sim::FaultSim>(nl_, faults_, compiled_);
+  fsim_ = std::make_unique<sim::FaultSim>(*compiled_, faults_);
 }
 
 InitialReseeding Pipeline::build(tpg::TpgKind kind, std::size_t cycles,

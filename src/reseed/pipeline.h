@@ -8,10 +8,13 @@
 // The pipeline object owns the per-circuit state (netlist, compiled
 // circuit, fault list, fault simulator, ATPG test set) so that multiple
 // TPGs / multiple T values can be evaluated without re-running ATPG.
-// The circuit is compiled exactly once (netlist::CompiledCircuit) and
-// that flat form is shared by ATPG, PODEM, and the fault simulator that
-// builds every candidate triplet's detection-matrix column — the
-// structure is never re-derived per candidate.
+// It is the one place in the library that compiles a netlist: init()
+// builds the CompiledCircuit once, with cone programs, and collapsing,
+// ATPG, PODEM, the SAT engine and the fault simulator that builds every
+// candidate triplet's detection-matrix column all borrow it — the
+// structure is never re-derived per candidate.  Because its engines
+// hold references into its members, a Pipeline is neither copied nor
+// moved; campaigns share it through PreparedCircuit.
 #pragma once
 
 #include <cstddef>
@@ -58,6 +61,10 @@ class Pipeline {
   explicit Pipeline(const std::string& circuit_name, PipelineOptions opts = {});
   /// Builds the context for an arbitrary netlist.
   Pipeline(netlist::Netlist nl, std::string name, PipelineOptions opts = {});
+  /// The fault simulator borrows the compiled circuit and fault list
+  /// members, so neither copying nor (hence) moving is allowed.
+  Pipeline(const Pipeline&) = delete;
+  Pipeline& operator=(const Pipeline&) = delete;
 
   /// Shareable const handle: N campaign runs (TPG kinds x T values x
   /// solvers) reuse one compile + ATPG through it.
@@ -112,7 +119,7 @@ class Pipeline {
   std::string name_;
   PipelineOptions opts_;
   netlist::Netlist nl_;
-  std::shared_ptr<const netlist::CompiledCircuit> compiled_;
+  std::unique_ptr<const netlist::CompiledCircuit> compiled_;
   fault::FaultList faults_;
   std::unique_ptr<sim::FaultSim> fsim_;
   atpg::AtpgResult atpg_;

@@ -1,9 +1,12 @@
 #include "reseed/serialize.h"
 
 #include <charconv>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#include "util/parse.h"
 
 namespace fbist::reseed {
 
@@ -110,14 +113,19 @@ RomImage rom_from_string(const std::string& text) {
     } else if (key == "tpg") {
       ss >> rom.tpg_name;
     } else if (key == "width") {
-      ss >> rom.width;
-      if (ss.fail() || rom.width == 0) fail("bad width");
+      const std::optional<std::uint64_t> width = util::read_unsigned(ss);
+      if (!width || *width == 0) fail("bad width");
+      rom.width = *width;
     } else if (key == "triplet") {
       if (rom.width == 0) fail("triplet before width");
       std::string delta_hex, sigma_hex;
-      std::size_t cycles = 0;
-      ss >> delta_hex >> sigma_hex >> cycles;
-      if (ss.fail() || cycles == 0) fail("bad triplet record");
+      ss >> delta_hex >> sigma_hex;
+      const std::optional<std::uint64_t> cycles = util::read_unsigned(ss);
+      if (!cycles || *cycles == 0) fail("bad triplet record");
+      if (*cycles > cover::DetectionMatrix::kMaxCycles) {
+        fail("triplet length " + std::to_string(*cycles) + " not in 1.." +
+             std::to_string(cover::DetectionMatrix::kMaxCycles));
+      }
       tpg::Triplet t;
       try {
         t.delta = util::WideWord::from_hex(rom.width, delta_hex);
@@ -125,7 +133,7 @@ RomImage rom_from_string(const std::string& text) {
       } catch (const std::invalid_argument& e) {
         fail(e.what());
       }
-      t.cycles = cycles;
+      t.cycles = *cycles;
       rom.triplets.push_back(std::move(t));
     } else {
       fail("unknown record '" + key + "'");
@@ -191,24 +199,26 @@ cover::DetectionMatrix matrix_from_string(const std::string& text) {
       // Earliest cells are written in place, so the shape and the flag
       // are set once.
       if (dims_seen) fail("duplicate dims");
-      ss >> rows >> cols;
-      if (ss.fail()) fail("bad dims");
+      const std::optional<std::uint64_t> r = util::read_unsigned(ss);
+      const std::optional<std::uint64_t> c = util::read_unsigned(ss);
+      if (!r || !c) fail("bad dims");
+      rows = *r;
+      cols = *c;
       m = cover::DetectionMatrix(rows, cols);
       row_words = (cols + 63) / 64;
       dims_seen = true;
     } else if (key == "has-earliest") {
       if (has_earliest != -1) fail("duplicate has-earliest");
-      ss >> has_earliest;
-      if (ss.fail() || (has_earliest != 0 && has_earliest != 1)) {
-        fail("bad has-earliest flag");
-      }
+      const std::optional<std::uint64_t> flag = util::read_unsigned(ss);
+      if (!flag || *flag > 1) fail("bad has-earliest flag");
+      has_earliest = static_cast<int>(*flag);
       if (!dims_seen) fail("has-earliest before dims");
       if (has_earliest == 1) m.track_earliest();
     } else if (key == "row") {
       if (!dims_seen) fail("row before dims");
-      std::size_t r = 0;
-      ss >> r;
-      if (ss.fail() || r >= rows) fail("bad row index");
+      const std::optional<std::uint64_t> index = util::read_unsigned(ss);
+      if (!index || *index >= rows) fail("bad row index");
+      const std::size_t r = *index;
       for (std::size_t w = 0; w < row_words; ++w) {
         std::string hex;
         ss >> hex;
@@ -237,19 +247,18 @@ cover::DetectionMatrix matrix_from_string(const std::string& text) {
       }
     } else if (key == "edet") {
       if (has_earliest != 1) fail("edet record without has-earliest 1");
-      std::size_t r = 0, k = 0;
-      ss >> r >> k;
-      if (ss.fail() || r >= rows) fail("bad edet header");
-      for (std::size_t i = 0; i < k; ++i) {
-        std::size_t c = 0;
-        std::uint32_t e = 0;
-        ss >> c >> e;
-        if (ss.fail() || c >= cols) fail("bad edet pair");
-        if (e >= cover::DetectionMatrix::kMaxCycles) {
-          fail("edet index " + std::to_string(e) + " not below " +
+      const std::optional<std::uint64_t> r = util::read_unsigned(ss);
+      const std::optional<std::uint64_t> k = util::read_unsigned(ss);
+      if (!r || !k || *r >= rows) fail("bad edet header");
+      for (std::uint64_t i = 0; i < *k; ++i) {
+        const std::optional<std::uint64_t> c = util::read_unsigned(ss);
+        const std::optional<std::uint64_t> e = util::read_unsigned(ss);
+        if (!c || !e || *c >= cols) fail("bad edet pair");
+        if (*e >= cover::DetectionMatrix::kMaxCycles) {
+          fail("edet index " + std::to_string(*e) + " not below " +
                std::to_string(cover::DetectionMatrix::kMaxCycles));
         }
-        m.set_earliest(r, c, e);
+        m.set_earliest(*r, *c, static_cast<std::uint32_t>(*e));
       }
     } else {
       fail("unknown record '" + key + "'");

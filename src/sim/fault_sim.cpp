@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -400,17 +401,17 @@ LanePacking whole_set(const PatternSet& patterns) {
 
 }  // namespace
 
-FaultSim::FaultSim(const netlist::Netlist& nl, const fault::FaultList& faults)
-    : FaultSim(nl, faults, std::make_shared<CompiledCircuit>(nl)) {}
-
-FaultSim::FaultSim(const netlist::Netlist& nl, const fault::FaultList& faults,
-                   std::shared_ptr<const CompiledCircuit> compiled)
-    : nl_(nl), faults_(faults), cc_(std::move(compiled)) {
+FaultSim::FaultSim(const CompiledCircuit& cc, const fault::FaultList& faults)
+    : cc_(cc), faults_(faults) {
+  if (!cc_.has_cone_programs()) {
+    throw std::invalid_argument(
+        "FaultSim: circuit compiled without cone programs");
+  }
   // Pair opposite-polarity faults on the same net into one site; each
   // site costs one cone walk per block.  A stray duplicate polarity
   // (never produced by FaultList::full/collapsed) gets its own site.
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> site_of(cc_->num_nets(), kNone);
+  std::vector<std::size_t> site_of(cc_.num_nets(), kNone);
   for (std::size_t fid = 0; fid < faults_.size(); ++fid) {
     const fault::Fault& f = faults_[fid];
     const std::size_t pol = f.stuck_value ? 1 : 0;
@@ -438,7 +439,7 @@ FaultSimResult FaultSim::run_subset(const PatternSet& patterns,
 std::vector<FaultSimResult> FaultSim::run_packed(
     const PatternSet& packed, const LanePacking& packing,
     const std::vector<util::BitVector>* seek) const {
-  const CompiledCircuit& cc = *cc_;
+  const CompiledCircuit& cc = cc_;
   const std::size_t nf = faults_.size();
   const std::size_t nrows = packing.rows.size();
   assert(packing.num_patterns <= packed.size());

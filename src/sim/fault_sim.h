@@ -43,7 +43,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "fault/fault.h"
@@ -73,16 +72,15 @@ struct FaultSimResult {
   }
 };
 
-/// Fault simulator bound to one netlist + fault list.  The compiled
-/// circuit is built once per circuit and shared across campaigns (and,
-/// via the sharing constructor, across engines).
+/// Fault simulator bound to one compiled circuit and fault list, both
+/// borrowed: the caller's compile serves every campaign (and, in
+/// reseed::Pipeline, ATPG and PODEM too).
 class FaultSim {
  public:
-  /// Compiles the netlist privately.
-  FaultSim(const netlist::Netlist& nl, const fault::FaultList& faults);
-  /// Shares an existing compiled form (must describe `nl`).
-  FaultSim(const netlist::Netlist& nl, const fault::FaultList& faults,
-           std::shared_ptr<const netlist::CompiledCircuit> compiled);
+  /// Throws std::invalid_argument when `cc` was compiled without cone
+  /// programs (the structure-only form), which the walk reads.
+  FaultSim(const netlist::CompiledCircuit& cc, const fault::FaultList& faults);
+  FaultSim(const netlist::CompiledCircuit&&, const fault::FaultList&) = delete;
 
   /// Simulates all patterns against all faults.  A detected fault is
   /// dropped from the campaign's later blocks; its earliest index is
@@ -124,11 +122,7 @@ class FaultSim {
       const std::vector<util::BitVector>* seek = nullptr) const;
 
   const fault::FaultList& faults() const { return faults_; }
-  const netlist::Netlist& netlist() const { return nl_; }
-  const netlist::CompiledCircuit& compiled() const { return *cc_; }
-  const std::shared_ptr<const netlist::CompiledCircuit>& compiled_ptr() const {
-    return cc_;
-  }
+  const netlist::CompiledCircuit& compiled() const { return cc_; }
 
  private:
   /// Faults sharing one injection site: fid[s] is the id of the
@@ -138,9 +132,8 @@ class FaultSim {
     std::size_t fid[2];
   };
 
-  const netlist::Netlist& nl_;
+  const netlist::CompiledCircuit& cc_;
   const fault::FaultList& faults_;
-  std::shared_ptr<const netlist::CompiledCircuit> cc_;
   std::vector<Site> sites_;
 };
 

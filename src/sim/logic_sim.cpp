@@ -6,16 +6,13 @@
 
 namespace fbist::sim {
 
-using netlist::CompiledCircuit;
-
 void LogicSim::simulate_word(const PatternSet& patterns, std::size_t base,
                              std::vector<Word>& values) const {
-  const CompiledCircuit& cc = *cc_;
-  assert(patterns.num_inputs() == cc.num_inputs());
+  assert(patterns.num_inputs() == cc_.num_inputs());
   assert(base % 64 == 0);
-  values.assign(cc.num_nets(), 0);
+  values.assign(cc_.num_nets(), 0);
   const std::size_t block = base / 64;
-  detail::simulate_blocks<1>(cc, patterns, block, block + 1, values.data());
+  detail::simulate_blocks<1>(cc_, patterns, block, block + 1, values.data());
 }
 
 std::vector<std::vector<Word>> LogicSim::simulate(const PatternSet& patterns) const {
@@ -28,7 +25,7 @@ std::vector<std::vector<Word>> LogicSim::simulate(const PatternSet& patterns) co
 }
 
 std::vector<bool> LogicSim::simulate_single(const util::WideWord& pattern) const {
-  PatternSet ps(cc_->num_inputs(), 0);
+  PatternSet ps(cc_.num_inputs(), 0);
   ps.append(pattern);
   std::vector<Word> values;
   simulate_word(ps, 0, values);
@@ -39,8 +36,8 @@ std::vector<bool> LogicSim::simulate_single(const util::WideWord& pattern) const
 
 util::WideWord LogicSim::output_response(const util::WideWord& pattern) const {
   const auto values = simulate_single(pattern);
-  util::WideWord resp(cc_->num_outputs());
-  const auto& outs = cc_->outputs();
+  util::WideWord resp(cc_.num_outputs());
+  const auto& outs = cc_.outputs();
   for (std::size_t i = 0; i < outs.size(); ++i) {
     resp.set_bit(i, values[outs[i]]);
   }

@@ -11,31 +11,22 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "netlist/compiled.h"
-#include "netlist/netlist.h"
 #include "sim/pattern.h"
 
 namespace fbist::sim {
 
 using Word = std::uint64_t;
 
-/// Parallel-pattern good-value simulator for one netlist.
+/// Parallel-pattern good-value simulator over one compiled circuit,
+/// which it borrows (the structure-only form is enough: good-value
+/// simulation never reads a cone program).
 class LogicSim {
  public:
-  /// Compiles the netlist privately (structure only — good-value
-  /// simulation never touches cone slices).  Prefer the shared-
-  /// compilation constructor when several engines work on the circuit.
-  explicit LogicSim(const netlist::Netlist& nl)
-      : nl_(nl),
-        cc_(std::make_shared<netlist::CompiledCircuit>(
-            nl, /*build_cone_slices=*/false)) {}
-  /// Shares an existing compiled form (must describe `nl`).
-  LogicSim(const netlist::Netlist& nl,
-           std::shared_ptr<const netlist::CompiledCircuit> compiled)
-      : nl_(nl), cc_(std::move(compiled)) {}
+  explicit LogicSim(const netlist::CompiledCircuit& cc) : cc_(cc) {}
+  LogicSim(const netlist::CompiledCircuit&&) = delete;
 
   /// Simulates one word (<= 64 patterns) of a pattern set starting at
   /// pattern `base`, writing per-net values into `values` (resized to
@@ -52,15 +43,10 @@ class LogicSim {
   /// Primary-output response of a single pattern, one bit per PO.
   util::WideWord output_response(const util::WideWord& pattern) const;
 
-  const netlist::Netlist& netlist() const { return nl_; }
-  const netlist::CompiledCircuit& compiled() const { return *cc_; }
-  const std::shared_ptr<const netlist::CompiledCircuit>& compiled_ptr() const {
-    return cc_;
-  }
+  const netlist::CompiledCircuit& compiled() const { return cc_; }
 
  private:
-  const netlist::Netlist& nl_;
-  std::shared_ptr<const netlist::CompiledCircuit> cc_;
+  const netlist::CompiledCircuit& cc_;
 };
 
 }  // namespace fbist::sim

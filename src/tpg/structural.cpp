@@ -226,10 +226,12 @@ Netlist structural_lfsr(std::size_t width, const std::vector<std::size_t>& taps)
   return nl;
 }
 
-util::WideWord eval_structural(const Netlist& nl, const util::WideWord& a,
+util::WideWord eval_structural(const netlist::CompiledCircuit& cc,
+                               const util::WideWord& a,
                                const util::WideWord& b) {
   const std::size_t width = a.bits();
-  if (b.bits() != width || nl.num_inputs() != 2 * width) {
+  if (b.bits() != width || cc.num_inputs() != 2 * width ||
+      cc.num_outputs() < width) {
     throw std::invalid_argument("eval_structural: width mismatch");
   }
   util::WideWord packed(2 * width);
@@ -237,23 +239,15 @@ util::WideWord eval_structural(const Netlist& nl, const util::WideWord& a,
     packed.set_bit(i, a.get_bit(i));
     packed.set_bit(width + i, b.get_bit(i));
   }
-  const sim::LogicSim sim(nl);
-  const auto values = sim.simulate_single(packed);
+  const util::WideWord resp = sim::LogicSim(cc).output_response(packed);
 
   util::WideWord y(width);
-  for (std::size_t i = 0; i < width; ++i) {
-    const NetId out = nl.find("y" + std::to_string(i));
-    if (out == netlist::kNullNet) {
-      throw std::invalid_argument("eval_structural: netlist lacks y" +
-                                  std::to_string(i));
-    }
-    y.set_bit(i, values[out]);
-  }
+  for (std::size_t i = 0; i < width; ++i) y.set_bit(i, resp.get_bit(i));
   return y;
 }
 
 std::size_t verify_structural_equivalence(const Tpg& behavioural,
-                                          const Netlist& structural,
+                                          const netlist::CompiledCircuit& structural,
                                           std::size_t trials, util::Rng& rng) {
   const std::size_t width = behavioural.width();
   std::size_t mismatches = 0;

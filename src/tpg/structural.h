@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "netlist/compiled.h"
 #include "netlist/netlist.h"
 #include "tpg/tpg.h"
 #include "util/rng.h"
@@ -50,18 +51,20 @@ netlist::Netlist structural_multiplier(std::size_t width);
 netlist::Netlist structural_lfsr(std::size_t width,
                                  const std::vector<std::size_t>& taps);
 
-/// Evaluates a structural datapath netlist on two operands: packs a and
-/// b onto the PIs, simulates, unpacks y.  Widths must match the netlist
-/// convention above.
-util::WideWord eval_structural(const netlist::Netlist& nl,
+/// Evaluates a compiled structural datapath on two operands: packs a
+/// and b onto the PIs, simulates, and reads result bit i from PO
+/// position i.  Widths must match the netlist convention above.  The
+/// structure-only compile is enough.
+util::WideWord eval_structural(const netlist::CompiledCircuit& cc,
                                const util::WideWord& a,
                                const util::WideWord& b);
 
-/// Cross-checks a behavioural TPG against a structural netlist on
-/// `trials` random (state, sigma) pairs; returns the number of
-/// mismatches (0 = equivalent on the sample).
+/// Cross-checks a behavioural TPG against a compiled structural netlist
+/// on `trials` random (state, sigma) pairs; returns the number of
+/// mismatches (0 = equivalent on the sample).  Compiles nothing: the
+/// caller compiles the netlist once for all trials.
 std::size_t verify_structural_equivalence(const Tpg& behavioural,
-                                          const netlist::Netlist& structural,
+                                          const netlist::CompiledCircuit& structural,
                                           std::size_t trials, util::Rng& rng);
 
 }  // namespace fbist::tpg

@@ -9,6 +9,7 @@
 
 #include "obs/diag.h"
 #include "obs/metrics.h"
+#include "util/rng.h"
 
 namespace fbist::util::failpoint {
 
@@ -36,29 +37,16 @@ std::map<std::string, std::unique_ptr<Site>>& sites() {
   return *m;
 }
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // Deterministic firing decision for evaluation ordinal n at a site:
 // depends only on (seed, site name, n), never on time or threads.
 bool decides_to_fire(const Site& s, const std::string& name,
                      std::uint64_t n) {
   if (s.p >= 1.0) return true;
   if (s.p <= 0.0) return false;
-  const std::uint64_t h = splitmix64(s.seed ^ fnv1a(name) ^ (n * 0x9e3779b97f4a7c15ull));
+  Fnv1a site(Fnv1a::kShortBasis);
+  site.bytes(name);
+  std::uint64_t state = s.seed ^ site.h ^ (n * 0x9e3779b97f4a7c15ull);
+  const std::uint64_t h = splitmix64(state);
   return static_cast<double>(h) <
          s.p * 18446744073709551616.0;  // p * 2^64
 }

@@ -10,12 +10,9 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 }
 
 std::uint64_t hash_string(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  Fnv1a f;
+  f.bytes(s);
+  return f.h;
 }
 
 Rng::Rng(std::uint64_t seed) {

@@ -41,8 +41,8 @@ std::ostream& operator<<(std::ostream& os, const PinCase& c) {
             << c.backtrack_limit;
 }
 
-fault::FaultList fault_list(const netlist::Netlist& nl, bool full) {
-  return full ? fault::FaultList::full(nl) : fault::FaultList::collapsed(nl);
+fault::FaultList fault_list(const netlist::CompiledCircuit& cc, bool full) {
+  return full ? fault::FaultList::full(cc) : fault::FaultList::collapsed(cc);
 }
 
 /// Everything an AtpgResult holds but sat_redundant_faults, as text:
@@ -69,11 +69,12 @@ class AtpgPinTest : public ::testing::TestWithParam<PinCase> {};
 TEST_P(AtpgPinTest, ResultMatchesRecordedDigest) {
   const PinCase& c = GetParam();
   const auto nl = circuits::make_circuit(c.circuit);
-  const auto fl = fault_list(nl, c.full_list);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault_list(cc, c.full_list);
   AtpgOptions opts;
   opts.sat_escalate = c.sat_escalate;
   opts.podem.backtrack_limit = c.backtrack_limit;
-  const AtpgResult r = run_atpg(nl, fl, opts);
+  const AtpgResult r = run_atpg(cc, fl, opts);
   const std::uint64_t got = util::hash_string(record(r));
   EXPECT_EQ(got, c.digest) << c << ": got 0x" << std::hex << got;
   EXPECT_EQ(r.sat_redundant_faults, c.sat_redundant) << c;
@@ -106,14 +107,15 @@ TEST(AtpgPin, CompactedSetIsReverseOrderIrredundant) {
   for (const char* name : {"c432", "c880", "s1238"}) {
     SCOPED_TRACE(name);
     const auto nl = circuits::make_circuit(name);
-    const auto fl = fault::FaultList::collapsed(nl);
-    const AtpgResult r = run_atpg(nl, fl);
+    const netlist::CompiledCircuit cc(nl);
+    const auto fl = fault::FaultList::collapsed(cc);
+    const AtpgResult r = run_atpg(cc, fl);
     ASSERT_GT(r.patterns.size(), 1u);
     util::BitVector detected(fl.size());
     for (std::size_t fid = 0; fid < fl.size(); ++fid) {
       if (r.verdict[fid] == FaultVerdict::kDetected) detected.set(fid);
     }
-    sim::FaultSim fsim(nl, fl);
+    sim::FaultSim fsim(cc, fl);
     util::BitVector later(fl.size());  // detected by some later kept pattern
     for (std::size_t p = r.patterns.size(); p-- > 0;) {
       sim::PatternSet one(nl.num_inputs(), 0);
@@ -132,12 +134,13 @@ TEST(AtpgPin, CompactedSetIsReverseOrderIrredundant) {
 // calling pool's workers; the result must not depend on how many.
 TEST(AtpgPin, ResultIndependentOfWorkerCount) {
   const auto nl = circuits::make_circuit("s1238");
-  const auto fl = fault::FaultList::collapsed(nl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
   auto run_on_pool = [&](std::size_t workers) {
     campaign::Scheduler sched(workers);
     campaign::TaskGroup group(sched);
     std::string out;
-    group.run([&] { out = record(run_atpg(nl, fl)); });
+    group.run([&] { out = record(run_atpg(cc, fl)); });
     group.wait();
     return out;
   };

@@ -38,16 +38,16 @@ std::vector<SatLit> pi_assumptions(const netlist::CompiledCircuit& cc,
 /// net, for each given pattern.
 void expect_model_matches_sim(const netlist::Netlist& nl,
                               const std::vector<util::WideWord>& patterns) {
-  const auto cc = std::make_shared<netlist::CompiledCircuit>(nl);
+  const netlist::CompiledCircuit cc(nl);
   Solver solver;
-  CircuitCnf frames(*cc, solver);
+  CircuitCnf frames(cc, solver);
   frames.add_timeframe();
-  sim::LogicSim lsim(nl, cc);
+  sim::LogicSim lsim(cc);
 
   for (const util::WideWord& p : patterns) {
     const std::vector<bool> expect = lsim.simulate_single(p);
-    ASSERT_EQ(solver.solve(pi_assumptions(*cc, p)), SolveStatus::kSat);
-    for (std::size_t n = 0; n < cc->num_nets(); ++n) {
+    ASSERT_EQ(solver.solve(pi_assumptions(cc, p)), SolveStatus::kSat);
+    for (std::size_t n = 0; n < cc.num_nets(); ++n) {
       const auto net = static_cast<netlist::NetId>(n);
       ASSERT_EQ(solver.value(frames.var(0, net)), expect[n])
           << "net " << nl.gate(net).name << " under pattern " << p.to_hex();
@@ -128,17 +128,17 @@ TEST(CnfProperty, ForcingAnOutputWrongIsUnsat) {
   spec.num_gates = 80;
   spec.seed = 5;
   const auto nl = circuits::generate(spec);
-  const auto cc = std::make_shared<netlist::CompiledCircuit>(nl);
+  const netlist::CompiledCircuit cc(nl);
   Solver loaded;
-  CircuitCnf frames(*cc, loaded);
+  CircuitCnf frames(cc, loaded);
   frames.add_timeframe();
-  sim::LogicSim lsim(nl, cc);
+  sim::LogicSim lsim(cc);
 
   for (const util::WideWord& p : random_patterns(10, 8, 99)) {
     const std::vector<bool> expect = lsim.simulate_single(p);
-    for (const netlist::NetId po : cc->outputs()) {
+    for (const netlist::NetId po : cc.outputs()) {
       Solver solver = loaded;  // a fresh copy per output, as SatEngine does
-      std::vector<SatLit> a = pi_assumptions(*cc, p);
+      std::vector<SatLit> a = pi_assumptions(cc, p);
       a.push_back(frames.lit(0, po, /*neg=*/expect[po]));
       EXPECT_EQ(solver.solve(a), SolveStatus::kUnsat);
     }
@@ -150,12 +150,12 @@ TEST(CnfProperty, ForcingAnOutputWrongIsUnsat) {
 // model, each frame matching the simulator independently.
 TEST(CnfProperty, TwoTimeframesAreIndependentCopies) {
   const auto nl = circuits::make_c17();
-  const auto cc = std::make_shared<netlist::CompiledCircuit>(nl);
+  const netlist::CompiledCircuit cc(nl);
   Solver solver;
-  CircuitCnf frames(*cc, solver);
+  CircuitCnf frames(cc, solver);
   ASSERT_EQ(frames.add_timeframe(), 0u);
   ASSERT_EQ(frames.add_timeframe(), 1u);
-  sim::LogicSim lsim(nl, cc);
+  sim::LogicSim lsim(cc);
 
   const util::WideWord p0(5, 0b10110);
   util::WideWord p1 = p0;
@@ -164,14 +164,14 @@ TEST(CnfProperty, TwoTimeframesAreIndependentCopies) {
   std::vector<SatLit> a;
   for (std::size_t i = 0; i < 5; ++i) {
     a.push_back(
-        mk_lit(frames.var(0, cc->inputs()[i]), /*neg=*/!p0.get_bit(i)));
+        mk_lit(frames.var(0, cc.inputs()[i]), /*neg=*/!p0.get_bit(i)));
     a.push_back(
-        mk_lit(frames.var(1, cc->inputs()[i]), /*neg=*/!p1.get_bit(i)));
+        mk_lit(frames.var(1, cc.inputs()[i]), /*neg=*/!p1.get_bit(i)));
   }
   ASSERT_EQ(solver.solve(a), SolveStatus::kSat);
   const auto e0 = lsim.simulate_single(p0);
   const auto e1 = lsim.simulate_single(p1);
-  for (std::size_t n = 0; n < cc->num_nets(); ++n) {
+  for (std::size_t n = 0; n < cc.num_nets(); ++n) {
     const auto net = static_cast<netlist::NetId>(n);
     EXPECT_EQ(solver.value(frames.var(0, net)), e0[n]);
     EXPECT_EQ(solver.value(frames.var(1, net)), e1[n]);

@@ -32,15 +32,15 @@ namespace {
 
 /// Ground truth for small circuits: per-fault detectability under the
 /// full 2^inputs pattern set.
-std::vector<bool> exhaustive_detectability(const netlist::Netlist& nl,
+std::vector<bool> exhaustive_detectability(const netlist::CompiledCircuit& cc,
                                            const fault::FaultList& fl) {
-  const std::size_t inputs = nl.num_inputs();
+  const std::size_t inputs = cc.num_inputs();
   EXPECT_LE(inputs, 16u) << "exhaustive oracle needs <= 16 inputs";
   sim::PatternSet all(inputs, 0);
   for (std::uint64_t v = 0; v < (1ull << inputs); ++v) {
     all.append(util::WideWord(inputs, v));
   }
-  sim::FaultSim fsim(nl, fl);
+  sim::FaultSim fsim(cc, fl);
   const sim::FaultSimResult r = fsim.run(all);
   std::vector<bool> detectable(fl.size(), false);
   for (std::size_t fid = 0; fid < fl.size(); ++fid) {
@@ -50,13 +50,13 @@ std::vector<bool> exhaustive_detectability(const netlist::Netlist& nl,
 }
 
 void cross_check(const netlist::Netlist& nl, bool exhaustive) {
-  const auto cc = std::make_shared<netlist::CompiledCircuit>(nl);
-  const auto fl = fault::FaultList::collapsed(*cc);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
   Podem podem(cc);
-  SatEngine sat(*cc);
-  sim::FaultSim fsim(nl, fl, cc);
+  SatEngine sat(cc);
+  sim::FaultSim fsim(cc, fl);
   const std::vector<bool> truth =
-      exhaustive ? exhaustive_detectability(nl, fl) : std::vector<bool>();
+      exhaustive ? exhaustive_detectability(cc, fl) : std::vector<bool>();
 
   for (std::size_t fid = 0; fid < fl.size(); ++fid) {
     const fault::Fault& f = fl[fid];

@@ -12,8 +12,9 @@ namespace {
 
 TEST(AtpgEngine, FullCoverageOnC17) {
   const auto nl = circuits::make_c17();
-  const auto fl = fault::FaultList::full(nl);
-  const AtpgResult r = run_atpg(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);
+  const AtpgResult r = run_atpg(cc, fl);
   EXPECT_EQ(r.redundant_faults, 0u);  // c17 is fully testable
   EXPECT_DOUBLE_EQ(r.testable_coverage_percent(), 100.0);
   EXPECT_GT(r.patterns.size(), 0u);
@@ -21,9 +22,10 @@ TEST(AtpgEngine, FullCoverageOnC17) {
 
 TEST(AtpgEngine, PatternsActuallyCoverClaimedFaults) {
   const auto nl = circuits::make_c17();
-  const auto fl = fault::FaultList::full(nl);
-  const AtpgResult r = run_atpg(nl, fl);
-  sim::FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);
+  const AtpgResult r = run_atpg(cc, fl);
+  sim::FaultSim fsim(cc, fl);
   const sim::FaultSimResult check = fsim.run(r.patterns);
   for (std::size_t fid = 0; fid < fl.size(); ++fid) {
     if (r.verdict[fid] == FaultVerdict::kDetected) {
@@ -39,15 +41,16 @@ TEST(AtpgEngine, CompactionPreservesCoverage) {
   spec.num_gates = 100;
   spec.seed = 17;
   const auto nl = circuits::generate(spec);
-  const auto fl = fault::FaultList::collapsed(nl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
 
-  const AtpgResult a = run_atpg(nl, fl);
+  const AtpgResult a = run_atpg(cc, fl);
 
   // Compaction only shrinks the pool of random-phase and deterministic
   // patterns, and every detected fault stays detected.
   EXPECT_LE(a.patterns.size(), a.random_patterns_used + a.deterministic_patterns);
 
-  sim::FaultSim fsim(nl, fl);
+  sim::FaultSim fsim(cc, fl);
   const auto check = fsim.run(a.patterns);
   for (std::size_t fid = 0; fid < fl.size(); ++fid) {
     if (a.verdict[fid] == FaultVerdict::kDetected) {
@@ -58,11 +61,12 @@ TEST(AtpgEngine, CompactionPreservesCoverage) {
 
 TEST(AtpgEngine, DeterministicForSameSeed) {
   const auto nl = circuits::make_circuit("c432");
-  const auto fl = fault::FaultList::collapsed(nl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
   AtpgOptions opts;
   opts.seed = 5;
-  const AtpgResult a = run_atpg(nl, fl, opts);
-  const AtpgResult b = run_atpg(nl, fl, opts);
+  const AtpgResult a = run_atpg(cc, fl, opts);
+  const AtpgResult b = run_atpg(cc, fl, opts);
   EXPECT_EQ(a.patterns.size(), b.patterns.size());
   EXPECT_EQ(a.verdict, b.verdict);
   for (std::size_t p = 0; p < a.patterns.size(); ++p) {
@@ -72,8 +76,9 @@ TEST(AtpgEngine, DeterministicForSameSeed) {
 
 TEST(AtpgEngine, HighCoverageOnRegistryCircuit) {
   const auto nl = circuits::make_circuit("s820");
-  const auto fl = fault::FaultList::collapsed(nl);
-  const AtpgResult r = run_atpg(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  const AtpgResult r = run_atpg(cc, fl);
   EXPECT_GT(r.testable_coverage_percent(), 95.0);
   // A compacted deterministic set should be far smaller than the fault
   // count.
@@ -92,8 +97,9 @@ void expect_tallies_match_verdicts(const AtpgResult& r) {
 
 TEST(AtpgEngine, ReportsPhaseStatistics) {
   const auto nl = circuits::make_circuit("c432");
-  const auto fl = fault::FaultList::collapsed(nl);
-  const AtpgResult r = run_atpg(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  const AtpgResult r = run_atpg(cc, fl);
   EXPECT_GT(r.random_patterns_used + r.deterministic_patterns, 0u);
   expect_tallies_match_verdicts(r);
 
@@ -101,7 +107,7 @@ TEST(AtpgEngine, ReportsPhaseStatistics) {
   AtpgOptions podem_only;
   podem_only.sat_escalate = false;
   podem_only.podem.backtrack_limit = 5;
-  const AtpgResult p = run_atpg(nl, fl, podem_only);
+  const AtpgResult p = run_atpg(cc, fl, podem_only);
   EXPECT_GT(p.aborted_faults, 0u);
   expect_tallies_match_verdicts(p);
 }

@@ -36,15 +36,15 @@ std::ostream& operator<<(std::ostream& os, const PinCase& c) {
             << c.backtrack_limit;
 }
 
-fault::FaultList fault_list(const netlist::Netlist& nl, bool full) {
-  return full ? fault::FaultList::full(nl) : fault::FaultList::collapsed(nl);
+fault::FaultList fault_list(const netlist::CompiledCircuit& cc, bool full) {
+  return full ? fault::FaultList::full(cc) : fault::FaultList::collapsed(cc);
 }
 
-std::uint64_t search_digest(const netlist::Netlist& nl,
+std::uint64_t search_digest(const netlist::CompiledCircuit& cc,
                             const fault::FaultList& fl, std::size_t limit) {
   PodemOptions opts;
   opts.backtrack_limit = limit;
-  Podem podem(nl, opts);
+  Podem podem(cc, opts);
   std::string record;
   for (std::size_t fid = 0; fid < fl.size(); ++fid) {
     const PodemResult r = podem.generate(fl[fid]);
@@ -61,8 +61,9 @@ class PodemPinTest : public ::testing::TestWithParam<PinCase> {};
 TEST_P(PodemPinTest, SearchMatchesRecordedDigest) {
   const PinCase& c = GetParam();
   const auto nl = circuits::make_circuit(c.circuit);
-  const auto fl = fault_list(nl, c.full_list);
-  const std::uint64_t got = search_digest(nl, fl, c.backtrack_limit);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault_list(cc, c.full_list);
+  const std::uint64_t got = search_digest(cc, fl, c.backtrack_limit);
   EXPECT_EQ(got, c.digest) << c << ": got 0x" << std::hex << got;
 }
 
@@ -100,8 +101,8 @@ INSTANTIATE_TEST_SUITE_P(
 // leak from one fault to the next.
 TEST(PodemPin, ResultIndependentOfFaultOrder) {
   const auto nl = circuits::make_circuit("c1908");
-  const auto fl = fault::FaultList::collapsed(nl);
-  const auto cc = std::make_shared<const netlist::CompiledCircuit>(nl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
   Podem reused(cc);
   for (std::size_t fid = fl.size(); fid-- > 0;) {
     const PodemResult a = reused.generate(fl[fid]);
@@ -122,8 +123,8 @@ TEST(PodemPin, SmallerBudgetIsPrefix) {
   for (const char* name : {"c432", "c1908", "s1238"}) {
     SCOPED_TRACE(name);
     const auto nl = circuits::make_circuit(name);
-    const auto fl = fault::FaultList::collapsed(nl);
-    const auto cc = std::make_shared<const netlist::CompiledCircuit>(nl);
+    const netlist::CompiledCircuit cc(nl);
+    const auto fl = fault::FaultList::collapsed(cc);
     const PodemOptions opts;
     ASSERT_EQ(opts.backtrack_limit, 600u);
     Podem podem(cc, opts);

@@ -18,9 +18,10 @@ util::WideWord zero_fill(const PodemResult& r) { return r.pattern; }
 
 TEST(Podem, FindsTestForEveryC17Fault) {
   const auto nl = circuits::make_c17();
-  const auto fl = fault::FaultList::full(nl);
-  sim::FaultSim fsim(nl, fl);
-  Podem podem(nl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);
+  sim::FaultSim fsim(cc, fl);
+  Podem podem(cc);
   for (std::size_t fid = 0; fid < fl.size(); ++fid) {
     const PodemResult r = podem.generate(fl[fid]);
     ASSERT_EQ(r.status, PodemStatus::kTestFound)
@@ -37,9 +38,10 @@ TEST(Podem, GeneratedPatternsDetectOnGeneratedCircuit) {
   spec.num_gates = 120;
   spec.seed = 31;
   const Netlist nl = circuits::generate(spec);
-  const auto fl = fault::FaultList::collapsed(nl);
-  sim::FaultSim fsim(nl, fl);
-  Podem podem(nl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  sim::FaultSim fsim(cc, fl);
+  Podem podem(cc);
 
   std::size_t found = 0, untestable = 0, aborted = 0;
   for (std::size_t fid = 0; fid < fl.size(); ++fid) {
@@ -72,7 +74,8 @@ TEST(Podem, ProvesRedundancy) {
   const auto out = nl.add_gate(GateType::kBuf, "out", {y});
   nl.mark_output(out);
 
-  Podem podem(nl);
+  const netlist::CompiledCircuit cc(nl);
+  Podem podem(cc);
   const PodemResult r1 = podem.generate(fault::Fault{y, true});
   EXPECT_EQ(r1.status, PodemStatus::kUntestable);
   // y stuck-at-0 *is* testable (any input works).
@@ -91,7 +94,8 @@ TEST(Podem, UntestableDueToBlockedPropagation) {
   const auto ng = nl.add_gate(GateType::kNot, "ng", {g});
   const auto h = nl.add_gate(GateType::kAnd, "h", {g, ng});
   nl.mark_output(h);
-  Podem podem(nl);
+  const netlist::CompiledCircuit cc(nl);
+  Podem podem(cc);
   EXPECT_EQ(podem.generate(fault::Fault{h, false}).status,
             PodemStatus::kUntestable);
   EXPECT_EQ(podem.generate(fault::Fault{h, true}).status,
@@ -100,8 +104,9 @@ TEST(Podem, UntestableDueToBlockedPropagation) {
 
 TEST(Podem, CareBitsAreSubsetOfInputs) {
   const auto nl = circuits::make_c17();
-  const auto fl = fault::FaultList::full(nl);
-  Podem podem(nl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);
+  Podem podem(cc);
   const PodemResult r = podem.generate(fl[0]);
   ASSERT_EQ(r.status, PodemStatus::kTestFound);
   EXPECT_EQ(r.care.bits(), nl.num_inputs());
@@ -115,8 +120,9 @@ TEST(Podem, CareBitsAreSubsetOfInputs) {
 
 TEST(Podem, DecisionStatisticsPopulated) {
   const auto nl = circuits::make_circuit("c432");
-  const auto fl = fault::FaultList::collapsed(nl);
-  Podem podem(nl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  Podem podem(cc);
   std::size_t total_decisions = 0;
   for (std::size_t fid = 0; fid < 20 && fid < fl.size(); ++fid) {
     total_decisions += podem.generate(fl[fid]).decisions;
@@ -135,9 +141,10 @@ TEST_P(PodemPropertyTest, PatternsValidatedBySimulation) {
   spec.num_gates = 60;
   spec.seed = GetParam();
   const Netlist nl = circuits::generate(spec);
-  const auto fl = fault::FaultList::collapsed(nl);
-  sim::FaultSim fsim(nl, fl);
-  Podem podem(nl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  sim::FaultSim fsim(cc, fl);
+  Podem podem(cc);
   for (std::size_t fid = 0; fid < fl.size(); ++fid) {
     const PodemResult r = podem.generate(fl[fid]);
     if (r.status == PodemStatus::kTestFound) {

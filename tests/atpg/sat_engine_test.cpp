@@ -44,8 +44,8 @@ TEST(SatEngine, CertifiesAbsorptionRedundancyAndDetectsItsDual) {
   const SatResult r1 = sat.generate({c, /*stuck_value=*/true});
   ASSERT_EQ(r1.status, SatStatus::kDetected);
   // The certificate's dual must be a real test: validate via FaultSim.
-  const auto fl = fault::FaultList::full(nl);
-  sim::FaultSim fsim(nl, fl);
+  const auto fl = fault::FaultList::full(cc);
+  sim::FaultSim fsim(cc, fl);
   const std::size_t fid = fl.find({c, true});
   ASSERT_NE(fid, static_cast<std::size_t>(-1));
   EXPECT_TRUE(sim::detects(fsim, r1.pattern, fid));
@@ -69,8 +69,8 @@ TEST(SatEngine, CertifiesConstantZeroNet) {
 
   const SatResult r = sat.generate({z, true});
   ASSERT_EQ(r.status, SatStatus::kDetected);
-  const auto fl = fault::FaultList::full(nl);
-  sim::FaultSim fsim(nl, fl);
+  const auto fl = fault::FaultList::full(cc);
+  sim::FaultSim fsim(cc, fl);
   EXPECT_TRUE(sim::detects(fsim, r.pattern, fl.find({z, true})));
 }
 
@@ -79,7 +79,7 @@ TEST(SatEngine, EveryCollapsedC432FaultIsDecided) {
   const netlist::CompiledCircuit cc(nl);
   SatEngine sat(cc);
   const auto fl = fault::FaultList::collapsed(cc);
-  sim::FaultSim fsim(nl, fl);
+  sim::FaultSim fsim(cc, fl);
   std::size_t detected = 0, redundant = 0;
   for (std::size_t fid = 0; fid < fl.size(); ++fid) {
     const SatResult r = sat.generate(fl[fid]);
@@ -172,12 +172,13 @@ TEST(SatEngine, RunAtpgEscalatesPodemAbortsToSat) {
   spec.xor_share = 0.30;
   spec.seed = 41;
   const auto nl = circuits::generate(spec);
-  const auto fl = fault::FaultList::collapsed(nl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
 
   AtpgOptions off;
   off.podem.backtrack_limit = 0;
   off.sat_escalate = false;
-  const AtpgResult base = run_atpg(nl, fl, off);
+  const AtpgResult base = run_atpg(cc, fl, off);
   ASSERT_GT(base.aborted_faults, 0u)  // the premise: PODEM really aborts
       << "generator spec no longer produces PODEM aborts; re-seed";
   EXPECT_EQ(base.sat_detected_faults, 0u);
@@ -185,13 +186,13 @@ TEST(SatEngine, RunAtpgEscalatesPodemAbortsToSat) {
 
   AtpgOptions on = off;
   on.sat_escalate = true;
-  const AtpgResult r = run_atpg(nl, fl, on);
+  const AtpgResult r = run_atpg(cc, fl, on);
   EXPECT_EQ(r.aborted_faults, 0u);
   EXPECT_GT(r.sat_detected_faults + r.sat_redundant_faults, 0u);
   EXPECT_DOUBLE_EQ(r.testable_coverage_percent(), 100.0);
 
   // Claimed detections are honest: the final pattern set covers them.
-  sim::FaultSim fsim(nl, fl);
+  sim::FaultSim fsim(cc, fl);
   const auto check = fsim.run(r.patterns);
   for (std::size_t fid = 0; fid < fl.size(); ++fid) {
     if (r.verdict[fid] == FaultVerdict::kDetected) {

@@ -22,8 +22,8 @@ namespace fbist::atpg {
 namespace {
 
 std::uint64_t reverse_order_digest(const netlist::Netlist& nl) {
-  const auto fl = fault::FaultList::collapsed(nl);
   const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
   SatEngine sat(cc);
   std::string record;
   for (std::size_t fid = fl.size(); fid-- > 0;) {

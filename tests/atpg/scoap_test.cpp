@@ -14,7 +14,8 @@ using netlist::Netlist;
 
 TEST(Scoap, InputsCostOne) {
   const auto nl = circuits::make_c17();
-  const auto s = compute_scoap(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto s = compute_scoap(cc);
   for (const auto i : nl.inputs()) {
     EXPECT_EQ(s.cc0[i], 1u);
     EXPECT_EQ(s.cc1[i], 1u);
@@ -23,7 +24,8 @@ TEST(Scoap, InputsCostOne) {
 
 TEST(Scoap, OutputsObservableForFree) {
   const auto nl = circuits::make_c17();
-  const auto s = compute_scoap(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto s = compute_scoap(cc);
   for (const auto o : nl.outputs()) EXPECT_EQ(s.co[o], 0u);
 }
 
@@ -33,7 +35,8 @@ TEST(Scoap, AndGateControllability) {
   const auto b = nl.add_input("b");
   const auto g = nl.add_gate(GateType::kAnd, "g", {a, b});
   nl.mark_output(g);
-  const auto s = compute_scoap(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto s = compute_scoap(cc);
   EXPECT_EQ(s.cc1[g], 3u);  // both inputs to 1: 1+1+1
   EXPECT_EQ(s.cc0[g], 2u);  // one input to 0: 1+1
   // Observing `a` through the AND requires b=1: co = 0 + cc1(b) + 1 = 2.
@@ -46,7 +49,8 @@ TEST(Scoap, NotGateSwapsControllability) {
   const auto g1 = nl.add_gate(GateType::kAnd, "g1", {a, nl.add_input("b")});
   const auto inv = nl.add_gate(GateType::kNot, "inv", {g1});
   nl.mark_output(inv);
-  const auto s = compute_scoap(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto s = compute_scoap(cc);
   EXPECT_EQ(s.cc0[inv], s.cc1[g1] + 1);
   EXPECT_EQ(s.cc1[inv], s.cc0[g1] + 1);
 }
@@ -57,7 +61,8 @@ TEST(Scoap, XorTwoInputRecurrence) {
   const auto b = nl.add_input("b");
   const auto g = nl.add_gate(GateType::kXor, "g", {a, b});
   nl.mark_output(g);
-  const auto s = compute_scoap(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto s = compute_scoap(cc);
   // cc0 = min(1+1, 1+1)+1 = 3; cc1 = min(1+1, 1+1)+1 = 3.
   EXPECT_EQ(s.cc0[g], 3u);
   EXPECT_EQ(s.cc1[g], 3u);
@@ -70,7 +75,8 @@ TEST(Scoap, DeadLogicUnobservable) {
   const auto keep = nl.add_gate(GateType::kAnd, "keep", {a, b});
   const auto dead = nl.add_gate(GateType::kOr, "dead", {a, b});
   nl.mark_output(keep);
-  const auto s = compute_scoap(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto s = compute_scoap(cc);
   EXPECT_EQ(s.co[dead], kScoapInf);
   EXPECT_LT(s.co[keep], kScoapInf);
 }
@@ -86,7 +92,8 @@ TEST(Scoap, DeeperNetsCostMore) {
     chain.push_back(prev);
   }
   nl.mark_output(prev);
-  const auto s = compute_scoap(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto s = compute_scoap(cc);
   for (std::size_t i = 1; i < chain.size(); ++i) {
     EXPECT_GT(s.cc0[chain[i]], s.cc0[chain[i - 1]]);
     EXPECT_LT(s.co[chain[i]], s.co[chain[i - 1]]);
@@ -95,8 +102,9 @@ TEST(Scoap, DeeperNetsCostMore) {
 
 TEST(Scoap, FaultDifficultyUsesOpposingControllability) {
   const auto nl = circuits::make_c17();
-  const auto s = compute_scoap(nl);
-  const auto fl = fault::FaultList::full(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto s = compute_scoap(cc);
+  const auto fl = fault::FaultList::full(cc);
   for (std::size_t i = 0; i < fl.size(); ++i) {
     const auto d = s.fault_difficulty(fl[i]);
     EXPECT_LT(d, kScoapInf);
@@ -106,8 +114,9 @@ TEST(Scoap, FaultDifficultyUsesOpposingControllability) {
 
 TEST(Scoap, HardestFirstIsSortedByDifficulty) {
   const auto nl = circuits::make_circuit("c432");
-  const auto s = compute_scoap(nl);
-  const auto fl = fault::FaultList::collapsed(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto s = compute_scoap(cc);
+  const auto fl = fault::FaultList::collapsed(cc);
   const auto order = hardest_first(s, fl);
   ASSERT_EQ(order.size(), fl.size());
   for (std::size_t i = 1; i < order.size(); ++i) {
@@ -128,10 +137,11 @@ TEST(Scoap, DifficultyCorrelatesWithRandomDetection) {
   spec.xor_share = 0.3;
   spec.seed = 77;
   const auto nl = circuits::generate(spec);
-  const auto fl = fault::FaultList::collapsed(nl);
-  const auto s = compute_scoap(nl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  const auto s = compute_scoap(cc);
 
-  sim::FaultSim fsim(nl, fl);
+  sim::FaultSim fsim(cc, fl);
   util::Rng rng(5);
   const auto ps = sim::PatternSet::random(16, 64, rng);
   const auto r = fsim.run(ps);
@@ -154,8 +164,9 @@ TEST(Scoap, DifficultyCorrelatesWithRandomDetection) {
 
 TEST(Scoap, SummaryMentionsNumbers) {
   const auto nl = circuits::make_c17();
-  const auto s = compute_scoap(nl);
-  const auto text = scoap_summary(nl, s);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto s = compute_scoap(cc);
+  const auto text = scoap_summary(s);
   EXPECT_NE(text.find("SCOAP"), std::string::npos);
   EXPECT_NE(text.find("11/11 nets observable"), std::string::npos);
 }

@@ -47,8 +47,9 @@ TEST(WeightedRandom, PatternsRespectExtremeWeights) {
 
 TEST(WeightedRandom, FullCoverageOnTinyCircuit) {
   const auto nl = circuits::make_c17();
-  const auto fl = fault::FaultList::full(nl);
-  sim::FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);
+  sim::FaultSim fsim(cc, fl);
   const sim::PatternSet no_guide(5, 0);
   const auto r = run_weighted_random(fsim, no_guide);
   EXPECT_EQ(r.faults_detected, fl.size());
@@ -60,8 +61,9 @@ TEST(WeightedRandom, StallsBelowFullCoverageOnResistantCircuit) {
   // random testing (even weighted) does not reach full coverage within
   // 10k patterns.  Verify on a registry circuit with a reduced budget.
   const auto nl = circuits::make_circuit("s1238");
-  const auto fl = fault::FaultList::collapsed(nl);
-  sim::FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  sim::FaultSim fsim(cc, fl);
   const sim::PatternSet no_guide(nl.num_inputs(), 0);
   WeightedRandomOptions opts;
   opts.max_patterns = 2048;
@@ -75,9 +77,10 @@ TEST(WeightedRandom, GuidedWeightsAtLeastAsGoodAsUniformOnAverage) {
   // worse than uniform at equal budget (usually better on biased
   // circuits).  Allow slack — this is a heuristic, not a theorem.
   const auto nl = circuits::make_circuit("s420");
-  const auto fl = fault::FaultList::collapsed(nl);
-  sim::FaultSim fsim(nl, fl);
-  const auto atpg = atpg::run_atpg(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  sim::FaultSim fsim(cc, fl);
+  const auto atpg = atpg::run_atpg(cc, fl);
 
   WeightedRandomOptions opts;
   opts.max_patterns = 1024;
@@ -88,8 +91,9 @@ TEST(WeightedRandom, GuidedWeightsAtLeastAsGoodAsUniformOnAverage) {
 
 TEST(WeightedRandom, DeterministicForSeed) {
   const auto nl = circuits::make_c17();
-  const auto fl = fault::FaultList::full(nl);
-  sim::FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);
+  sim::FaultSim fsim(cc, fl);
   const sim::PatternSet no_guide(5, 0);
   WeightedRandomOptions opts;
   opts.seed = 77;

@@ -1,5 +1,8 @@
 #include "bist/misr.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "circuits/registry.h"
@@ -69,18 +72,20 @@ TEST(Misr, SingleBitResponseChangePerturbsSignature) {
 
 TEST(GoldenSignature, MatchesManualComposition) {
   const auto nl = circuits::make_c17();
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
   util::Rng rng(5);
   const auto ps = sim::PatternSet::random(5, 20, rng);
   const Misr misr(nl.num_outputs());
-  const auto resp = golden_responses(nl, ps);
+  const auto resp = golden_responses(cc, ps);
   ASSERT_EQ(resp.size(), 20u);
-  EXPECT_EQ(golden_signature(nl, ps, misr), misr.signature(resp));
+  EXPECT_EQ(golden_signature(cc, ps, misr), misr.signature(resp));
 }
 
 TEST(Aliasing, DetectedFaultsMostlyVisibleInSignature) {
   const auto nl = circuits::make_c17();
-  const auto fl = fault::FaultList::full(nl);
-  sim::FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);
+  sim::FaultSim fsim(cc, fl);
   util::Rng rng(9);
   const auto ps = sim::PatternSet::random(5, 64, rng);
   const auto r = fsim.run(ps);
@@ -90,7 +95,7 @@ TEST(Aliasing, DetectedFaultsMostlyVisibleInSignature) {
   ASSERT_FALSE(detected.empty());
 
   const Misr misr(nl.num_outputs());  // 2-bit MISR: aliasing plausible
-  const auto aliased = aliased_faults(nl, fl, detected, ps, misr);
+  const auto aliased = aliased_faults(cc, fl, detected, ps, misr);
   // Theory bound ~2^-w per fault; with w=2 some aliasing may occur, but
   // never the majority.
   EXPECT_LT(aliased.size(), detected.size() / 2 + 1);
@@ -105,14 +110,15 @@ TEST(Aliasing, UndetectedFaultNeverReported) {
   const auto y = nl.add_gate(netlist::GateType::kOr, "y", {a, na});
   const auto out = nl.add_gate(netlist::GateType::kBuf, "out", {y});
   nl.mark_output(out);
-  const auto fl = fault::FaultList::full(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto fl = fault::FaultList::full(cc);
   const std::size_t fid = fl.find(fault::Fault{y, true});  // redundant
   ASSERT_NE(fid, static_cast<std::size_t>(-1));
 
   util::Rng rng(2);
   const auto ps = sim::PatternSet::random(1, 8, rng);
   const Misr misr(1);
-  EXPECT_TRUE(aliased_faults(nl, fl, {fid}, ps, misr).empty());
+  EXPECT_TRUE(aliased_faults(cc, fl, {fid}, ps, misr).empty());
 }
 
 TEST(Aliasing, WideMisrEliminatesAliasingOnC17) {
@@ -120,8 +126,9 @@ TEST(Aliasing, WideMisrEliminatesAliasingOnC17) {
   // Widening the register (responses zero-extended) drops the aliasing
   // probability to ~2^-16 — zero on this sample.
   const auto nl = circuits::make_c17();
-  const auto fl = fault::FaultList::full(nl);
-  sim::FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);
+  sim::FaultSim fsim(cc, fl);
   util::Rng rng(21);
   const auto ps = sim::PatternSet::random(5, 128, rng);
   const auto r = fsim.run(ps);
@@ -130,10 +137,58 @@ TEST(Aliasing, WideMisrEliminatesAliasingOnC17) {
 
   const Misr narrow(nl.num_outputs());
   const Misr wide(16);
-  const auto aliased_narrow = aliased_faults(nl, fl, detected, ps, narrow);
-  const auto aliased_wide = aliased_faults(nl, fl, detected, ps, wide);
+  const auto aliased_narrow = aliased_faults(cc, fl, detected, ps, narrow);
+  const auto aliased_wide = aliased_faults(cc, fl, detected, ps, wide);
   EXPECT_LE(aliased_wide.size(), aliased_narrow.size());
   EXPECT_TRUE(aliased_wide.empty());
+}
+
+// The aliased fault ids of c432 and c880 over 64 seeded patterns,
+// recorded before aliased_faults moved onto the compiled schedule.  Each
+// circuit is pinned under a register as wide as its PO vector (the
+// narrowest Misr::step accepts: c432 has 7 outputs, c880 26), once with
+// the default taps and once with the single tap {0}, which drops the top
+// bit every clock, so errors that reach only the high bits early alias
+// and the lists are long.
+TEST(Aliasing, ListPinned) {
+  struct Case {
+    const char* circuit;
+    bool single_tap;
+    std::vector<std::size_t> aliased;
+  };
+  const std::vector<Case> cases = {
+      {"c432", false, {86, 200, 357, 372}},
+      {"c432", true,
+       {6,   11,  14,  22,  24,  25,  26,  28,  30,  35,  40,  45,  47,  53,
+        61,  65,  66,  69,  75,  82,  83,  84,  87,  90,  95,  103, 105, 108,
+        119, 124, 125, 130, 132, 140, 144, 150, 159, 176, 181, 186, 198, 201,
+        208, 210, 216, 218, 228, 237, 252, 253, 259, 283, 286, 287, 295, 297,
+        304, 306, 312, 321, 322, 329, 338, 340, 352, 355, 359, 370, 373, 388,
+        395, 402}},
+      {"c880", false, {}},
+      {"c880", true,
+       {6,   22,  32,  36,  38,  50,  51,  66,  70,  71,  112, 115, 118, 119,
+        120, 128, 137, 141, 168, 169, 181, 185, 186, 194, 224, 232, 235, 240,
+        253, 256, 269, 276, 283, 285, 299, 317, 322, 326, 333, 336, 344, 347,
+        349, 351, 372, 377, 387, 389, 393, 447, 453, 468, 502, 515, 524, 525,
+        531, 535, 549, 560, 581, 597, 604, 611, 615, 617, 621, 648, 656, 669,
+        670, 676, 683, 687, 690, 698, 708, 715, 729, 730, 732, 733, 736, 738,
+        747, 750, 758, 760, 762, 764, 792, 796, 825, 836, 839, 850, 852, 854,
+        855, 887, 892, 898, 905, 908}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.circuit) + (c.single_tap ? "/tap0" : "/default"));
+    const auto nl = circuits::make_circuit(c.circuit);
+    const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+    const auto fl = fault::FaultList::collapsed(cc);
+    std::vector<std::size_t> ids(fl.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
+    util::Rng rng(30);
+    const auto ps = sim::PatternSet::random(nl.num_inputs(), 64, rng);
+    const Misr misr = c.single_tap ? Misr(nl.num_outputs(), {0})
+                                   : Misr(nl.num_outputs());
+    EXPECT_EQ(aliased_faults(cc, fl, ids, ps, misr), c.aliased);
+  }
 }
 
 TEST(Misr, NarrowResponseZeroExtended) {

@@ -4,7 +4,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "campaign/runner.h"
 
@@ -107,6 +110,85 @@ TEST(Checkpoint, ReadRejectsMalformedRecords) {
                                       "run 0 1\n"
                                       "circuit c17\n"),
                std::runtime_error);
+}
+
+/// `blob` with the value of its `key` record replaced by `value`.
+std::string with_record(const std::string& blob, const std::string& key,
+                        const std::string& value) {
+  const std::size_t at = blob.find("\n" + key + " ") + 1;
+  const std::size_t end = blob.find('\n', at);
+  return blob.substr(0, at) + key + " " + value + blob.substr(end);
+}
+
+// Every unsigned field reads strictly: a sign or trailing junk is the
+// line's error (so CheckpointStore::load skips the blob as corrupt and
+// re-executes its run), never a wrapped or truncated number.
+TEST(Checkpoint, ReadRejectsMalformedNumbers) {
+  CheckpointRecord rec;
+  rec.spec = 1;
+  rec.total_runs = 4;
+  rec.result.spec = RunSpec{"c17", tpg::TpgKind::kAdder, 8,
+                            reseed::SolverChoice::kExact};
+  rec.result.ok = true;
+  const std::string blob = checkpoint_to_string(rec);
+  ASSERT_NO_THROW(checkpoint_from_string(blob));
+  const auto expect_error = [](const std::string& text,
+                               const std::string& want) {
+    try {
+      checkpoint_from_string(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const std::string bad : {"-1", "+6", "6junk"}) {
+    SCOPED_TRACE(bad);
+    expect_error(with_record(blob, "run", bad + " 4"),
+                 "ckpt line 3: bad run position");
+    expect_error(with_record(blob, "run", "0 " + bad),
+                 "ckpt line 3: bad run position");
+    expect_error(with_record(blob, "cycles", bad), "ckpt line 6: bad cycles");
+    expect_error(with_record(blob, "ok", bad), "ckpt line 8: bad ok flag");
+    expect_error(with_record(blob, "counts", bad + " 0 0 0 0 0 0 0 0 0 0 0 0 0"),
+                 "ckpt line 9: bad counts");
+    expect_error(with_record(blob, "counts", "0 0 0 0 0 0 0 0 0 0 0 0 0 " + bad),
+                 "ckpt line 9: bad counts");
+  }
+  // The spec hash is 16 lowercase hex digits, as spec_hash_hex writes it.
+  expect_error(with_record(blob, "spec", "+000000000000001"),
+               "ckpt line 2: bad spec hash");
+  expect_error(with_record(blob, "spec", "1"), "ckpt line 2: bad spec hash");
+}
+
+// A blob whose cycle count reads -8 is corrupt: it is skipped and its
+// run re-executed, not taken for a run of another spec.
+TEST(Checkpoint, NegativeCycleCountIsSkippedAndRebuilt) {
+  const std::string dir = scratch_dir("negative_cycles");
+  Scheduler sched(2);
+  const CampaignSpec spec = small_spec();
+  CampaignOptions copts;
+  copts.checkpoint_dir = dir;
+  const Report full = run_campaign(spec, copts, &sched);
+
+  CheckpointStore store(dir, spec);
+  std::string blob;
+  {
+    std::ifstream in(store.blob_path(1));
+    blob.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  {
+    std::ofstream out(store.blob_path(1), std::ios::trunc);
+    out << with_record(blob, "cycles", "-8");
+  }
+
+  const Report resumed = run_campaign(spec, copts, &sched);
+  EXPECT_EQ(resumed.checkpoint.corrupt, 1u);
+  EXPECT_EQ(resumed.checkpoint.resumed, 3u);
+  EXPECT_EQ(resumed.checkpoint.executed, 1u);
+  EXPECT_EQ(resumed.to_json(), full.to_json());
+  fs::remove_all(dir);
 }
 
 TEST(Checkpoint, ResumeIsByteIdenticalAndSkipsAllCompletedRuns) {

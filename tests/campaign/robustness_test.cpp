@@ -9,11 +9,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "campaign/checkpoint.h"
 #include "campaign/runner.h"
 #include "reseed/matrix_cache.h"
+#include "reseed/serialize.h"
 #include "util/failpoint.h"
 
 namespace fbist::campaign {
@@ -130,17 +132,21 @@ TEST_F(RobustnessTest, TransientCheckpointFailuresRecoverWithinTheRetryBudget) {
   fs::remove_all(dir);
 }
 
-TEST_F(RobustnessTest, TruncatedCacheBlobDegradesToAMissAndIsRebuilt) {
+/// Overwrites one of a populated cache's two blobs (one per TPG family)
+/// with `content`, which must not parse, and checks that the next sweep
+/// reads it as a miss and rebuilds it: the report is a fresh sweep's,
+/// the cache stays up, the intact blob still hits, and the rebuilt blob
+/// parses again.
+void expect_corrupt_blob_rebuilt(const std::string& name,
+                                 const std::string& content) {
   Scheduler sched(2);
   const CampaignSpec spec = small_spec();
-  const std::string dir = scratch_dir("dmx");
+  const std::string dir = scratch_dir(name);
   {
     CampaignOptions copts;
     copts.matrix_cache = disk_cache(dir);
     run_campaign(spec, copts, &sched);  // populate the disk tier
   }
-  // Truncate one blob mid-write shape: reads fine, parses invalid.
-  // A partial file must never parse as a valid matrix.
   const auto entries = reseed::MatrixCache::list_dir(dir);
   ASSERT_FALSE(entries.empty());
   const std::string victim =
@@ -150,7 +156,7 @@ TEST_F(RobustnessTest, TruncatedCacheBlobDegradesToAMissAndIsRebuilt) {
   ASSERT_TRUE(fs::exists(victim));
   {
     std::ofstream out(victim, std::ios::trunc);
-    out << "fbist-dmx v1\ntruncated mid-wri";
+    out << content;
   }
 
   const Report fresh = run_campaign(spec, {}, &sched);
@@ -159,11 +165,29 @@ TEST_F(RobustnessTest, TruncatedCacheBlobDegradesToAMissAndIsRebuilt) {
   const Report report = run_campaign(spec, copts, &sched);
   EXPECT_EQ(report.to_json(), fresh.to_json());
   // Content corruption is not a disk fault: the cache stays up, the
-  // intact blob (one per TPG family) still hits, the torn one rebuilt.
+  // intact blob still hits, the corrupt one is rebuilt.
   EXPECT_FALSE(copts.matrix_cache->disk_degraded());
   EXPECT_EQ(report.cache.hits, 1u);
   EXPECT_EQ(report.cache.misses, 1u);
+  std::ifstream in(victim);
+  const std::string rebuilt((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_NO_THROW(reseed::matrix_from_string(rebuilt));
   fs::remove_all(dir);
+}
+
+// Truncated mid-write shape: reads fine, parses invalid.  A partial file
+// must never parse as a valid matrix.
+TEST_F(RobustnessTest, TruncatedCacheBlobDegradesToAMissAndIsRebuilt) {
+  expect_corrupt_blob_rebuilt("dmx", "fbist-dmx v1\ntruncated mid-wri");
+}
+
+// A negative dimension is a malformed number, read as such (a bad blob,
+// so a miss), never wrapped to 2^64 - 1 and sized into a failed
+// allocation that escapes the cache.
+TEST_F(RobustnessTest, NegativeCacheBlobDimensionIsAMissAndIsRebuilt) {
+  expect_corrupt_blob_rebuilt("dmx_negative",
+                              "fbist-dmx v1\ndims -1 16\nhas-earliest 1\n");
 }
 
 TEST_F(RobustnessTest, UnreadableCacheDiskTierTripsTheBreakerAndDegrades) {

@@ -1,5 +1,8 @@
 #include "cover/instance_io.h"
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "cover/exact.h"
@@ -56,6 +59,28 @@ TEST(InstanceIo, RejectsMalformed) {
   EXPECT_THROW(instance_from_string("scp 1 2\nrow 0\nrow 1\n"),
                std::runtime_error);
   EXPECT_THROW(instance_from_string("scp 1 2\nrow x\n"), std::runtime_error);
+}
+
+// Dimensions and column indices read strictly: a sign or trailing junk
+// is the line's error, never a wrapped or truncated number.
+TEST(InstanceIo, RejectsMalformedNumbers) {
+  const auto expect_error = [](const std::string& text,
+                               const std::string& want) {
+    try {
+      instance_from_string(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const std::string bad : {"-1", "+6", "6junk"}) {
+    SCOPED_TRACE(bad);
+    expect_error("scp " + bad + " 2\n", "scp line 1: bad header dimensions");
+    expect_error("scp 1 " + bad + "\n", "scp line 1: bad header dimensions");
+    expect_error("scp 1 8\nrow 0 " + bad + "\n",
+                 "scp line 2: bad column index");
+  }
 }
 
 TEST(InstanceIo, SolverAgreesAcrossRoundTrip) {

@@ -14,8 +14,9 @@ using netlist::Netlist;
 
 TEST(Collapse, SmallerThanFullList) {
   const auto nl = circuits::make_circuit("c432");
-  const std::size_t full = full_fault_count(nl);
-  const auto collapsed = collapse_faults(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const std::size_t full = FaultList::full(cc).size();
+  const auto collapsed = collapse_faults(cc);
   EXPECT_LT(collapsed.size(), full);
   EXPECT_GT(collapsed.size(), 0u);
 }
@@ -27,7 +28,8 @@ TEST(Collapse, BufferInputFaultsCollapsed) {
   const auto g = nl.add_gate(GateType::kAnd, "g", {a, b});
   const auto buf = nl.add_gate(GateType::kBuf, "buf", {g});
   nl.mark_output(buf);
-  const auto faults = collapse_faults(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto faults = collapse_faults(cc);
   // g feeds only the buffer -> both g faults equivalent to buf faults.
   for (const auto& f : faults) {
     EXPECT_NE(f.net, g);
@@ -40,7 +42,8 @@ TEST(Collapse, AndInputStuck0Collapsed) {
   const auto b = nl.add_input("b");
   const auto g = nl.add_gate(GateType::kAnd, "g", {a, b});
   nl.mark_output(g);
-  const auto faults = collapse_faults(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto faults = collapse_faults(cc);
   // a/0 and b/0 are equivalent to g/0 (inputs are fanout-free here).
   for (const auto& f : faults) {
     if (f.net == a || f.net == b) {
@@ -61,7 +64,8 @@ TEST(Collapse, OrInputStuck1Collapsed) {
   const auto b = nl.add_input("b");
   const auto g = nl.add_gate(GateType::kOr, "g", {a, b});
   nl.mark_output(g);
-  const auto faults = collapse_faults(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto faults = collapse_faults(cc);
   for (const auto& f : faults) {
     if (f.net == a || f.net == b) {
       EXPECT_FALSE(f.stuck_value) << "stuck-at-1 on OR input should collapse";
@@ -78,7 +82,8 @@ TEST(Collapse, FanoutStemKeepsBothFaults) {
   const auto g2 = nl.add_gate(GateType::kOr, "g2", {a, b});
   nl.mark_output(g1);
   nl.mark_output(g2);
-  const auto faults = collapse_faults(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto faults = collapse_faults(cc);
   std::size_t a_count = 0;
   for (const auto& f : faults) {
     if (f.net == a) ++a_count;
@@ -93,7 +98,8 @@ TEST(Collapse, PrimaryOutputNetNeverCollapsed) {
   const auto h = nl.add_gate(GateType::kNot, "h", {g});
   nl.mark_output(g);  // g is a PO *and* feeds h
   nl.mark_output(h);
-  const auto faults = collapse_faults(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto faults = collapse_faults(cc);
   std::size_t g_count = 0;
   for (const auto& f : faults) {
     if (f.net == g) ++g_count;
@@ -107,7 +113,8 @@ TEST(Collapse, XorInputsNotCollapsed) {
   const auto b = nl.add_input("b");
   const auto g = nl.add_gate(GateType::kXor, "g", {a, b});
   nl.mark_output(g);
-  const auto faults = collapse_faults(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto faults = collapse_faults(cc);
   // XOR has no structural equivalence: 2 faults per net = 6 total.
   EXPECT_EQ(faults.size(), 6u);
 }
@@ -118,7 +125,8 @@ TEST(Collapse, C17CollapsedCount) {
   // structural invariants rather than a magic number: smaller than
   // full, and every output fault survives.
   const auto nl = circuits::make_c17();
-  const auto faults = collapse_faults(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const auto faults = collapse_faults(cc);
   EXPECT_LT(faults.size(), 22u);
   for (const char* name : {"G22", "G23"}) {
     std::size_t count = 0;
@@ -126,23 +134,6 @@ TEST(Collapse, C17CollapsedCount) {
       if (f.net == nl.find(name)) ++count;
     }
     EXPECT_EQ(count, 2u) << name;
-  }
-}
-
-TEST(Collapse, CompiledOverloadMatchesNetlistPath) {
-  // The pipeline collapses over its shared CompiledCircuit; the result
-  // must be the exact fault vector of the historical Netlist path.
-  for (const char* name : {"c17", "c432", "s1238"}) {
-    const auto nl = circuits::make_circuit(name);
-    const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
-    const auto via_nl = collapse_faults(nl);
-    const auto via_cc = collapse_faults(cc);
-    ASSERT_EQ(via_nl.size(), via_cc.size()) << name;
-    for (std::size_t i = 0; i < via_nl.size(); ++i) {
-      EXPECT_TRUE(via_nl[i] == via_cc[i]) << name << " fault " << i;
-    }
-    EXPECT_EQ(full_fault_count(nl), full_fault_count(cc)) << name;
-    EXPECT_EQ(FaultList::collapsed(cc).size(), via_cc.size()) << name;
   }
 }
 

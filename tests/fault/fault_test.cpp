@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "circuits/registry.h"
+#include "netlist/compiled.h"
 #include "netlist/levelize.h"
 
 namespace fbist::fault {
@@ -10,7 +11,8 @@ namespace {
 
 TEST(FaultList, FullListHasTwoPerReachableNet) {
   const auto nl = circuits::make_c17();
-  const FaultList fl = FaultList::full(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const FaultList fl = FaultList::full(cc);
   // c17: all 11 nets reach an output -> 22 faults.
   EXPECT_EQ(fl.size(), 22u);
 }
@@ -22,7 +24,8 @@ TEST(FaultList, FullListSkipsDeadLogic) {
   const auto keep = nl.add_gate(netlist::GateType::kAnd, "keep", {a, b});
   nl.add_gate(netlist::GateType::kOr, "dead", {a, b});
   nl.mark_output(keep);
-  const FaultList fl = FaultList::full(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const FaultList fl = FaultList::full(cc);
   // dead gate excluded: faults on a, b, keep only.
   EXPECT_EQ(fl.size(), 6u);
   for (const auto& f : fl.faults()) {
@@ -32,7 +35,8 @@ TEST(FaultList, FullListSkipsDeadLogic) {
 
 TEST(FaultList, FindLocatesFaults) {
   const auto nl = circuits::make_c17();
-  const FaultList fl = FaultList::full(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const FaultList fl = FaultList::full(cc);
   const Fault f{nl.find("G11"), true};
   const std::size_t id = fl.find(f);
   ASSERT_NE(id, static_cast<std::size_t>(-1));
@@ -43,7 +47,8 @@ TEST(FaultList, FindLocatesFaults) {
 
 TEST(FaultList, WithoutDropsFlagged) {
   const auto nl = circuits::make_c17();
-  const FaultList fl = FaultList::full(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  const FaultList fl = FaultList::full(cc);
   std::vector<bool> drop(fl.size(), false);
   drop[0] = true;
   drop[5] = true;

@@ -33,11 +33,13 @@ class FuzzTest : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(FuzzTest, BenchRoundTripPreservesSimulation) {
   const auto nl = make();
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
   const auto back = netlist::parse_bench_string(netlist::to_bench_string(nl));
   ASSERT_EQ(back.num_inputs(), nl.num_inputs());
   ASSERT_EQ(back.num_outputs(), nl.num_outputs());
   // Same functional behaviour on random vectors.
-  sim::LogicSim a(nl), b(back);
+  const netlist::CompiledCircuit back_cc(back, /*build_cone_slices=*/false);
+  sim::LogicSim a(cc), b(back_cc);
   util::Rng rng(GetParam() ^ 0xABCD);
   for (int t = 0; t < 10; ++t) {
     const auto pat = util::WideWord::random(nl.num_inputs(), rng);
@@ -49,10 +51,11 @@ TEST_P(FuzzTest, CollapsedFaultsDetectSameTestSets) {
   // A pattern set's coverage of the collapsed list must equal its
   // restriction from the full list (equivalence collapsing only).
   const auto nl = make();
-  const auto full = fault::FaultList::full(nl);
-  const auto collapsed = fault::FaultList::collapsed(nl);
-  sim::FaultSim fs_full(nl, full);
-  sim::FaultSim fs_col(nl, collapsed);
+  const netlist::CompiledCircuit cc(nl);
+  const auto full = fault::FaultList::full(cc);
+  const auto collapsed = fault::FaultList::collapsed(cc);
+  sim::FaultSim fs_full(cc, full);
+  sim::FaultSim fs_col(cc, collapsed);
   util::Rng rng(GetParam() ^ 0x1234);
   const auto ps = sim::PatternSet::random(nl.num_inputs(), 128, rng);
   const auto r_full = fs_full.run(ps);
@@ -67,9 +70,10 @@ TEST_P(FuzzTest, CollapsedFaultsDetectSameTestSets) {
 
 TEST_P(FuzzTest, AtpgVerdictsAreSound) {
   const auto nl = make();
-  const auto fl = fault::FaultList::collapsed(nl);
-  const auto r = atpg::run_atpg(nl, fl);
-  sim::FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  const auto r = atpg::run_atpg(cc, fl);
+  sim::FaultSim fsim(cc, fl);
   const auto check = fsim.run(r.patterns);
   for (std::size_t f = 0; f < fl.size(); ++f) {
     if (r.verdict[f] == atpg::FaultVerdict::kDetected) {
@@ -85,8 +89,9 @@ TEST_P(FuzzTest, AtpgVerdictsAreSound) {
 TEST_P(FuzzTest, ReductionNeverHurtsExactOptimum) {
   // Random covering instances derived from real fault-sim data.
   const auto nl = make();
-  const auto fl = fault::FaultList::collapsed(nl);
-  sim::FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  sim::FaultSim fsim(cc, fl);
   util::Rng rng(GetParam() ^ 0x77);
 
   // Rows = detection sets of random 8-pattern bursts.

@@ -9,11 +9,14 @@
 
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "atpg/podem.h"
+#include "atpg/sat_engine.h"
 #include "circuits/generator.h"
 #include "circuits/registry.h"
 #include "fault/fault.h"
@@ -306,9 +309,10 @@ TEST(CompiledCircuit, ConeDataMatchesReferenceEncoder) {
 
 TEST(CompiledCircuit, WideEncodingFaultSimMatchesReference) {
   const Netlist nl = wide_fanin_circuit();
-  ASSERT_FALSE(CompiledCircuit(nl).narrow_programs());
-  const auto fl = fault::FaultList::collapsed(nl);
-  const sim::FaultSim fsim(nl, fl);
+  const CompiledCircuit cc(nl);
+  ASSERT_FALSE(cc.narrow_programs());
+  const auto fl = fault::FaultList::collapsed(cc);
+  const sim::FaultSim fsim(cc, fl);
   const sim::ReferenceFaultSim ref(nl, fl);
   util::Rng rng(41);
   for (const std::size_t n : {5u, 64u, 200u}) {
@@ -321,31 +325,40 @@ TEST(CompiledCircuit, WideEncodingFaultSimMatchesReference) {
   }
 }
 
-/// FNV-1a, fed one 64-bit value at a time.
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  }
-};
+// The engines that walk cones — the fault simulator, PODEM and the SAT
+// engine — refuse the structure-only form, which has no cone programs;
+// the full form of the same netlist is accepted.
+TEST(CompiledCircuit, ConeEnginesRejectTheStructureOnlyForm) {
+  const Netlist nl = circuits::make_c17();
+  const CompiledCircuit structure(nl, /*build_cone_slices=*/false);
+  const CompiledCircuit full(nl);
+  EXPECT_FALSE(structure.has_cone_programs());
+  EXPECT_TRUE(full.has_cone_programs());
+  const auto fl = fault::FaultList::collapsed(structure);
+  EXPECT_THROW({ const sim::FaultSim fsim(structure, fl); },
+               std::invalid_argument);
+  EXPECT_THROW({ const atpg::Podem podem(structure); }, std::invalid_argument);
+  EXPECT_THROW({ const atpg::SatEngine sat(structure); },
+               std::invalid_argument);
+  EXPECT_NO_THROW({ const sim::FaultSim fsim(full, fl); });
+  EXPECT_NO_THROW({ const atpg::Podem podem(full); });
+  EXPECT_NO_THROW({ const atpg::SatEngine sat(full); });
+}
 
 /// What every net's compiled cone says, whatever its encoding: the
 /// largest cone, the encoding flag, and per net the cone gates, the
 /// cone outputs and their slots.
 std::uint64_t cone_content_digest(const CompiledCircuit& cc) {
-  Fnv f;
-  f.mix(cc.max_cone_gates());
-  f.mix(cc.narrow_programs() ? 1 : 0);
+  util::Fnv1a f;
+  f.u64(cc.max_cone_gates());
+  f.u64(cc.narrow_programs() ? 1 : 0);
   for (NetId n = 0; n < cc.num_nets(); ++n) {
     const auto gates = cc.cone_gates(n);
-    f.mix(gates.size());
-    for (const NetId g : gates) f.mix(g);
+    f.u64(gates.size());
+    for (const NetId g : gates) f.u64(g);
     for (const auto span : {cc.cone_outputs(n), cc.cone_output_slots(n)}) {
-      f.mix(span.size());
-      for (const std::uint32_t w : span) f.mix(w);
+      f.u64(span.size());
+      for (const std::uint32_t w : span) f.u64(w);
     }
   }
   return f.h;
@@ -353,11 +366,11 @@ std::uint64_t cone_content_digest(const CompiledCircuit& cc) {
 
 /// Every net's cone program, word for word.
 std::uint64_t cone_program_digest(const CompiledCircuit& cc) {
-  Fnv f;
+  util::Fnv1a f;
   for (NetId n = 0; n < cc.num_nets(); ++n) {
     const auto prog = cc.cone_program(n);
-    f.mix(prog.size());
-    for (const std::uint32_t w : prog) f.mix(w);
+    f.u64(prog.size());
+    for (const std::uint32_t w : prog) f.u64(w);
   }
   return f.h;
 }

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include "circuits/registry.h"
+#include "netlist/compiled.h"
 
 namespace fbist::netlist {
 namespace {
 
 TEST(Stats, C17Counts) {
-  const CircuitStats s = compute_stats(circuits::make_c17());
+  const Netlist nl = circuits::make_c17();
+  const CircuitStats s =
+      compute_stats(CompiledCircuit(nl, /*build_cone_slices=*/false));
   EXPECT_EQ(s.num_inputs, 5u);
   EXPECT_EQ(s.num_outputs, 2u);
   EXPECT_EQ(s.num_gates, 6u);
@@ -19,13 +22,17 @@ TEST(Stats, C17Counts) {
 }
 
 TEST(Stats, MaxFanoutPositive) {
-  const CircuitStats s = compute_stats(circuits::make_c17());
+  const Netlist nl = circuits::make_c17();
+  const CircuitStats s =
+      compute_stats(CompiledCircuit(nl, /*build_cone_slices=*/false));
   // G11 and G16 drive two gates each.
   EXPECT_EQ(s.max_fanout, 2u);
 }
 
 TEST(Stats, RenderingMentionsEverything) {
-  const CircuitStats s = compute_stats(circuits::make_c17());
+  const Netlist nl = circuits::make_c17();
+  const CircuitStats s =
+      compute_stats(CompiledCircuit(nl, /*build_cone_slices=*/false));
   const std::string text = stats_to_string(s, "c17");
   EXPECT_NE(text.find("c17"), std::string::npos);
   EXPECT_NE(text.find("PI=5"), std::string::npos);

@@ -22,9 +22,10 @@ namespace {
 
 struct Fixture {
   netlist::Netlist nl = circuits::make_c17();
-  fault::FaultList fl = fault::FaultList::full(nl);
-  sim::FaultSim fsim{nl, fl};
-  atpg::AtpgResult atpg = atpg::run_atpg(nl, fl);
+  netlist::CompiledCircuit cc{nl};
+  fault::FaultList fl = fault::FaultList::full(cc);
+  sim::FaultSim fsim{cc, fl};
+  atpg::AtpgResult atpg = atpg::run_atpg(cc, fl);
 };
 
 TEST(InitialBuilder, OneTripletPerAtpgPattern) {
@@ -147,10 +148,11 @@ TEST(InitialBuilder, BatchedMatrixMatchesPerRowSeedPath) {
   };
   for (const auto& c : cases) {
     const netlist::Netlist nl = circuits::make_circuit(c.circuit);
-    const fault::FaultList fl = fault::FaultList::collapsed(nl);
-    const sim::FaultSim fsim(nl, fl);
+    const netlist::CompiledCircuit cc(nl);
+    const fault::FaultList fl = fault::FaultList::collapsed(cc);
+    const sim::FaultSim fsim(cc, fl);
     const sim::ReferenceFaultSim ref(nl, fl);
-    const atpg::AtpgResult atpg = atpg::run_atpg(nl, fl);
+    const atpg::AtpgResult atpg = atpg::run_atpg(cc, fl);
     for (const tpg::TpgKind kind :
          {tpg::TpgKind::kAdder, tpg::TpgKind::kSubtracter,
           tpg::TpgKind::kMultiplier, tpg::TpgKind::kLfsr}) {
@@ -241,9 +243,10 @@ TEST(InitialBuilder, AtCyclesEqualsFreshBuild) {
   constexpr std::size_t kFamilyT = 256;
   for (const char* circuit : {"c432", "s838", "c1908"}) {
     const netlist::Netlist nl = circuits::make_circuit(circuit);
-    const fault::FaultList fl = fault::FaultList::collapsed(nl);
-    const sim::FaultSim fsim(nl, fl);
-    const atpg::AtpgResult atpg = atpg::run_atpg(nl, fl);
+    const netlist::CompiledCircuit cc(nl);
+    const fault::FaultList fl = fault::FaultList::collapsed(cc);
+    const sim::FaultSim fsim(cc, fl);
+    const atpg::AtpgResult atpg = atpg::run_atpg(cc, fl);
     for (const tpg::TpgKind kind : {tpg::TpgKind::kAdder, tpg::TpgKind::kLfsr,
                                     tpg::TpgKind::kMultiplier}) {
       const auto tpg = tpg::make_tpg(kind, nl.num_inputs());
@@ -279,9 +282,10 @@ TEST(InitialBuilder, AtCyclesEqualsFreshBuild) {
 // cycle per triplet is rejected with T and the limit in the message.
 TEST(InitialBuilder, CyclesLimit) {
   const netlist::Netlist nl = circuits::make_circuit("c432");
-  const fault::FaultList fl = fault::FaultList::collapsed(nl);
-  const sim::FaultSim fsim(nl, fl);
-  const atpg::AtpgResult atpg = atpg::run_atpg(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const fault::FaultList fl = fault::FaultList::collapsed(cc);
+  const sim::FaultSim fsim(cc, fl);
+  const atpg::AtpgResult atpg = atpg::run_atpg(cc, fl);
   const auto tpg = tpg::make_tpg(tpg::TpgKind::kAdder, nl.num_inputs());
   BuilderOptions opts;
   opts.cycles_per_triplet = cover::DetectionMatrix::kMaxCycles;
@@ -326,8 +330,9 @@ TEST(InitialBuilder, InjectedPackFailureReachesTheCallerOnce) {
     GTEST_SKIP() << "failpoints compiled out";
   }
   const netlist::Netlist nl = circuits::make_circuit("c432");
-  const fault::FaultList fl = fault::FaultList::collapsed(nl);
-  const sim::FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const fault::FaultList fl = fault::FaultList::collapsed(cc);
+  const sim::FaultSim fsim(cc, fl);
   util::Rng rng(3);
   const sim::PatternSet candidates =
       sim::PatternSet::random(nl.num_inputs(), 640, rng);

@@ -184,8 +184,9 @@ TEST(MatrixCache, CorruptOrFutureVersionDiskFilesMiss) {
 // simulator (observable through the stats).
 TEST(MatrixCache, CachedBuildIdenticalToFreshBuild) {
   const auto nl = circuits::make_circuit("c432");
-  const fault::FaultList fl = fault::FaultList::collapsed(nl);
-  const sim::FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const fault::FaultList fl = fault::FaultList::collapsed(cc);
+  const sim::FaultSim fsim(cc, fl);
   const auto tpg = tpg::make_tpg(tpg::TpgKind::kAdder, nl.num_inputs());
   util::Rng rng(11);
   const sim::PatternSet atpg = sim::PatternSet::random(nl.num_inputs(), 20, rng);
@@ -227,8 +228,9 @@ TEST(MatrixCache, CachedBuildIdenticalToFreshBuild) {
 
 TEST(MatrixCache, BuilderOptionChangesMiss) {
   const auto nl = circuits::make_circuit("c17");
-  const fault::FaultList fl = fault::FaultList::collapsed(nl);
-  const sim::FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const fault::FaultList fl = fault::FaultList::collapsed(cc);
+  const sim::FaultSim fsim(cc, fl);
   const auto tpg = tpg::make_tpg(tpg::TpgKind::kAdder, nl.num_inputs());
   util::Rng rng(13);
   const sim::PatternSet atpg = sim::PatternSet::random(nl.num_inputs(), 8, rng);

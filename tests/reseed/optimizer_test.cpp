@@ -11,9 +11,10 @@ namespace {
 
 struct Fixture {
   netlist::Netlist nl = circuits::make_c17();
-  fault::FaultList fl = fault::FaultList::full(nl);
-  sim::FaultSim fsim{nl, fl};
-  atpg::AtpgResult atpg = atpg::run_atpg(nl, fl);
+  netlist::CompiledCircuit cc{nl};
+  fault::FaultList fl = fault::FaultList::full(cc);
+  sim::FaultSim fsim{cc, fl};
+  atpg::AtpgResult atpg = atpg::run_atpg(cc, fl);
   tpg::AdderTpg tpg{nl.num_inputs()};
 
   InitialReseeding initial(std::size_t cycles = 16) {

@@ -12,9 +12,10 @@ namespace {
 
 ReseedingSolution sample_solution() {
   const auto nl = circuits::make_c17();
-  const auto fl = fault::FaultList::full(nl);
-  sim::FaultSim fsim(nl, fl);
-  const auto atpg = atpg::run_atpg(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);
+  sim::FaultSim fsim(cc, fl);
+  const auto atpg = atpg::run_atpg(cc, fl);
   tpg::AdderTpg tpg(nl.num_inputs());
   BuilderOptions opts;
   opts.cycles_per_triplet = 8;

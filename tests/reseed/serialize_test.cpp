@@ -1,5 +1,8 @@
 #include "reseed/serialize.h"
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "reseed/pipeline.h"
@@ -73,6 +76,39 @@ TEST(Serialize, RejectsMalformedRecords) {
   EXPECT_THROW(rom_from_string(head + "triplet ff 01 0\n"), std::runtime_error);
   EXPECT_THROW(rom_from_string(head + "bogus record\n"), std::runtime_error);
   EXPECT_THROW(rom_from_string("fbist-rom v1\nwidth 0\n"), std::runtime_error);
+}
+
+/// Expects `parse(text)` to throw std::runtime_error naming `want`.
+template <typename Parse>
+void expect_error(Parse parse, const std::string& text,
+                  const std::string& want) {
+  try {
+    parse(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+// Every unsigned field reads strictly: a sign or trailing junk is the
+// line's error, never a wrapped or truncated number.  A triplet is at
+// most 65535 patterns long, the longest a detection matrix indexes.
+TEST(Serialize, RejectsMalformedNumbers) {
+  const auto parse = [](const std::string& t) { return rom_from_string(t); };
+  const std::string head = "fbist-rom v1\ncircuit x\ntpg adder\n";
+  EXPECT_EQ(rom_from_string(head + "width 8\ntriplet 1f 0d 65535\n")
+                .triplets[0]
+                .cycles,
+            65535u);
+  for (const std::string bad : {"-1", "+6", "6junk"}) {
+    SCOPED_TRACE(bad);
+    expect_error(parse, head + "width " + bad + "\n", "rom line 4: bad width");
+    expect_error(parse, head + "width 8\ntriplet 1f 0d " + bad + "\n",
+                 "rom line 5: bad triplet record");
+  }
+  expect_error(parse, head + "width 8\ntriplet 1f 0d 70000\n",
+               "rom line 5: triplet length 70000 not in 1..65535");
 }
 
 TEST(Serialize, RejectsIncompleteHeader) {
@@ -185,6 +221,28 @@ TEST(MatrixSerialize, RejectsBadInput) {
   EXPECT_THROW(matrix_from_string("fbist-dmx v1\ndims 1 4\nhas-earliest 1\n"
                                   "has-earliest 0\n"),
                std::runtime_error);  // a second has-earliest
+}
+
+TEST(MatrixSerialize, RejectsMalformedNumbers) {
+  const auto parse = [](const std::string& t) { return matrix_from_string(t); };
+  const std::string head = "fbist-dmx v1\ndims 1 4\nhas-earliest 1\n";
+  for (const std::string bad : {"-1", "+6", "6junk"}) {
+    SCOPED_TRACE(bad);
+    expect_error(parse, "fbist-dmx v1\ndims " + bad + " 16\nhas-earliest 0\n",
+                 "dmx line 2: bad dims");
+    expect_error(parse, "fbist-dmx v1\ndims 1 " + bad + "\nhas-earliest 0\n",
+                 "dmx line 2: bad dims");
+    expect_error(parse, "fbist-dmx v1\ndims 1 4\nhas-earliest " + bad + "\n",
+                 "dmx line 3: bad has-earliest flag");
+    expect_error(parse, head + "row " + bad + " 0000000000000001\n",
+                 "dmx line 4: bad row index");
+    expect_error(parse, head + "edet " + bad + " 0\n",
+                 "dmx line 4: bad edet header");
+    expect_error(parse, head + "edet 0 1 " + bad + " 3\n",
+                 "dmx line 4: bad edet pair");
+    expect_error(parse, head + "edet 0 1 0 " + bad + "\n",
+                 "dmx line 4: bad edet pair");
+  }
 }
 
 // An earliest index is below T <= 65535: the largest one a blob can hold

@@ -52,7 +52,7 @@ std::vector<FaultSimResult> run_rows(
   std::vector<FaultSimResult> results(rows.size());
   const auto run_one = [&](std::size_t p) {
     const LanePacking& pk = packings[p];
-    PatternSet packed(fsim.netlist().num_inputs(), pk.num_patterns);
+    PatternSet packed(fsim.compiled().num_inputs(), pk.num_patterns);
     std::vector<util::BitVector> pk_seek;
     for (const LanePacking::Row& pr : pk.rows) {
       if (pr.length > 0) packed.write_patterns(pr.base, rows[pr.row]);
@@ -96,9 +96,10 @@ void expect_rows_match_reference(const ReferenceFaultSim& ref,
 void check_batched_equivalence(const std::string& circuit, bool collapsed,
                                std::size_t num_rows, std::size_t cycles) {
   const auto nl = circuits::make_circuit(circuit);
-  const auto fl = collapsed ? fault::FaultList::collapsed(nl)
-                            : fault::FaultList::full(nl);
-  FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = collapsed ? fault::FaultList::collapsed(cc)
+                            : fault::FaultList::full(cc);
+  FaultSim fsim(cc, fl);
   ReferenceFaultSim ref(nl, fl);
   const auto rows = random_rows(num_rows, cycles, nl.num_inputs(),
                                 /*seed=*/cycles * 977 + num_rows);
@@ -133,8 +134,9 @@ TEST(BatchedSim, BitIdenticalWithPairedSites) {
 // partial final batch and hole lanes inside blocks.
 TEST(BatchedSim, OddRemaindersAndMixedLengths) {
   const auto nl = circuits::make_circuit("c880");
-  const auto fl = fault::FaultList::collapsed(nl);
-  FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  FaultSim fsim(cc, fl);
   ReferenceFaultSim ref(nl, fl);
 
   util::Rng rng(42);
@@ -151,8 +153,9 @@ TEST(BatchedSim, OddRemaindersAndMixedLengths) {
 // block-aligned bases.
 TEST(BatchedSim, PerRowSeekMasksMatchReferenceSubset) {
   const auto nl = circuits::make_circuit("c880");
-  const auto fl = fault::FaultList::collapsed(nl);
-  FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  FaultSim fsim(cc, fl);
   ReferenceFaultSim ref(nl, fl);
 
   util::Rng rng(61);
@@ -186,8 +189,9 @@ TEST(BatchedSim, PerRowSeekMasksMatchReferenceSubset) {
 
 TEST(BatchedSim, EmptyInputs) {
   const auto nl = circuits::make_circuit("c432");
-  const auto fl = fault::FaultList::collapsed(nl);
-  FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  FaultSim fsim(cc, fl);
   EXPECT_TRUE(
       fsim.run_packed(PatternSet(nl.num_inputs(), 0), LanePacking{}).empty());
 
@@ -213,8 +217,9 @@ TEST(BatchedSim, BitIdenticalAcrossWorkerCounts) {
   spec.layers = 14;
   spec.seed = 15;
   const auto nl = circuits::generate(spec);
-  const auto fl = fault::FaultList::collapsed(nl);
-  FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  FaultSim fsim(cc, fl);
   ReferenceFaultSim ref(nl, fl);
   const auto rows = random_rows(17, 7, nl.num_inputs(), 11);
 
@@ -293,8 +298,9 @@ void expect_rows_match_subset(const ReferenceFaultSim& ref, const SeekRows& sr,
 // alone, on a 1- and a 4-worker pool.
 TEST(BatchedSim, MultiChunkSeekMasksMatchReferenceSubset) {
   const auto nl = circuits::make_circuit("c880");
-  const auto fl = fault::FaultList::full(nl);  // paired sa0/sa1 sites
-  FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);  // paired sa0/sa1 sites
+  FaultSim fsim(cc, fl);
   ReferenceFaultSim ref(nl, fl);
   constexpr std::size_t kChunk = kChunkBlocks * 64;
 
@@ -357,8 +363,9 @@ LanePacking staggered_packing(std::size_t blocks) {
 // blocks — must give every row exactly the reference run_subset.
 TEST(BatchedSim, ChunkGoodValuesMatchReferenceAcrossBlockCounts) {
   const auto nl = circuits::make_circuit("c880");
-  const auto fl = fault::FaultList::full(nl);  // paired sa0/sa1 sites
-  FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);  // paired sa0/sa1 sites
+  FaultSim fsim(cc, fl);
   ReferenceFaultSim ref(nl, fl);
   for (const std::size_t blocks : {2, 15, 16, 17, 31, 33}) {
     SCOPED_TRACE("blocks=" + std::to_string(blocks));
@@ -380,7 +387,8 @@ TEST(BatchedSim, ChunkGoodValuesMatchReferenceAcrossBlockCounts) {
 // of the rows that seek the fault), and through run_subset.
 TEST(BatchedSim, UnsoughtSitesMatchReferenceSubset) {
   const auto nl = circuits::make_circuit("c880");
-  const auto fl = fault::FaultList::full(nl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);
   std::vector<bool> unsought(nl.num_nets(), false);
   for (std::size_t n = 0; n < unsought.size(); n += 3) unsought[n] = true;
 
@@ -394,7 +402,7 @@ TEST(BatchedSim, UnsoughtSitesMatchReferenceSubset) {
   LanePacking one_block;
   one_block.rows = {{0, 0, 7}, {1, 7, 0}, {2, 7, 25}, {3, 32, 32}};
   one_block.num_patterns = 64;
-  FaultSim fsim(nl, fl);
+  FaultSim fsim(cc, fl);
   ReferenceFaultSim ref(nl, fl);
   for (const LanePacking* pk : {&many, &one_live, &one_block}) {
     const SeekRows sr = make_seek_rows(nl, fl, *pk, /*seed=*/71, unsought);
@@ -424,7 +432,8 @@ TEST(BatchedSim, UnsoughtSitesMatchReferenceSubset) {
 // with an earliest index, and equal the reference.
 TEST(BatchedSim, DetectedWordsMatchEarliestOnPartialWords) {
   const auto nl = circuits::make_circuit("c880");
-  const auto all = fault::FaultList::collapsed(nl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto all = fault::FaultList::collapsed(cc);
   for (const std::size_t keep : {63, 65, 129}) {
     SCOPED_TRACE("faults=" + std::to_string(keep));
     // Every stride-th fault, so the kept faults spread over the circuit.
@@ -434,7 +443,7 @@ TEST(BatchedSim, DetectedWordsMatchEarliestOnPartialWords) {
     const fault::FaultList fl = all.without(drop);
     ASSERT_EQ(fl.size(), keep);
 
-    FaultSim fsim(nl, fl);
+    FaultSim fsim(cc, fl);
     ReferenceFaultSim ref(nl, fl);
     const auto rows = random_rows(9, 100, nl.num_inputs(), keep);
     const auto got = run_rows(fsim, rows);
@@ -457,8 +466,9 @@ TEST(BatchedSim, DetectedWordsMatchEarliestOnPartialWords) {
 // PatternSet) and must match expand_triplet + a per-row campaign.
 TEST(BatchedSim, PackedTripletExpansionMatchesPerRow) {
   const auto nl = circuits::make_circuit("c432");
-  const auto fl = fault::FaultList::collapsed(nl);
-  FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  FaultSim fsim(cc, fl);
   ReferenceFaultSim ref(nl, fl);
   tpg::LfsrTpg tpg(nl.num_inputs());
 
@@ -494,8 +504,9 @@ TEST(BatchedSim, PackedTripletExpansionMatchesPerRow) {
 // a padded chunk, full chunks, several chunks and partial tail blocks.
 TEST(ChunkWalk, BitIdenticalAcrossCampaignSizes) {
   const auto nl = circuits::make_circuit("c432");
-  const auto fl = fault::FaultList::collapsed(nl);
-  FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  FaultSim fsim(cc, fl);
   ReferenceFaultSim ref(nl, fl);
   util::Rng rng(19);
   for (const std::size_t n : {1, 64, 65, 128, 200, 511, 512, 513, 600, 1023,

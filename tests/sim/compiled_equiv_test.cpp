@@ -67,7 +67,8 @@ Netlist deep_circuit() {
 
 TEST(CompiledEquiv, LogicSimMatchesReferenceWordForWord) {
   for (const Netlist& nl : test_circuits()) {
-    LogicSim sim(nl);
+    const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+    LogicSim sim(cc);
     ReferenceLogicSim ref(nl);
     util::Rng rng(5);
     // 200 patterns -> a full word, a full word, and a short tail word.
@@ -84,9 +85,10 @@ TEST(CompiledEquiv, LogicSimMatchesReferenceWordForWord) {
 TEST(CompiledEquiv, FaultSimMatchesReferenceFullAndCollapsed) {
   for (const Netlist& nl : test_circuits()) {
     for (const bool collapsed : {false, true}) {
-      const auto fl = collapsed ? fault::FaultList::collapsed(nl)
-                                : fault::FaultList::full(nl);
-      FaultSim fsim(nl, fl);
+      const netlist::CompiledCircuit cc(nl);
+      const auto fl = collapsed ? fault::FaultList::collapsed(cc)
+                                : fault::FaultList::full(cc);
+      FaultSim fsim(cc, fl);
       ReferenceFaultSim ref(nl, fl);
       util::Rng rng(8);
       // 300 patterns are 5 blocks: the chunk path with padded chunk
@@ -102,8 +104,9 @@ TEST(CompiledEquiv, FaultSimMatchesReferenceFullAndCollapsed) {
 
 TEST(CompiledEquiv, FaultSimSubsetMatchesReference) {
   const Netlist nl = test_circuits()[1];
-  const auto fl = fault::FaultList::full(nl);
-  FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);
+  FaultSim fsim(cc, fl);
   ReferenceFaultSim ref(nl, fl);
   util::Rng rng(12);
   // 600 patterns are 10 blocks: the masked campaign walks one full
@@ -144,8 +147,8 @@ TEST(CompiledEquiv, ScanWalkVariantMatchesReferenceOnDeepCones) {
   // above reach, where skipped gates dominate a walk.
   ASSERT_GE(max_prog, 2048u) << "circuit no longer has deep cones; enlarge it";
 
-  const auto fl = fault::FaultList::collapsed(nl);
-  FaultSim fsim(nl, fl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  FaultSim fsim(cc, fl);
   ReferenceFaultSim ref(nl, fl);
   util::Rng rng(9);
   for (const std::size_t n : {192, 64}) {
@@ -164,8 +167,9 @@ TEST(CompiledEquiv, ScanWalkVariantMatchesReferenceOnDeepCones) {
 // site loop.
 TEST(CompiledEquiv, FaultSimParallelMatchesSerial) {
   const Netlist nl = deep_circuit();
-  const auto fl = fault::FaultList::collapsed(nl);
-  FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  FaultSim fsim(cc, fl);
   util::Rng rng(21);
   const PatternSet ps = PatternSet::random(nl.num_inputs(), 1024, rng);
   campaign::Scheduler::global().set_workers(1);
@@ -175,21 +179,6 @@ TEST(CompiledEquiv, FaultSimParallelMatchesSerial) {
   campaign::Scheduler::global().set_workers(0);  // restore default
   EXPECT_EQ(par.detected, ser.detected);
   EXPECT_EQ(par.earliest, ser.earliest);
-}
-
-TEST(CompiledEquiv, SharedCompilationMatchesPrivate) {
-  const Netlist nl = test_circuits()[1];
-  const auto fl = fault::FaultList::collapsed(nl);
-  const auto shared = std::make_shared<netlist::CompiledCircuit>(nl);
-  FaultSim owns(nl, fl);
-  FaultSim borrows(nl, fl, shared);
-  EXPECT_EQ(&borrows.compiled(), shared.get());
-  util::Rng rng(3);
-  const PatternSet ps = PatternSet::random(nl.num_inputs(), 96, rng);
-  const FaultSimResult a = owns.run(ps);
-  const FaultSimResult b = borrows.run(ps);
-  EXPECT_EQ(a.detected, b.detected);
-  EXPECT_EQ(a.earliest, b.earliest);
 }
 
 }  // namespace

@@ -15,7 +15,7 @@ namespace fbist::sim {
 /// True iff `pattern` detects fault `fault_id` of `fsim`'s fault list.
 inline bool detects(const FaultSim& fsim, const util::WideWord& pattern,
                     std::size_t fault_id) {
-  PatternSet ps(fsim.netlist().num_inputs(), 0);
+  PatternSet ps(fsim.compiled().num_inputs(), 0);
   ps.append(pattern);
   util::BitVector seek(fsim.faults().size());
   seek.set(fault_id);

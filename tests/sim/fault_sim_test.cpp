@@ -16,7 +16,8 @@ using netlist::Netlist;
 // Reference detection check: simulate good and faulty circuits naively.
 bool reference_detects(const Netlist& nl, const fault::Fault& f,
                        const util::WideWord& pattern) {
-  LogicSim sim(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  LogicSim sim(cc);
   const auto good = sim.simulate_single(pattern);
   // Faulty evaluation: force f.net after computing each gate.
   std::vector<bool> v(nl.num_nets(), false);
@@ -60,8 +61,9 @@ bool reference_detects(const Netlist& nl, const fault::Fault& f,
 
 TEST(FaultSim, MatchesReferenceOnC17AllFaultsAllPatterns) {
   const auto nl = circuits::make_c17();
-  const auto fl = fault::FaultList::full(nl);
-  FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);
+  FaultSim fsim(cc, fl);
 
   for (unsigned vec = 0; vec < 32; ++vec) {
     util::WideWord pat(5);
@@ -75,8 +77,9 @@ TEST(FaultSim, MatchesReferenceOnC17AllFaultsAllPatterns) {
 
 TEST(FaultSim, EarliestIndexIsFirstDetectingPattern) {
   const auto nl = circuits::make_c17();
-  const auto fl = fault::FaultList::full(nl);
-  FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);
+  FaultSim fsim(cc, fl);
 
   util::Rng rng(9);
   const PatternSet ps = PatternSet::random(5, 100, rng);
@@ -109,8 +112,9 @@ TEST(FaultSim, ParallelAndSerialAgree) {
   spec.layers = 14;
   spec.seed = 15;
   const Netlist nl = circuits::generate(spec);
-  const auto fl = fault::FaultList::collapsed(nl);
-  FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  FaultSim fsim(cc, fl);
 
   util::Rng rng(77);
   for (const std::size_t n : {64, 192}) {
@@ -128,8 +132,9 @@ TEST(FaultSim, ParallelAndSerialAgree) {
 
 TEST(FaultSim, SubsetRunIgnoresInactive) {
   const auto nl = circuits::make_c17();
-  const auto fl = fault::FaultList::full(nl);
-  FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);
+  FaultSim fsim(cc, fl);
   util::Rng rng(3);
   const PatternSet ps = PatternSet::random(5, 64, rng);
 
@@ -144,8 +149,9 @@ TEST(FaultSim, SubsetRunIgnoresInactive) {
 
 TEST(FaultSim, EmptyPatternsDetectNothing) {
   const auto nl = circuits::make_c17();
-  const auto fl = fault::FaultList::full(nl);
-  FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);
+  FaultSim fsim(cc, fl);
   const PatternSet empty(5, 0);
   const FaultSimResult r = fsim.run(empty);
   EXPECT_EQ(r.num_detected(), 0u);
@@ -164,8 +170,9 @@ TEST(FaultSim, RandomPatternsDetectMostC17Faults) {
   // c17 is tiny and fully random testable; 64 random patterns should
   // catch everything.
   const auto nl = circuits::make_c17();
-  const auto fl = fault::FaultList::full(nl);
-  FaultSim fsim(nl, fl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);
+  FaultSim fsim(cc, fl);
   util::Rng rng(21);
   const PatternSet ps = PatternSet::random(5, 64, rng);
   const FaultSimResult r = fsim.run(ps);

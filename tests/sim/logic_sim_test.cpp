@@ -70,7 +70,8 @@ TEST(LogicSim, C17KnownVector) {
   // G16 = NAND(1, 0) = 1, G19 = NAND(0, 1) = 1, G22 = NAND(0,1)=1,
   // G23 = NAND(1,1) = 0.
   const auto nl = circuits::make_c17();
-  LogicSim sim(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  LogicSim sim(cc);
   util::WideWord pat(5);
   for (std::size_t i = 0; i < 5; ++i) pat.set_bit(i, true);
   const auto resp = sim.output_response(pat);
@@ -80,7 +81,8 @@ TEST(LogicSim, C17KnownVector) {
 
 TEST(LogicSim, MatchesReferenceOnC17Exhaustive) {
   const auto nl = circuits::make_c17();
-  LogicSim sim(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  LogicSim sim(cc);
   for (unsigned v = 0; v < 32; ++v) {
     std::vector<bool> pi(5);
     util::WideWord pat(5);
@@ -101,7 +103,8 @@ TEST(LogicSim, ParallelMatchesSerialOnGenerated) {
   spec.num_gates = 150;
   spec.seed = 77;
   const Netlist nl = circuits::generate(spec);
-  LogicSim sim(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  LogicSim sim(cc);
 
   util::Rng rng(123);
   const PatternSet ps = PatternSet::random(14, 150, rng);
@@ -122,7 +125,8 @@ TEST(LogicSim, ParallelMatchesSerialOnGenerated) {
 
 TEST(LogicSim, SimulateWordHandlesShortBlock) {
   const auto nl = circuits::make_c17();
-  LogicSim sim(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  LogicSim sim(cc);
   util::Rng rng(5);
   const PatternSet ps = PatternSet::random(5, 10, rng);  // less than a word
   std::vector<Word> values;

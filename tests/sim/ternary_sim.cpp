@@ -68,16 +68,9 @@ TernaryValue eval_ternary(GateType type, const netlist::Span<NetId> fanin,
 
 }  // namespace
 
-TernarySim::TernarySim(const Netlist& nl)
-    : cc_(std::make_shared<const CompiledCircuit>(
-          nl, /*build_cone_slices=*/false)) {}
-
-TernarySim::TernarySim(std::shared_ptr<const CompiledCircuit> compiled)
-    : cc_(std::move(compiled)) {}
-
 std::vector<TernaryValue> TernarySim::simulate_impl(
     const TestCube& cube, const fault::Fault* fault) const {
-  const CompiledCircuit& cc = *cc_;
+  const CompiledCircuit& cc = cc_;
   if (cube.pattern.bits() != cc.num_inputs()) {
     throw std::invalid_argument("ternary_simulate: cube width mismatch");
   }
@@ -116,7 +109,7 @@ bool TernarySim::robustly_detects(const TestCube& cube,
                                   const fault::Fault& fault) const {
   const auto good = simulate_impl(cube, nullptr);
   const auto bad = simulate_impl(cube, &fault);
-  for (const NetId o : cc_->outputs()) {
+  for (const NetId o : cc_.outputs()) {
     if (good[o] != TernaryValue::kX && bad[o] != TernaryValue::kX &&
         good[o] != bad[o]) {
       return true;
@@ -127,18 +120,21 @@ bool TernarySim::robustly_detects(const TestCube& cube,
 
 std::vector<TernaryValue> ternary_simulate(const Netlist& nl,
                                            const TestCube& cube) {
-  return TernarySim(nl).simulate(cube);
+  const CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  return TernarySim(cc).simulate(cube);
 }
 
 std::vector<TernaryValue> ternary_simulate_faulty(const Netlist& nl,
                                                   const TestCube& cube,
                                                   const fault::Fault& fault) {
-  return TernarySim(nl).simulate_faulty(cube, fault);
+  const CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  return TernarySim(cc).simulate_faulty(cube, fault);
 }
 
 bool cube_robustly_detects(const Netlist& nl, const TestCube& cube,
                            const fault::Fault& fault) {
-  return TernarySim(nl).robustly_detects(cube, fault);
+  const CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  return TernarySim(cc).robustly_detects(cube, fault);
 }
 
 }  // namespace fbist::sim

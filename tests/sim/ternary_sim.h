@@ -10,16 +10,16 @@
 // The evaluator walks the flat topological schedule of a
 // netlist::CompiledCircuit — the same compiled form LogicSim streams —
 // instead of the per-gate heap walk of the seed implementation.  The
-// TernarySim class holds (or shares) the compiled snapshot so repeated
-// cube queries against one circuit compile nothing; the free functions
-// remain as the historical one-shot entry points (pinned by
-// tests/sim/ternary_sim_test.cpp) and compile privately per call.
+// TernarySim class borrows the caller's compiled circuit (the
+// structure-only form is enough) so repeated cube queries against one
+// circuit compile nothing; the free functions remain as the historical
+// one-shot entry points (pinned by tests/sim/ternary_sim_test.cpp) and
+// compile per call.
 //
 // Encoding: per-net TernaryValue; X propagates through the standard
 // three-valued gate algebra.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "fault/fault.h"
@@ -41,12 +41,10 @@ struct TestCube {
 /// Ternary evaluator bound to one circuit's compiled schedule.
 class TernarySim {
  public:
-  /// Compiles the structure privately (no cone slices — ternary
-  /// evaluation streams the schedule only).
-  explicit TernarySim(const netlist::Netlist& nl);
-  /// Shares an existing compiled form — e.g. the snapshot a LogicSim
-  /// or a reseed::Pipeline already holds.
-  explicit TernarySim(std::shared_ptr<const netlist::CompiledCircuit> compiled);
+  /// Borrows `cc` — e.g. the circuit a LogicSim or a reseed::Pipeline
+  /// already reads.
+  explicit TernarySim(const netlist::CompiledCircuit& cc) : cc_(cc) {}
+  TernarySim(const netlist::CompiledCircuit&&) = delete;
 
   /// Simulates the good circuit under a cube (unspecified inputs = X).
   /// Returns one TernaryValue per net.
@@ -63,13 +61,13 @@ class TernarySim {
   bool robustly_detects(const TestCube& cube,
                         const fault::Fault& fault) const;
 
-  const netlist::CompiledCircuit& compiled() const { return *cc_; }
+  const netlist::CompiledCircuit& compiled() const { return cc_; }
 
  private:
   std::vector<TernaryValue> simulate_impl(const TestCube& cube,
                                           const fault::Fault* fault) const;
 
-  std::shared_ptr<const netlist::CompiledCircuit> cc_;
+  const netlist::CompiledCircuit& cc_;
 };
 
 /// One-shot wrappers (compile per call; prefer TernarySim for repeated

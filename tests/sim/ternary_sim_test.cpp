@@ -61,7 +61,8 @@ TEST(TernarySim, XPropagatesThroughXor) {
 
 TEST(TernarySim, FullySpecifiedMatchesBinarySim) {
   const auto nl = circuits::make_circuit("c432");
-  LogicSim bin(nl);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  LogicSim bin(cc);
   util::Rng rng(3);
   for (int t = 0; t < 20; ++t) {
     const auto pat = util::WideWord::random(nl.num_inputs(), rng);
@@ -83,8 +84,9 @@ TEST(TernarySim, PodemCubesRobustlyDetectTheirFaults) {
   // target fault under ANY X-fill — exactly what cube_robustly_detects
   // certifies.
   const auto nl = circuits::make_c17();
-  const auto fl = fault::FaultList::full(nl);
-  atpg::Podem podem(nl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::full(cc);
+  atpg::Podem podem(cc);
   for (std::size_t fid = 0; fid < fl.size(); ++fid) {
     const auto r = podem.generate(fl[fid]);
     ASSERT_EQ(r.status, atpg::PodemStatus::kTestFound);
@@ -104,9 +106,10 @@ TEST(TernarySim, RobustDetectionImpliesEveryFillDetects) {
   spec.num_gates = 40;
   spec.seed = 99;
   const auto nl = circuits::generate(spec);
-  const auto fl = fault::FaultList::collapsed(nl);
-  FaultSim fsim(nl, fl);
-  atpg::Podem podem(nl);
+  const netlist::CompiledCircuit cc(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
+  FaultSim fsim(cc, fl);
+  atpg::Podem podem(cc);
 
   for (std::size_t fid = 0; fid < fl.size() && fid < 30; ++fid) {
     const auto r = podem.generate(fl[fid]);
@@ -147,14 +150,15 @@ TEST(TernarySim, FaultOnInputForcedEvenIfUnspecified) {
 }
 
 TEST(TernarySim, ClassSharesCompiledFormWithLogicSim) {
-  // The TernarySim class rides the same CompiledCircuit snapshot other
-  // engines hold; results must match the one-shot wrappers bit for bit.
+  // The TernarySim class borrows the same CompiledCircuit other
+  // engines read; results must match the one-shot wrappers bit for bit.
   const auto nl = circuits::make_circuit("c432");
-  LogicSim lsim(nl);
-  TernarySim tsim(lsim.compiled_ptr());
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  LogicSim lsim(cc);
+  TernarySim tsim(cc);
   EXPECT_EQ(&tsim.compiled(), &lsim.compiled());
 
-  const auto fl = fault::FaultList::collapsed(nl);
+  const auto fl = fault::FaultList::collapsed(cc);
   util::Rng rng(17);
   for (int trial = 0; trial < 20; ++trial) {
     // c432 has 36 inputs, so one 64-bit draw covers the cube.

@@ -10,9 +10,10 @@ namespace {
 
 TEST(StructuralAdder, ExhaustiveWidth4) {
   const auto nl = structural_adder(4);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
   for (std::uint64_t a = 0; a < 16; ++a) {
     for (std::uint64_t b = 0; b < 16; ++b) {
-      const auto y = eval_structural(nl, util::WideWord(4, a), util::WideWord(4, b));
+      const auto y = eval_structural(cc, util::WideWord(4, a), util::WideWord(4, b));
       EXPECT_EQ(y, util::WideWord(4, (a + b) & 0xF)) << a << "+" << b;
     }
   }
@@ -20,9 +21,10 @@ TEST(StructuralAdder, ExhaustiveWidth4) {
 
 TEST(StructuralSubtracter, ExhaustiveWidth4) {
   const auto nl = structural_subtracter(4);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
   for (std::uint64_t a = 0; a < 16; ++a) {
     for (std::uint64_t b = 0; b < 16; ++b) {
-      const auto y = eval_structural(nl, util::WideWord(4, a), util::WideWord(4, b));
+      const auto y = eval_structural(cc, util::WideWord(4, a), util::WideWord(4, b));
       EXPECT_EQ(y, util::WideWord(4, (a - b) & 0xF)) << a << "-" << b;
     }
   }
@@ -30,9 +32,10 @@ TEST(StructuralSubtracter, ExhaustiveWidth4) {
 
 TEST(StructuralMultiplier, ExhaustiveWidth4) {
   const auto nl = structural_multiplier(4);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
   for (std::uint64_t a = 0; a < 16; ++a) {
     for (std::uint64_t b = 0; b < 16; ++b) {
-      const auto y = eval_structural(nl, util::WideWord(4, a), util::WideWord(4, b));
+      const auto y = eval_structural(cc, util::WideWord(4, a), util::WideWord(4, b));
       EXPECT_EQ(y, util::WideWord(4, (a * b) & 0xF)) << a << "*" << b;
     }
   }
@@ -41,11 +44,12 @@ TEST(StructuralMultiplier, ExhaustiveWidth4) {
 TEST(StructuralLfsr, MatchesBehaviouralExhaustiveWidth4) {
   const std::vector<std::size_t> taps = {0, 3};
   const auto nl = structural_lfsr(4, taps);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
   const LfsrTpg behav(4, taps);
   for (std::uint64_t s = 0; s < 16; ++s) {
     for (std::uint64_t sig = 0; sig < 16; ++sig) {
       const auto y =
-          eval_structural(nl, util::WideWord(4, s), util::WideWord(4, sig));
+          eval_structural(cc, util::WideWord(4, s), util::WideWord(4, sig));
       EXPECT_EQ(y, behav.step(util::WideWord(4, s), util::WideWord(4, sig)))
           << "s=" << s << " sigma=" << sig;
     }
@@ -60,25 +64,27 @@ TEST_P(StructuralEquivTest, AdderEquivalent) {
   const std::size_t w = GetParam();
   AdderTpg behav(w);
   util::Rng rng(w * 101);
-  EXPECT_EQ(verify_structural_equivalence(behav, structural_adder(w), 200, rng), 0u);
+  const netlist::Netlist nl = structural_adder(w);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  EXPECT_EQ(verify_structural_equivalence(behav, cc, 200, rng), 0u);
 }
 
 TEST_P(StructuralEquivTest, SubtracterEquivalent) {
   const std::size_t w = GetParam();
   SubtracterTpg behav(w);
   util::Rng rng(w * 103);
-  EXPECT_EQ(
-      verify_structural_equivalence(behav, structural_subtracter(w), 200, rng),
-      0u);
+  const netlist::Netlist nl = structural_subtracter(w);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  EXPECT_EQ(verify_structural_equivalence(behav, cc, 200, rng), 0u);
 }
 
 TEST_P(StructuralEquivTest, MultiplierEquivalent) {
   const std::size_t w = GetParam();
   MultiplierTpg behav(w);
   util::Rng rng(w * 107);
-  EXPECT_EQ(
-      verify_structural_equivalence(behav, structural_multiplier(w), 100, rng),
-      0u);
+  const netlist::Netlist nl = structural_multiplier(w);
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  EXPECT_EQ(verify_structural_equivalence(behav, cc, 100, rng), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, StructuralEquivTest,
@@ -99,7 +105,8 @@ TEST(Structural, RejectsBadArguments) {
   EXPECT_THROW(structural_lfsr(4, {}), std::invalid_argument);
   EXPECT_THROW(structural_lfsr(4, {7}), std::invalid_argument);
   const auto nl = structural_adder(4);
-  EXPECT_THROW(eval_structural(nl, util::WideWord(3, 0), util::WideWord(4, 0)),
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  EXPECT_THROW(eval_structural(cc, util::WideWord(3, 0), util::WideWord(4, 0)),
                std::invalid_argument);
 }
 

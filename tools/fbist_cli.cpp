@@ -105,6 +105,7 @@
 #include "cover/greedy.h"
 #include "cover/instance_io.h"
 #include "netlist/bench_io.h"
+#include "netlist/compiled.h"
 #include "netlist/stats.h"
 #include "reseed/matrix_cache.h"
 #include "reseed/pipeline.h"
@@ -113,6 +114,7 @@
 #include "reseed/tradeoff.h"
 #include "util/failpoint.h"
 #include "util/guarded_io.h"
+#include "util/parse.h"
 #include "util/table.h"
 
 namespace {
@@ -154,8 +156,8 @@ tpg::TpgKind parse_tpg(const std::string& name) {
   return campaign::parse_tpg_kind(name);
 }
 
-using campaign::parse_count;
-using campaign::parse_unsigned;
+using util::parse_count;
+using util::parse_unsigned;
 
 /// Value of an on|off flag.
 bool parse_on_off(const std::string& v, const char* flag) {
@@ -215,11 +217,14 @@ int cmd_list() {
 
 int cmd_info(const std::string& arg) {
   const auto nl = load_circuit(arg);
-  std::cout << netlist::stats_to_string(netlist::compute_stats(nl), arg);
-  const auto faults = fault::FaultList::collapsed(nl);
+  // One compile, structure only: stats, collapsing and SCOAP walk no
+  // cone.
+  const netlist::CompiledCircuit cc(nl, /*build_cone_slices=*/false);
+  std::cout << netlist::stats_to_string(netlist::compute_stats(cc), arg);
+  const auto faults = fault::FaultList::collapsed(cc);
   std::cout << "  collapsed stuck-at faults: " << faults.size() << "\n";
-  const auto scoap = atpg::compute_scoap(nl);
-  std::cout << "  " << atpg::scoap_summary(nl, scoap) << "\n";
+  const auto scoap = atpg::compute_scoap(cc);
+  std::cout << "  " << atpg::scoap_summary(scoap) << "\n";
   // The five hardest faults (SCOAP proxy) — the ones random testing
   // stalls on.
   const auto order = atpg::hardest_first(scoap, faults);
